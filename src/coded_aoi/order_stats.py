@@ -72,6 +72,14 @@ class ShiftedExp:
             raise ValueError(f"cannot split into {m} pieces")
         return ShiftedExp(self.shift / m, self.rate * m)
 
+    def quantile(self, u: "float | np.ndarray") -> "float | np.ndarray":
+        """Inverse CDF at u in [0, 1): shift - log(1 - u)/rate.
+
+        Nondecreasing in u, so an order statistic of draws can be selected
+        on the uniforms and transformed once; the log argument is never zero.
+        """
+        return self.shift - np.log1p(-u) / self.rate
+
 
 def _check_order(n: int, k: int) -> None:
     if not 1 <= k <= n:
@@ -98,12 +106,8 @@ def os_second_moment(d: ShiftedExp, n: int, k: int) -> float:
 
 def sample_batch(d: ShiftedExp, rng: np.random.Generator,
                  size: "int | tuple[int, ...]") -> np.ndarray:
-    """Draw ``size`` i.i.d. values from d by inverse CDF.
-
-    Uses shift - log(U)/rate with U = 1 - rng.random() uniform on (0, 1],
-    so the log argument is never zero.
-    """
-    return d.shift - np.log1p(-rng.random(size)) / d.rate
+    """Draw ``size`` i.i.d. values from d by inverse CDF (see ShiftedExp.quantile)."""
+    return d.quantile(rng.random(size))
 
 
 def sample(d: ShiftedExp, rng: np.random.Generator) -> float:
@@ -114,9 +118,11 @@ def sample(d: ShiftedExp, rng: np.random.Generator) -> float:
 def sample_kth_of_n(d: ShiftedExp, n: int, k: int, rng: np.random.Generator) -> float:
     """Draw n i.i.d. values from d and return the k-th smallest.
 
-    Uses introselect (np.partition), expected O(n); ties have probability
-    zero and are broken arbitrarily.
+    Uses introselect on the uniforms, expected O(n), then transforms only the
+    selected one; the inverse CDF is monotone, so this is the k-th smallest
+    draw.  Ties have probability zero and are broken arbitrarily.
     """
     _check_order(n, k)
-    x = sample_batch(d, rng, n)
-    return float(np.partition(x, k - 1)[k - 1])
+    u = rng.random(n)
+    u.partition(k - 1)
+    return float(d.quantile(u[k - 1]))

@@ -21,6 +21,7 @@ sampler (for the simulation path).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -49,6 +50,10 @@ class SystemParams:
     nworkers: int
 
     def __post_init__(self) -> None:
+        for name in ("arrival_rate", "shift", "straggling"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.arrival_rate <= 0:
             raise ValueError(f"arrival_rate must be > 0, got {self.arrival_rate}")
         if self.shift <= 0:
@@ -177,23 +182,41 @@ def sample_service_batch(scheme: Scheme, params: SystemParams,
     Unlike the analytic moments, the MultiMDS path here samples the real
     finite-n mechanism: the k-th smallest of the multiset {m * X_i} over
     workers i and queue positions m = 1..load.
+
+    Every scheme draws n*load uniforms per service time, row by row.  The
+    single-level schemes select their order statistic on the uniforms and
+    transform only the selected value; the inverse CDF is nondecreasing, so
+    this returns the same float as transforming every draw first.
     """
     validate(scheme, params, sampling=True)
     n = params.nworkers
     task = params.whole_task()
+    if isinstance(scheme, MultiMDS):
+        x = sample_batch(task.split(scheme.k), rng, (size, n))
+        # level m holds every worker's m-th result at m * X_i; the k-th
+        # smallest does not depend on the column order of the multiset
+        multiset = np.empty((size, n * scheme.load))
+        for m in range(1, scheme.load + 1):
+            np.multiply(x, m, out=multiset[:, (m - 1) * n:m * n])
+        multiset.partition(scheme.k - 1, axis=1)
+        return multiset[:, scheme.k - 1]
+    u = rng.random((size, n))
     if isinstance(scheme, Uncoded):
-        x = sample_batch(task.split(n), rng, (size, n))
-        return x.max(axis=1)
+        return task.split(n).quantile(u.max(axis=1))
     if isinstance(scheme, Repetition):
-        x = sample_batch(task.split(scheme.k), rng, (size, n))
-        per_subpacket = x.reshape(size, scheme.k, n // scheme.k).min(axis=2)
-        return per_subpacket.max(axis=1)
-    if isinstance(scheme, MDS):
-        x = sample_batch(task.split(scheme.k), rng, (size, n))
-        return np.partition(x, scheme.k - 1, axis=1)[:, scheme.k - 1]
-    x = sample_batch(task.split(scheme.k), rng, (size, n))
-    multiset = (x[:, :, None] * np.arange(1, scheme.load + 1)).reshape(size, n * scheme.load)
-    return np.partition(multiset, scheme.k - 1, axis=1)[:, scheme.k - 1]
+        k, r = scheme.k, n // scheme.k
+        groups = u.reshape(size, k, r)
+        if r <= k:
+            # few replicas: an elementwise minimum over strided replica
+            # columns beats a reduction over a short trailing axis
+            fastest = groups[:, :, 0].copy()
+            for j in range(1, r):
+                np.minimum(fastest, groups[:, :, j], out=fastest)
+        else:
+            fastest = groups.min(axis=2)
+        return task.split(k).quantile(fastest.max(axis=1))
+    u.partition(scheme.k - 1, axis=1)
+    return task.split(scheme.k).quantile(u[:, scheme.k - 1])
 
 
 def sample_service(scheme: Scheme, params: SystemParams, rng: np.random.Generator) -> float:

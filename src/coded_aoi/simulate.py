@@ -39,6 +39,8 @@ from scipy import stats as sps
 from .schemes import Scheme, SystemParams, sample_service_batch, validate
 
 CHUNK = 1 << 14
+# worker draws per service-sampling chunk: 512 KiB of float64 scratch
+SCRATCH_DOUBLES = 1 << 16
 DEFAULT_BATCHES = 30
 
 SeedLike = Union[int, SeedSequence]
@@ -65,7 +67,7 @@ class SimReport:
     empirical_es2: float
     empirical_ed: float
     empirical_ez: float
-    seed: int
+    seed: Union[int, tuple[int, ...]]  # root SeedSequence entropy, as given
     dropped_fraction: Optional[float] = None
 
 
@@ -89,10 +91,14 @@ def _exp_batch(rate: float, rng: Generator, size: int) -> np.ndarray:
 
 def _service_array(scheme: Scheme, params: SystemParams, rng: Generator,
                    count: int, sampler: Optional[ServiceSampler]) -> np.ndarray:
-    # cap the per-chunk scratch matrix at ~4M doubles; the chunk size never
-    # changes the drawn values, only how many rows are materialized at once
+    # Each chunk fills a (rows, width) scratch matrix and selects on it.
+    # Capped at SCRATCH_DOUBLES, the matrix stays in a core's L2 cache and the
+    # allocator recycles its memory, where a multi-MB matrix is mapped and
+    # page-faulted afresh on every chunk.  Uniforms fill row-major, so the
+    # chunk size never changes the drawn values, only how many rows are
+    # materialized at once.
     width = params.nworkers * getattr(scheme, "load", 1)
-    chunk = max(1, min(CHUNK, (1 << 22) // width))
+    chunk = max(1, min(CHUNK, SCRATCH_DOUBLES // width))
     out = np.empty(count)
     for a in range(0, count, chunk):
         b = min(a + chunk, count)
@@ -246,6 +252,7 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     dropped = sum(r.dropped for r in stats)
     frac = dropped / arrivals if arrivals else None
     entropy = root.entropy
+    seed_out = int(entropy) if np.ndim(entropy) == 0 else tuple(int(e) for e in entropy)
     return SimReport(
         mean_age=float(area.sum() / time.sum()),
         ci95_halfwidth=batch_means_ci(area, time),
@@ -254,7 +261,7 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
         empirical_es2=sum(r.sum_s2 for r in stats) / cycles,
         empirical_ed=sum(r.sum_d for r in stats) / cycles,
         empirical_ez=sum(r.sum_z for r in stats) / cycles,
-        seed=entropy if isinstance(entropy, int) else hash(entropy),
+        seed=seed_out,
         dropped_fraction=frac,
     )
 

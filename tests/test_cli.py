@@ -242,3 +242,14 @@ def test_csv_number_format_is_twelve_significant_digits(tmp_path, capsys):
     row = read_rows(out_path)[0]
     assert row["age_analytic"] == f"{age_mds(SystemParams(1, 1, 1, 100), 69).delta:.12g}"
     assert "," not in row["age_analytic"]
+
+
+@pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--c", "inf")])
+def test_age_non_finite_parameter_exits_2(capsys, flag, value):
+    argv = {"--lambda": "1", "--c": "1", "--mu": "1"}
+    argv[flag] = value
+    code, out, err = run_cli(capsys, "age", "--scheme", "uncoded", "--n", "10",
+                             *[t for kv in argv.items() for t in kv])
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err

@@ -19,6 +19,7 @@ from coded_aoi import (
     sample_service_batch,
     service_moments,
 )
+from coded_aoi.order_stats import sample_batch
 from coded_aoi.schemes import service_order_stat, validate
 
 
@@ -36,6 +37,48 @@ class FixedUniform:
 
     def random(self, size=None):
         return self.values.reshape(size)
+
+
+def _reference_sample_service_batch(scheme, params, rng, size):
+    """Transform every worker draw, then select: the sampler's reference form."""
+    n = params.nworkers
+    task = params.whole_task()
+    if isinstance(scheme, Uncoded):
+        return sample_batch(task.split(n), rng, (size, n)).max(axis=1)
+    if isinstance(scheme, Repetition):
+        x = sample_batch(task.split(scheme.k), rng, (size, n))
+        return x.reshape(size, scheme.k, n // scheme.k).min(axis=2).max(axis=1)
+    if isinstance(scheme, MDS):
+        x = sample_batch(task.split(scheme.k), rng, (size, n))
+        return np.partition(x, scheme.k - 1, axis=1)[:, scheme.k - 1]
+    x = sample_batch(task.split(scheme.k), rng, (size, n))
+    multiset = (x[:, :, None] * np.arange(1, scheme.load + 1)).reshape(size, n * scheme.load)
+    return np.partition(multiset, scheme.k - 1, axis=1)[:, scheme.k - 1]
+
+
+@pytest.mark.parametrize("scheme, n", [
+    (Uncoded(), 1), (Uncoded(), 100),
+    (Repetition(1), 100), (Repetition(4), 100), (Repetition(50), 100),
+    (Repetition(100), 100), (Repetition(1), 1000), (Repetition(500), 1000),
+    (MDS(1), 100), (MDS(69), 100), (MDS(99), 100),
+    (MultiMDS(30, 1), 100), (MultiMDS(129, 3), 100), (MultiMDS(299, 3), 100),
+])
+def test_sampler_is_bitwise_equal_to_reference(scheme, n):
+    p = params(mu=0.5, n=n)
+    for seed, size in ((31, 1), (32, 7), (33, 700)):
+        got = sample_service_batch(scheme, p, rng(seed), size)
+        want = _reference_sample_service_batch(scheme, p, rng(seed), size)
+        assert got.shape == want.shape
+        assert (got == want).all()
+
+
+def test_system_params_rejects_non_finite():
+    for name in ("arrival_rate", "shift", "straggling"):
+        for bad in (math.nan, math.inf, -math.inf):
+            kwargs = dict(arrival_rate=1.0, shift=1.0, straggling=1.0, nworkers=10)
+            kwargs[name] = bad
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SystemParams(**kwargs)
 
 
 def test_uncoded_single_worker_moments():

@@ -18,6 +18,7 @@ from coded_aoi import (
     run_parallel,
     service_moments,
 )
+from coded_aoi import simulate
 from coded_aoi.simulate import _simulate_rep, batch_means_ci
 
 
@@ -152,3 +153,28 @@ def test_bad_mode_and_policy_rejected():
         run(MDS(69), params(), 1000, seed=1, mode="warp")
     with pytest.raises(ValueError):
         run(MDS(69), params(), 1000, seed=1, policy="psychic")
+
+
+@pytest.mark.parametrize("mode", ["fast", "full_stream"])
+def test_report_does_not_depend_on_chunk_size(monkeypatch, mode):
+    p = params(n=20)
+    schemes = (Uncoded(), Repetition(4), MDS(13), MultiMDS(30, 2))
+
+    def reports():
+        return [repr(run_parallel(s, p, 2000, 2, seed=41, mode=mode)) for s in schemes]
+
+    default = reports()
+    monkeypatch.setattr(simulate, "SCRATCH_DOUBLES", 3 * 40)  # three rows at width 40
+    few_rows = reports()
+    monkeypatch.setattr(simulate, "SCRATCH_DOUBLES", 1 << 30)  # one chunk per replication
+    whole_run = reports()
+    assert few_rows == default
+    assert whole_run == default
+
+
+def test_seed_sequence_entropy_is_reported_as_given():
+    r = run(MDS(69), params(), 1000, seed=SeedSequence([1, 2]))
+    assert r.seed == (1, 2)
+    assert repr(r) == repr(run(MDS(69), params(), 1000, seed=SeedSequence([1, 2])))
+    assert run(MDS(69), params(), 1000, seed=SeedSequence(5)).seed == 5
+    assert run(MDS(69), params(), 1000, seed=5).seed == 5
