@@ -51,8 +51,8 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="coded-aoi")
+def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="coded-aoi", exit_on_error=exit_on_error)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -63,19 +63,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="number of workers")
         p.add_argument("--config", help="JSON file with defaults for any flag")
 
-    p_age = sub.add_parser("age", help="analytic age of one scheme")
+    p_age = sub.add_parser("age", help="analytic age of one scheme",
+                           exit_on_error=exit_on_error)
     add_params(p_age)
     p_age.add_argument("--scheme", choices=["uncoded", "repetition", "mds", "mm-mds"])
     p_age.add_argument("--k", type=int)
     p_age.add_argument("--l", type=int, dest="load", help="subtasks per worker (mm-mds)")
 
-    p_opt = sub.add_parser("optimize", help="age-optimal code parameter")
+    p_opt = sub.add_parser("optimize", help="age-optimal code parameter",
+                           exit_on_error=exit_on_error)
     add_params(p_opt)
     p_opt.add_argument("--family", choices=["rep", "mds", "mm-mds"])
     p_opt.add_argument("--l", type=int, dest="load")
     p_opt.add_argument("--objective", choices=["age", "service"])
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of the age")
+    p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of the age",
+                           exit_on_error=exit_on_error)
     add_params(p_sim)
     p_sim.add_argument("--scheme", choices=["uncoded", "repetition", "mds", "mm-mds"])
     p_sim.add_argument("--k", type=int)
@@ -86,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mode", choices=["fast", "full-stream"])
     p_sim.add_argument("--policy", choices=["zero-wait", "return-triggered"])
 
-    p_sw = sub.add_parser("sweep", help="parameter sweep written as CSV")
+    p_sw = sub.add_parser("sweep", help="parameter sweep written as CSV",
+                          exit_on_error=exit_on_error)
     add_params(p_sw)
     p_sw.add_argument("--preset", choices=sorted(PRESETS))
     p_sw.add_argument("--scheme", choices=["uncoded", "repetition", "mds", "mm-mds"])
@@ -103,7 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the JSON config file, if one was given."""
+    """Fill unset flags from the JSON config file, if one was given.
+
+    Each value is parsed as ``--flag=value`` by the command's own parser, so
+    it gets the same type conversion and choices check as on the command line.
+    """
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -116,12 +124,24 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
         raise UsageError(f"config {path} must hold a JSON object")
     aliases = {"lambda": "lambd", "l": "load", "k-range": "k_range",
                "n-range": "n_range", "l-range": "l_range"}
+    flags = {dest: key for key, dest in aliases.items()}
+    dests, argv = [], [args.command]
     for key, value in cfg.items():
         dest = aliases.get(key, key.replace("-", "_"))
         if not hasattr(args, dest):
             raise UsageError(f"config key {key!r} is not a flag of this command")
         if getattr(args, dest) is None:
-            setattr(args, dest, value)
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise UsageError(f"config key {key!r} must be a string or a number, "
+                                 f"got {value!r}")
+            dests.append(dest)
+            argv.append(f"--{flags.get(dest, dest)}={value}")
+    try:
+        typed = _build_parser(exit_on_error=False).parse_args(argv)
+    except argparse.ArgumentError as e:
+        raise UsageError(f"config {path}: {e}")
+    for dest in dests:
+        setattr(args, dest, getattr(typed, dest))
     return args
 
 

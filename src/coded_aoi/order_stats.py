@@ -17,28 +17,45 @@ import numpy as np
 
 PI2_OVER_6 = math.pi**2 / 6
 
-# Prefix tables for the (generalized) harmonic sums, grown on demand.
-# Extension is a plain sequential loop so values never depend on the chunk
-# sizes a caller happened to request.
+# Prefix tables for the (generalized) harmonic sums, grown on demand: row 0
+# holds H_n = sum 1/j, row 1 holds sum 1/j^2.  np.cumsum adds strictly left
+# to right, so every entry is the float a sequential loop gives and values
+# never depend on the sizes the table grew through.  The table is replaced,
+# never written in place, so readers need no lock.
 _lock = threading.Lock()
-_h1 = [0.0]
-_h2 = [0.0]
+_tables = np.zeros((2, 1))
 
 
-def _extend(n: int) -> None:
+def _prefix(row: int, n: int) -> float:
+    tables = _tables
+    if n >= tables.shape[1]:
+        tables = _extend(n)
+    return float(tables[row, n])
+
+
+def _extend(n: int) -> np.ndarray:
+    global _tables
     with _lock:
-        for j in range(len(_h1), n + 1):
-            _h1.append(_h1[-1] + 1.0 / j)
-            _h2.append(_h2[-1] + 1.0 / (j * j))
+        old = _tables
+        size = old.shape[1]
+        if n < size:
+            return old
+        top = max(n + 1, 2 * size)
+        j = np.arange(size, top, dtype=float)
+        new = np.empty((2, top))
+        new[:, :size] = old
+        new[0, size:] = 1.0 / j
+        new[1, size:] = 1.0 / (j * j)
+        np.cumsum(new[:, size - 1:], axis=1, out=new[:, size - 1:])
+        _tables = new
+        return new
 
 
 def harmonic(n: int) -> float:
     """Return the n-th harmonic number, sum of 1/j for j = 1..n (0 for n = 0)."""
     if n < 0:
         raise ValueError(f"harmonic requires n >= 0, got {n}")
-    if n >= len(_h1):
-        _extend(n)
-    return _h1[n]
+    return _prefix(0, n)
 
 
 def gen_harmonic2(n: int) -> float:
@@ -48,9 +65,7 @@ def gen_harmonic2(n: int) -> float:
     """
     if n < 0:
         raise ValueError(f"gen_harmonic2 requires n >= 0, got {n}")
-    if n >= len(_h2):
-        _extend(n)
-    return _h2[n]
+    return _prefix(1, n)
 
 
 @dataclass(frozen=True)

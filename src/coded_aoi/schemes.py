@@ -40,6 +40,13 @@ class DegenerateLevels(Exception):
     """The level split leaves the first level empty (k too small for the load)."""
 
 
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass, but True as a worker count or code dimension
+    # is a caller's mistake, not a 1
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Transmission rate plus the whole-task runtime model of one worker."""
@@ -60,6 +67,7 @@ class SystemParams:
             raise ValueError(f"shift must be > 0, got {self.shift}")
         if self.straggling <= 0:
             raise ValueError(f"straggling must be > 0, got {self.straggling}")
+        _require_int("nworkers", self.nworkers)
         if self.nworkers < 1:
             raise ValueError(f"nworkers must be >= 1, got {self.nworkers}")
 
@@ -111,18 +119,22 @@ def validate(scheme: Scheme, params: SystemParams, sampling: bool = False) -> No
     if isinstance(scheme, Uncoded):
         return
     if isinstance(scheme, Repetition):
+        _require_int("repetition: k", scheme.k)
         if not 1 <= scheme.k <= n:
             raise ValueError(f"repetition: k must satisfy 1 <= k <= n, got k={scheme.k}, n={n}")
         if sampling and n % scheme.k != 0:
             raise ValueError(f"repetition sampling: k must divide n, got k={scheme.k}, n={n}")
         return
     if isinstance(scheme, MDS):
+        _require_int("mds: k", scheme.k)
         if scheme.k < 1:
             raise ValueError(f"mds: k must be >= 1, got k={scheme.k}")
         if scheme.k >= n:
             raise ValueError(f"mds: k must be < n, got k={scheme.k}, n={n}")
         return
     if isinstance(scheme, MultiMDS):
+        _require_int("mm-mds: k", scheme.k)
+        _require_int("mm-mds: load", scheme.load)
         if scheme.load < 1:
             raise ValueError(f"mm-mds: load must be >= 1, got {scheme.load}")
         if not 1 <= scheme.k < n * scheme.load:

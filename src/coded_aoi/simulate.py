@@ -29,12 +29,12 @@ dropped under it, so both modes coincide there.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
-from scipy import stats as sps
 
 from .schemes import Scheme, SystemParams, sample_service_batch, validate
 
@@ -194,11 +194,76 @@ def _simulate_rep(scheme: Scheme, params: SystemParams, rng: Generator,
     )
 
 
+# The batch-means and jackknife intervals need one Student-t quantile,
+# t_{0.975}(df) for an integer df >= 1.
+_T_LEVEL = 0.975
+_T_NORMAL = statistics.NormalDist().inv_cdf(_T_LEVEL)
+# From this df on, the Cornish-Fisher series alone is within about 1e-15 of
+# the quantile; below it, Newton steps on the exact CDF cost O(df) each.
+_T_SERIES_DF = 1000
+_T_NEWTON_STEPS = 20
+
+
+def _t_series(df: int) -> float:
+    """Cornish-Fisher expansion of the t quantile in powers of 1/df (A&S 26.7.5)."""
+    x = _T_NORMAL
+    x2 = x * x
+    g1 = (x2 + 1) * x / 4
+    g2 = ((5 * x2 + 16) * x2 + 3) * x / 96
+    g3 = (((3 * x2 + 19) * x2 + 17) * x2 - 15) * x / 384
+    g4 = ((((79 * x2 + 776) * x2 + 1482) * x2 - 1920) * x2 - 945) * x / 92160
+    return x + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
+
+
+def _t_two_sided(t: float, df: int) -> float:
+    """P(|T| < t) for an integer df, by the finite sums of A&S 26.7.3/26.7.4.
+
+    The sums run over powers of cos(theta), where cos^2(theta) = df/(df + t^2).
+    Each power is taken as exp(p * log(cos^2)): rounding cos^2 once and
+    multiplying it up would scale that rounding error by up to df/2.
+    """
+    log_c2 = -math.log1p(t * t / df)
+    odd = df % 2
+    total, coef = 0.0, 1.0
+    for j in range(df // 2):
+        total += coef * math.exp((j + odd / 2) * log_c2)
+        coef *= (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    sin = t / math.sqrt(df + t * t)
+    if odd:
+        return 2 / math.pi * (math.atan(t / math.sqrt(df)) + sin * total)
+    return sin * total
+
+
+def _t_density(t: float, df: int) -> float:
+    return math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
+                    - 0.5 * math.log(df * math.pi) - (df + 1) / 2 * math.log1p(t * t / df))
+
+
+def _t_quantile(df: int) -> float:
+    """Student-t quantile t_{0.975}(df) for an integer df >= 1.
+
+    Starts from the Cornish-Fisher series.  Below _T_SERIES_DF it takes
+    Newton steps on the exact CDF; they converge quadratically, so the first
+    step under 1e-9 relative leaves only rounding error, about 1e-14.
+    """
+    if df < 1:
+        raise ValueError(f"Student-t quantile needs df >= 1, got {df}")
+    t = _t_series(df)
+    if df >= _T_SERIES_DF:
+        return t
+    for _ in range(_T_NEWTON_STEPS):
+        step = (_t_two_sided(t, df) - (2 * _T_LEVEL - 1)) / (2 * _t_density(t, df))
+        t -= step
+        if abs(step) < 1e-9 * t:
+            break
+    return t
+
+
 def batch_means_ci(area_batches: np.ndarray, time_batches: np.ndarray) -> float:
     """95% half-width for the ratio estimator from batch means."""
     nb = len(area_batches)
     ratios = area_batches / time_batches
-    return float(sps.t.ppf(0.975, nb - 1) * ratios.std(ddof=1) / math.sqrt(nb))
+    return float(_t_quantile(nb - 1) * ratios.std(ddof=1) / math.sqrt(nb))
 
 
 def jackknife_ci(area_batches: np.ndarray, time_batches: np.ndarray) -> float:
@@ -210,7 +275,7 @@ def jackknife_ci(area_batches: np.ndarray, time_batches: np.ndarray) -> float:
     a_tot, t_tot = area_batches.sum(), time_batches.sum()
     loo = (a_tot - area_batches) / (t_tot - time_batches)
     se = math.sqrt((nb - 1) / nb * ((loo - loo.mean()) ** 2).sum())
-    return float(sps.t.ppf(0.975, nb - 1) * se)
+    return float(_t_quantile(nb - 1) * se)
 
 
 def _root_seq(seed: SeedLike) -> SeedSequence:
@@ -229,6 +294,8 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if batches < 2:
+        raise ValueError(f"batches must be >= 2, got {batches}")
     if mode not in ("fast", "full_stream"):
         raise ValueError(f"mode must be 'fast' or 'full_stream', got {mode!r}")
     if policy not in ("zero-wait", "return-triggered"):

@@ -138,6 +138,30 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert "warp" in err
 
 
+def test_config_string_number_is_parsed_like_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scheme": "mds", "n": "100", "k": 69,
+                               "lambda": "1", "c": 1, "mu": 1.0}))
+    code, out, _ = run_cli(capsys, "age", "--config", str(cfg))
+    assert code == 0
+    expected = run_cli(capsys, "age", "--scheme", "mds", "--n", "100", "--k", "69",
+                       "--lambda", "1", "--c", "1", "--mu", "1")
+    assert (code, out) == expected[:2]
+
+
+@pytest.mark.parametrize("key, value", [("n", 1.5), ("lambda", "x"), ("n", True),
+                                        ("k", None), ("scheme", "warp"), ("c", [1])])
+def test_config_bad_value_exits_2(tmp_path, capsys, key, value):
+    cfg = {"scheme": "mds", "n": 100, "k": 69, "lambda": 1.0, "c": 1.0, "mu": 1.0}
+    cfg[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "age", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_sweep_requires_seed(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--preset", "fig4a",
                            "--out", str(tmp_path / "x.csv"))

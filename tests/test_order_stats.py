@@ -1,5 +1,7 @@
 """Order-statistic moments against direct-summation and Monte Carlo oracles."""
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from coded_aoi import (
     sample,
     sample_kth_of_n,
 )
+from coded_aoi import order_stats
 from coded_aoi.order_stats import PI2_OVER_6, sample_batch
 
 
@@ -41,6 +44,52 @@ def test_harmonic_matches_direct_summation():
     assert harmonic(2) == 1.5
     # frozen from the summation oracle
     assert harmonic(100) == pytest.approx(5.187377517639621, abs=1e-14)
+
+
+def sequential_sums(top):
+    """Reference prefix sums (H_n, H_n^(2)) for n = 0..top by a plain loop."""
+    h1 = h2 = 0.0
+    out = [(0.0, 0.0)]
+    for j in range(1, top + 1):
+        h1 += 1.0 / j
+        h2 += 1.0 / (j * j)
+        out.append((h1, h2))
+    return out
+
+
+def test_harmonic_tables_grown_in_steps_equal_sequential_sums(monkeypatch):
+    monkeypatch.setattr(order_stats, "_tables", np.zeros((2, 1)))
+    harmonic(1000)
+    gen_harmonic2(5000)
+    for n, (h1, h2) in enumerate(sequential_sums(5000)):
+        assert harmonic(n) == h1
+        assert gen_harmonic2(n) == h2
+    assert type(harmonic(5000)) is float
+    assert type(gen_harmonic2(5000)) is float
+
+
+def test_harmonic_tables_grown_by_racing_threads(monkeypatch):
+    monkeypatch.setattr(order_stats, "_tables", np.zeros((2, 1)))
+    expected = sequential_sums(20_000)
+    mismatches = []
+
+    def reader(offset):
+        for n in range(offset, 20_001, 997):
+            if (harmonic(n), gen_harmonic2(n)) != expected[n]:
+                mismatches.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
 
 
 def test_harmonic_rejects_negative():

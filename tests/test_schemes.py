@@ -120,6 +120,27 @@ def test_scheme_validation_errors():
         validate(Repetition(33), p, sampling=True)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: validate(MDS(True), params(n=10)),
+    lambda: validate(MDS(5.0), params(n=10)),
+    lambda: validate(Repetition(True), params(n=10)),
+    lambda: validate(MultiMDS(5.0, 2), params(n=10)),
+    lambda: validate(MultiMDS(5, 2.0), params(n=10)),
+    lambda: validate(MultiMDS(5, True), params(n=10)),
+    lambda: SystemParams(1.0, 1.0, 1.0, True),
+    lambda: SystemParams(1.0, 1.0, 1.0, 10.0),
+])
+def test_integer_parameters_reject_bool_and_float(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_integer_parameters_accept_numpy_integers():
+    p = SystemParams(1.0, 1.0, 1.0, np.int64(10))
+    validate(MultiMDS(np.int32(5), np.int64(2)), p)
+    assert service_moments(MDS(np.int64(7)), p) == service_moments(MDS(7), params(n=10))
+
+
 def test_system_params_validation():
     for bad in [dict(arrival_rate=0), dict(shift=0), dict(straggling=-1), dict(nworkers=0)]:
         kwargs = dict(arrival_rate=1.0, shift=1.0, straggling=1.0, nworkers=10)

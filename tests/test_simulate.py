@@ -1,5 +1,9 @@
 """Simulator checks: exact limits, determinism, mode agreement, moment recovery."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +22,9 @@ from coded_aoi import (
     run_parallel,
     service_moments,
 )
+import coded_aoi
 from coded_aoi import simulate
-from coded_aoi.simulate import _simulate_rep, batch_means_ci
+from coded_aoi.simulate import _simulate_rep, _t_quantile, batch_means_ci
 
 
 def params(lam=1.0, c=1.0, mu=1.0, n=100):
@@ -146,6 +151,42 @@ def test_jackknife_matches_batch_means_scale():
     bm = batch_means_ci(rep.area_batches, rep.time_batches)
     jk = jackknife_ci(rep.area_batches, rep.time_batches)
     assert 0.5 < jk / bm < 2.0
+
+
+@pytest.mark.parametrize("batches", [1, 0, -3])
+def test_fewer_than_two_batches_rejected(batches):
+    # one batch has no spread to estimate; zero or fewer have no mean
+    with pytest.raises(ValueError, match="batches"):
+        run(MDS(5), SystemParams(1, 1, 1, 10), 100, 1, batches=batches)
+
+
+def test_t_quantile_closed_forms():
+    assert _t_quantile(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-14)
+    assert _t_quantile(2) == pytest.approx(0.95 / math.sqrt(0.04875), rel=1e-14)
+    with pytest.raises(ValueError):
+        _t_quantile(0)
+
+
+def test_t_quantile_matches_scipy():
+    scipy = pytest.importorskip("scipy")
+    from scipy import stats
+
+    dfs = list(range(1, 10_001)) + [10**5, 10**6, 10**9]
+    ref = stats.t.ppf(0.975, np.array(dfs, dtype=float))
+    ours = np.array([_t_quantile(df) for df in dfs])
+    rel = np.abs(ours - ref) / ref
+    assert rel.max() <= 1e-13, (scipy.__version__, dfs[int(rel.argmax())], rel.max())
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(coded_aoi.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, coded_aoi, coded_aoi.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_bad_mode_and_policy_rejected():
