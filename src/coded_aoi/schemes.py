@@ -22,6 +22,7 @@ sampler (for the simulation path).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -59,6 +60,8 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in ("arrival_rate", "shift", "straggling"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.arrival_rate <= 0:

@@ -18,8 +18,13 @@ Two modes:
                  each carrying the age it accumulated in transit) and reads
                  D, S, Z off the event sequence: the idle wait is measured
                  between real events instead of being drawn from the
-                 residual-exponential shortcut.  Also records the
-                 dropped-arrival fraction.
+                 residual-exponential shortcut.  Arrival times are formed a
+                 block at a time, and the update that ends each cycle is
+                 found by binary search for the first arrival at or after
+                 the service completion; the arrivals skipped over are the
+                 dropped ones.  The draws and the arithmetic are those of a
+                 walk over every arrival in turn, so the results are the
+                 same bits.  Also records the dropped-arrival fraction.
 
 The alternative source policy "return-triggered" (send the next update when
 the processed result comes back, rather than on acceptance of the previous
@@ -28,19 +33,24 @@ dropped under it, so both modes coincide there.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .schemes import Scheme, SystemParams, sample_service_batch, validate
+from .schemes import Scheme, SystemParams, _require_int, sample_service_batch, validate
 
 CHUNK = 1 << 14
 # worker draws per service-sampling chunk: 512 KiB of float64 scratch
 SCRATCH_DOUBLES = 1 << 16
+# (gap, transit-age) pairs per block of the full-stream arrival draws; only
+# the current block is held as Python floats
+ARRIVAL_BLOCK = 1 << 11
 DEFAULT_BATCHES = 30
 
 SeedLike = Union[int, SeedSequence]
@@ -132,39 +142,62 @@ def _stream_cycles(scheme, params, rng, cycles, sampler):
     s = _service_array(scheme, params, rng, cycles + 1, sampler)
     d_used = np.empty(cycles)
     z = np.empty(cycles)
-    dropped = 0
-
-    buf = _exp_batch(lam, rng, 2 * CHUNK)
-    pos = 0
-
-    def draw() -> float:
-        nonlocal buf, pos
-        if pos == len(buf):
-            buf = _exp_batch(lam, rng, 2 * CHUNK)
-            pos = 0
-        pos += 1
-        return buf[pos - 1]
-
-    # Each arrival consumes two exponentials: the interarrival gap and the
-    # transit age the packet carries.  The first update finds the pool idle
-    # by construction.
-    t = draw()
-    d_cur = draw()
-    completion = t + s[0]
-    for j in range(cycles):
-        while True:
-            t += draw()
-            age = draw()
-            if t >= completion:
+    # Python floats for the per-cycle search, converted a block at a time
+    next_s = itertools.chain.from_iterable(
+        s[a:a + ARRIVAL_BLOCK].tolist() for a in range(0, cycles, ARRIVAL_BLOCK)).__next__
+    j = 0
+    base = 0  # arrivals in earlier blocks
+    last_t = 0.0
+    # completion time and transit age of cycle j's update, while the arrival
+    # that ends cycle j is searched for in a later block
+    completion = d_cur = None
+    while True:
+        # Each arrival consumes two exponentials: the interarrival gap and the
+        # transit age the packet carries.  Blocks draw the same stream as one
+        # draw at a time, and cumsum adds the gaps in order, as t += gap would.
+        draws = _exp_batch(lam, rng, 2 * ARRIVAL_BLOCK)
+        ages = draws[1::2]
+        gaps = draws[0::2]
+        gaps[0] += last_t
+        times = np.cumsum(gaps)
+        t_list = times.tolist()
+        n = len(t_list)
+        if completion is None:
+            i = 0  # the first update finds the pool idle by construction
+        else:
+            # the first arrival at or after the completion is accepted; every
+            # arrival before it finds the pool busy and is dropped
+            i = bisect_left(t_list, completion)
+            if i == n:
+                base += n
+                last_t = t_list[-1]
+                continue
+            d_used[j] = d_cur
+            z[j] = t_list[i] - completion
+            j += 1
+        accepted = [i]
+        t = t_list[i]
+        for _ in range(cycles - j):
+            completion = t + next_s()
+            i = bisect_left(t_list, completion, i + 1)
+            if i == n:
                 break
-            dropped += 1
-        d_used[j] = d_cur
-        z[j] = t - completion
-        d_cur = age
-        completion = t + s[j + 1]
+            t = t_list[i]
+            accepted.append(i)
+        acc = np.array(accepted)
+        j1 = j + len(accepted) - 1
+        d_used[j:j1] = ages[acc[:-1]]
+        z[j:j1] = times[acc[1:]] - (times[acc[:-1]] + s[j:j1])
+        j = j1
+        if j == cycles:
+            break
+        base += n
+        last_t = t_list[-1]
+        d_cur = ages[accepted[-1]]
     v = d_used + s[:-1]
     length = z + s[1:]
-    arrivals = cycles + 1 + dropped
+    arrivals = base + accepted[-1] + 1
+    dropped = arrivals - (cycles + 1)
     return s, d_used, z, v, length, arrivals, dropped
 
 
@@ -292,6 +325,11 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     replication order, so the pooled report depends only on
     (seed, reps, cycles_per_rep), not on execution interleaving.
     """
+    for name, value in (("cycles_per_rep", cycles_per_rep), ("reps", reps),
+                        ("batches", batches)):
+        _require_int(name, value)
+    # numpy integers would otherwise leak numpy scalars into the report
+    cycles_per_rep, reps, batches = int(cycles_per_rep), int(reps), int(batches)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if batches < 2:

@@ -81,6 +81,19 @@ def test_system_params_rejects_non_finite():
                 SystemParams(**kwargs)
 
 
+def test_system_params_rejects_non_numeric_rates():
+    for name in ("arrival_rate", "shift", "straggling"):
+        for bad in ("1", None, True, [1.0], complex(1, 0)):
+            kwargs = dict(arrival_rate=1.0, shift=1.0, straggling=1.0, nworkers=10)
+            kwargs[name] = bad
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                SystemParams(**kwargs)
+        for good in (2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2)):
+            kwargs = dict(arrival_rate=1.0, shift=1.0, straggling=1.0, nworkers=10)
+            kwargs[name] = good
+            assert getattr(SystemParams(**kwargs), name) == 2
+
+
 def test_uncoded_single_worker_moments():
     m = service_moments(Uncoded(), params(n=1))
     assert m.es == pytest.approx(2.0, abs=1e-14)

@@ -24,7 +24,15 @@ from coded_aoi import (
 )
 import coded_aoi
 from coded_aoi import simulate
-from coded_aoi.simulate import _simulate_rep, _t_quantile, batch_means_ci
+from coded_aoi.simulate import (
+    CHUNK,
+    _exp_batch,
+    _service_array,
+    _simulate_rep,
+    _stream_cycles,
+    _t_quantile,
+    batch_means_ci,
+)
 
 
 def params(lam=1.0, c=1.0, mu=1.0, n=100):
@@ -219,3 +227,100 @@ def test_seed_sequence_entropy_is_reported_as_given():
     assert repr(r) == repr(run(MDS(69), params(), 1000, seed=SeedSequence([1, 2])))
     assert run(MDS(69), params(), 1000, seed=SeedSequence(5)).seed == 5
     assert run(MDS(69), params(), 1000, seed=5).seed == 5
+
+
+def _reference_stream_cycles(scheme, params, rng, cycles, sampler):
+    """The per-arrival event walk that _stream_cycles must reproduce bit for bit."""
+    lam = params.arrival_rate
+    s = _service_array(scheme, params, rng, cycles + 1, sampler)
+    d_used = np.empty(cycles)
+    z = np.empty(cycles)
+    dropped = 0
+
+    buf = _exp_batch(lam, rng, 2 * CHUNK)
+    pos = 0
+
+    def draw() -> float:
+        nonlocal buf, pos
+        if pos == len(buf):
+            buf = _exp_batch(lam, rng, 2 * CHUNK)
+            pos = 0
+        pos += 1
+        return buf[pos - 1]
+
+    # Each arrival consumes two exponentials: the interarrival gap and the
+    # transit age the packet carries.  The first update finds the pool idle
+    # by construction.
+    t = draw()
+    d_cur = draw()
+    completion = t + s[0]
+    for j in range(cycles):
+        while True:
+            t += draw()
+            age = draw()
+            if t >= completion:
+                break
+            dropped += 1
+        d_used[j] = d_cur
+        z[j] = t - completion
+        d_cur = age
+        completion = t + s[j + 1]
+    v = d_used + s[:-1]
+    length = z + s[1:]
+    arrivals = cycles + 1 + dropped
+    return s, d_used, z, v, length, arrivals, dropped
+
+
+def gamma_service(rng, size):
+    return rng.gamma(2.0, 0.05, size)
+
+
+@pytest.mark.parametrize("scheme, sampler", [
+    (Uncoded(), None), (MDS(7), None), (MultiMDS(13, 2), None),
+    (Uncoded(), gamma_service), (Uncoded(), zero_service),
+])
+@pytest.mark.parametrize("lam", [0.05, 1.0, 20.0, 200.0])
+def test_stream_cycles_bitwise_equal_to_event_walk(scheme, sampler, lam):
+    p = params(lam=lam, n=10)
+    for seed, cycles in ((51, 30), (52, 8192)):
+        got = _stream_cycles(scheme, p, Generator(PCG64(seed)), cycles, sampler)
+        want = _reference_stream_cycles(scheme, p, Generator(PCG64(seed)), cycles, sampler)
+        assert [a.tobytes() for a in got[:5]] == [a.tobytes() for a in want[:5]]
+        assert got[5:] == want[5:]
+
+
+def test_full_stream_report_does_not_depend_on_arrival_block(monkeypatch):
+    points = [(s, params(lam=lam, n=20)) for s in (Uncoded(), MDS(13), MultiMDS(30, 2))
+              for lam in (1.0, 20.0)]
+
+    def reports():
+        return [repr(run_parallel(s, p, 2000, 2, seed=43, mode="full_stream"))
+                for s, p in points]
+
+    default = reports()
+    monkeypatch.setattr(simulate, "ARRIVAL_BLOCK", 1)  # two draws per block
+    one_arrival = reports()
+    monkeypatch.setattr(simulate, "ARRIVAL_BLOCK", 1 << 21)  # 1 << 22 draws: one block per run
+    one_block = reports()
+    assert one_arrival == default
+    assert one_block == default
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(cycles_per_rep=100.5), dict(cycles_per_rep=True), dict(cycles_per_rep="100"),
+    dict(reps=2.0), dict(reps=True), dict(batches=2.5), dict(batches=np.float64(30)),
+])
+def test_run_parallel_rejects_non_integer_counts(kwargs):
+    args = dict(cycles_per_rep=100, reps=1, batches=30) | kwargs
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run_parallel(MDS(5), SystemParams(1, 1, 1, 10), args["cycles_per_rep"], args["reps"],
+                     seed=1, batches=args["batches"])
+
+
+def test_run_parallel_accepts_numpy_integer_counts():
+    p = SystemParams(1, 1, 1, 10)
+    want = repr(run_parallel(MDS(5), p, 100, 2, seed=1, batches=10))
+    got = repr(run_parallel(MDS(5), p, np.int64(100), np.int32(2), seed=1,
+                            batches=np.int16(10)))
+    assert got == want
