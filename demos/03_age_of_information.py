@@ -5,23 +5,23 @@ average age is 2/lambda plus a service-time penalty.  Sweeping k shows
 each scheme's sweet spot: this reproduces the familiar U-shaped curves
 with the coded schemes beating the uncoded baseline.
 """
-from coded_aoi import SystemParams, age_mds, age_repetition, age_uncoded
+from coded_aoi import MDS, Repetition, SystemParams, Uncoded, age_of
 
 p = SystemParams(arrival_rate=1.0, shift=1.0, straggling=1.0, nworkers=100)
 
-unc = age_uncoded(p).delta
+unc = age_of(Uncoded(), p).delta
 print(f"uncoded baseline (all {p.nworkers} results needed): age = {unc:.5f}\n")
 
 print(f"{'k':>4}{'repetition':>13}{'mds':>13}")
 for k in range(10, 100, 10):
-    rep = age_repetition(p, k).delta
-    mds = age_mds(p, k).delta
+    rep = age_of(Repetition(k), p).delta
+    mds = age_of(MDS(k), p).delta
     print(f"{k:>4}{rep:>13.5f}{mds:>13.5f}")
 
-best_rep = min(range(1, 101), key=lambda k: age_repetition(p, k).delta)
-best_mds = min(range(1, 100), key=lambda k: age_mds(p, k).delta)
-print(f"\nbest repetition k = {best_rep} (age {age_repetition(p, best_rep).delta:.5f})")
-print(f"best mds        k = {best_mds} (age {age_mds(p, best_mds).delta:.5f})")
+best_rep = min(range(1, 101), key=lambda k: age_of(Repetition(k), p).delta)
+best_mds = min(range(1, 100), key=lambda k: age_of(MDS(k), p).delta)
+print(f"\nbest repetition k = {best_rep} (age {age_of(Repetition(best_rep), p).delta:.5f})")
+print(f"best mds        k = {best_mds} (age {age_of(MDS(best_mds), p).delta:.5f})")
 print(f"floor 2/lambda  = {2 / p.arrival_rate}")
 print("""
 At shift*straggling >= 1 replication cannot beat the uncoded scheme (its

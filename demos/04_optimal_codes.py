@@ -8,7 +8,7 @@ the optimizers re-check the exact age around the rounded seed.
 """
 import math
 
-from coded_aoi import SystemParams, age_mds, lambert_w_m1, opt_mds, opt_repetition
+from coded_aoi import MDS, SystemParams, age_of, lambert_w_m1, opt_mds, opt_repetition
 
 for mu in (1.0, 0.5):
     p = SystemParams(1.0, 1.0, mu, 100)
@@ -37,5 +37,5 @@ print(f"\nn=1000: argmin by age = {by_age}, by mean service time = {by_service}"
 # And the optimum really beats every other k.
 p = SystemParams(1.0, 1.0, 1.0, 100)
 best = opt_mds(p).k_star
-assert all(age_mds(p, best).delta <= age_mds(p, k).delta for k in range(1, 100))
+assert all(age_of(MDS(best), p).delta <= age_of(MDS(k), p).delta for k in range(1, 100))
 print(f"verified: k = {best} beats every k in 1..99 at n = 100")

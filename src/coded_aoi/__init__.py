@@ -7,7 +7,7 @@ parameter; and a Monte Carlo simulator that validates every formula.
 
 __version__ = "0.1.0"
 
-from .age import AgeResult, age_from_moments, age_mds, age_mm_mds, age_of, age_repetition, age_uncoded
+from .age import AgeResult, age_from_moments, age_of
 from .levels import Infeasible, InconsistentK, LevelSplit, NoConvergence, level_counts, solve_levels
 from .optimize import OptResult, lambert_w_m1, opt_mds, opt_mm_mds, opt_repetition, refine_discrete
 from .order_stats import (
@@ -30,15 +30,13 @@ from .schemes import (
     SystemParams,
     Uncoded,
     mm_level_split,
-    sample_service,
     sample_service_batch,
     service_moments,
 )
 from .simulate import InsufficientCycles, SimReport, jackknife_ci, run, run_parallel
 
 __all__ = [
-    "AgeResult", "age_from_moments", "age_mds", "age_mm_mds", "age_of",
-    "age_repetition", "age_uncoded",
+    "AgeResult", "age_from_moments", "age_of",
     "Infeasible", "InconsistentK", "LevelSplit", "NoConvergence",
     "level_counts", "solve_levels",
     "OptResult", "lambert_w_m1", "opt_mds", "opt_mm_mds", "opt_repetition",
@@ -47,6 +45,6 @@ __all__ = [
     "os_var", "sample", "sample_kth_of_n",
     "MDS", "DegenerateLevels", "MultiMDS", "Repetition", "Scheme",
     "ServiceMoments", "SystemParams", "Uncoded", "mm_level_split",
-    "sample_service", "sample_service_batch", "service_moments",
+    "sample_service_batch", "service_moments",
     "InsufficientCycles", "SimReport", "jackknife_ci", "run", "run_parallel",
 ]

@@ -16,16 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schemes import (
-    MDS,
-    MultiMDS,
-    Repetition,
-    Scheme,
-    ServiceMoments,
-    SystemParams,
-    Uncoded,
-    service_moments,
-)
+from .schemes import Scheme, ServiceMoments, SystemParams, service_moments
 
 
 @dataclass(frozen=True)
@@ -50,18 +41,3 @@ def age_of(scheme: Scheme, params: SystemParams) -> AgeResult:
     m = service_moments(scheme, params)
     return AgeResult(age_from_moments(params.arrival_rate, m), m.es, m.es2, scheme, params)
 
-
-def age_uncoded(params: SystemParams) -> AgeResult:
-    return age_of(Uncoded(), params)
-
-
-def age_repetition(params: SystemParams, k: int) -> AgeResult:
-    return age_of(Repetition(k), params)
-
-
-def age_mds(params: SystemParams, k: int) -> AgeResult:
-    return age_of(MDS(k), params)
-
-
-def age_mm_mds(params: SystemParams, k: int, load: int) -> AgeResult:
-    return age_of(MultiMDS(k, load), params)

@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, fields
 from typing import Optional
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import __version__
 from .age import age_of
 from .levels import Infeasible, NoConvergence
-from .optimize import OptResult, opt_mds, opt_mm_mds, opt_repetition
+from .optimize import opt_mds, opt_mm_mds, opt_repetition
 from .schemes import (
     MDS,
     DegenerateLevels,
@@ -26,9 +27,10 @@ from .schemes import (
     SystemParams,
     Uncoded,
     mm_level_split,
-    validate,
 )
 from .simulate import run_parallel
+
+_SCHEMES = {cls.label: cls for cls in (Uncoded, Repetition, MDS, MultiMDS)}
 
 CSV_COLUMNS = ["scheme", "n", "k", "l", "lambda", "c", "mu", "es", "es2",
                "age_analytic", "age_sim_mean", "age_sim_ci95", "k1"]
@@ -51,6 +53,16 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="coded-aoi", exit_on_error=exit_on_error)
     top.add_argument("--version", action="version", version=__version__)
@@ -63,29 +75,30 @@ def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="number of workers")
         p.add_argument("--config", help="JSON file with defaults for any flag")
 
+    def add_scheme(p):
+        p.add_argument("--scheme", choices=list(_SCHEMES))
+        p.add_argument("--k", type=int)
+        p.add_argument("--l", type=int, dest="load", help="subtasks per worker (mm-mds)")
+
     p_age = sub.add_parser("age", help="analytic age of one scheme",
                            exit_on_error=exit_on_error)
     add_params(p_age)
-    p_age.add_argument("--scheme", choices=["uncoded", "repetition", "mds", "mm-mds"])
-    p_age.add_argument("--k", type=int)
-    p_age.add_argument("--l", type=int, dest="load", help="subtasks per worker (mm-mds)")
+    add_scheme(p_age)
 
     p_opt = sub.add_parser("optimize", help="age-optimal code parameter",
                            exit_on_error=exit_on_error)
     add_params(p_opt)
-    p_opt.add_argument("--family", choices=["rep", "mds", "mm-mds"])
+    p_opt.add_argument("--family", choices=list(_OPTIMIZERS))
     p_opt.add_argument("--l", type=int, dest="load")
     p_opt.add_argument("--objective", choices=["age", "service"])
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of the age",
                            exit_on_error=exit_on_error)
     add_params(p_sim)
-    p_sim.add_argument("--scheme", choices=["uncoded", "repetition", "mds", "mm-mds"])
-    p_sim.add_argument("--k", type=int)
-    p_sim.add_argument("--l", type=int, dest="load")
+    add_scheme(p_sim)
     p_sim.add_argument("--cycles", type=int)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--reps", type=int)
+    p_sim.add_argument("--reps", type=_positive_int)
     p_sim.add_argument("--mode", choices=["fast", "full-stream"])
     p_sim.add_argument("--policy", choices=["zero-wait", "return-triggered"])
 
@@ -93,16 +106,14 @@ def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
                           exit_on_error=exit_on_error)
     add_params(p_sw)
     p_sw.add_argument("--preset", choices=sorted(PRESETS))
-    p_sw.add_argument("--scheme", choices=["uncoded", "repetition", "mds", "mm-mds"])
-    p_sw.add_argument("--k", type=int)
-    p_sw.add_argument("--l", type=int, dest="load")
+    add_scheme(p_sw)
     p_sw.add_argument("--k-range", dest="k_range", help="A:B[:STEP], inclusive")
     p_sw.add_argument("--n-range", dest="n_range", help="A:B[:STEP], inclusive")
     p_sw.add_argument("--l-range", dest="l_range", help="A:B[:STEP], inclusive")
     p_sw.add_argument("--out", help="output CSV path")
     p_sw.add_argument("--seed", type=int)
     p_sw.add_argument("--cycles", type=int, help="add a simulation overlay")
-    p_sw.add_argument("--reps", type=int)
+    p_sw.add_argument("--reps", type=_positive_int)
     return top
 
 
@@ -161,43 +172,38 @@ def _params(args) -> SystemParams:
     )
 
 
-def _scheme(args) -> Scheme:
-    name = _need(args, "scheme")
-    if name == "uncoded":
-        return Uncoded()
-    if name == "repetition":
-        return Repetition(_need(args, "k"))
-    if name == "mds":
-        return MDS(_need(args, "k"))
-    return MultiMDS(_need(args, "k"), _need(args, "load", "l"))
-
-
-def _scheme_label(scheme: Scheme) -> str:
-    return {Uncoded: "uncoded", Repetition: "repetition",
-            MDS: "mds", MultiMDS: "mm-mds"}[type(scheme)]
+def _build_scheme(args, **given) -> Scheme:
+    """The --scheme class, each field taken from ``given`` or else from its flag."""
+    cls = _SCHEMES[_need(args, "scheme")]
+    return cls(**{f.name: given[f.name] if f.name in given
+                  else _need(args, f.name, "l" if f.name == "load" else None)
+                  for f in fields(cls)})
 
 
 def cmd_age(args) -> int:
     params = _params(args)
-    scheme = _scheme(args)
-    validate(scheme, params)
+    scheme = _build_scheme(args)
     res = age_of(scheme, params)
-    print(f"scheme={_scheme_label(scheme)} n={params.nworkers} "
+    print(f"scheme={scheme.label} n={params.nworkers} "
           f"lambda={_fmt(params.arrival_rate)} c={_fmt(params.shift)} mu={_fmt(params.straggling)}")
     print(f"age={_fmt(res.delta)} es={_fmt(res.es)} es2={_fmt(res.es2)}")
     return 0
 
 
+# --family -> optimizer; the optimizers are looked up at call time, so a
+# patched module attribute is seen
+_OPTIMIZERS = {
+    "rep": lambda params, args, objective: opt_repetition(params, objective),
+    "mds": lambda params, args, objective: opt_mds(params, objective),
+    "mm-mds": lambda params, args, objective: opt_mm_mds(
+        params, _need(args, "load", "l"), objective),
+}
+
+
 def cmd_optimize(args) -> int:
     params = _params(args)
     family = _need(args, "family")
-    objective = args.objective or "age"
-    if family == "rep":
-        res = opt_repetition(params, objective)
-    elif family == "mds":
-        res = opt_mds(params, objective)
-    else:
-        res = opt_mm_mds(params, _need(args, "load", "l"), objective)
+    res = _OPTIMIZERS[family](params, args, args.objective or "age")
     line = (f"family={family} k_star={res.k_star} alpha_star={_fmt(res.alpha_star)} "
             f"delta_star={_fmt(res.delta_star)} es_continuous={_fmt(res.continuous_objective)}")
     if res.levels is not None:
@@ -208,15 +214,14 @@ def cmd_optimize(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _params(args)
-    scheme = _scheme(args)
-    validate(scheme, params, sampling=True)
+    scheme = _build_scheme(args)
     cycles = _need(args, "cycles")
     seed = _need(args, "seed")
-    reps = args.reps or 1
+    reps = 1 if args.reps is None else args.reps
     mode = (args.mode or "fast").replace("-", "_")
     policy = args.policy or "zero-wait"
     rep = run_parallel(scheme, params, cycles, reps, seed, mode=mode, policy=policy)
-    print(f"scheme={_scheme_label(scheme)} mode={mode} policy={policy} "
+    print(f"scheme={scheme.label} mode={mode} policy={policy} "
           f"cycles={rep.cycles} reps={reps} seed={rep.seed}")
     parts = [f"mean_age={_fmt(rep.mean_age)}", f"ci95={_fmt(rep.ci95_halfwidth)}",
              f"es={_fmt(rep.empirical_es)}", f"es2={_fmt(rep.empirical_es2)}",
@@ -241,11 +246,11 @@ def _parse_range(text: str, flag: str) -> list[int]:
     return list(range(nums[0], nums[1] + 1, step))
 
 
-def _row(scheme: Scheme, params: SystemParams, k1: Optional[int] = None) -> dict:
+def _row(scheme: Scheme, params: SystemParams) -> dict:
     res = age_of(scheme, params)
     row = {c: "" for c in CSV_COLUMNS}
     row.update({
-        "scheme": _scheme_label(scheme),
+        "scheme": scheme.label,
         "n": params.nworkers,
         "lambda": _fmt(params.arrival_rate),
         "c": _fmt(params.shift),
@@ -254,11 +259,11 @@ def _row(scheme: Scheme, params: SystemParams, k1: Optional[int] = None) -> dict
         "es2": _fmt(res.es2),
         "age_analytic": _fmt(res.delta),
     })
-    if isinstance(scheme, (Repetition, MDS, MultiMDS)):
-        row["k"] = scheme.k
-    if isinstance(scheme, MultiMDS):
+    values = asdict(scheme)
+    row["k"] = values.get("k", "")
+    if "load" in values:
         row["l"] = scheme.load
-        row["k1"] = k1 if k1 is not None else mm_level_split(params, scheme.k, scheme.load)[0]
+        row["k1"] = mm_level_split(params, scheme.k, scheme.load)[0]
     return row
 
 
@@ -295,51 +300,47 @@ def _sweep_rows(args) -> tuple[list[tuple[Scheme, SystemParams]], dict]:
     if args.k_range:
         p = _params(args)
         for k in _parse_range(args.k_range, "k-range"):
-            rows.append((_scheme_for(scheme_name, k, args), p))
+            rows.append((_build_scheme(args, k=k), p))
     elif args.n_range:
         for n in _parse_range(args.n_range, "n-range"):
             p = SystemParams(_need(args, "lambd", "lambda"), _need(args, "c"),
                              _need(args, "mu"), n)
-            k = None if scheme_name == "uncoded" else _need(args, "k")
-            rows.append((_scheme_for(scheme_name, k, args), p))
+            rows.append((_build_scheme(args), p))
     else:
-        if scheme_name != "mm-mds":
-            raise UsageError("--l-range only applies to --scheme mm-mds")
+        if scheme_name != MultiMDS.label:
+            raise UsageError(f"--l-range only applies to --scheme {MultiMDS.label}")
         p = _params(args)
         for load in _parse_range(args.l_range, "l-range"):
-            rows.append((MultiMDS(_need(args, "k"), load), p))
+            rows.append((_build_scheme(args, load=load), p))
     return rows, meta
-
-
-def _scheme_for(name: str, k: Optional[int], args) -> Scheme:
-    if name == "uncoded":
-        return Uncoded()
-    if name == "repetition":
-        return Repetition(k)
-    if name == "mds":
-        return MDS(k)
-    return MultiMDS(k, _need(args, "load", "l"))
 
 
 def cmd_sweep(args) -> int:
     seed = _need(args, "seed")
-    rows, meta = _sweep_rows(args)
-    for scheme, params in rows:
-        validate(scheme, params)
+    points, meta = _sweep_rows(args)
+    # every row is computed before the file is opened, so a failed sweep
+    # leaves an existing --out file as it was
+    rows = [_row(scheme, params) for scheme, params in points]
 
     out = args.out or (f"{args.preset}.csv" if args.preset else "sweep.csv")
-    overlay = args.cycles is not None
-    reps = args.reps or 1
-    row_seeds = np.random.SeedSequence(seed).generate_state(max(len(rows), 1), np.uint64)
+    reps = 1 if args.reps is None else args.reps
+    row_seeds = np.random.SeedSequence(seed).generate_state(max(len(points), 1), np.uint64)
+    if args.cycles is not None:
+        for (scheme, params), row, row_seed in zip(points, rows, row_seeds):
+            try:
+                scheme.check(params, sampling=True)
+            except ValueError:
+                continue  # analytic-only row
+            rep = run_parallel(scheme, params, args.cycles, reps, int(row_seed))
+            row["age_sim_mean"] = _fmt(rep.mean_age)
+            row["age_sim_ci95"] = _fmt(rep.ci95_halfwidth)
 
-    have_repetition = any(isinstance(s, Repetition) for s, _ in rows)
     lines = [f"# coded-aoi sweep v{__version__}"]
     meta_str = " ".join(f"{k}={v}" for k, v in meta.items())
     lines.append(f"# {meta_str} seed={seed} cycles={args.cycles or '-'} reps={reps}")
-    if have_repetition:
+    if any(type(scheme) is Repetition for scheme, _ in points):
         lines.append("# note: repetition rows with k not dividing n are analytic-only "
                      "(the sampler needs k | n)")
-
     try:
         fh = open(out, "w", newline="")
     except OSError as e:
@@ -350,17 +351,7 @@ def cmd_sweep(args) -> int:
             fh.write(line + "\n")
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for i, (scheme, params) in enumerate(rows):
-            row = _row(scheme, params)
-            if overlay:
-                samplable = not (isinstance(scheme, Repetition)
-                                 and params.nworkers % scheme.k != 0)
-                if samplable:
-                    rep = run_parallel(scheme, params, args.cycles, reps,
-                                       int(row_seeds[i]))
-                    row["age_sim_mean"] = _fmt(rep.mean_age)
-                    row["age_sim_ci95"] = _fmt(rep.ci95_halfwidth)
-            writer.writerow(row)
+        writer.writerows(rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 

@@ -53,7 +53,13 @@ def chain_alphas(alpha1: float, load: int, mu_c: float) -> np.ndarray:
     """
     out = np.zeros(load)
     out[0] = alpha1
-    gap = math.exp(mu_c)
+    try:
+        gap = math.exp(mu_c)
+    except OverflowError:
+        # past mu_c ~ 709.78; exp(709) * (1 - alpha1) > 1 already holds for
+        # every double alpha1 < 1, so levels 2 on stay empty, as they would
+        # with the exact constant
+        gap = math.exp(709.0)
     prev_pow = 1.0 - alpha1  # (1 - alpha_{m-1})^(m-1)
     for m in range(2, load + 1):
         base = gap * prev_pow

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .age import age_mds, age_mm_mds, age_repetition
+from .age import age_of
 from .levels import chain_alphas, level_counts, solve_levels
-from .schemes import MDS, MultiMDS, Repetition, SystemParams, service_moments
+from .schemes import MDS, MultiMDS, Repetition, Scheme, SystemParams, service_moments
 
 _BRANCH_POINT = -math.exp(-1.0)
 
@@ -126,10 +126,10 @@ def opt_repetition(params: SystemParams, objective: str = "age") -> OptResult:
     alpha = 1.0 if cm >= 1.0 else cm
     n = params.nworkers
     seed = _clamp(round(alpha * n), 1, n)
-    fn = _objective_fn(params, "repetition", objective)
+    fn = _objective_fn(params, Repetition, objective)
     k_star = refine_discrete(fn, seed, 1, n)
     es_cont = params.shift / (alpha * n) + math.log(alpha * n) / (params.straggling * n)
-    return OptResult(k_star, alpha, age_repetition(params, k_star).delta, es_cont)
+    return OptResult(k_star, alpha, age_of(Repetition(k_star), params).delta, es_cont)
 
 
 def opt_mds(params: SystemParams, objective: str = "age",
@@ -145,10 +145,10 @@ def opt_mds(params: SystemParams, objective: str = "age",
     if n < 2:
         raise ValueError("mds optimization needs at least 2 workers")
     seed = _clamp(round(alpha * n), 1, n - 1)
-    fn = _objective_fn(params, "mds", objective)
+    fn = _objective_fn(params, MDS, objective)
     k_star = refine_discrete(fn, seed, 1, n - 1, verify_full_sweep=full_sweep)
     es_cont = params.shift / (alpha * n) - math.log1p(-alpha) / (params.straggling * alpha * n)
-    return OptResult(k_star, alpha, age_mds(params, k_star).delta, es_cont)
+    return OptResult(k_star, alpha, age_of(MDS(k_star), params).delta, es_cont)
 
 
 def opt_mm_mds(params: SystemParams, load: int, objective: str = "age",
@@ -189,29 +189,21 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age",
     alpha = alpha_of(a1)
     n, kmax = params.nworkers, params.nworkers * load - 1
     seed = _clamp(round(alpha * n * load), 1, kmax)
-    fn = _objective_fn(params, "mm-mds", objective, load)
+    fn = _objective_fn(params, lambda k: MultiMDS(k, load), objective)
     k_star = refine_discrete(fn, seed, 1, kmax)
     split = solve_levels(load, k_star / (n * load), mu_c)
     counts = tuple(level_counts(split, n, k_star))
-    return OptResult(k_star, alpha, age_mm_mds(params, k_star, load).delta,
+    return OptResult(k_star, alpha, age_of(MultiMDS(k_star, load), params).delta,
                      cont(a1) / (n * load), levels=counts)
 
 
-def _objective_fn(params: SystemParams, family: str, objective: str,
-                  load: int = 1) -> Callable[[int], float]:
+def _objective_fn(params: SystemParams, make: Callable[[int], Scheme],
+                  objective: str) -> Callable[[int], float]:
+    """k -> the age (or mean service time) of the scheme ``make(k)``."""
     if objective not in ("age", "service"):
         raise ValueError(f"objective must be 'age' or 'service', got {objective!r}")
-    if family == "repetition":
-        make = lambda k: Repetition(k)
-        age = lambda k: age_repetition(params, k).delta
-    elif family == "mds":
-        make = lambda k: MDS(k)
-        age = lambda k: age_mds(params, k).delta
-    else:
-        make = lambda k: MultiMDS(k, load)
-        age = lambda k: age_mm_mds(params, k, load).delta
     if objective == "age":
-        return age
+        return lambda k: age_of(make(k), params).delta
     return lambda k: service_moments(make(k), params).es
 
 

@@ -16,15 +16,21 @@ on how the master distributes work:
                  per-subtask durations, so fast workers contribute several
                  results while stragglers contribute none.
 
-Each scheme exposes exact service moments (for the analytic age path) and a
-sampler (for the simulation path).
+Each scheme class carries its CLI ``label``, its ``load`` (subtasks queued
+per worker) and three methods.  ``check(params, sampling)`` raises
+ValueError for parameters the scheme cannot take (with sampling=True: cannot
+simulate); on checked parameters, ``order_stat(params)`` gives (d, n, k) with
+S the k-th smallest of n draws from d, for the exact moments, and
+``sample(params, rng, size)`` draws service times by simulating the workers.
+The module functions below check and then call these methods, so no other
+code dispatches on the scheme type.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
@@ -81,26 +87,115 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class Uncoded:
-    pass
+    label: ClassVar[str] = "uncoded"
+    load: ClassVar[int] = 1  # subtasks per worker
+
+    def check(self, params: SystemParams, sampling: bool = False) -> None:
+        pass
+
+    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
+        n = params.nworkers
+        return params.whole_task().split(n), n, n
+
+    def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
+        n = params.nworkers
+        u = rng.random((size, n))
+        return params.whole_task().split(n).quantile(u.max(axis=1))
 
 
 @dataclass(frozen=True)
 class Repetition:
     k: int
+    label: ClassVar[str] = "repetition"
+    load: ClassVar[int] = 1
+
+    def check(self, params: SystemParams, sampling: bool = False) -> None:
+        n = params.nworkers
+        _require_int("repetition: k", self.k)
+        if not 1 <= self.k <= n:
+            raise ValueError(f"repetition: k must satisfy 1 <= k <= n, got k={self.k}, n={n}")
+        if sampling and n % self.k != 0:
+            raise ValueError(f"repetition sampling: k must divide n, got k={self.k}, n={n}")
+
+    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
+        # min over n/k replicas of a (shift/k, k*rate) piece is a
+        # (shift/k, n*rate) shifted exponential
+        per_subtask = params.whole_task().split(self.k)
+        return ShiftedExp(per_subtask.shift, params.straggling * params.nworkers), self.k, self.k
+
+    def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
+        k, r = self.k, params.nworkers // self.k
+        groups = rng.random((size, params.nworkers)).reshape(size, k, r)
+        if r <= k:
+            # few replicas: an elementwise minimum over strided replica
+            # columns beats a reduction over a short trailing axis
+            fastest = groups[:, :, 0].copy()
+            for j in range(1, r):
+                np.minimum(fastest, groups[:, :, j], out=fastest)
+        else:
+            fastest = groups.min(axis=2)
+        return params.whole_task().split(k).quantile(fastest.max(axis=1))
 
 
 @dataclass(frozen=True)
 class MDS:
     k: int
+    label: ClassVar[str] = "mds"
+    load: ClassVar[int] = 1
+
+    def check(self, params: SystemParams, sampling: bool = False) -> None:
+        _require_int("mds: k", self.k)
+        if self.k < 1:
+            raise ValueError(f"mds: k must be >= 1, got k={self.k}")
+        if self.k >= params.nworkers:
+            raise ValueError(f"mds: k must be < n, got k={self.k}, n={params.nworkers}")
+
+    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
+        return params.whole_task().split(self.k), params.nworkers, self.k
+
+    def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random((size, params.nworkers))
+        u.partition(self.k - 1, axis=1)
+        return params.whole_task().split(self.k).quantile(u[:, self.k - 1])
 
 
 @dataclass(frozen=True)
 class MultiMDS:
     k: int
     load: int  # coded subtasks queued per worker
+    label: ClassVar[str] = "mm-mds"
+
+    def check(self, params: SystemParams, sampling: bool = False) -> None:
+        n = params.nworkers
+        _require_int("mm-mds: k", self.k)
+        _require_int("mm-mds: load", self.load)
+        if self.load < 1:
+            raise ValueError(f"mm-mds: load must be >= 1, got {self.load}")
+        if not 1 <= self.k < n * self.load:
+            raise ValueError(
+                f"mm-mds: k must satisfy 1 <= k < n*load, got k={self.k}, "
+                f"n={n}, load={self.load}")
+
+    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
+        k1, _ = mm_level_split(params, self.k, self.load)
+        return params.whole_task().split(self.k), params.nworkers, k1
+
+    def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
+        # the real finite-n mechanism, unlike the analytic first-level
+        # identification: the k-th smallest of the multiset {m * X_i} over
+        # workers i and queue positions m = 1..load
+        n = params.nworkers
+        x = sample_batch(params.whole_task().split(self.k), rng, (size, n))
+        # level m holds every worker's m-th result at m * X_i; the k-th
+        # smallest does not depend on the column order of the multiset
+        multiset = np.empty((size, n * self.load))
+        for m in range(1, self.load + 1):
+            np.multiply(x, m, out=multiset[:, (m - 1) * n:m * n])
+        multiset.partition(self.k - 1, axis=1)
+        return multiset[:, self.k - 1]
 
 
-Scheme = Union[Uncoded, Repetition, MDS, MultiMDS]
+Scheme = Uncoded | Repetition | MDS | MultiMDS
 
 
 @dataclass(frozen=True)
@@ -118,34 +213,9 @@ def validate(scheme: Scheme, params: SystemParams, sampling: bool = False) -> No
     divide n (the replica groups must be equal); the analytic moments are
     defined for any 1 <= k <= n.
     """
-    n = params.nworkers
-    if isinstance(scheme, Uncoded):
-        return
-    if isinstance(scheme, Repetition):
-        _require_int("repetition: k", scheme.k)
-        if not 1 <= scheme.k <= n:
-            raise ValueError(f"repetition: k must satisfy 1 <= k <= n, got k={scheme.k}, n={n}")
-        if sampling and n % scheme.k != 0:
-            raise ValueError(f"repetition sampling: k must divide n, got k={scheme.k}, n={n}")
-        return
-    if isinstance(scheme, MDS):
-        _require_int("mds: k", scheme.k)
-        if scheme.k < 1:
-            raise ValueError(f"mds: k must be >= 1, got k={scheme.k}")
-        if scheme.k >= n:
-            raise ValueError(f"mds: k must be < n, got k={scheme.k}, n={n}")
-        return
-    if isinstance(scheme, MultiMDS):
-        _require_int("mm-mds: k", scheme.k)
-        _require_int("mm-mds: load", scheme.load)
-        if scheme.load < 1:
-            raise ValueError(f"mm-mds: load must be >= 1, got {scheme.load}")
-        if not 1 <= scheme.k < n * scheme.load:
-            raise ValueError(
-                f"mm-mds: k must satisfy 1 <= k < n*load, got k={scheme.k}, "
-                f"n={n}, load={scheme.load}")
-        return
-    raise TypeError(f"unknown scheme {scheme!r}")
+    if not isinstance(scheme, Scheme):
+        raise TypeError(f"unknown scheme {scheme!r}")
+    scheme.check(params, sampling)
 
 
 def mm_level_split(params: SystemParams, k: int, load: int) -> tuple[int, LevelSplit]:
@@ -169,19 +239,7 @@ def mm_level_split(params: SystemParams, k: int, load: int) -> tuple[int, LevelS
 def service_order_stat(scheme: Scheme, params: SystemParams) -> tuple[ShiftedExp, int, int]:
     """Distribution d and indices (n, k) with service time S = k-th smallest of n draws."""
     validate(scheme, params)
-    n = params.nworkers
-    task = params.whole_task()
-    if isinstance(scheme, Uncoded):
-        return task.split(n), n, n
-    if isinstance(scheme, Repetition):
-        # min over n/k replicas of a (shift/k, k*rate) piece is a
-        # (shift/k, n*rate) shifted exponential
-        per_subtask = task.split(scheme.k)
-        return ShiftedExp(per_subtask.shift, params.straggling * n), scheme.k, scheme.k
-    if isinstance(scheme, MDS):
-        return task.split(scheme.k), n, scheme.k
-    k1, _ = mm_level_split(params, scheme.k, scheme.load)
-    return task.split(scheme.k), n, k1
+    return scheme.order_stat(params)
 
 
 def service_moments(scheme: Scheme, params: SystemParams) -> ServiceMoments:
@@ -194,46 +252,10 @@ def sample_service_batch(scheme: Scheme, params: SystemParams,
                          rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` i.i.d. service times by simulating the workers.
 
-    Unlike the analytic moments, the MultiMDS path here samples the real
-    finite-n mechanism: the k-th smallest of the multiset {m * X_i} over
-    workers i and queue positions m = 1..load.
-
     Every scheme draws n*load uniforms per service time, row by row.  The
     single-level schemes select their order statistic on the uniforms and
     transform only the selected value; the inverse CDF is nondecreasing, so
     this returns the same float as transforming every draw first.
     """
     validate(scheme, params, sampling=True)
-    n = params.nworkers
-    task = params.whole_task()
-    if isinstance(scheme, MultiMDS):
-        x = sample_batch(task.split(scheme.k), rng, (size, n))
-        # level m holds every worker's m-th result at m * X_i; the k-th
-        # smallest does not depend on the column order of the multiset
-        multiset = np.empty((size, n * scheme.load))
-        for m in range(1, scheme.load + 1):
-            np.multiply(x, m, out=multiset[:, (m - 1) * n:m * n])
-        multiset.partition(scheme.k - 1, axis=1)
-        return multiset[:, scheme.k - 1]
-    u = rng.random((size, n))
-    if isinstance(scheme, Uncoded):
-        return task.split(n).quantile(u.max(axis=1))
-    if isinstance(scheme, Repetition):
-        k, r = scheme.k, n // scheme.k
-        groups = u.reshape(size, k, r)
-        if r <= k:
-            # few replicas: an elementwise minimum over strided replica
-            # columns beats a reduction over a short trailing axis
-            fastest = groups[:, :, 0].copy()
-            for j in range(1, r):
-                np.minimum(fastest, groups[:, :, j], out=fastest)
-        else:
-            fastest = groups.min(axis=2)
-        return task.split(k).quantile(fastest.max(axis=1))
-    u.partition(scheme.k - 1, axis=1)
-    return task.split(scheme.k).quantile(u[:, scheme.k - 1])
-
-
-def sample_service(scheme: Scheme, params: SystemParams, rng: np.random.Generator) -> float:
-    """Draw one service time."""
-    return float(sample_service_batch(scheme, params, rng, 1)[0])
+    return scheme.sample(params, rng, size)

@@ -107,15 +107,22 @@ def _service_array(scheme: Scheme, params: SystemParams, rng: Generator,
     # page-faulted afresh on every chunk.  Uniforms fill row-major, so the
     # chunk size never changes the drawn values, only how many rows are
     # materialized at once.
-    width = params.nworkers * getattr(scheme, "load", 1)
+    width = params.nworkers * scheme.load
     chunk = max(1, min(CHUNK, SCRATCH_DOUBLES // width))
     out = np.empty(count)
     for a in range(0, count, chunk):
         b = min(a + chunk, count)
-        if sampler is not None:
-            out[a:b] = sampler(rng, b - a)
-        else:
+        if sampler is None:
             out[a:b] = sample_service_batch(scheme, params, rng, b - a)
+            continue
+        # a custom sampler is outside the model's checks: a negative or NaN
+        # service time gives a wrong age, and an infinite one leaves the
+        # full-stream search waiting for an arrival that never comes
+        draws = np.asarray(sampler(rng, b - a), dtype=float)
+        if draws.shape != (b - a,) or not (np.isfinite(draws).all() and (draws >= 0).all()):
+            raise ValueError(f"service_sampler must return a 1-D array of {b - a} finite "
+                             f"values >= 0, got shape {draws.shape}")
+        out[a:b] = draws
     return out
 
 
@@ -312,7 +319,13 @@ def jackknife_ci(area_batches: np.ndarray, time_batches: np.ndarray) -> float:
 
 
 def _root_seq(seed: SeedLike) -> SeedSequence:
-    return seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
+    if isinstance(seed, SeedSequence):
+        return seed
+    # None would draw fresh OS entropy and True would run as seed 1; callers
+    # who want fresh entropy pass SeedSequence() and get it reported
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a SeedSequence or an integer >= 0, got {seed!r}")
+    return SeedSequence(seed)
 
 
 def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
@@ -321,9 +334,10 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
                  service_sampler: Optional[ServiceSampler] = None) -> SimReport:
     """Run independent replications on split substreams and pool the cycles.
 
-    The replications draw from SeedSequence children of ``seed`` in
-    replication order, so the pooled report depends only on
-    (seed, reps, cycles_per_rep), not on execution interleaving.
+    ``seed`` is a SeedSequence or an integer >= 0.  The replications draw
+    from SeedSequence children of ``seed`` in replication order, so the
+    pooled report depends only on (seed, reps, cycles_per_rep), not on
+    execution interleaving.
     """
     for name, value in (("cycles_per_rep", cycles_per_rep), ("reps", reps),
                         ("batches", batches)):

@@ -13,10 +13,7 @@ from coded_aoi import (
     Repetition,
     SystemParams,
     Uncoded,
-    age_mds,
-    age_mm_mds,
-    age_repetition,
-    age_uncoded,
+    age_of,
     lambert_w_m1,
     level_counts,
     opt_mds,
@@ -47,7 +44,7 @@ def argmin_k(fn, lo, hi):
 def test_criterion_01_mds_optimum_mu_one():
     t0 = time.perf_counter()
     p = params(mu=1.0)
-    best = argmin_k(lambda k: age_mds(p, k).delta, 1, 99)
+    best = argmin_k(lambda k: age_of(MDS(k), p).delta, 1, 99)
     elapsed = time.perf_counter() - t0
     check(1, f"MDS argmin at n=100, mu=1 is 69 (got {best}, {elapsed*1e3:.0f} ms)",
           best == 69 and elapsed < 1.0)
@@ -56,9 +53,9 @@ def test_criterion_01_mds_optimum_mu_one():
 def test_criterion_02_fig4b_optima():
     t0 = time.perf_counter()
     p_half = params(mu=0.5)
-    best_mds = argmin_k(lambda k: age_mds(p_half, k).delta, 1, 99)
-    best_rep_half = argmin_k(lambda k: age_repetition(p_half, k).delta, 1, 100)
-    best_rep_one = argmin_k(lambda k: age_repetition(params(mu=1.0), k).delta, 1, 100)
+    best_mds = argmin_k(lambda k: age_of(MDS(k), p_half).delta, 1, 99)
+    best_rep_half = argmin_k(lambda k: age_of(Repetition(k), p_half).delta, 1, 100)
+    best_rep_one = argmin_k(lambda k: age_of(Repetition(k), params(mu=1.0)).delta, 1, 100)
     elapsed = time.perf_counter() - t0
     check(2, f"mu=0.5: MDS argmin {best_mds}=58, repetition argmin {best_rep_half}=50; "
              f"mu=1: repetition argmin {best_rep_one}=100 ({elapsed*1e3:.0f} ms)",
@@ -77,8 +74,8 @@ def test_criterion_03_closed_forms_near_sweep_argmin():
             alpha_mds = 1.0 + 1.0 / lambert_w_m1(-math.exp(-cm - 1.0))
             k_rep_cf = min(max(round(alpha_rep * n), 1), n)
             k_mds_cf = min(max(round(alpha_mds * n), 1), n - 1)
-            k_rep_sw = argmin_k(lambda k: age_repetition(p, k).delta, 1, n)
-            k_mds_sw = argmin_k(lambda k: age_mds(p, k).delta, 1, n - 1)
+            k_rep_sw = argmin_k(lambda k: age_of(Repetition(k), p).delta, 1, n)
+            k_mds_sw = argmin_k(lambda k: age_of(MDS(k), p).delta, 1, n - 1)
             if abs(k_rep_cf - k_rep_sw) > 1 or abs(k_mds_cf - k_mds_sw) > 1:
                 ok = False
                 detail.append(f"(c={c},mu={mu},n={n}): rep {k_rep_cf}vs{k_rep_sw} "
@@ -107,10 +104,10 @@ def test_criterion_05_simulation_matches_analytic_at_million_cycles():
         p = params(mu=mu)
         k_mm = opt_mm_mds(p, 2).k_star
         cases = [
-            (Uncoded(), p, age_uncoded(p).delta, 0.005, "uncoded"),
-            (Repetition(50), p, age_repetition(p, 50).delta, 0.005, "rep(50)"),
-            (MDS(69), p, age_mds(p, 69).delta, 0.005, "mds(69)"),
-            (MultiMDS(k_mm, 2), p, age_mm_mds(p, k_mm, 2).delta, 0.015,
+            (Uncoded(), p, age_of(Uncoded(), p).delta, 0.005, "uncoded"),
+            (Repetition(50), p, age_of(Repetition(50), p).delta, 0.005, "rep(50)"),
+            (MDS(69), p, age_of(MDS(69), p).delta, 0.005, "mds(69)"),
+            (MultiMDS(k_mm, 2), p, age_of(MultiMDS(k_mm, 2), p).delta, 0.015,
              f"mm-mds({k_mm})"),
         ]
         for scheme, pp, analytic, tol, label in cases:
@@ -122,7 +119,8 @@ def test_criterion_05_simulation_matches_analytic_at_million_cycles():
     p1k = params(n=1000)
     k1k = opt_mm_mds(p1k, 2).k_star
     r = run(MultiMDS(k1k, 2), p1k, 1_000_000, seed=97)
-    rel = abs(r.mean_age - age_mm_mds(p1k, k1k, 2).delta) / age_mm_mds(p1k, k1k, 2).delta
+    analytic = age_of(MultiMDS(k1k, 2), p1k).delta
+    rel = abs(r.mean_age - analytic) / analytic
     detail.append(f"n=1000 mm-mds({k1k}) {rel*100:.3f}%")
     ok = ok and rel < 0.01
     elapsed = time.perf_counter() - t0
@@ -170,9 +168,9 @@ def test_criterion_08_level_solver():
 
 def test_criterion_09_age_equals_service_argmin_at_large_n():
     p = params(n=1000)
-    k_age_mds = argmin_k(lambda k: age_mds(p, k).delta, 1, 999)
+    k_age_mds = argmin_k(lambda k: age_of(MDS(k), p).delta, 1, 999)
     k_es_mds = argmin_k(lambda k: service_moments(MDS(k), p).es, 1, 999)
-    k_age_rep = argmin_k(lambda k: age_repetition(p, k).delta, 1, 1000)
+    k_age_rep = argmin_k(lambda k: age_of(Repetition(k), p).delta, 1, 1000)
     k_es_rep = argmin_k(lambda k: service_moments(Repetition(k), p).es, 1, 1000)
     check(9, f"argmin(age) vs argmin(E[S]) at n=1000: mds {k_age_mds}/{k_es_mds}, "
              f"repetition {k_age_rep}/{k_es_rep}",
@@ -180,14 +178,14 @@ def test_criterion_09_age_equals_service_argmin_at_large_n():
 
 
 def test_criterion_10_asymptotic_orders():
-    unc = [(age_uncoded(params(n=n)).delta - 2.0) * n / math.log(n)
+    unc = [(age_of(Uncoded(), params(n=n)).delta - 2.0) * n / math.log(n)
            for n in (100, 1000, 10_000)]
     unc_ok = max(unc) / min(unc) < 1.5 and all(r < 2.0 for r in unc)
-    a = (age_mds(params(n=10_000), 5_000).delta - 2.0) * 10_000
-    b = (age_mds(params(n=20_000), 10_000).delta - 2.0) * 20_000
+    a = (age_of(MDS(5_000), params(n=10_000)).delta - 2.0) * 10_000
+    b = (age_of(MDS(10_000), params(n=20_000)).delta - 2.0) * 20_000
     mds_ok = abs(a - b) / a < 0.05
-    g1 = age_mm_mds(params(n=10_000), 1_000, 1).delta - 2.0
-    g2 = age_mm_mds(params(n=10_000), 2_000, 2).delta - 2.0
+    g1 = age_of(MultiMDS(1_000, 1), params(n=10_000)).delta - 2.0
+    g2 = age_of(MultiMDS(2_000, 2), params(n=10_000)).delta - 2.0
     mm_ok = 1.6 < g1 / g2 < 2.4
     check(10, f"orders: uncoded ratio spread {max(unc)/min(unc):.3f} (<1.5), "
               f"mds n-scaled change {abs(a-b)/a*100:.2f}% (<5%), "

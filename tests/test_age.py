@@ -4,12 +4,13 @@ import math
 import pytest
 
 from coded_aoi import (
+    MDS,
+    MultiMDS,
+    Repetition,
     SystemParams,
+    Uncoded,
     age_from_moments,
-    age_mds,
-    age_mm_mds,
-    age_repetition,
-    age_uncoded,
+    age_of,
     gen_harmonic2,
     harmonic,
     mm_level_split,
@@ -61,11 +62,11 @@ def test_age_from_moments_deterministic_service():
 
 
 def test_uncoded_single_worker_value():
-    assert age_uncoded(params(n=1)).delta == pytest.approx(29 / 6, rel=1e-14)
+    assert age_of(Uncoded(), params(n=1)).delta == pytest.approx(29 / 6, rel=1e-14)
 
 
 def test_mds_two_workers_hand_value():
-    res = age_mds(params(n=2), 1)
+    res = age_of(MDS(1), params(n=2))
     assert res.es == pytest.approx(1.5, rel=1e-14)
     assert res.es2 == pytest.approx(2.5, rel=1e-14)
     assert res.delta == pytest.approx(4.0, rel=1e-14)
@@ -77,15 +78,15 @@ def test_moment_formula_agrees_with_direct_transcriptions():
             for mu in (0.25, 1.0, 2.0):
                 for n in (2, 10, 100):
                     p = params(lam, c, mu, n)
-                    assert age_uncoded(p).delta == pytest.approx(
+                    assert age_of(Uncoded(), p).delta == pytest.approx(
                         age_uncoded_direct(lam, c, mu, n), rel=1e-12)
                     for k in {1, n // 2, n}:
                         if 1 <= k <= n:
-                            assert age_repetition(p, k).delta == pytest.approx(
+                            assert age_of(Repetition(k), p).delta == pytest.approx(
                                 age_repetition_direct(lam, c, mu, n, k), rel=1e-12)
                     for k in {1, n // 2, n - 1}:
                         if 1 <= k < n:
-                            assert age_mds(p, k).delta == pytest.approx(
+                            assert age_of(MDS(k), p).delta == pytest.approx(
                                 age_mds_direct(lam, c, mu, n, k), rel=1e-12)
 
 
@@ -97,59 +98,59 @@ def test_multi_message_agrees_with_direct_transcription():
                 if k >= 100 * load:
                     continue
                 k1, _ = mm_level_split(p, k, load)
-                assert age_mm_mds(p, k, load).delta == pytest.approx(
+                assert age_of(MultiMDS(k, load), p).delta == pytest.approx(
                     age_mm_mds_direct(1.0, 1.0, mu, 100, k, k1), rel=1e-12)
 
 
 def test_repetition_full_k_equals_uncoded_age():
     p = params(c=0.7, mu=1.3, n=24)
-    assert age_repetition(p, 24).delta == age_uncoded(p).delta
+    assert age_of(Repetition(24), p).delta == age_of(Uncoded(), p).delta
 
 
 def test_multi_message_single_load_equals_mds_age():
     p = params(mu=0.5, n=60)
     for k in (5, 30, 59):
-        assert age_mm_mds(p, k, 1).delta == age_mds(p, k).delta
+        assert age_of(MultiMDS(k, 1), p).delta == age_of(MDS(k), p).delta
 
 
 def test_age_floor_two_over_rate():
     for lam in (0.5, 1.0, 3.0):
         for n in (1, 10, 100):
             p = params(lam=lam, n=n)
-            assert age_uncoded(p).delta > 2 / lam
+            assert age_of(Uncoded(), p).delta > 2 / lam
             if n > 1:
-                assert age_mds(p, n // 2).delta > 2 / lam
-            assert age_repetition(p, max(1, n // 2)).delta > 2 / lam
+                assert age_of(MDS(n // 2), p).delta > 2 / lam
+            assert age_of(Repetition(max(1, n // 2)), p).delta > 2 / lam
 
 
 def test_invalid_k_errors():
     p = params(n=10)
     with pytest.raises(ValueError):
-        age_mds(p, 10)
+        age_of(MDS(10), p)
     with pytest.raises(ValueError):
-        age_repetition(p, 11)
+        age_of(Repetition(11), p)
     with pytest.raises(ValueError):
-        age_mm_mds(p, 20, 2)
+        age_of(MultiMDS(20, 2), p)
 
 
 def test_uncoded_asymptotic_ratio_bounded_and_decreasing():
     # (age - 2/lam) * n / log(n) settles toward a constant from above
-    ratios = [(age_uncoded(params(n=n)).delta - 2.0) * n / math.log(n)
+    ratios = [(age_of(Uncoded(), params(n=n)).delta - 2.0) * n / math.log(n)
               for n in (100, 1000, 10_000)]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert all(1.0 < r < 2.0 for r in ratios)
 
 
 def test_repetition_asymptotic_ratio_bounded_and_decreasing():
-    ratios = [(age_repetition(params(n=n), n // 2).delta - 2.0) * n / math.log(n)
+    ratios = [(age_of(Repetition(n // 2), params(n=n)).delta - 2.0) * n / math.log(n)
               for n in (100, 1000, 10_000)]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert all(0.0 < r < 4.0 for r in ratios)
 
 
 def test_mds_asymptotic_one_over_n():
-    a = (age_mds(params(n=10_000), 5_000).delta - 2.0) * 10_000
-    b = (age_mds(params(n=20_000), 10_000).delta - 2.0) * 20_000
+    a = (age_of(MDS(5_000), params(n=10_000)).delta - 2.0) * 10_000
+    b = (age_of(MDS(10_000), params(n=20_000)).delta - 2.0) * 20_000
     assert abs(a - b) / a < 0.05
 
 
@@ -157,13 +158,13 @@ def test_multi_message_gap_scales_inverse_load():
     # matched fraction 0.1 at n = 1e4: each load doubling shrinks the gap
     # to the floor by roughly half
     n = 10_000
-    gaps = [age_mm_mds(params(n=n), 1000 * load, load).delta - 2.0 for load in (1, 2, 4)]
+    gaps = [age_of(MultiMDS(1000 * load, load), params(n=n)).delta - 2.0 for load in (1, 2, 4)]
     assert 1.5 < gaps[0] / gaps[1] < 2.4
     assert 1.5 < gaps[1] / gaps[2] < 2.4
 
 
 def test_mds_dominates_at_reference_point():
     p = params(n=100)
-    best_mds = min(age_mds(p, k).delta for k in range(1, 100))
-    best_rep = min(age_repetition(p, k).delta for k in range(1, 101))
-    assert best_mds < best_rep <= age_uncoded(p).delta
+    best_mds = min(age_of(MDS(k), p).delta for k in range(1, 100))
+    best_rep = min(age_of(Repetition(k), p).delta for k in range(1, 101))
+    assert best_mds < best_rep <= age_of(Uncoded(), p).delta

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from coded_aoi import SystemParams, age_mds, age_uncoded, opt_mds
+from coded_aoi import MDS, SystemParams, Uncoded, age_of, opt_mds
 from coded_aoi.cli import main
 
 
@@ -32,7 +32,7 @@ def test_age_mds_reference_point(capsys):
     code, out, _ = run_cli(capsys, "age", "--scheme", "mds", "--n", "100", "--k", "69",
                            "--lambda", "1", "--c", "1", "--mu", "1")
     assert code == 0
-    expected = age_mds(SystemParams(1, 1, 1, 100), 69).delta
+    expected = age_of(MDS(69), SystemParams(1, 1, 1, 100)).delta
     assert float(value_of(out, "age")) == pytest.approx(expected, rel=1e-12)
 
 
@@ -96,7 +96,7 @@ def test_simulate_deterministic_and_close_to_analytic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     mean = float(value_of(out1, "mean_age"))
-    expected = age_mds(SystemParams(1, 1, 1, 100), 69).delta
+    expected = age_of(MDS(69), SystemParams(1, 1, 1, 100)).delta
     assert abs(mean - expected) / expected < 0.01
 
 
@@ -124,10 +124,10 @@ def test_config_file_supplies_and_flags_override(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "age", "--config", str(cfg))
     assert code == 0
     p = SystemParams(1, 1, 1, 100)
-    assert float(value_of(out, "age")) == pytest.approx(age_mds(p, 69).delta, rel=1e-12)
+    assert float(value_of(out, "age")) == pytest.approx(age_of(MDS(69), p).delta, rel=1e-12)
     # explicit flag wins over the config value
     code, out, _ = run_cli(capsys, "age", "--config", str(cfg), "--k", "58")
-    assert float(value_of(out, "age")) == pytest.approx(age_mds(p, 58).delta, rel=1e-12)
+    assert float(value_of(out, "age")) == pytest.approx(age_of(MDS(58), p).delta, rel=1e-12)
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):
@@ -184,7 +184,7 @@ def test_sweep_preset_fig4a(tmp_path, capsys):
     best_rep = min(rep_rows, key=lambda r: float(r["age_analytic"]))
     assert best_rep["k"] == "100"
     assert float(unc_rows[0]["age_analytic"]) == pytest.approx(
-        age_uncoded(SystemParams(1, 1, 1, 100)).delta, rel=1e-11)
+        age_of(Uncoded(), SystemParams(1, 1, 1, 100)).delta, rel=1e-11)
     # divisibility caveat recorded for the repetition rows
     header = out_path.read_text().splitlines()[:4]
     assert any("k | n" in ln for ln in header if ln.startswith("#"))
@@ -264,7 +264,7 @@ def test_csv_number_format_is_twelve_significant_digits(tmp_path, capsys):
             "--lambda", "1", "--c", "1", "--mu", "1", "--seed", "1",
             "--out", str(out_path))
     row = read_rows(out_path)[0]
-    assert row["age_analytic"] == f"{age_mds(SystemParams(1, 1, 1, 100), 69).delta:.12g}"
+    assert row["age_analytic"] == f"{age_of(MDS(69), SystemParams(1, 1, 1, 100)).delta:.12g}"
     assert "," not in row["age_analytic"]
 
 
@@ -277,3 +277,61 @@ def test_age_non_finite_parameter_exits_2(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+SIM_ARGS = ["simulate", "--scheme", "mds", "--k", "7", "--n", "10", "--lambda", "1",
+            "--c", "1", "--mu", "1", "--cycles", "100", "--seed", "1"]
+SWEEP_ARGS = ["sweep", "--scheme", "mds", "--k-range", "5:6", "--n", "10", "--lambda", "1",
+              "--c", "1", "--mu", "1", "--cycles", "100", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [SIM_ARGS, SWEEP_ARGS], ids=["simulate", "sweep"])
+@pytest.mark.parametrize("reps", [0, -2])
+def test_reps_below_one_flag_exits_2(tmp_path, monkeypatch, capsys, argv, reps):
+    monkeypatch.chdir(tmp_path)  # a sweep would write sweep.csv here
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--reps", str(reps)])
+    assert exc.value.code == 2
+    assert f"argument --reps: must be >= 1, got {reps}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [SIM_ARGS, SWEEP_ARGS], ids=["simulate", "sweep"])
+@pytest.mark.parametrize("reps", [0, -2])
+def test_reps_below_one_in_config_exits_2(tmp_path, monkeypatch, capsys, argv, reps):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"reps": reps}))
+    code, out, err = run_cli(capsys, *argv, "--config", "run.json")
+    assert code == 2
+    assert out == ""
+    assert f"must be >= 1, got {reps}" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_absent_reps_runs_one_replication(capsys):
+    code, out, _ = run_cli(capsys, *SIM_ARGS)
+    assert code == 0
+    assert value_of(out, "reps") == "1"
+
+
+@pytest.mark.parametrize("argv, code", [
+    # every row is valid, but the overlay needs at least 30 cycles
+    (["--scheme", "mds", "--k-range", "1:9", "--n", "10", "--lambda", "1", "--c", "1",
+      "--mu", "1", "--seed", "1", "--cycles", "10"], 2),
+    # the level split has no solution for the later rows
+    (["--scheme", "mm-mds", "--l", "5", "--k-range", "30:49", "--n", "10", "--lambda", "1",
+      "--c", "1", "--mu", "100", "--seed", "1"], 3),
+], ids=["usage-error", "infeasible"])
+def test_failed_sweep_leaves_out_file_untouched(tmp_path, capsys, argv, code):
+    out_path = tmp_path / "keep.csv"
+    out_path.write_text("old,content\n1,2\n")
+    assert run_cli(capsys, "sweep", *argv, "--out", str(out_path))[0] == code
+    assert out_path.read_text() == "old,content\n1,2\n"
+
+
+def test_age_mm_mds_at_large_shift_times_straggling(capsys):
+    # c * mu = 1830: the level chain constant exp(c * mu) is beyond float range
+    code, out, _ = run_cli(capsys, "age", "--scheme", "mm-mds", "--k", "110", "--l", "3",
+                           "--n", "154", "--lambda", "1", "--c", "30", "--mu", "61")
+    assert code == 0
+    assert math.isfinite(float(value_of(out, "age")))

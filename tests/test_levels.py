@@ -4,7 +4,7 @@ import math
 import pytest
 
 from coded_aoi import Infeasible, InconsistentK, LevelSplit, level_counts, solve_levels
-from coded_aoi.levels import chain_residuals
+from coded_aoi.levels import chain_alphas, chain_residuals
 from coded_aoi.order_stats import ShiftedExp, os_mean
 
 
@@ -132,3 +132,10 @@ def test_sandwich_ordering_at_rounded_counts():
             if m == mb or kmb + 1 > n:
                 continue
             assert m * os_mean(d, n, km) <= mb * os_mean(d, n, kmb + 1)
+
+
+def test_chain_constant_beyond_float_range():
+    # exp(mu_c) overflows a float past mu_c ~ 709.78; every level after the
+    # first is empty there, as it already is at mu_c = 708
+    assert solve_levels(3, 0.2, 800.0) == solve_levels(3, 0.2, 708.0)
+    assert chain_alphas(0.5, 3, 1e6).tolist() == [0.5, 0.0, 0.0]

@@ -6,9 +6,7 @@ import pytest
 
 from coded_aoi import (
     SystemParams,
-    age_mds,
-    age_mm_mds,
-    age_repetition,
+    age_of,
     lambert_w_m1,
     opt_mds,
     opt_mm_mds,
@@ -75,9 +73,9 @@ def test_opt_repetition_against_exhaustive_sweep():
     p = params(c=2.0, mu=0.25, n=1000)
     r = opt_repetition(p)
     assert r.alpha_star == 0.5
-    sweep = min(range(1, 1001), key=lambda k: (age_repetition(p, k).delta, k))
+    sweep = min(range(1, 1001), key=lambda k: (age_of(Repetition(k), p).delta, k))
     assert abs(r.k_star - sweep) <= 1
-    assert r.delta_star == age_repetition(p, r.k_star).delta
+    assert r.delta_star == age_of(Repetition(r.k_star), p).delta
 
 
 def test_opt_mds_reference_points():
@@ -86,7 +84,7 @@ def test_opt_mds_reference_points():
     assert r1.alpha_star == pytest.approx(0.6821555671006273, abs=1e-9)
     r2 = opt_mds(params(mu=0.5), full_sweep=True)
     assert r2.k_star == 58
-    assert r2.delta_star == age_mds(params(mu=0.5), 58).delta
+    assert r2.delta_star == age_of(MDS(58), params(mu=0.5)).delta
 
 
 def test_opt_mds_continuous_near_integer_optimum():
@@ -107,7 +105,7 @@ def test_opt_mm_mds_two_loads_reference():
     assert r.k_star == 129
     assert r.levels is not None
     assert sum(r.levels) == r.k_star
-    assert r.delta_star == age_mm_mds(params(mu=1.0), r.k_star, 2).delta
+    assert r.delta_star == age_of(MultiMDS(r.k_star, 2), params(mu=1.0)).delta
 
 
 def test_opt_mm_mds_k_grows_with_pool():
@@ -132,7 +130,7 @@ def test_refine_discrete_synthetic():
 
 def test_refine_discrete_full_sweep_agreement_on_age():
     p = params(mu=1.0)
-    fn = lambda k: age_mds(p, k).delta
+    fn = lambda k: age_of(MDS(k), p).delta
     assert refine_discrete(fn, 68, 1, 99, verify_full_sweep=True) == 69
 
 
@@ -146,8 +144,8 @@ def test_refine_discrete_full_sweep_detects_strays():
 def test_age_and_service_argmins_agree_at_large_n():
     p = params(n=1000)
     for family, kmax, age_fn, scheme in [
-            ("mds", 999, lambda k: age_mds(p, k).delta, MDS),
-            ("repetition", 1000, lambda k: age_repetition(p, k).delta, Repetition)]:
+            ("mds", 999, lambda k: age_of(MDS(k), p).delta, MDS),
+            ("repetition", 1000, lambda k: age_of(Repetition(k), p).delta, Repetition)]:
         k_age = min(range(1, kmax + 1), key=lambda k: (age_fn(k), k))
         k_es = min(range(1, kmax + 1),
                    key=lambda k: (service_moments(scheme(k), p).es, k))
@@ -174,4 +172,4 @@ def test_mds_optimum_beats_all_k():
         r = opt_mds(p)
         best = r.delta_star
         for k in range(1, 100):
-            assert best <= age_mds(p, k).delta + 1e-15
+            assert best <= age_of(MDS(k), p).delta + 1e-15

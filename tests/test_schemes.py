@@ -15,7 +15,6 @@ from coded_aoi import (
     harmonic,
     mm_level_split,
     os_var,
-    sample_service,
     sample_service_batch,
     service_moments,
 )
@@ -211,7 +210,7 @@ def test_uncoded_single_worker_sampling_law():
 def test_scalar_sampler_matches_batch():
     p = params(n=16)
     for scheme in (Uncoded(), Repetition(4), MDS(5), MultiMDS(20, 2)):
-        a = sample_service(scheme, p, rng(123))
+        a = float(scheme.sample(p, rng(123), 1)[0])
         b = sample_service_batch(scheme, p, rng(123), 1)[0]
         assert a == b
 

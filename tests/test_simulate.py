@@ -16,7 +16,7 @@ from coded_aoi import (
     Repetition,
     SystemParams,
     Uncoded,
-    age_mds,
+    age_of,
     jackknife_ci,
     run,
     run_parallel,
@@ -142,7 +142,7 @@ def test_multi_message_moment_gap_shrinks_with_pool():
 def test_return_triggered_policy_matches_analytic():
     p = params()
     r = run(MDS(69), p, 200_000, seed=21, policy="return-triggered")
-    assert abs(r.mean_age - age_mds(p, 69).delta) <= 1.5 * r.ci95_halfwidth
+    assert abs(r.mean_age - age_of(MDS(69), p).delta) <= 1.5 * r.ci95_halfwidth
 
 
 def test_simulated_age_tracks_analytic_quickly():
@@ -324,3 +324,31 @@ def test_run_parallel_accepts_numpy_integer_counts():
     got = repr(run_parallel(MDS(5), p, np.int64(100), np.int32(2), seed=1,
                             batches=np.int16(10)))
     assert got == want
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5, "7", -1])
+def test_run_parallel_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a SeedSequence or an integer >= 0"):
+        run(MDS(5), SystemParams(1, 1, 1, 10), 100, seed)
+
+
+def test_run_parallel_accepts_integer_and_seed_sequence_seeds():
+    p = SystemParams(1, 1, 1, 10)
+    assert repr(run(MDS(5), p, 100, np.int64(7))) == repr(run(MDS(5), p, 100, 7))
+    assert run(MDS(5), p, 100, np.uint64(2**64 - 1)).seed == 2**64 - 1
+    assert repr(run(MDS(5), p, 100, SeedSequence(7))) == repr(run(MDS(5), p, 100, 7))
+    fresh = SeedSequence()
+    assert run(MDS(5), p, 100, fresh).seed == fresh.entropy
+
+
+@pytest.mark.parametrize("mode", ["fast", "full_stream"])
+@pytest.mark.parametrize("sampler", [
+    lambda rng, size: -rng.random(size),
+    lambda rng, size: np.full(size, np.nan),
+    lambda rng, size: np.full(size, np.inf),
+    lambda rng, size: rng.random(size + 1),
+    lambda rng, size: rng.random((size, 1)),
+], ids=["negative", "nan", "inf", "too-long", "2-d"])
+def test_custom_sampler_output_is_checked(mode, sampler):
+    with pytest.raises(ValueError, match="service_sampler must return a 1-D array"):
+        run(MDS(5), SystemParams(1, 1, 1, 10), 100, 1, mode=mode, service_sampler=sampler)
