@@ -3,10 +3,11 @@
 For a large pool, minimizing the average age is equivalent to minimizing
 the mean service time, which yields closed-form optima for the repetition
 fraction (min(1, shift*straggling)) and the MDS fraction (via the lower
-branch of the Lambert W function).  The multi-message problem has no closed
-form and is searched numerically over the first-level fraction.  All
-continuous optima are refined against the exact integer-k age, since
-rounding the continuous solution can land one step off the true argmin.
+branch of the Lambert W function, solved in log form).  The multi-message
+problem has no closed form and is searched numerically over the first
+level's log-gap.  All continuous optima are refined against the exact
+integer-k age, since rounding the continuous solution can land one step off
+the true argmin.
 """
 from __future__ import annotations
 
@@ -14,8 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .age import age_of
-from .levels import chain_alphas, level_counts, solve_levels
+from .levels import chain_alphas, chain_alphas_at, level_counts, solve_levels
 from .schemes import MDS, MultiMDS, Repetition, Scheme, SystemParams, service_moments
 
 _BRANCH_POINT = -math.exp(-1.0)
@@ -33,50 +36,29 @@ class OptResult:
 def lambert_w_m1(x: float) -> float:
     """Lower real branch of the Lambert W function: w <= -1 with w*exp(w) = x.
 
-    Defined for x in [-1/e, 0).  Halley steps safeguarded by a maintained
-    bracket; any step leaving the bracket falls back to bisection, so the
-    residual |w*exp(w) - x| is driven below 1e-13 (or to the floating-point
-    floor near the branch point).
+    Defined for x in [-1/e, 0); solved in log form (see _branch_excess), so
+    the error is relative to x however close x is to 0.
     """
     if not _BRANCH_POINT <= x < 0.0:
         raise ValueError(f"lambert_w_m1 requires -1/e <= x < 0, got {x}")
+    return -1.0 - _branch_excess(max(-math.log(-x) - 1.0, 0.0))
 
-    # g(w) = w*exp(w) - x is decreasing on (-inf, -1]: positive far left,
-    # nonpositive at -1.
-    hi = -1.0
-    lo = -2.0
-    while lo * math.exp(lo) - x < 0.0:
-        lo *= 2.0
 
-    if x > -0.1:
-        w = math.log(-x) - math.log(-math.log(-x))
-    else:
-        p = math.sqrt(max(0.0, 2.0 * (1.0 + math.e * x)))
-        w = -1.0 - p - p * p / 3.0
-    w = min(max(w, lo), hi)
+def _branch_excess(d: float) -> float:
+    """The u >= 0 with u - log1p(u) = d, so that W_{-1}(-exp(-1 - d)) = -1 - u.
 
+    This is w + log(-w) = -1 - d in u = -1 - w; it forms no exp(-d), so any
+    d >= 0 works.  The left side is increasing and convex, and the start
+    u0 - sqrt(u0) = d lies right of the root (log1p(u) <= sqrt(u)), so the
+    Newton steps fall monotonically onto it; they stop when u stops falling.
+    """
+    u = (0.5 * (1.0 + math.sqrt(1.0 + 4.0 * d))) ** 2
     for _ in range(200):
-        ew = math.exp(w)
-        g = w * ew - x
-        if abs(g) < 1e-13:
+        nxt = u - (u - math.log1p(u) - d) * (1.0 + u) / u
+        if not 0.0 < nxt < u:
             break
-        if g > 0.0:
-            lo = w
-        else:
-            hi = w
-        if hi - lo <= 0.0 or math.nextafter(lo, hi) >= hi:
-            break
-        gp = ew * (w + 1.0)
-        gpp = ew * (w + 2.0)
-        denom = gp - g * gpp / (2.0 * gp) if gp != 0.0 else 0.0
-        step_ok = denom != 0.0 and math.isfinite(denom)
-        w_new = w - g / denom if step_ok else 0.5 * (lo + hi)
-        if not (lo < w_new < hi):
-            w_new = 0.5 * (lo + hi)
-        if w_new == w:
-            break
-        w = w_new
-    return w
+        u = nxt
+    return u
 
 
 def refine_discrete(age_fn: Callable[[int], float], k_seed: int,
@@ -136,11 +118,12 @@ def opt_mds(params: SystemParams, objective: str = "age",
             full_sweep: bool = False) -> OptResult:
     """Optimal k for the MDS scheme.
 
-    Continuous optimum: alpha = 1 + 1/W_{-1}(-exp(-mu*c - 1)); refined over
+    Continuous optimum: alpha = 1 + 1/W_{-1}(-exp(-mu*c - 1)) = u/(1 + u)
+    with u - log1p(u) = mu*c, which holds at any mu*c; refined over
     integers 1..n-1 against the exact age (or mean service time).
     """
     cm = params.shift * params.straggling
-    alpha = 1.0 + 1.0 / lambert_w_m1(-math.exp(-cm - 1.0))
+    alpha = 1.0 / (1.0 + 1.0 / _branch_excess(cm))
     n = params.nworkers
     if n < 2:
         raise ValueError("mds optimization needs at least 2 workers")
@@ -155,38 +138,50 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age",
                grid_points: int = 10_000) -> OptResult:
     """Optimal k for the multi-message MDS scheme with the given load.
 
-    The constrained problem collapses to one dimension: a first-level
-    fraction a1 determines the remaining levels through the chain recursion
-    and hence the average fraction alpha and the (scaled) mean service time
+    The constrained problem collapses to one dimension: the first level's
+    log-gap beta = -log(1 - a1) fixes every level (levels.chain_alphas),
+    hence the average fraction alpha(beta) and the (scaled) mean service time
 
-        shift/alpha - log(1 - a1) / (straggling * alpha).
+        (shift + beta / straggling) / alpha(beta).
 
-    A coarse grid locates the basin, golden-section search refines it to
-    1e-6 in alpha, and the integer k is refined against the exact age.
+    Grid segment m sweeps level m's own fraction over grid_points values in
+    (0, 1), which puts beta at (m - 1)*shift*straggling + m*b for the grid's
+    log-gaps b; it keeps the points past the end of segment m - 1, where the
+    earlier levels are full.  Segment 1 is a uniform grid over a1.  One
+    chain_alphas call evaluates the grid, golden-section search over the
+    best segment's fraction refines it to 1e-8, and the integer k is refined
+    against the exact age.
     """
     if load < 1:
         raise ValueError(f"load must be >= 1, got {load}")
     mu_c = params.shift * params.straggling
 
-    def alpha_of(a1: float) -> float:
-        return float(chain_alphas(a1, load, mu_c).sum()) / load
+    def alpha_of(beta: float) -> float:  # summed in numpy's order, as on the grid
+        return float(np.sum(chain_alphas_at(beta, load, mu_c))) / load
 
-    def cont(a1: float) -> float:
-        alpha = alpha_of(a1)
-        return params.shift / alpha - math.log1p(-a1) / (params.straggling * alpha)
+    def cont(beta: float) -> float:
+        alpha = alpha_of(beta)
+        return params.shift / alpha + beta / (params.straggling * alpha)
 
     eps = 1e-9
     step = (1.0 - 2 * eps) / (grid_points - 1)
-    best_i, best_v = 0, math.inf
-    for i in range(grid_points):
-        v = cont(eps + i * step)
-        if v < best_v:
-            best_i, best_v = i, v
-    lo = eps + max(best_i - 1, 0) * step
-    hi = eps + min(best_i + 1, grid_points - 1) * step
-    a1 = _golden_section(cont, lo, hi, tol=1e-8)
+    fractions = eps + np.arange(grid_points) * step
+    starts = np.zeros(load)
+    starts[1:] = np.arange(1, load) * mu_c
+    segments = starts[:, None] - np.arange(1, load + 1)[:, None] * np.log1p(-fractions)
+    ends = np.concatenate(([-np.inf], segments[:-1, -1]))
+    seg, idx = np.nonzero((segments > ends[:, None]) & np.isfinite(segments))
+    beta = segments[seg, idx]
+    alpha = chain_alphas(beta, load, mu_c).sum(axis=1) / load
+    best = int(np.argmin(params.shift / alpha + beta / (params.straggling * alpha)))
+    m, i = int(seg[best]), int(idx[best])
 
-    alpha = alpha_of(a1)
+    def beta_of(x: float) -> float:  # segment m at fraction x of level m + 1
+        return float(starts[m]) - (m + 1) * math.log1p(-x)
+
+    lo, hi = float(fractions[max(i - 1, 0)]), float(fractions[min(i + 1, grid_points - 1)])
+    beta1 = beta_of(_golden_section(lambda x: cont(beta_of(x)), lo, hi, tol=1e-8))
+    alpha = alpha_of(beta1)
     n, kmax = params.nworkers, params.nworkers * load - 1
     seed = _clamp(round(alpha * n * load), 1, kmax)
     fn = _objective_fn(params, lambda k: MultiMDS(k, load), objective)
@@ -194,7 +189,7 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age",
     split = solve_levels(load, k_star / (n * load), mu_c)
     counts = tuple(level_counts(split, n, k_star))
     return OptResult(k_star, alpha, age_of(MultiMDS(k_star, load), params).delta,
-                     cont(a1) / (n * load), levels=counts)
+                     cont(beta1) / (n * load), levels=counts)
 
 
 def _objective_fn(params: SystemParams, make: Callable[[int], Scheme],

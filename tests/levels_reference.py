@@ -1,0 +1,35 @@
+"""Reference check on level splits, in the log form of the chain.
+
+With beta_m = -log1p(-alpha_m), a split solves the chain exactly when
+m * beta_m - (m - 1) * beta_{m-1} + mu_c = 0 for every consecutive pair of
+non-empty levels.  This module recomputes those residuals from the returned
+fractions alone, with no reference to how the solver found them.
+"""
+import math
+
+EPS = 2.0 ** -52
+
+
+def chain_residuals(split, mu_c):
+    """(residual, bound) for each consecutive pair of non-empty levels.
+
+    ``bound`` is how far the residual can sit from 0 on an exact split once
+    each fraction is rounded to a double: 1 - alpha_m carries a relative
+    error of about EPS / (1 - alpha_m), and the chain offsets one of EPS
+    times m * mu_c.  A pair whose earlier level is at alpha = 1.0 is skipped:
+    that level's log-gap is past what a double resolves, and the sum check
+    on the split still covers it.
+    """
+    a = split.alphas
+    out = []
+    for m in range(2, len(a) + 1):
+        if a[m - 1] <= 0.0:
+            break
+        if a[m - 2] >= 1.0:
+            continue
+        beta_prev, beta = -math.log1p(-a[m - 2]), -math.log1p(-a[m - 1])
+        resid = m * beta - (m - 1) * beta_prev + mu_c
+        bound = 8 * EPS * (m / (1.0 - a[m - 1]) + (m - 1) / (1.0 - a[m - 2])
+                           + m * beta + (m - 1) * beta_prev + m * mu_c)
+        out.append((resid, bound))
+    return out

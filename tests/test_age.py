@@ -168,3 +168,11 @@ def test_mds_dominates_at_reference_point():
     best_mds = min(age_of(MDS(k), p).delta for k in range(1, 100))
     best_rep = min(age_of(Repetition(k), p).delta for k in range(1, 101))
     assert best_mds < best_rep <= age_of(Uncoded(), p).delta
+
+
+def test_multi_message_age_with_second_level_past_alpha1_resolution():
+    # c * mu = 28.2: the second level needs 1 - alpha_1 ~ 5.6e-13, finer than
+    # a double alpha_1 resolves near 1
+    delta = age_of(MultiMDS(117, 4), SystemParams(1, 9.4, 3.0, 112)).delta
+    assert math.isfinite(delta)
+    assert delta >= 2.0

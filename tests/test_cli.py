@@ -318,9 +318,10 @@ def test_absent_reps_runs_one_replication(capsys):
     # every row is valid, but the overlay needs at least 30 cycles
     (["--scheme", "mds", "--k-range", "1:9", "--n", "10", "--lambda", "1", "--c", "1",
       "--mu", "1", "--seed", "1", "--cycles", "10"], 2),
-    # the level split has no solution for the later rows
+    # c * mu overflows to inf, so only the first level can fill, and the
+    # rows need load * alpha >= 1: the level split has no solution
     (["--scheme", "mm-mds", "--l", "5", "--k-range", "30:49", "--n", "10", "--lambda", "1",
-      "--c", "1", "--mu", "100", "--seed", "1"], 3),
+      "--c", "1e200", "--mu", "1e200", "--seed", "1"], 3),
 ], ids=["usage-error", "infeasible"])
 def test_failed_sweep_leaves_out_file_untouched(tmp_path, capsys, argv, code):
     out_path = tmp_path / "keep.csv"
@@ -335,3 +336,18 @@ def test_age_mm_mds_at_large_shift_times_straggling(capsys):
                            "--n", "154", "--lambda", "1", "--c", "30", "--mu", "61")
     assert code == 0
     assert math.isfinite(float(value_of(out, "age")))
+
+
+@pytest.mark.parametrize("argv", [
+    # exp(-c * mu - 1) underflows to -0.0
+    ["--family", "mds", "--n", "100", "--c", "30", "--mu", "30"],
+    # c * mu = 1830: splits past the first level need 1 - alpha_1 < exp(-1830)
+    ["--family", "mm-mds", "--l", "3", "--n", "154", "--c", "30", "--mu", "61"],
+    # c * mu = 2: the optimum sits at k = n*load - 1 with every level nearly full
+    ["--family", "mm-mds", "--l", "4", "--n", "100", "--c", "1", "--mu", "2"],
+], ids=["mds-c30-mu30", "mm-mds-l3-mu61", "mm-mds-l4-mu2"])
+def test_optimize_at_large_shift_times_straggling_exits_0(capsys, argv):
+    code, out, err = run_cli(capsys, "optimize", *argv, "--lambda", "1")
+    assert code == 0, err
+    assert err == ""
+    assert float(value_of(out, "delta_star")) >= 2.0

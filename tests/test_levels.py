@@ -1,10 +1,12 @@
 """Level-split solver against closed-form and substitution oracles."""
 import math
 
+import numpy as np
 import pytest
 
 from coded_aoi import Infeasible, InconsistentK, LevelSplit, level_counts, solve_levels
-from coded_aoi.levels import chain_alphas, chain_residuals
+from coded_aoi.levels import chain_alphas, chain_alphas_at
+from levels_reference import chain_residuals
 from coded_aoi.order_stats import ShiftedExp, os_mean
 
 
@@ -51,7 +53,7 @@ def test_chain_and_sum_residuals_on_grid():
             for alpha in (0.05, 0.2, 0.4, 0.6, 0.8):
                 split = solve_levels(ell, alpha, mu_c)
                 assert abs(sum(split.alphas) - ell * alpha) < 1e-10
-                for r in chain_residuals(split, mu_c):
+                for r, _ in chain_residuals(split, mu_c):
                     assert abs(r) < 1e-10
                 a = split.alphas
                 assert all(x >= y for x, y in zip(a, a[1:]))
@@ -82,9 +84,24 @@ def test_invalid_arguments():
         solve_levels(2, 0.5, 0.0)
 
 
-def test_infeasible_near_saturation():
-    with pytest.raises(Infeasible):
-        solve_levels(2, 1.0 - 1e-12, 1.0)
+def test_near_saturation_is_solved():
+    # 1 - alpha_1 ~ 1.7e-24 is below double resolution, but beta_1 ~ 54.8 is
+    # not: the split is found, and alpha_2 matches the two-level quadratic
+    # (1 - alpha_2)^2 = e * (1 - alpha_1), solved without cancellation
+    alpha, mu_c = 1.0 - 1e-12, 1.0
+    split = solve_levels(2, alpha, mu_c)
+    assert abs(sum(split.alphas) - 2 * alpha) <= 1e-15
+    e, s = math.exp(mu_c), 2.0 - 2.0 * alpha
+    gamma = 2.0 * e * s / (e + math.sqrt(e * e + 4.0 * e * s))
+    assert split.alphas == (1.0, pytest.approx(1.0 - gamma, abs=1e-15))
+    for r, bound in chain_residuals(split, mu_c):
+        assert abs(r) <= bound
+    # further from saturation every log-gap is a finite double
+    split = solve_levels(3, 1.0 - 1e-4, mu_c)
+    residuals = chain_residuals(split, mu_c)
+    assert len(residuals) == 2
+    assert all(abs(r) <= bound for r, bound in residuals)
+    assert abs(sum(split.alphas) - 3 * (1.0 - 1e-4)) <= 1e-15
 
 
 def test_level_counts_trivial_and_exact():
@@ -135,7 +152,65 @@ def test_sandwich_ordering_at_rounded_counts():
 
 
 def test_chain_constant_beyond_float_range():
-    # exp(mu_c) overflows a float past mu_c ~ 709.78; every level after the
-    # first is empty there, as it already is at mu_c = 708
+    # exp(mu_c) overflows a float past mu_c ~ 709.78, and the closed form
+    # never forms it; every level after the first is empty there, as it
+    # already is at mu_c = 708
     assert solve_levels(3, 0.2, 800.0) == solve_levels(3, 0.2, 708.0)
-    assert chain_alphas(0.5, 3, 1e6).tolist() == [0.5, 0.0, 0.0]
+    assert chain_alphas(math.log(2.0), 3, 1e6).tolist() == [0.5, 0.0, 0.0]
+
+
+def test_closed_form_matches_forward_recursion():
+    # the chain in exponential form, stepped level by level with exp(mu_c)
+    for ell, mu_c, beta1 in [(2, 0.3, 0.9), (4, 0.05, 2.0), (7, 0.01, 0.5), (3, 2.0, 5.5)]:
+        expected = [-math.expm1(-beta1)]
+        prev = math.exp(-beta1)  # (1 - alpha_{m-1})^(m-1)
+        for m in range(2, ell + 1):
+            base = math.exp(mu_c) * prev
+            expected.append(max(1.0 - base ** (1.0 / m), 0.0))
+            prev = base
+        got = chain_alphas(beta1, ell, mu_c)
+        assert got.tolist() == pytest.approx(expected, abs=1e-15)
+        assert chain_alphas_at(beta1, ell, mu_c) == pytest.approx(expected, abs=1e-15)
+
+
+def test_chain_alphas_is_vectorised():
+    betas = np.array([[0.0, 0.5], [3.0, 40.0]])
+    got = chain_alphas(betas, 4, 1.0)
+    assert got.shape == (2, 2, 4)
+    for idx in np.ndindex(betas.shape):
+        assert got[idx].tolist() == pytest.approx(chain_alphas_at(betas[idx], 4, 1.0),
+                                                  abs=1e-16)
+    assert got[0, 0].tolist() == [0.0, 0.0, 0.0, 0.0]
+    # numpy's expm1 and math.expm1 may differ in the last bit
+    rng = np.random.default_rng(5)
+    for ell, mu_c in [(2, 0.01), (5, 1.0), (7, 30.0)]:
+        betas = rng.uniform(0.0, (ell - 1) * mu_c + 40.0, 500)
+        scalar = [chain_alphas_at(float(b), ell, mu_c) for b in betas]
+        np.testing.assert_allclose(chain_alphas(betas, ell, mu_c), scalar, rtol=2**-51, atol=0)
+    # levels fill exactly once beta_1 passes (m - 1) * mu_c
+    assert (got[1, 0] > 0).tolist() == [True, True, True, False]
+
+
+def test_infinite_chain_offset():
+    # shift * straggling can overflow to inf while both factors are finite;
+    # 0 * inf must not reach the formula, and only the first level can fill
+    mu_c = 1e200 * 1e200
+    assert mu_c == math.inf
+    assert chain_alphas(math.log(2.0), 3, mu_c).tolist() == [0.5, 0.0, 0.0]
+    assert chain_alphas_at(math.log(2.0), 3, mu_c) == [0.5, 0.0, 0.0]
+    split = solve_levels(3, 0.2, mu_c)
+    assert split.alphas == (pytest.approx(0.6, abs=1e-15), 0.0, 0.0)
+    assert not any(math.isnan(a) for a in split.alphas)
+    with pytest.raises(Infeasible):
+        solve_levels(3, 0.5, mu_c)
+
+
+def test_second_level_past_first_level_resolution():
+    # mu_c = 28.2: level 2 opens only at 1 - alpha_1 = exp(-28.2) ~ 5.6e-13,
+    # finer than a double alpha_1 resolves near 1
+    mu_c = 9.4 * 3.0
+    split = solve_levels(4, 117 / 448, mu_c)
+    assert split.alphas[2:] == (0.0, 0.0)
+    assert 0.0 < split.alphas[1] < 0.1
+    assert abs(sum(split.alphas) - 4 * 117 / 448) <= 1e-12
+    assert all(abs(r) <= bound for r, bound in chain_residuals(split, mu_c))

@@ -14,7 +14,8 @@ from coded_aoi import (
     refine_discrete,
     service_moments,
 )
-from coded_aoi.levels import chain_residuals, solve_levels
+from coded_aoi.levels import chain_alphas, solve_levels
+from levels_reference import chain_residuals
 from coded_aoi.schemes import MDS, MultiMDS, Repetition
 
 
@@ -59,6 +60,44 @@ def test_lambert_domain_errors():
     for x in (-0.5, 0.0, 0.1, -1.0):
         with pytest.raises(ValueError):
             lambert_w_m1(x)
+
+
+def log_form_bisection(y):
+    """Root w <= -1 of w + log(-w) = -y by plain bisection (left side increasing)."""
+    lo, hi = -2.0 * y - 1.0, -1.0
+    for _ in range(2000):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if mid + math.log(-mid) + y > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_lambert_relative_accuracy_near_zero():
+    # |x| far below 1e-13: an absolute residual test on w*exp(w) would pass
+    # any w here, so check the log form to relative precision
+    for y in (20.0, 31.0, 101.0, 701.0):
+        x = -math.exp(-y)
+        w = lambert_w_m1(x)
+        assert w + math.log(-w) == pytest.approx(math.log(-x), rel=1e-15)
+        assert w == pytest.approx(log_form_bisection(y), rel=1e-15)
+
+
+@pytest.mark.parametrize("cm", [20.0, 28.0, 30.0, 100.0, 700.0, 1e4])
+def test_opt_mds_alpha_at_large_shift_times_straggling(cm):
+    # -exp(-cm - 1) loses relative accuracy (cm >= 20) and then underflows
+    # (cm >= 745); the log form w + log(-w) = -(cm + 1) holds throughout
+    r = opt_mds(SystemParams(1.0, cm, 1.0, 100))
+    expected = 1.0 + 1.0 / log_form_bisection(cm + 1.0)
+    assert r.alpha_star == pytest.approx(expected, rel=1e-14)
+    assert r.delta_star == age_of(MDS(r.k_star), SystemParams(1.0, cm, 1.0, 100)).delta
+
+
+def test_opt_mds_at_thirty_alpha_value():
+    assert opt_mds(params(c=30.0, mu=1.0)).alpha_star == pytest.approx(0.971050, abs=5e-7)
 
 
 def test_opt_repetition_reference_points():
@@ -116,8 +155,38 @@ def test_opt_mm_mds_k_grows_with_pool():
 def test_opt_mm_mds_three_levels_satisfies_chain():
     r = opt_mm_mds(params(mu=1.0), 3)
     split = solve_levels(3, r.k_star / 300, 1.0)
-    for resid in chain_residuals(split, 1.0):
+    for resid, _ in chain_residuals(split, 1.0):
         assert abs(resid) < 1e-10
+
+
+@pytest.mark.parametrize("c, mu, load", [(20.0, 1.0, 2), (10.0, 10.0, 3), (1.0, 1.0, 3)])
+def test_opt_mm_mds_continuous_optimum_matches_dense_scan(c, mu, load):
+    # at c * mu = 20 and 100 the optimum needs 1 - a1 below 1e-9, past the
+    # end of a grid over a1 alone; a dense scan over beta finds it
+    r = opt_mm_mds(SystemParams(1.0, c, mu, 1000), load, objective="service")
+    mu_c = c * mu
+    beta = np.linspace(1e-6, (load - 1) * mu_c + 40.0 * load, 400_001)
+    alpha = chain_alphas(beta, load, mu_c).sum(axis=1) / load
+    objective = (c + beta / mu) / alpha
+    best = int(np.argmin(objective))
+    assert r.continuous_objective * 1000 * load == pytest.approx(objective[best], rel=1e-9)
+    assert r.alpha_star == pytest.approx(alpha[best], abs=1e-4)
+
+
+@pytest.mark.parametrize("c, mu, load, n", [(20.0, 1.0, 2, 200), (10.0, 10.0, 3, 100)])
+def test_opt_mm_mds_k_matches_full_sweep_at_large_shift_times_straggling(c, mu, load, n):
+    p = SystemParams(1.0, c, mu, n)
+    r = opt_mm_mds(p, load, objective="service")
+    es = {k: service_moments(MultiMDS(k, load), p).es for k in range(1, n * load)}
+    assert r.k_star == min(es, key=lambda k: (es[k], k))
+
+
+def test_opt_mm_mds_where_bisection_on_alpha1_failed():
+    # c * mu = 2: the optimum sits at k = n*load - 1 with every level nearly full
+    r = opt_mm_mds(SystemParams(1.0, 1.0, 2.0, 1000), 5)
+    assert 1 <= r.k_star <= 4999
+    assert sum(r.levels) == r.k_star
+    assert r.delta_star == age_of(MultiMDS(r.k_star, 5), SystemParams(1.0, 1.0, 2.0, 1000)).delta
 
 
 def test_refine_discrete_synthetic():

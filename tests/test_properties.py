@@ -11,17 +11,18 @@ from numpy.random import Generator, PCG64  # noqa: E402
 from coded_aoi import (  # noqa: E402
     MDS,
     DegenerateLevels,
-    Infeasible,
+    LevelSplit,
     MultiMDS,
-    NoConvergence,
     Repetition,
     SystemParams,
     Uncoded,
     age_of,
     sample_service_batch,
     service_moments,
+    solve_levels,
 )
 from coded_aoi import cli  # noqa: E402
+from levels_reference import chain_residuals  # noqa: E402
 
 # Few examples keep the module to about a second.  derandomize fixes the
 # examples, so a run is repeatable; a wider search is one edit of max_examples.
@@ -56,13 +57,30 @@ def test_age_is_finite_and_above_two_over_rate(point):
     scheme, p = point
     try:
         delta = age_of(scheme, p).delta
-    except (DegenerateLevels, Infeasible, NoConvergence):
-        # a multi-message level split that is empty, unreachable or unsolved
-        # has no age; the CLI reports these as numerical failures (exit 3)
+    except DegenerateLevels:
+        # a multi-message split whose first level rounds to no subtask has
+        # no age; the CLI reports it as a numerical failure (exit 3)
         assert isinstance(scheme, MultiMDS)
         return
     assert math.isfinite(delta)
     assert delta >= 2 / p.arrival_rate
+
+
+@FEW
+@given(st.integers(1, 7),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(1e-3, 1e4))
+def test_level_split_solves_the_chain(ell, alpha, mu_c):
+    a = solve_levels(ell, alpha, mu_c).alphas
+    assert len(a) == ell
+    assert abs(sum(a) - ell * alpha) <= 1e-10
+    assert all(x >= y for x, y in zip(a, a[1:]))
+    assert all(0.0 <= x <= 1.0 for x in a)
+    # zeros trail: once a level is empty every deeper one is
+    assert all(y == 0.0 for x, y in zip(a, a[1:]) if x == 0.0)
+    assert a[0] > 0.0
+    for r, bound in chain_residuals(LevelSplit(a), mu_c):
+        assert abs(r) <= bound
 
 
 @FEW
