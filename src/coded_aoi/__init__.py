@@ -10,16 +10,7 @@ __version__ = "0.1.0"
 from .age import AgeResult, age_from_moments, age_of
 from .levels import Infeasible, InconsistentK, LevelSplit, NoConvergence, level_counts, solve_levels
 from .optimize import OptResult, lambert_w_m1, opt_mds, opt_mm_mds, opt_repetition, refine_discrete
-from .order_stats import (
-    ShiftedExp,
-    gen_harmonic2,
-    harmonic,
-    os_mean,
-    os_second_moment,
-    os_var,
-    sample,
-    sample_kth_of_n,
-)
+from .order_stats import ShiftedExp, gen_harmonic2, harmonic, os_mean, os_second_moment, os_var
 from .schemes import (
     MDS,
     DegenerateLevels,
@@ -33,7 +24,7 @@ from .schemes import (
     sample_service_batch,
     service_moments,
 )
-from .simulate import InsufficientCycles, SimReport, jackknife_ci, run, run_parallel
+from .simulate import InsufficientCycles, SimReport, run, run_parallel
 
 __all__ = [
     "AgeResult", "age_from_moments", "age_of",
@@ -41,10 +32,9 @@ __all__ = [
     "level_counts", "solve_levels",
     "OptResult", "lambert_w_m1", "opt_mds", "opt_mm_mds", "opt_repetition",
     "refine_discrete",
-    "ShiftedExp", "gen_harmonic2", "harmonic", "os_mean", "os_second_moment",
-    "os_var", "sample", "sample_kth_of_n",
+    "ShiftedExp", "gen_harmonic2", "harmonic", "os_mean", "os_second_moment", "os_var",
     "MDS", "DegenerateLevels", "MultiMDS", "Repetition", "Scheme",
     "ServiceMoments", "SystemParams", "Uncoded", "mm_level_split",
     "sample_service_batch", "service_moments",
-    "InsufficientCycles", "SimReport", "jackknife_ci", "run", "run_parallel",
+    "InsufficientCycles", "SimReport", "run", "run_parallel",
 ]

@@ -14,6 +14,7 @@ this one expression evaluated at its service moments.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .schemes import Scheme, ServiceMoments, SystemParams, service_moments
@@ -32,12 +33,17 @@ def age_from_moments(arrival_rate: float, m: ServiceMoments) -> float:
     """Average age for a service time with moments m under the given arrival rate."""
     lam = arrival_rate
     ey = m.es + 1.0 / lam
-    ey2 = m.es2 + 2.0 * m.es / lam + 2.0 / lam**2
+    ey2 = m.es2 + 2.0 * m.es / lam + 2.0 / lam / lam
     return 1.0 / lam + m.es + ey2 / (2.0 * ey)
 
 
 def age_of(scheme: Scheme, params: SystemParams) -> AgeResult:
-    """Average age of the given scheme, with its service moments."""
+    """Average age of the given scheme, with its service moments; raises
+    OverflowError when a double cannot hold the age or a moment behind it."""
     m = service_moments(scheme, params)
-    return AgeResult(age_from_moments(params.arrival_rate, m), m.es, m.es2, scheme, params)
+    delta = age_from_moments(params.arrival_rate, m)
+    if not math.isfinite(delta):
+        raise OverflowError(f"age of {scheme} overflows a double "
+                            f"(E[S]={m.es:.6g}, E[S^2]={m.es2:.6g})")
+    return AgeResult(delta, m.es, m.es2, scheme, params)
 

@@ -1,7 +1,7 @@
 """Command-line front end: point evaluations, optimization, simulation, sweeps.
 
 Exit codes: 0 success, 2 usage error (a named invariant is violated),
-3 numerical failure from the solvers.
+3 numerical failure from the solvers or a result that overflows a double.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from .schemes import (
     SystemParams,
     Uncoded,
     mm_level_split,
+    validate,
 )
 from .simulate import run_parallel
 
@@ -328,7 +329,7 @@ def cmd_sweep(args) -> int:
     if args.cycles is not None:
         for (scheme, params), row, row_seed in zip(points, rows, row_seeds):
             try:
-                scheme.check(params, sampling=True)
+                validate(scheme, params, sampling=True)
             except ValueError:
                 continue  # analytic-only row
             rep = run_parallel(scheme, params, args.cycles, reps, int(row_seed))
@@ -366,7 +367,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (Infeasible, NoConvergence, DegenerateLevels) as e:
+    except (Infeasible, NoConvergence, DegenerateLevels, OverflowError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 

@@ -104,7 +104,7 @@ def opt_repetition(params: SystemParams, objective: str = "age") -> OptResult:
     integers 1..n against the exact age (objective="age", default) or the
     mean service time (objective="service").
     """
-    cm = params.shift * params.straggling
+    cm = params.mu_c
     alpha = 1.0 if cm >= 1.0 else cm
     n = params.nworkers
     seed = _clamp(round(alpha * n), 1, n)
@@ -120,9 +120,13 @@ def opt_mds(params: SystemParams, objective: str = "age",
 
     Continuous optimum: alpha = 1 + 1/W_{-1}(-exp(-mu*c - 1)) = u/(1 + u)
     with u - log1p(u) = mu*c, which holds at any mu*c; refined over
-    integers 1..n-1 against the exact age (or mean service time).
+    integers 1..n-1 against the exact age (or mean service time).  Raises
+    OverflowError when shift*straggling overflows a double.
     """
-    cm = params.shift * params.straggling
+    cm = params.mu_c
+    if math.isinf(cm):
+        raise OverflowError(f"mds optimization: shift*straggling = {params.shift:g}*"
+                            f"{params.straggling:g} overflows a double")
     alpha = 1.0 / (1.0 + 1.0 / _branch_excess(cm))
     n = params.nworkers
     if n < 2:
@@ -154,7 +158,7 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age",
     """
     if load < 1:
         raise ValueError(f"load must be >= 1, got {load}")
-    mu_c = params.shift * params.straggling
+    mu_c = params.mu_c
 
     def alpha_of(beta: float) -> float:  # summed in numpy's order, as on the grid
         return float(np.sum(chain_alphas_at(beta, load, mu_c))) / load

@@ -4,68 +4,73 @@ The completion time of a worker computing a 1/m share of a task follows a
 shifted exponential: dividing a ``ShiftedExp(shift, rate)`` workload into m
 equal pieces speeds each piece up to ``ShiftedExp(shift/m, m*rate)``.  The
 time until the k-th fastest of n such workers finishes is an order
-statistic whose mean and variance have closed forms in terms of harmonic
-numbers, computed here exactly (direct summation, memoized).
+statistic whose mean and variance are sums of 1/j and 1/j^2 over
+j = n-k+1..n.  These take O(1) time and memory at any n, within a few 1e-16
+relative error: the Euler-Maclaurin expansions of the digamma and trigamma
+functions (Abramowitz & Stegun 6.3.18, 6.4.12) give all but the first terms.
 """
 from __future__ import annotations
 
 import math
-import threading
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 PI2_OVER_6 = math.pi**2 / 6
 
-# Prefix tables for the (generalized) harmonic sums, grown on demand: row 0
-# holds H_n = sum 1/j, row 1 holds sum 1/j^2.  np.cumsum adds strictly left
-# to right, so every entry is the float a sequential loop gives and values
-# never depend on the sizes the table grew through.  The table is replaced,
-# never written in place, so readers need no lock.
-_lock = threading.Lock()
-_tables = np.zeros((2, 1))
+# Terms 1/j**order with j <= _DIRECT are summed directly; above it the
+# expansion's first omitted term is below 1e-17 of the sum.
+_DIRECT = 32
+_RECIPROCALS = {p: tuple(1 / j**p for j in range(1, _DIRECT + 1)) for p in (1, 2)}
+# psi(x+1) = log(x) + 1/(2x) - sum_i B_2i/(2i x**2i) and psi'(x+1) = 1/x -
+# 1/(2x**2) + sum_i B_2i/x**(2i+1): the coefficients of the sums over the
+# Bernoulli numbers B_2..B_10, highest power first, for Horner's rule.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)
+_SERIES = {1: [b / (2 * i) for i, b in enumerate(_BERNOULLI, 1)][::-1], 2: _BERNOULLI[::-1]}
 
 
-def _prefix(row: int, n: int) -> float:
-    tables = _tables
-    if n >= tables.shape[1]:
-        tables = _extend(n)
-    return float(tables[row, n])
+def _tail(n: int, m: int, order: int) -> float:
+    """Sum of 1/j**order over m < j <= n, for n > m >= _DIRECT.
+
+    This is psi(n + 1) - psi(m + 1) for order 1 and psi'(m + 1) - psi'(n + 1)
+    for order 2.  Their leading terms enter as correctly rounded ratios of
+    integers, log(n/m) as log1p((n - m)/m), so nothing cancels; the Bernoulli
+    sums are below 1/(12 m) of the result, so their rounding is negligible.
+    """
+    d, nm, um, un = n - m, n * m, 1 / m, 1 / n
+    sm = sn = 0.0
+    for coef in _SERIES[order]:
+        sm, sn = sm * um * um + coef, sn * un * un + coef
+    series = sm * um ** (order + 1) - sn * un ** (order + 1)
+    if order == 1:
+        return math.log1p(d / m) - d / (2 * nm) + series
+    return d / nm - d * (n + m) / (2 * nm * nm) + series
 
 
-def _extend(n: int) -> np.ndarray:
-    global _tables
-    with _lock:
-        old = _tables
-        size = old.shape[1]
-        if n < size:
-            return old
-        top = max(n + 1, 2 * size)
-        j = np.arange(size, top, dtype=float)
-        new = np.empty((2, top))
-        new[:, :size] = old
-        new[0, size:] = 1.0 / j
-        new[1, size:] = 1.0 / (j * j)
-        np.cumsum(new[:, size - 1:], axis=1, out=new[:, size - 1:])
-        _tables = new
-        return new
+def _power_sum(name: str, order: int, n: int, m: int) -> float:
+    n, m = operator.index(n), operator.index(m)
+    if not 0 <= m <= n:
+        raise ValueError(f"{name} requires 0 <= m <= n, got n={n}, m={m}")
+    direct = _RECIPROCALS[order][m:n]  # j = m+1..min(n, _DIRECT)
+    tail = (_tail(n, max(m, _DIRECT), order),) if n > max(m, _DIRECT) else ()
+    return math.fsum(direct + tail)
 
 
-def harmonic(n: int) -> float:
-    """Return the n-th harmonic number, sum of 1/j for j = 1..n (0 for n = 0)."""
-    if n < 0:
-        raise ValueError(f"harmonic requires n >= 0, got {n}")
-    return _prefix(0, n)
+def harmonic(n: int, m: int = 0) -> float:
+    """Return the sum of 1/j for j = m+1..n, the harmonic number H_n - H_m.
+
+    0 for n = m; H_n for the default m = 0.  O(1) time and memory at any n.
+    """
+    return _power_sum("harmonic", 1, n, m)
 
 
-def gen_harmonic2(n: int) -> float:
-    """Return the generalized harmonic number of order 2, sum of 1/j^2 for j = 1..n.
+def gen_harmonic2(n: int, m: int = 0) -> float:
+    """Return the sum of 1/j^2 for j = m+1..n (order-2 harmonic numbers).
 
     Nondecreasing in n and bounded above by pi^2/6.
     """
-    if n < 0:
-        raise ValueError(f"gen_harmonic2 requires n >= 0, got {n}")
-    return _prefix(1, n)
+    return _power_sum("gen_harmonic2", 2, n, m)
 
 
 @dataclass(frozen=True)
@@ -104,13 +109,13 @@ def _check_order(n: int, k: int) -> None:
 def os_mean(d: ShiftedExp, n: int, k: int) -> float:
     """Mean of the k-th smallest of n i.i.d. draws from d."""
     _check_order(n, k)
-    return d.shift + (harmonic(n) - harmonic(n - k)) / d.rate
+    return d.shift + harmonic(n, n - k) / d.rate
 
 
 def os_var(d: ShiftedExp, n: int, k: int) -> float:
     """Variance of the k-th smallest of n i.i.d. draws from d (shift drops out)."""
     _check_order(n, k)
-    return (gen_harmonic2(n) - gen_harmonic2(n - k)) / d.rate**2
+    return gen_harmonic2(n, n - k) / d.rate / d.rate
 
 
 def os_second_moment(d: ShiftedExp, n: int, k: int) -> float:
@@ -123,21 +128,3 @@ def sample_batch(d: ShiftedExp, rng: np.random.Generator,
                  size: "int | tuple[int, ...]") -> np.ndarray:
     """Draw ``size`` i.i.d. values from d by inverse CDF (see ShiftedExp.quantile)."""
     return d.quantile(rng.random(size))
-
-
-def sample(d: ShiftedExp, rng: np.random.Generator) -> float:
-    """Draw one value from d."""
-    return float(sample_batch(d, rng, 1)[0])
-
-
-def sample_kth_of_n(d: ShiftedExp, n: int, k: int, rng: np.random.Generator) -> float:
-    """Draw n i.i.d. values from d and return the k-th smallest.
-
-    Uses introselect on the uniforms, expected O(n), then transforms only the
-    selected one; the inverse CDF is monotone, so this is the k-th smallest
-    draw.  Ties have probability zero and are broken arbitrarily.
-    """
-    _check_order(n, k)
-    u = rng.random(n)
-    u.partition(k - 1)
-    return float(d.quantile(u[k - 1]))

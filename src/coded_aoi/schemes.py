@@ -43,6 +43,11 @@ from .order_stats import (
 )
 
 
+# Largest n*load a service time may be sampled at: the sampler holds at
+# least one row of that many worker draws (128 MiB of doubles at the limit).
+MAX_SAMPLE_DRAWS = 1 << 24
+
+
 class DegenerateLevels(Exception):
     """The level split leaves the first level empty (k too small for the load)."""
 
@@ -79,6 +84,12 @@ class SystemParams:
         _require_int("nworkers", self.nworkers)
         if self.nworkers < 1:
             raise ValueError(f"nworkers must be >= 1, got {self.nworkers}")
+
+    @property
+    def mu_c(self) -> float:
+        """shift * straggling; if that underflows to 0, which the level solver
+        rejects, the smallest subnormal, which gives the same split."""
+        return self.shift * self.straggling or math.ulp(0.0)
 
     def whole_task(self) -> ShiftedExp:
         """Runtime distribution of the entire task on a single worker."""
@@ -210,12 +221,17 @@ def validate(scheme: Scheme, params: SystemParams, sampling: bool = False) -> No
     """Check scheme parameters against the worker pool; raise ValueError if bad.
 
     With sampling=True the repetition scheme additionally requires k to
-    divide n (the replica groups must be equal); the analytic moments are
-    defined for any 1 <= k <= n.
+    divide n (the replica groups must be equal), and no scheme may need more
+    than MAX_SAMPLE_DRAWS worker draws per service time; the analytic moments
+    are defined at any n.
     """
     if not isinstance(scheme, Scheme):
         raise TypeError(f"unknown scheme {scheme!r}")
     scheme.check(params, sampling)
+    draws = params.nworkers * scheme.load
+    if sampling and draws > MAX_SAMPLE_DRAWS:
+        raise ValueError(f"{scheme.label} sampling: n*load = {draws} worker draws per "
+                         f"service time exceed the limit of {MAX_SAMPLE_DRAWS}")
 
 
 def mm_level_split(params: SystemParams, k: int, load: int) -> tuple[int, LevelSplit]:
@@ -227,7 +243,7 @@ def mm_level_split(params: SystemParams, k: int, load: int) -> tuple[int, LevelS
     """
     validate(MultiMDS(k, load), params)
     alpha = k / (params.nworkers * load)
-    split = solve_levels(load, alpha, params.shift * params.straggling)
+    split = solve_levels(load, alpha, params.mu_c)
     k1 = round(split.alphas[0] * params.nworkers)
     if k1 == 0:
         raise DegenerateLevels(

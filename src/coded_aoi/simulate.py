@@ -234,7 +234,7 @@ def _simulate_rep(scheme: Scheme, params: SystemParams, rng: Generator,
     )
 
 
-# The batch-means and jackknife intervals need one Student-t quantile,
+# The batch-means interval needs one Student-t quantile,
 # t_{0.975}(df) for an integer df >= 1.
 _T_LEVEL = 0.975
 _T_NORMAL = statistics.NormalDist().inv_cdf(_T_LEVEL)
@@ -304,18 +304,6 @@ def batch_means_ci(area_batches: np.ndarray, time_batches: np.ndarray) -> float:
     nb = len(area_batches)
     ratios = area_batches / time_batches
     return float(_t_quantile(nb - 1) * ratios.std(ddof=1) / math.sqrt(nb))
-
-
-def jackknife_ci(area_batches: np.ndarray, time_batches: np.ndarray) -> float:
-    """95% half-width for the ratio estimator by leave-one-batch-out jackknife.
-
-    Cross-check for batch_means_ci; both should give comparable widths.
-    """
-    nb = len(area_batches)
-    a_tot, t_tot = area_batches.sum(), time_batches.sum()
-    loo = (a_tot - area_batches) / (t_tot - time_batches)
-    se = math.sqrt((nb - 1) / nb * ((loo - loo.mean()) ** 2).sum())
-    return float(_t_quantile(nb - 1) * se)
 
 
 def _root_seq(seed: SeedLike) -> SeedSequence:

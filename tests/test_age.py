@@ -176,3 +176,11 @@ def test_multi_message_age_with_second_level_past_alpha1_resolution():
     delta = age_of(MultiMDS(117, 4), SystemParams(1, 9.4, 3.0, 112)).delta
     assert math.isfinite(delta)
     assert delta >= 2.0
+
+
+def test_age_that_overflows_a_double_raises():
+    # 2/lambda^2 and E[S^2] ~ (c/n)^2 are beyond double range
+    with pytest.raises(OverflowError, match="overflows a double"):
+        age_of(Uncoded(), SystemParams(1e-200, 1.0, 1.0, 10))
+    with pytest.raises(OverflowError, match="overflows a double"):
+        age_of(MDS(5), SystemParams(1.0, 1e200, 1.0, 10))

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from coded_aoi import MDS, SystemParams, Uncoded, age_of, opt_mds
+from coded_aoi import MDS, SystemParams, Uncoded, age_of, opt_mds, schemes
 from coded_aoi.cli import main
 
 
@@ -351,3 +351,65 @@ def test_optimize_at_large_shift_times_straggling_exits_0(capsys, argv):
     assert code == 0, err
     assert err == ""
     assert float(value_of(out, "delta_star")) >= 2.0
+
+
+@pytest.mark.parametrize("c, mu", [("1e200", "1e200"), ("1e-200", "1e-200")],
+                         ids=["overflow", "underflow"])
+def test_optimize_at_extreme_straggling_exits_3_in_one_line(capsys, c, mu):
+    # c * mu overflows to inf, or underflows to 0 and the age to inf: no
+    # double holds the answer, which is a numerical failure, not a usage error
+    code, out, err = run_cli(capsys, "optimize", "--family", "mds", "--n", "100",
+                             "--lambda", "1", "--c", c, "--mu", mu)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--family", "rep"],
+    ["optimize", "--family", "mm-mds", "--l", "3"],
+    ["age", "--scheme", "mm-mds", "--l", "2", "--k", "100"],
+], ids=["rep", "mm-mds", "age-mm-mds"])
+def test_shift_times_straggling_underflow_exits_0(capsys, argv):
+    # c * mu = 1e-400 rounds to 0, although the ages are finite
+    code, out, err = run_cli(capsys, *argv, "--n", "100", "--lambda", "1",
+                             "--c", "1e-300", "--mu", "1e-100")
+    assert code == 0, err
+    numbers = [float(t.split("=", 1)[1]) for t in out.split()
+               if t.split("=", 1)[0] in ("age", "delta_star")]
+    assert numbers and all(math.isfinite(x) for x in numbers)
+
+
+def test_age_at_vanishing_arrival_rate_exits_3(capsys):
+    # 2/lambda^2 overflows: one line on stderr, no ZeroDivisionError traceback
+    code, _, err = run_cli(capsys, "age", "--scheme", "uncoded", "--n", "10",
+                           "--lambda", "1e-200", "--c", "1", "--mu", "1")
+    assert code == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def test_simulate_above_the_sampling_limit_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", 1000)
+    code, _, err = run_cli(capsys, "simulate", "--scheme", "mm-mds", "--k", "900", "--l", "2",
+                           "--n", "600", "--lambda", "1", "--c", "1", "--mu", "1",
+                           "--cycles", "100", "--seed", "1")
+    assert code == 2
+    assert "n*load = 1200" in err and "limit of 1000" in err
+    code, _, err = run_cli(capsys, "simulate", "--scheme", "mds", "--k", "900", "--n", "2000",
+                           "--lambda", "1", "--c", "1", "--mu", "1",
+                           "--cycles", "100", "--seed", "1")
+    assert code == 2
+    assert "limit of 1000" in err
+
+
+def test_sweep_rows_above_the_sampling_limit_are_analytic_only(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", 1000)
+    out_path = tmp_path / "n.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--scheme", "mds", "--k", "50", "--n-range",
+                         "500:2000:1500", "--lambda", "1", "--c", "1", "--mu", "1",
+                         "--seed", "1", "--cycles", "60", "--out", str(out_path))
+    assert code == 0
+    rows = read_rows(out_path)
+    assert [r["n"] for r in rows] == ["500", "2000"]
+    assert rows[0]["age_sim_mean"] != "" and rows[1]["age_sim_mean"] == ""
+    assert all(r["age_analytic"] != "" for r in rows)

@@ -1,7 +1,10 @@
-"""Order-statistic moments against direct-summation and Monte Carlo oracles."""
+"""Order-statistic moments against exact-sum and Monte Carlo oracles."""
 import math
+import random
 import sys
 import threading
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,11 +17,9 @@ from coded_aoi import (
     os_mean,
     os_second_moment,
     os_var,
-    sample,
-    sample_kth_of_n,
 )
-from coded_aoi import order_stats
-from coded_aoi.order_stats import PI2_OVER_6, sample_batch
+from coded_aoi import MDS, MultiMDS, Repetition, SystemParams, Uncoded, age_of
+from coded_aoi.order_stats import _DIRECT, PI2_OVER_6, _check_order, sample_batch
 
 
 def rng(seed):
@@ -37,40 +38,107 @@ class FixedUniform:
         return self.values.reshape(size)
 
 
+def sample(d, rng):
+    """Draw one value from d."""
+    return float(sample_batch(d, rng, 1)[0])
+
+
+def sample_kth_of_n(d, n, k, rng):
+    """Draw n i.i.d. values from d and return the k-th smallest.
+
+    Introselect on the uniforms, then one inverse-CDF transform: the inverse
+    CDF is monotone, so this is the k-th smallest draw.
+    """
+    _check_order(n, k)
+    u = rng.random(n)
+    u.partition(k - 1)
+    return float(d.quantile(u[k - 1]))
+
+
+def exact_sum(lo, hi, order):
+    """Sum of 1/j**order for lo <= j < hi as an unreduced (p, q), by binary splitting."""
+    if hi - lo == 1:
+        return 1, lo**order
+    mid = (lo + hi) // 2
+    a, b = exact_sum(lo, mid, order)
+    c, d = exact_sum(mid, hi, order)
+    return a * d + c * b, b * d
+
+
+def rel_error(value, exact):
+    """|value - p/q| / (p/q) for exact = (p, q) with p > 0, in exact arithmetic."""
+    p, q = exact
+    v = Fraction(value)
+    return Fraction(abs(v.numerator * q - p * v.denominator), p * v.denominator)
+
+
+SUMS = ((harmonic, 1), (gen_harmonic2, 2))
+
+
 def test_harmonic_matches_direct_summation():
     for n in (1, 2, 7, 100, 1234):
-        assert harmonic(n) == sum(1.0 / j for j in range(1, n + 1))
+        for fn, order in SUMS:
+            assert rel_error(fn(n), exact_sum(1, n + 1, order)) <= 1e-15, (fn.__name__, n)
     assert harmonic(0) == 0.0
     assert harmonic(2) == 1.5
+    assert harmonic(7, 7) == gen_harmonic2(40, 40) == 0.0
     # frozen from the summation oracle
     assert harmonic(100) == pytest.approx(5.187377517639621, abs=1e-14)
-
-
-def sequential_sums(top):
-    """Reference prefix sums (H_n, H_n^(2)) for n = 0..top by a plain loop."""
-    h1 = h2 = 0.0
-    out = [(0.0, 0.0)]
-    for j in range(1, top + 1):
-        h1 += 1.0 / j
-        h2 += 1.0 / (j * j)
-        out.append((h1, h2))
-    return out
-
-
-def test_harmonic_tables_grown_in_steps_equal_sequential_sums(monkeypatch):
-    monkeypatch.setattr(order_stats, "_tables", np.zeros((2, 1)))
-    harmonic(1000)
-    gen_harmonic2(5000)
-    for n, (h1, h2) in enumerate(sequential_sums(5000)):
-        assert harmonic(n) == h1
-        assert gen_harmonic2(n) == h2
     assert type(harmonic(5000)) is float
-    assert type(gen_harmonic2(5000)) is float
+    assert type(gen_harmonic2(5000, 17)) is float
 
 
-def test_harmonic_tables_grown_by_racing_threads(monkeypatch):
-    monkeypatch.setattr(order_stats, "_tables", np.zeros((2, 1)))
-    expected = sequential_sums(20_000)
+def test_harmonic_sums_match_exact_sums_for_small_n():
+    # every range below 100, which crosses the direct/expansion cutoff
+    prefix = {order: [Fraction(0)] for _, order in SUMS}
+    for j in range(1, 101):
+        for order, p in prefix.items():
+            p.append(p[-1] + Fraction(1, j**order))
+    for n in range(1, 101):
+        for m in range(n):
+            for fn, order in SUMS:
+                exact = prefix[order][n] - prefix[order][m]
+                err = abs(Fraction(fn(n, m)) - exact) / exact
+                assert err <= 1e-15, (fn.__name__, n, m, float(err))
+
+
+def test_harmonic_sums_match_exact_sums_at_sampled_ranges():
+    rng = random.Random(7)
+    ns = [rng.randrange(2, 20_001) for _ in range(12)]
+    pairs = [(n, rng.randrange(n)) for n in ns]
+    # the whole range, its last term, and ranges on each side of the cutoff
+    pairs += [(20_000, 0), (20_000, 19_999), (_DIRECT + 1, _DIRECT), (_DIRECT + 1, _DIRECT - 1),
+              (_DIRECT, _DIRECT - 1), (5 * _DIRECT, _DIRECT // 2)]
+    for n, m in pairs:
+        for fn, order in SUMS:
+            err = rel_error(fn(n, m), exact_sum(m + 1, n + 1, order))
+            assert err <= 1e-15, (fn.__name__, n, m, float(err))
+
+
+@pytest.mark.parametrize("n", [10**7, 10**9, 10**12])
+def test_last_term_at_huge_n_within_two_ulps(n):
+    # a difference of prefix sums would keep only about 16 - log10(n) digits
+    assert abs(harmonic(n, n - 1) - 1 / n) <= 2 * math.ulp(1 / n)
+    assert abs(gen_harmonic2(n, n - 1) - 1 / n**2) <= 2 * math.ulp(1 / n**2)
+
+
+def test_age_at_a_billion_workers_needs_no_table():
+    tracemalloc.start()
+    try:
+        res = age_of(Uncoded(), SystemParams(1, 1, 1, 10**9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert math.isfinite(res.delta)
+    for scheme in (Repetition(10**8), MDS(7 * 10**8), MultiMDS(2 * 10**9, 3)):
+        assert math.isfinite(age_of(scheme, SystemParams(1, 1, 1, 10**9)).delta)
+
+
+def test_harmonic_sums_from_racing_threads():
+    # the sums are pure functions, so concurrent callers see the same floats
+    ns = [n for offset in range(6) for n in range(offset, 20_001, 997)]
+    expected = {n: (harmonic(n), gen_harmonic2(n)) for n in ns}
     mismatches = []
 
     def reader(offset):
@@ -97,6 +165,10 @@ def test_harmonic_rejects_negative():
         harmonic(-1)
     with pytest.raises(ValueError):
         gen_harmonic2(-3)
+    with pytest.raises(ValueError):
+        harmonic(3, 4)
+    with pytest.raises(ValueError):
+        gen_harmonic2(5, -1)
 
 
 def test_gen_harmonic2_values_and_bound():

@@ -1,5 +1,7 @@
 """Invariants of the analytic and sampling paths over generated valid inputs."""
 import argparse
+import contextlib
+import io
 import math
 
 import pytest
@@ -107,3 +109,83 @@ def test_cli_labels_round_trip(label):
     assert type(scheme) is cli._SCHEMES[label]
     assert scheme.label == label
     assert cli._build_scheme(argparse.Namespace(scheme=scheme.label, k=3, load=2)) == scheme
+
+
+# The CLI's exit-code contract: 0, 2 (usage) or 3 (numerical failure), never
+# a traceback, with finite numbers on success and one line on failure.
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def exit_code_and_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse rejects the flags
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(argv):
+    code, out, err = exit_code_and_output(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    if code == 0:
+        numbers = [float(t.split("=", 1)[1]) for t in out.split()
+                   if "=" in t and t.split("=", 1)[0] in ("age", "es", "es2", "delta_star",
+                                                          "alpha_star", "es_continuous")]
+        assert numbers and all(math.isfinite(x) for x in numbers), (argv, out)
+    elif code == 3:
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, (argv, err)
+
+
+@st.composite
+def rates_argv(draw, lo=1e-3, hi=1e3, mu_c_max=1e4):
+    """--lambda/--c/--mu, each in [lo, hi] but with c*mu in [1e-4, mu_c_max]
+    unless mu_c_max is None."""
+    lam, c = draw(log_uniform(lo, hi)), draw(log_uniform(lo, hi))
+    mu = draw(log_uniform(lo, hi)) if mu_c_max is None else draw(log_uniform(1e-4, mu_c_max)) / c
+    return ["--lambda", repr(lam), "--c", repr(c), "--mu", repr(mu)]
+
+
+@st.composite
+def age_argv(draw, rates=rates_argv()):
+    label = draw(st.sampled_from(sorted(cli._SCHEMES)))
+    n = draw(st.one_of(st.integers(1, 200), st.integers(1, 10**9)))
+    load = draw(st.integers(1, 6))
+    k = draw(st.one_of(st.integers(1, min(n, 50)), st.integers(-1, n * load + 1)))
+    return ["age", "--scheme", label, "--n", str(n), "--k", str(k), "--l", str(load),
+            *draw(rates)]
+
+
+@st.composite
+def optimize_argv(draw, rates=rates_argv()):
+    family = draw(st.sampled_from(["rep", "mds", "mm-mds"]))
+    argv = ["optimize", "--family", family, "--n", str(draw(st.integers(1, 10**4))),
+            *draw(rates)]
+    if family == "mm-mds":
+        argv += ["--l", str(draw(st.integers(1, 5)))]
+    return argv + ["--objective", draw(st.sampled_from(["age", "service"]))]
+
+
+EXTREME = rates_argv(1e-300, 1e300, None)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(age_argv())
+def test_age_cli_keeps_exit_code_contract(argv):
+    assert_contract(argv)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(optimize_argv())
+def test_optimize_cli_keeps_exit_code_contract(argv):
+    assert_contract(argv)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.one_of(age_argv(EXTREME), optimize_argv(EXTREME)))
+def test_cli_keeps_exit_code_contract_at_extreme_rates(argv):
+    # shift, straggling and arrival rate anywhere in 1e-300..1e300: their
+    # products and squares overflow or underflow
+    assert_contract(argv)

@@ -17,7 +17,6 @@ from coded_aoi import (
     SystemParams,
     Uncoded,
     age_of,
-    jackknife_ci,
     run,
     run_parallel,
     service_moments,
@@ -151,6 +150,18 @@ def test_simulated_age_tracks_analytic_quickly():
         expected = {Uncoded: 2.0637534065120195, MDS: 2.0317836502582427}[type(scheme)]
         r = run(scheme, p, 100_000, seed=33)
         assert abs(r.mean_age - expected) / expected < 0.01
+
+
+def jackknife_ci(area_batches, time_batches):
+    """95% half-width for the ratio estimator by leave-one-batch-out jackknife.
+
+    A reference for batch_means_ci; both should give comparable widths.
+    """
+    nb = len(area_batches)
+    a_tot, t_tot = area_batches.sum(), time_batches.sum()
+    loo = (a_tot - area_batches) / (t_tot - time_batches)
+    se = math.sqrt((nb - 1) / nb * ((loo - loo.mean()) ** 2).sum())
+    return float(_t_quantile(nb - 1) * se)
 
 
 def test_jackknife_matches_batch_means_scale():
