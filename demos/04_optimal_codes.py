@@ -1,8 +1,9 @@
 """Closed-form optimal code parameters, and why they need integer refinement.
 
 For a large pool, minimizing age is the same as minimizing the mean
-service time.  That gives the repetition fraction min(1, shift*straggling)
-in closed form, and the MDS fraction through the lower Lambert W branch.
+service time.  That gives the repetition fraction shift*straggling, clamped
+to [1/n, 1], in closed form, and the MDS fraction through the lower Lambert
+W branch.
 Both are continuous answers; the integer argmin can sit one step away, so
 the optimizers re-check the exact age around the rounded seed.
 """
@@ -13,7 +14,7 @@ from coded_aoi import MDS, SystemParams, age_of, lambert_w_m1, opt_mds, opt_repe
 for mu in (1.0, 0.5):
     p = SystemParams(1.0, 1.0, mu, 100)
     rep = opt_repetition(p)
-    mds = opt_mds(p, full_sweep=True)  # full sweep cross-checks the descent
+    mds = opt_mds(p)
     print(f"straggling rate mu = {mu}:")
     print(f"  repetition: alpha* = {rep.alpha_star:.4f} -> k* = {rep.k_star}, "
           f"age {rep.delta_star:.5f}")

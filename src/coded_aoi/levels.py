@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 CHAIN_TOL = 1e-10
+MAX_ITER = 100  # newton_root's evaluation cap
 
 
 class Infeasible(Exception):
@@ -83,23 +85,46 @@ def chain_alphas_at(beta1: float, load: int, mu_c: float) -> list[float]:
     return out
 
 
-def solve_levels(ell: int, alpha: float, mu_c: float, max_iter: int = 100) -> LevelSplit:
+def newton_root(fn: Callable[[float], tuple[float, float]], lo: float,
+                hi: float) -> tuple[float, float]:
+    """Root in [lo, hi] of fn, negative left of it and positive right, by
+    Newton steps from lo; fn(x) is (value, slope).  Each evaluation narrows
+    the bracket, and a step that leaves it bisects.  Returns the evaluated
+    (x, value) with the smallest |value|.
+    """
+    x, best, best_val = lo, lo, math.inf
+    for _ in range(MAX_ITER):
+        val, slope = fn(x)
+        if abs(val) < abs(best_val):
+            best, best_val = x, val
+        if val == 0.0:
+            break
+        lo, hi = (x, hi) if val < 0.0 else (lo, x)
+        newton = x - val / slope if slope > 0.0 else math.nan
+        if newton == x:  # the step is below one ulp of x
+            break
+        x = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if not lo < x < hi:  # no double left inside the bracket
+            break
+    return best, best_val
+
+
+def solve_levels(ell: int, alpha: float, mu_c: float) -> LevelSplit:
     """Solve for the level fractions alpha_1..alpha_ell.
 
     The level sum is continuous and increasing in beta_1, and reaches
     ell * alpha by beta_1 = (ell - 1) * mu_c - ell * log1p(-alpha), where
     every level is at least alpha.  The bracket is narrowed to the piece
     between two level starts that holds the root; the sum is smooth and
-    concave there, and Newton steps with its exact slope, the sum of
+    concave there, and newton_root's steps with its exact slope, the sum of
     exp(-x_m / m) / m = (1 - alpha_m) / m, rise onto the root from the
-    piece's left end.  A step that leaves the bracket bisects instead.
+    piece's left end.
 
     Args:
         ell: number of subtasks queued per worker (levels), >= 1.
         alpha: target per-level average fraction, in (0, 1).
         mu_c: product of straggling rate and shift of the whole-task
             runtime; the chain offset between consecutive levels.
-        max_iter: iteration cap.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
@@ -121,27 +146,16 @@ def solve_levels(ell: int, alpha: float, mu_c: float, max_iter: int = 100) -> Le
     if filled == 1:  # the first level alone: alpha_1 = ell * alpha exactly
         return LevelSplit((target,) + (0.0,) * (ell - 1))
 
-    beta, best, best_resid = lo, [], math.inf
-    for _ in range(max_iter):
+    def residual(beta: float) -> tuple[float, float]:
         a = chain_alphas_at(beta, ell, mu_c)
-        resid = math.fsum(a) - target
-        if abs(resid) < abs(best_resid):
-            best, best_resid = a, resid
-        if resid == 0.0:
-            break
-        lo, hi = (beta, hi) if resid < 0.0 else (lo, beta)
-        slope = sum((1.0 - a[m - 1]) / m for m in range(1, filled + 1))
-        newton = beta - resid / slope if slope > 0.0 else math.nan
-        if newton == beta:  # the step is below one ulp of beta
-            break
-        beta = newton if lo < newton < hi else 0.5 * (lo + hi)
-        if not lo < beta < hi:  # no double left inside the bracket
-            break
-    if not abs(best_resid) <= CHAIN_TOL:
+        return math.fsum(a) - target, sum((1.0 - a[m - 1]) / m for m in range(1, filled + 1))
+
+    beta, resid = newton_root(residual, lo, hi)
+    if not abs(resid) <= CHAIN_TOL:
         raise NoConvergence(
-            f"level solver residual {abs(best_resid):.3e} above {CHAIN_TOL} "
+            f"level solver residual {abs(resid):.3e} above {CHAIN_TOL} "
             f"at ell={ell}, alpha={alpha}, mu_c={mu_c}")
-    return LevelSplit(tuple(best))
+    return LevelSplit(tuple(chain_alphas_at(beta, ell, mu_c)))
 
 
 def level_counts(split: LevelSplit, n: int, k: int) -> list[int]:

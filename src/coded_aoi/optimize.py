@@ -2,10 +2,12 @@
 
 For a large pool, minimizing the average age is equivalent to minimizing
 the mean service time, which yields closed-form optima for the repetition
-fraction (min(1, shift*straggling)) and the MDS fraction (via the lower
-branch of the Lambert W function, solved in log form).  The multi-message
-problem has no closed form and is searched numerically over the first
-level's log-gap.  All continuous optima are refined against the exact
+fraction (shift*straggling, clamped to [1/n, 1]) and the MDS fraction (via
+the lower branch of the Lambert W function, solved in log form).  The
+multi-message optimum has no closed form, but its objective, a function of
+the first level's log-gap, has at most one stationary point between two
+consecutive level starts; each is solved by a bracketed Newton iteration and
+the best one is kept.  All continuous optima are refined against the exact
 integer-k age, since rounding the continuous solution can land one step off
 the true argmin.
 """
@@ -18,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .age import age_of
-from .levels import chain_alphas, chain_alphas_at, level_counts, solve_levels
+from .levels import chain_alphas, chain_alphas_at, level_counts, newton_root, solve_levels
 from .schemes import MDS, MultiMDS, Repetition, Scheme, SystemParams, service_moments
 
 _BRANCH_POINT = -math.exp(-1.0)
@@ -62,12 +64,8 @@ def _branch_excess(d: float) -> float:
 
 
 def refine_discrete(age_fn: Callable[[int], float], k_seed: int,
-                    k_min: int, k_max: int, verify_full_sweep: bool = False) -> int:
-    """Integer argmin by hill descent from k_seed; ties move toward smaller k.
-
-    With verify_full_sweep=True the full range is also scanned and the two
-    answers must agree (test mode).
-    """
+                    k_min: int, k_max: int) -> int:
+    """Integer argmin by hill descent from k_seed; ties move toward smaller k."""
     if not k_min <= k_seed <= k_max:
         raise ValueError(f"need k_min <= k_seed <= k_max, got {k_min}, {k_seed}, {k_max}")
     cache: dict[int, float] = {}
@@ -84,12 +82,6 @@ def refine_discrete(age_fn: Callable[[int], float], k_seed: int,
     else:
         while k < k_max and f(k + 1) < f(k):
             k += 1
-
-    if verify_full_sweep:
-        sweep = min(range(k_min, k_max + 1), key=lambda j: (f(j), j))
-        if sweep != k:
-            raise AssertionError(
-                f"hill descent found k={k} but full sweep found k={sweep}")
     return k
 
 
@@ -100,13 +92,13 @@ def _clamp(k: int, lo: int, hi: int) -> int:
 def opt_repetition(params: SystemParams, objective: str = "age") -> OptResult:
     """Optimal subpacket count for the repetition scheme.
 
-    Continuous optimum: fraction min(1, shift*straggling); refined over all
-    integers 1..n against the exact age (objective="age", default) or the
-    mean service time (objective="service").
+    Continuous optimum: fraction shift*straggling clamped to [1/n, 1], since
+    at least one subpacket is sent; refined over all integers 1..n against
+    the exact age (objective="age", default) or the mean service time
+    (objective="service").
     """
-    cm = params.mu_c
-    alpha = 1.0 if cm >= 1.0 else cm
     n = params.nworkers
+    alpha = min(max(params.mu_c, 1.0 / n), 1.0)
     seed = _clamp(round(alpha * n), 1, n)
     fn = _objective_fn(params, Repetition, objective)
     k_star = refine_discrete(fn, seed, 1, n)
@@ -114,8 +106,7 @@ def opt_repetition(params: SystemParams, objective: str = "age") -> OptResult:
     return OptResult(k_star, alpha, age_of(Repetition(k_star), params).delta, es_cont)
 
 
-def opt_mds(params: SystemParams, objective: str = "age",
-            full_sweep: bool = False) -> OptResult:
+def opt_mds(params: SystemParams, objective: str = "age") -> OptResult:
     """Optimal k for the MDS scheme.
 
     Continuous optimum: alpha = 1 + 1/W_{-1}(-exp(-mu*c - 1)) = u/(1 + u)
@@ -133,67 +124,75 @@ def opt_mds(params: SystemParams, objective: str = "age",
         raise ValueError("mds optimization needs at least 2 workers")
     seed = _clamp(round(alpha * n), 1, n - 1)
     fn = _objective_fn(params, MDS, objective)
-    k_star = refine_discrete(fn, seed, 1, n - 1, verify_full_sweep=full_sweep)
+    k_star = refine_discrete(fn, seed, 1, n - 1)
     es_cont = params.shift / (alpha * n) - math.log1p(-alpha) / (params.straggling * alpha * n)
     return OptResult(k_star, alpha, age_of(MDS(k_star), params).delta, es_cont)
 
 
-def opt_mm_mds(params: SystemParams, load: int, objective: str = "age",
-               grid_points: int = 10_000) -> OptResult:
+def opt_mm_mds(params: SystemParams, load: int, objective: str = "age") -> OptResult:
     """Optimal k for the multi-message MDS scheme with the given load.
 
-    The constrained problem collapses to one dimension: the first level's
-    log-gap beta = -log(1 - a1) fixes every level (levels.chain_alphas),
-    hence the average fraction alpha(beta) and the (scaled) mean service time
-
-        (shift + beta / straggling) / alpha(beta).
-
-    Grid segment m sweeps level m's own fraction over grid_points values in
-    (0, 1), which puts beta at (m - 1)*shift*straggling + m*b for the grid's
-    log-gaps b; it keeps the points past the end of segment m - 1, where the
-    earlier levels are full.  Segment 1 is a uniform grid over a1.  One
-    chain_alphas call evaluates the grid, golden-section search over the
-    best segment's fraction refines it to 1e-8, and the integer k is refined
-    against the exact age.
+    The first level's log-gap beta = -log(1 - a1) fixes every level
+    (levels.chain_alphas), hence the level sum A(beta) = load * alpha and the
+    scaled mean service time (shift + beta / straggling) / alpha, whose slope
+    has the sign of G = A - (mu_c + beta) * A'.  Between two level starts A is
+    concave, so G' = (mu_c + beta) * sum((1 - a_m) / m^2) > 0: each such
+    piece holds at most one local minimum, at the root of G.  The smallest
+    objective over these roots is the continuous optimum; k is then refined
+    against the exact age.  OverflowError: no piece has a finite root.
     """
     if load < 1:
         raise ValueError(f"load must be >= 1, got {load}")
     mu_c = params.mu_c
-
-    def alpha_of(beta: float) -> float:  # summed in numpy's order, as on the grid
-        return float(np.sum(chain_alphas_at(beta, load, mu_c))) / load
-
-    def cont(beta: float) -> float:
-        alpha = alpha_of(beta)
-        return params.shift / alpha + beta / (params.straggling * alpha)
-
-    eps = 1e-9
-    step = (1.0 - 2 * eps) / (grid_points - 1)
-    fractions = eps + np.arange(grid_points) * step
-    starts = np.zeros(load)
-    starts[1:] = np.arange(1, load) * mu_c
-    segments = starts[:, None] - np.arange(1, load + 1)[:, None] * np.log1p(-fractions)
-    ends = np.concatenate(([-np.inf], segments[:-1, -1]))
-    seg, idx = np.nonzero((segments > ends[:, None]) & np.isfinite(segments))
-    beta = segments[seg, idx]
+    beta = np.array(_piece_roots(load, mu_c))
+    if not beta.size:
+        raise OverflowError(f"mm-mds optimization: no finite optimum at shift*straggling = "
+                            f"{params.shift:g}*{params.straggling:g}")
     alpha = chain_alphas(beta, load, mu_c).sum(axis=1) / load
-    best = int(np.argmin(params.shift / alpha + beta / (params.straggling * alpha)))
-    m, i = int(seg[best]), int(idx[best])
-
-    def beta_of(x: float) -> float:  # segment m at fraction x of level m + 1
-        return float(starts[m]) - (m + 1) * math.log1p(-x)
-
-    lo, hi = float(fractions[max(i - 1, 0)]), float(fractions[min(i + 1, grid_points - 1)])
-    beta1 = beta_of(_golden_section(lambda x: cont(beta_of(x)), lo, hi, tol=1e-8))
-    alpha = alpha_of(beta1)
+    cont = params.shift / alpha + beta / (params.straggling * alpha)
+    best = int(np.argmin(cont))
+    alpha_star = float(alpha[best])
     n, kmax = params.nworkers, params.nworkers * load - 1
-    seed = _clamp(round(alpha * n * load), 1, kmax)
+    seed = _clamp(round(alpha_star * n * load), 1, kmax)
     fn = _objective_fn(params, lambda k: MultiMDS(k, load), objective)
     k_star = refine_discrete(fn, seed, 1, kmax)
     split = solve_levels(load, k_star / (n * load), mu_c)
     counts = tuple(level_counts(split, n, k_star))
-    return OptResult(k_star, alpha, age_of(MultiMDS(k_star, load), params).delta,
-                     cont(beta1) / (n * load), levels=counts)
+    return OptResult(k_star, alpha_star, age_of(MultiMDS(k_star, load), params).delta,
+                     float(cont[best]) / (n * load), levels=counts)
+
+
+def _piece_roots(load: int, mu_c: float) -> list[float]:
+    """The root of G (see opt_mm_mds) on each piece where G changes sign.
+
+    Piece p starts at (p - 1) * mu_c.  Past that start every 1 - a_m is at
+    most E = exp(-y / p), y = beta - (p - 1) * mu_c, so with H = sum(1/m) over
+    m <= p, G >= p - E * (p + (p * mu_c + y) * H), which is positive once
+    y / p = log(2 + 2 * H * mu_c) + 2 * log(4 * H); that point, or p * mu_c if
+    sooner, closes the bracket.  Newton runs on log(A) - log((mu_c + beta) * A'),
+    which has G's sign and is nearly linear where the newest level is nearly full.
+    """
+    roots, harmonic = [], 0.0
+    for p in range(1, load + 1):
+        def h(beta: float, p: int = p) -> tuple[float, float]:
+            a = chain_alphas_at(beta, load, mu_c)
+            total, weight = math.fsum(a), mu_c + beta
+            d1 = sum((1.0 - a[m - 1]) / m for m in range(1, p + 1))
+            d2 = sum((1.0 - a[m - 1]) / (m * m) for m in range(1, p + 1))
+            if not (total > 0.0 and d1 > 0.0):  # G = -weight * d1 or G = total
+                return (math.inf if total > 0.0 else -math.inf), math.inf
+            return (math.log(total) - math.log(weight) - math.log(d1),
+                    d1 / total - 1.0 / weight + d2 / d1)
+
+        harmonic += 1.0 / p
+        lo = (p - 1) * mu_c if p > 1 else 0.0
+        # that bound, as log(32 H^3) + log(mu_c + 1/H) so that nothing overflows
+        hi = lo + p * (math.log(32.0 * harmonic**3) + math.log(mu_c + 1.0 / harmonic))
+        if p < load:
+            hi = min(hi, p * mu_c)
+        if math.isfinite(hi) and h(lo)[0] < 0.0 < h(hi)[0]:
+            roots.append(newton_root(h, lo, hi)[0])
+    return roots
 
 
 def _objective_fn(params: SystemParams, make: Callable[[int], Scheme],
@@ -204,22 +203,3 @@ def _objective_fn(params: SystemParams, make: Callable[[int], Scheme],
     if objective == "age":
         return lambda k: age_of(make(k), params).delta
     return lambda k: service_moments(make(k), params).es
-
-
-def _golden_section(fn: Callable[[float], float], lo: float, hi: float,
-                    tol: float) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)

@@ -108,6 +108,15 @@ def test_opt_repetition_reference_points():
     assert r.alpha_star == 0.5
 
 
+def test_opt_repetition_continuous_fraction_sends_one_subpacket():
+    # c * mu = 1e-6 is below 1/n: the large-pool formula needs alpha * n >= 1
+    r = opt_repetition(params(c=1e-3, mu=1e-3))
+    assert r.alpha_star == 0.01
+    assert r.continuous_objective == pytest.approx(1e-3, rel=1e-12)
+    assert r.continuous_objective >= 0.0
+    assert r.k_star == 1
+
+
 def test_opt_repetition_against_exhaustive_sweep():
     p = params(c=2.0, mu=0.25, n=1000)
     r = opt_repetition(p)
@@ -117,12 +126,17 @@ def test_opt_repetition_against_exhaustive_sweep():
     assert r.delta_star == age_of(Repetition(r.k_star), p).delta
 
 
+def sweep_argmin(fn, k_min, k_max):
+    """Brute-force integer argmin, ties to the smaller k."""
+    return min(range(k_min, k_max + 1), key=lambda k: (fn(k), k))
+
+
 def test_opt_mds_reference_points():
-    r1 = opt_mds(params(mu=1.0), full_sweep=True)
-    assert r1.k_star == 69
+    r1 = opt_mds(params(mu=1.0))
+    assert r1.k_star == 69 == sweep_argmin(lambda k: age_of(MDS(k), params(mu=1.0)).delta, 1, 99)
     assert r1.alpha_star == pytest.approx(0.6821555671006273, abs=1e-9)
-    r2 = opt_mds(params(mu=0.5), full_sweep=True)
-    assert r2.k_star == 58
+    r2 = opt_mds(params(mu=0.5))
+    assert r2.k_star == 58 == sweep_argmin(lambda k: age_of(MDS(k), params(mu=0.5)).delta, 1, 99)
     assert r2.delta_star == age_of(MDS(58), params(mu=0.5)).delta
 
 
@@ -140,7 +154,7 @@ def test_opt_mm_mds_single_load_reduces_to_mds():
 
 def test_opt_mm_mds_two_loads_reference():
     r = opt_mm_mds(params(mu=1.0), 2)
-    # frozen: grid+golden over the first-level fraction, refined on exact age
+    # frozen: stationary point in the first level's log-gap, refined on exact age
     assert r.k_star == 129
     assert r.levels is not None
     assert sum(r.levels) == r.k_star
@@ -159,10 +173,12 @@ def test_opt_mm_mds_three_levels_satisfies_chain():
         assert abs(resid) < 1e-10
 
 
-@pytest.mark.parametrize("c, mu, load", [(20.0, 1.0, 2), (10.0, 10.0, 3), (1.0, 1.0, 3)])
+@pytest.mark.parametrize("c, mu, load", [(20.0, 1.0, 2), (10.0, 10.0, 3), (1.0, 1.0, 3),
+                                          (1.0, 3.0, 4)])
 def test_opt_mm_mds_continuous_optimum_matches_dense_scan(c, mu, load):
     # at c * mu = 20 and 100 the optimum needs 1 - a1 below 1e-9, past the
-    # end of a grid over a1 alone; a dense scan over beta finds it
+    # end of a grid over a1 alone; at c * mu = 3, load = 4 it lies on the
+    # fourth level's piece; a dense scan over beta finds both
     r = opt_mm_mds(SystemParams(1.0, c, mu, 1000), load, objective="service")
     mu_c = c * mu
     beta = np.linspace(1e-6, (load - 1) * mu_c + 40.0 * load, 400_001)
@@ -179,6 +195,17 @@ def test_opt_mm_mds_k_matches_full_sweep_at_large_shift_times_straggling(c, mu, 
     r = opt_mm_mds(p, load, objective="service")
     es = {k: service_moments(MultiMDS(k, load), p).es for k in range(1, n * load)}
     assert r.k_star == min(es, key=lambda k: (es[k], k))
+
+
+def test_opt_mm_mds_optimum_on_the_last_level_piece():
+    # the minimum is the stationary point on the piece where all four levels
+    # fill (beta > 3 * c * mu); a grid over a1 that dropped the points between
+    # the later pieces reported the third piece's optimum scaled by 3/4
+    r = opt_mm_mds(params(c=1.0, mu=3.0), 4)
+    assert r.alpha_star == pytest.approx(0.793190, abs=1e-6)
+    assert r.continuous_objective * 100 * 4 == pytest.approx(0.0146456855443 * 400, rel=1e-9)
+    assert r.k_star == 399
+    assert r.levels == (100, 100, 100, 99)
 
 
 def test_opt_mm_mds_where_bisection_on_alpha1_failed():
@@ -200,14 +227,7 @@ def test_refine_discrete_synthetic():
 def test_refine_discrete_full_sweep_agreement_on_age():
     p = params(mu=1.0)
     fn = lambda k: age_of(MDS(k), p).delta
-    assert refine_discrete(fn, 68, 1, 99, verify_full_sweep=True) == 69
-
-
-def test_refine_discrete_full_sweep_detects_strays():
-    bumpy = {3: 0.0, 7: -1.0}
-    fn = lambda k: bumpy.get(k, float(k))
-    with pytest.raises(AssertionError):
-        refine_discrete(fn, 1, 1, 10, verify_full_sweep=True)
+    assert refine_discrete(fn, 68, 1, 99) == 69 == sweep_argmin(fn, 1, 99)
 
 
 def test_age_and_service_argmins_agree_at_large_n():

@@ -2,12 +2,16 @@
 import argparse
 import contextlib
 import io
+import json
 import math
+import os
+import tempfile
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+import numpy as np  # noqa: E402
 from numpy.random import Generator, PCG64  # noqa: E402
 
 from coded_aoi import (  # noqa: E402
@@ -19,11 +23,13 @@ from coded_aoi import (  # noqa: E402
     SystemParams,
     Uncoded,
     age_of,
+    opt_mm_mds,
     sample_service_batch,
     service_moments,
     solve_levels,
 )
 from coded_aoi import cli  # noqa: E402
+from coded_aoi.levels import chain_alphas  # noqa: E402
 from levels_reference import chain_residuals  # noqa: E402
 
 # Few examples keep the module to about a second.  derandomize fixes the
@@ -102,6 +108,20 @@ def test_single_load_multi_message_is_mds(p, data):
     assert a.tobytes() == b.tobytes()
 
 
+@FEW
+@given(st.integers(1, 5), st.floats(math.log(1e-3), math.log(1e3)), st.floats(0.1, 10.0))
+def test_mm_continuous_optimum_is_below_a_dense_scan(load, log_mu_c, c):
+    mu_c = math.exp(log_mu_c)
+    p = SystemParams(1.0, c, mu_c / c, 100)
+    r = opt_mm_mds(p, load, objective="service")
+    mu_c = p.mu_c
+    beta = np.concatenate([np.geomspace(1e-9, 1.0, 20_001),
+                           np.linspace(1.0, (load - 1) * mu_c + 40.0 * load, 200_001)])
+    alpha = chain_alphas(beta, load, mu_c).sum(axis=1) / load
+    scan = float(np.min((p.shift + beta / p.straggling) / alpha))
+    assert r.continuous_objective * p.nworkers * load <= scan * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("label", list(cli._SCHEMES))
 def test_cli_labels_round_trip(label):
     args = cli._build_parser().parse_args(["age", "--scheme", label, "--k", "3", "--l", "2"])
@@ -128,15 +148,18 @@ def exit_code_and_output(argv):
 
 
 def assert_contract(argv):
-    code, out, err = exit_code_and_output(argv)
-    assert code in (0, 2, 3), (argv, code, err)
+    assert_outcome(argv, *exit_code_and_output(argv))
+
+
+def assert_outcome(what, code, out, err):
+    assert code in (0, 2, 3), (what, code, err)
     if code == 0:
         numbers = [float(t.split("=", 1)[1]) for t in out.split()
                    if "=" in t and t.split("=", 1)[0] in ("age", "es", "es2", "delta_star",
                                                           "alpha_star", "es_continuous")]
-        assert numbers and all(math.isfinite(x) for x in numbers), (argv, out)
+        assert numbers and all(math.isfinite(x) for x in numbers), (what, out)
     elif code == 3:
-        assert err.startswith("numerical failure: ") and err.count("\n") == 1, (argv, err)
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, (what, err)
 
 
 @st.composite
@@ -189,3 +212,50 @@ def test_cli_keeps_exit_code_contract_at_extreme_rates(argv):
     # shift, straggling and arrival rate anywhere in 1e-300..1e300: their
     # products and squares overflow or underflow
     assert_contract(argv)
+
+
+# --config values go through each flag's own parser: any JSON value, valid or
+# not, must give exit 0, 2 or 3 with one line of error and no traceback.
+def junk():
+    return st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan]),
+                     st.integers(-3, 1000), st.text(max_size=6), st.booleans(), st.none(),
+                     st.lists(st.integers(0, 9), max_size=2))
+
+
+RATE = log_uniform(1e-2, 1e2)
+CONFIG_FLAGS = {
+    "age": {"lambda": RATE, "c": RATE, "mu": RATE, "n": st.integers(1, 200),
+            "scheme": st.sampled_from(sorted(cli._SCHEMES)), "k": st.integers(1, 50),
+            "l": st.integers(1, 4)},
+    "optimize": {"lambda": RATE, "c": RATE, "mu": RATE, "n": st.integers(1, 200),
+                 "family": st.sampled_from(sorted(cli._OPTIMIZERS)), "l": st.integers(1, 5),
+                 "objective": st.sampled_from(["age", "service"])},
+}
+
+
+@st.composite
+def configs(draw):
+    """(command, config): every flag valid except up to two, junk or left out."""
+    command = draw(st.sampled_from(sorted(CONFIG_FLAGS)))
+    flags = CONFIG_FLAGS[command]
+    broken = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    config = {key: draw(junk() if key in broken else valid) for key, valid in flags.items()}
+    for key in draw(st.sets(st.sampled_from(sorted(broken)))) if broken else ():
+        del config[key]
+    return command, config
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(configs())
+def test_config_values_keep_exit_code_contract(config):
+    command, values = config
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(values, fh)  # inf and nan are written as Infinity and NaN
+        code, out, err = exit_code_and_output([command, "--config", path])
+    finally:
+        os.unlink(path)
+    assert_outcome(values, code, out, err)
+    if code == 2:  # no argparse usage block: the error comes from the config
+        assert err.startswith("error: ") and err.count("\n") == 1, (values, err)
