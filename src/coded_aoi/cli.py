@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -29,7 +31,7 @@ from .schemes import (
     mm_level_split,
     validate,
 )
-from .simulate import run_parallel
+from .simulate import SimReport, run_parallel
 
 _SCHEMES = {cls.label: cls for cls in (Uncoded, Repetition, MDS, MultiMDS)}
 
@@ -64,6 +66,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Built on first use and kept: parsing never mutates a parser, and nothing
+# adds to one after it is built, so every call in the process shares it.
+@functools.cache
 def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="coded-aoi", exit_on_error=exit_on_error)
     top.add_argument("--version", action="version", version=__version__)
@@ -213,6 +218,19 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _simulate(scheme: Scheme, params: SystemParams, cycles: int, reps: int, seed: int,
+              **kwargs) -> SimReport:
+    """run_parallel, with a report that a double cannot hold raised as OverflowError."""
+    with np.errstate(all="ignore"):  # the check below reports what overflowed
+        rep = run_parallel(scheme, params, cycles, reps, seed, **kwargs)
+    values = (rep.mean_age, rep.ci95_halfwidth, rep.empirical_es, rep.empirical_es2,
+              rep.empirical_ed, rep.empirical_ez)
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"simulated age of {scheme} overflows a double "
+                            f"(mean_age={rep.mean_age:.6g}, E[S^2]={rep.empirical_es2:.6g})")
+    return rep
+
+
 def cmd_simulate(args) -> int:
     params = _params(args)
     scheme = _build_scheme(args)
@@ -221,7 +239,7 @@ def cmd_simulate(args) -> int:
     reps = 1 if args.reps is None else args.reps
     mode = (args.mode or "fast").replace("-", "_")
     policy = args.policy or "zero-wait"
-    rep = run_parallel(scheme, params, cycles, reps, seed, mode=mode, policy=policy)
+    rep = _simulate(scheme, params, cycles, reps, seed, mode=mode, policy=policy)
     print(f"scheme={scheme.label} mode={mode} policy={policy} "
           f"cycles={rep.cycles} reps={reps} seed={rep.seed}")
     parts = [f"mean_age={_fmt(rep.mean_age)}", f"ci95={_fmt(rep.ci95_halfwidth)}",
@@ -260,9 +278,10 @@ def _row(scheme: Scheme, params: SystemParams) -> dict:
         "es2": _fmt(res.es2),
         "age_analytic": _fmt(res.delta),
     })
-    values = asdict(scheme)
-    row["k"] = values.get("k", "")
-    if "load" in values:
+    names = [f.name for f in fields(scheme)]  # load is a class constant unless a field
+    if "k" in names:
+        row["k"] = scheme.k
+    if "load" in names:
         row["l"] = scheme.load
         row["k1"] = mm_level_split(params, scheme.k, scheme.load)[0]
     return row
@@ -332,7 +351,7 @@ def cmd_sweep(args) -> int:
                 validate(scheme, params, sampling=True)
             except ValueError:
                 continue  # analytic-only row
-            rep = run_parallel(scheme, params, args.cycles, reps, int(row_seed))
+            rep = _simulate(scheme, params, args.cycles, reps, int(row_seed))
             row["age_sim_mean"] = _fmt(rep.mean_age)
             row["age_sim_ci95"] = _fmt(rep.ci95_halfwidth)
 

@@ -24,6 +24,7 @@ simulation 2.0347 +- 0.0216 at 2 x 20k cycles).
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -109,13 +110,33 @@ def newton_root(fn: Callable[[float], tuple[float, float]], lo: float,
     return best, best_val
 
 
+def _level_piece(ell: int, mu_c: float, target: float,
+                 hi: float) -> tuple[int, float, float]:
+    """(filled, lo, hi): the levels active on the piece of (0, hi) that holds
+    the root, and the piece's ends.
+
+    The piece ends at the first start p * mu_c, p < ell, whose level sum
+    reaches target, or at hi if none below hi does.  The sum in floats
+    never decreases as beta_1 grows, so that p is found by bisection.
+    """
+    def ends_piece(p: int) -> bool:
+        return not p * mu_c < hi or math.fsum(chain_alphas_at(p * mu_c, ell, mu_c)) >= target
+
+    filled = bisect.bisect_left(range(1, ell), True, key=ends_piece) + 1
+    lo = (filled - 1) * mu_c if filled > 1 else 0.0
+    if filled < ell and filled * mu_c < hi:
+        hi = filled * mu_c
+    return filled, lo, hi
+
+
 def solve_levels(ell: int, alpha: float, mu_c: float) -> LevelSplit:
     """Solve for the level fractions alpha_1..alpha_ell.
 
     The level sum is continuous and increasing in beta_1, and reaches
     ell * alpha by beta_1 = (ell - 1) * mu_c - ell * log1p(-alpha), where
-    every level is at least alpha.  The bracket is narrowed to the piece
-    between two level starts that holds the root; the sum is smooth and
+    every level is at least alpha.  The bracket is narrowed, by bisection
+    over the level starts, to the piece between two starts that holds the
+    root, so the cost is O(ell * log(ell)); the sum is smooth and
     concave there, and newton_root's steps with its exact slope, the sum of
     exp(-x_m / m) / m = (1 - alpha_m) / m, rise onto the root from the
     piece's left end.
@@ -133,16 +154,11 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> LevelSplit:
     if not mu_c > 0:
         raise ValueError(f"mu_c must be > 0, got {mu_c}")
     target = ell * alpha
-    lo, hi = 0.0, (ell - 1) * mu_c - ell * math.log1p(-alpha)
+    hi = (ell - 1) * mu_c - ell * math.log1p(-alpha)
     if not math.isfinite(hi) and target >= 1.0:
         raise Infeasible(
             f"total fraction {target} not reachable with {ell} levels at mu_c={mu_c}")
-    filled = 1  # levels that fill inside the bracket
-    while filled < ell and filled * mu_c < hi:
-        if math.fsum(chain_alphas_at(filled * mu_c, ell, mu_c)) >= target:
-            hi = filled * mu_c
-            break
-        lo, filled = filled * mu_c, filled + 1
+    filled, lo, hi = _level_piece(ell, mu_c, target, hi)
     if filled == 1:  # the first level alone: alpha_1 = ell * alpha exactly
         return LevelSplit((target,) + (0.0,) * (ell - 1))
 

@@ -38,7 +38,7 @@ from .levels import LevelSplit, solve_levels
 from .order_stats import (
     ShiftedExp,
     os_mean,
-    os_second_moment,
+    os_var,
     sample_batch,
 )
 
@@ -261,7 +261,8 @@ def service_order_stat(scheme: Scheme, params: SystemParams) -> tuple[ShiftedExp
 def service_moments(scheme: Scheme, params: SystemParams) -> ServiceMoments:
     """Exact (E[S], E[S^2]) of the scheme's service time."""
     d, n, k = service_order_stat(scheme, params)
-    return ServiceMoments(os_mean(d, n, k), os_second_moment(d, n, k))
+    m = os_mean(d, n, k)
+    return ServiceMoments(m, m * m + os_var(d, n, k))
 
 
 def sample_service_batch(scheme: Scheme, params: SystemParams,

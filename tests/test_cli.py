@@ -1,10 +1,15 @@
 """CLI surface: commands, exit codes, CSV format, config file, determinism."""
+import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import coded_aoi
 from coded_aoi import MDS, SystemParams, Uncoded, age_of, opt_mds, schemes
 from coded_aoi.cli import main
 
@@ -413,3 +418,73 @@ def test_sweep_rows_above_the_sampling_limit_are_analytic_only(tmp_path, monkeyp
     assert [r["n"] for r in rows] == ["500", "2000"]
     assert rows[0]["age_sim_mean"] != "" and rows[1]["age_sim_mean"] == ""
     assert all(r["age_analytic"] != "" for r in rows)
+
+
+def test_simulate_overflowing_age_exits_3_in_one_line(capsys):
+    # cycle lengths near 1e200 square to areas past the largest double
+    code, out, err = run_cli(capsys, "simulate", "--scheme", "uncoded", "--n", "3",
+                             "--lambda", "1e-200", "--c", "1", "--mu", "1",
+                             "--cycles", "100", "--seed", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: simulated age of Uncoded() overflows")
+    assert err.count("\n") == 1
+
+
+UNIT = ["--lambda", "1", "--c", "1", "--mu", "1"]
+
+
+def test_repeated_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # one parser serves every call, so an error in one call must leave nothing
+    # behind for the next
+    (tmp_path / "bad.json").write_text(json.dumps({"n": "abc", "scheme": "mds", "k": 3}))
+    calls = [
+        ["age", "--scheme", "mds", "--n", "x"] + UNIT,   # argparse usage error
+        ["age", "--config", "bad.json"] + UNIT,          # the config parser rejects --n
+        ["age", "--scheme", "mm-mds", "--n", "100", "--k", "129", "--l", "2"] + UNIT,
+        ["optimize", "--family", "mm-mds", "--n", "100", "--l", "3"] + UNIT,
+        ["sweep", "--scheme", "mds", "--n", "20", "--k-range", "1:19:3", "--seed", "3",
+         "--cycles", "40", "--out", "s.csv"] + UNIT,
+        ["age", "--scheme", "mds", "--n", "100", "--k", "69"] + UNIT,
+    ]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(coded_aoi.__file__)))
+
+    def csv_bytes():
+        path = tmp_path / "s.csv"
+        data = path.read_bytes() if path.exists() else None
+        if data is not None:
+            path.unlink()
+        return data
+
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        here = (code, captured.out, captured.err, csv_bytes())
+        fresh = subprocess.run([sys.executable, "-m", "coded_aoi.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert here == (fresh.returncode, fresh.stdout, fresh.stderr, csv_bytes()), argv
+
+
+def test_main_builds_no_parser_after_the_first_calls(monkeypatch, capsys, tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"scheme": "mds", "n": 100, "k": 69}))
+    argvs = [["age", "--config", str(config)] + UNIT,
+             ["optimize", "--family", "mds", "--n", "100"] + UNIT]
+    for argv in argvs:  # both parsers built, if not already
+        assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for i in range(10):
+        assert main(argvs[i % 2]) == 0
+    capsys.readouterr()
+    assert built == []

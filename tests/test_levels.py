@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from coded_aoi import Infeasible, InconsistentK, LevelSplit, level_counts, solve_levels
+from coded_aoi import Infeasible, InconsistentK, LevelSplit, level_counts, levels, solve_levels
 from coded_aoi.levels import chain_alphas, chain_alphas_at
-from levels_reference import chain_residuals
+from levels_reference import chain_residuals, linear_level_piece
 from coded_aoi.order_stats import ShiftedExp, os_mean
 
 
@@ -214,3 +214,45 @@ def test_second_level_past_first_level_resolution():
     assert 0.0 < split.alphas[1] < 0.1
     assert abs(sum(split.alphas) - 4 * 117 / 448) <= 1e-12
     assert all(abs(r) <= bound for r, bound in chain_residuals(split, mu_c))
+
+
+def _bits(values):
+    return tuple(float(v).hex() if isinstance(v, float) else v for v in values)
+
+
+def test_piece_bisection_matches_the_linear_walk(monkeypatch):
+    # the same piece, so the same Newton path and the same split to the bit
+    rng = np.random.default_rng(20191008)
+    points = [(int(ell), float(alpha), float(math.exp(log_mu_c)))
+              for ell, alpha, log_mu_c in zip(rng.integers(1, 13, 1500), rng.random(1500),
+                                              rng.uniform(-7.0, 9.0, 1500))]
+    points += [(ell, 1.0 - 10.0 ** -e, mu_c) for ell in (2, 5, 12)
+               for e in (3, 8, 15) for mu_c in (1e-3, 1.0, 30.0)]
+    points += [(300, 0.5, 0.01), (300, 0.9, 0.2), (1000, 0.3, 1e-4)]
+    bisected = []
+    for ell, alpha, mu_c in points:
+        target, hi = ell * alpha, (ell - 1) * mu_c - ell * math.log1p(-alpha)
+        assert _bits(levels._level_piece(ell, mu_c, target, hi)) == \
+            _bits(linear_level_piece(ell, mu_c, target, hi)), (ell, alpha, mu_c)
+        bisected.append(_bits(solve_levels(ell, alpha, mu_c).alphas))
+    monkeypatch.setattr(levels, "_level_piece", linear_level_piece)
+    walked = [_bits(solve_levels(ell, alpha, mu_c).alphas) for ell, alpha, mu_c in points]
+    assert bisected == walked
+
+
+def test_many_levels_take_few_level_sums(monkeypatch):
+    # each level sum costs O(load); walking the piece starts in order took
+    # about 1000 of them here, bisection takes about log2(2000) = 11 plus
+    # the Newton steps
+    sums = []
+
+    def counted(beta1, load, mu_c):
+        sums.append(beta1)
+        return chain_alphas_at(beta1, load, mu_c)
+
+    monkeypatch.setattr(levels, "chain_alphas_at", counted)
+    split = solve_levels(2000, 0.5, 0.01)
+    assert len(sums) <= 40
+    assert abs(math.fsum(split.alphas) - 1000.0) <= 1e-10
+    for r, bound in chain_residuals(split, 0.01):
+        assert abs(r) <= bound

@@ -1,6 +1,7 @@
 """Invariants of the analytic and sampling paths over generated valid inputs."""
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -151,12 +152,15 @@ def assert_contract(argv):
     assert_outcome(argv, *exit_code_and_output(argv))
 
 
+NUMBER_KEYS = ("age", "es", "es2", "delta_star", "alpha_star", "es_continuous",
+               "mean_age", "ci95", "ed", "ez", "dropped")
+
+
 def assert_outcome(what, code, out, err):
     assert code in (0, 2, 3), (what, code, err)
     if code == 0:
         numbers = [float(t.split("=", 1)[1]) for t in out.split()
-                   if "=" in t and t.split("=", 1)[0] in ("age", "es", "es2", "delta_star",
-                                                          "alpha_star", "es_continuous")]
+                   if "=" in t and t.split("=", 1)[0] in NUMBER_KEYS]
         assert numbers and all(math.isfinite(x) for x in numbers), (what, out)
     elif code == 3:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1, (what, err)
@@ -212,6 +216,92 @@ def test_cli_keeps_exit_code_contract_at_extreme_rates(argv):
     # shift, straggling and arrival rate anywhere in 1e-300..1e300: their
     # products and squares overflow or underflow
     assert_contract(argv)
+
+
+# simulate and sweep at bounded sizes: every flag has its type, so exit 2 comes
+# from a violated invariant and is one line, like exit 3
+def assert_one_line_failure(what, code, err):
+    assert code in (2, 3), (what, code, err)
+    prefix = "error: " if code == 2 else "numerical failure: "
+    assert err.startswith(prefix) and err.count("\n") == 1, (what, err)
+
+
+def assert_typed_contract(argv):
+    code, out, err = exit_code_and_output(argv)
+    assert_outcome(argv, code, out, err)
+    if code:
+        assert_one_line_failure(argv, code, err)
+
+
+# a replication needs at least its 30 batches of cycles
+CYCLES = st.integers(20, 300)
+
+
+@st.composite
+def simulate_argv(draw, rates=rates_argv(1e-1, 1e1), modes=("fast", "full-stream")):
+    # rates stay moderate in full-stream mode: a cycle there walks through
+    # about lambda * E[S] arrivals
+    label = draw(st.sampled_from(sorted(cli._SCHEMES)))
+    n, load = draw(st.integers(1, 64)), draw(st.integers(1, 4))
+    k = draw(st.one_of(st.integers(1, min(n, 20)), st.integers(-1, n * load + 1)))
+    return ["simulate", "--scheme", label, "--n", str(n), "--k", str(k), "--l", str(load),
+            "--cycles", str(draw(CYCLES)),
+            "--seed", str(draw(st.integers(-1, 2**64))), "--reps", str(draw(st.integers(1, 2))),
+            "--mode", draw(st.sampled_from(modes)),
+            "--policy", draw(st.sampled_from(["zero-wait", "return-triggered"])),
+            *draw(rates)]
+
+
+@st.composite
+def sweep_argv(draw, rates=rates_argv(1e-1, 1e1)):
+    """A custom sweep of at most ten rows, with or without a simulation overlay."""
+    label = draw(st.sampled_from(sorted(cli._SCHEMES)))
+    n, load = draw(st.integers(1, 64)), draw(st.integers(1, 4))
+    flag, start = draw(st.sampled_from([("--k-range", st.integers(-1, n * load + 1)),
+                                        ("--n-range", st.integers(0, 64)),
+                                        ("--l-range", st.integers(0, 5))]))
+    a = draw(start)
+    bounds = [a, a + draw(st.integers(-1, 9))] + draw(st.lists(st.integers(-1, 3), max_size=1))
+    argv = ["sweep", "--scheme", label, "--n", str(n), "--k", str(draw(st.integers(1, 20))),
+            "--l", str(load), flag, ":".join(map(str, bounds)),
+            "--seed", str(draw(st.integers(-1, 2**32))), *draw(rates)]
+    cycles = draw(st.one_of(st.none(), CYCLES))
+    if cycles is not None:
+        argv += ["--cycles", str(cycles), "--reps", str(draw(st.integers(1, 2)))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(simulate_argv())
+def test_simulate_cli_keeps_exit_code_contract(argv):
+    assert_typed_contract(argv)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(simulate_argv(EXTREME, modes=("fast",)))
+def test_fast_simulation_keeps_exit_code_contract_at_extreme_rates(argv):
+    # areas of squared cycle lengths overflow where the arrival rate is tiny
+    assert_typed_contract(argv)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(sweep_argv())
+def test_sweep_cli_keeps_exit_code_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.csv")
+        code, out, err = exit_code_and_output(argv + ["--out", path])
+        if code:
+            assert_one_line_failure(argv, code, err)
+            assert not os.path.exists(path), argv
+            return
+        with open(path) as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert out == f"wrote {path} ({len(rows)} rows)\n" and rows, (argv, out)
+    for row in rows:
+        for key in ("es", "es2", "age_analytic", "age_sim_mean", "age_sim_ci95"):
+            assert row[key] == "" or math.isfinite(float(row[key])), (argv, key, row)
+        assert (row["age_sim_mean"] == "") == ("--cycles" not in argv) or \
+            row["scheme"] == "repetition", (argv, row)
 
 
 # --config values go through each flag's own parser: any JSON value, valid or
