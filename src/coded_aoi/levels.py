@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 CHAIN_TOL = 1e-10
 MAX_ITER = 100  # newton_root's evaluation cap
@@ -49,34 +48,29 @@ class InconsistentK(ValueError):
     """No integer rounding of the level fractions sums to the requested k."""
 
 
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless value is an integer (numpy integers too).
+
+    bool is an Integral, but True as a worker count or a load is a caller's
+    mistake, not a 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LevelSplit:
     """Per-level completion fractions, nonincreasing, trailing zeros allowed."""
 
     alphas: tuple[float, ...]
 
-    @property
-    def load(self) -> int:
-        return len(self.alphas)
 
+def chain_alphas(beta1: float, load: int, mu_c: float) -> list[float]:
+    """Level fractions for the first level's log-gap beta1.
 
-def chain_alphas(beta1, load: int, mu_c: float) -> np.ndarray:
-    """Level fractions for the first level's log-gap beta1, vectorised.
-
-    An array beta1 of shape s gives shape s + (load,).  The offset of the
-    first level is 0, never 0 * mu_c, so mu_c = inf empties levels 2 on.
+    The offset of the first level is 0, never 0 * mu_c, so mu_c = inf
+    empties levels 2 on.
     """
-    starts = np.zeros(load)
-    starts[1:] = np.arange(1, load) * mu_c
-    out = np.asarray(beta1, dtype=float)[..., None] - starts
-    np.maximum(out, 0.0, out=out)  # in place: excess -> -excess/m -> alpha
-    out /= -np.arange(1, load + 1)
-    np.expm1(out, out=out)
-    return np.negative(out, out=out)
-
-
-def chain_alphas_at(beta1: float, load: int, mu_c: float) -> list[float]:
-    """chain_alphas at one beta1 in Python floats, without array overhead."""
     out = [0.0] * load
     for m in range(1, load + 1):
         excess = beta1 - (m - 1) * mu_c if m > 1 else beta1
@@ -120,7 +114,7 @@ def _level_piece(ell: int, mu_c: float, target: float,
     never decreases as beta_1 grows, so that p is found by bisection.
     """
     def ends_piece(p: int) -> bool:
-        return not p * mu_c < hi or math.fsum(chain_alphas_at(p * mu_c, ell, mu_c)) >= target
+        return not p * mu_c < hi or math.fsum(chain_alphas(p * mu_c, ell, mu_c)) >= target
 
     filled = bisect.bisect_left(range(1, ell), True, key=ends_piece) + 1
     lo = (filled - 1) * mu_c if filled > 1 else 0.0
@@ -147,6 +141,7 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> LevelSplit:
         mu_c: product of straggling rate and shift of the whole-task
             runtime; the chain offset between consecutive levels.
     """
+    require_int("ell", ell)
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     if not 0.0 < alpha < 1.0:
@@ -163,7 +158,7 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> LevelSplit:
         return LevelSplit((target,) + (0.0,) * (ell - 1))
 
     def residual(beta: float) -> tuple[float, float]:
-        a = chain_alphas_at(beta, ell, mu_c)
+        a = chain_alphas(beta, ell, mu_c)
         return math.fsum(a) - target, sum((1.0 - a[m - 1]) / m for m in range(1, filled + 1))
 
     beta, resid = newton_root(residual, lo, hi)
@@ -171,7 +166,7 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> LevelSplit:
         raise NoConvergence(
             f"level solver residual {abs(resid):.3e} above {CHAIN_TOL} "
             f"at ell={ell}, alpha={alpha}, mu_c={mu_c}")
-    return LevelSplit(tuple(chain_alphas_at(beta, ell, mu_c)))
+    return LevelSplit(tuple(chain_alphas(beta, ell, mu_c)))
 
 
 def level_counts(split: LevelSplit, n: int, k: int) -> list[int]:

@@ -13,15 +13,14 @@ the true argmin.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-import numpy as np
-
 from .age import age_of
-from .levels import chain_alphas, chain_alphas_at, level_counts, newton_root, solve_levels
-from .schemes import MDS, MultiMDS, Repetition, Scheme, SystemParams, service_moments
+from .levels import chain_alphas, level_counts, newton_root, require_int, solve_levels
+from .schemes import MDS, MultiMDS, Repetition, Scheme, SystemParams, mm_k_min, service_moments
 
 _BRANCH_POINT = -math.exp(-1.0)
 
@@ -68,25 +67,33 @@ def refine_discrete(age_fn: Callable[[int], float], k_seed: int,
     """Integer argmin by hill descent from k_seed; ties move toward smaller k."""
     if not k_min <= k_seed <= k_max:
         raise ValueError(f"need k_min <= k_seed <= k_max, got {k_min}, {k_seed}, {k_max}")
-    cache: dict[int, float] = {}
-
-    def f(k: int) -> float:
-        if k not in cache:
-            cache[k] = age_fn(k)
-        return cache[k]
-
+    f = functools.cache(age_fn)
     k = k_seed
-    if k > k_min and f(k - 1) <= f(k):
-        while k > k_min and f(k - 1) <= f(k):
-            k -= 1
-    else:
+    while k > k_min and f(k - 1) <= f(k):
+        k -= 1
+    if k == k_seed:
         while k < k_max and f(k + 1) < f(k):
             k += 1
     return k
 
 
-def _clamp(k: int, lo: int, hi: int) -> int:
-    return min(max(k, lo), hi)
+def _refined(params: SystemParams, make: Callable[[int], Scheme], objective: str,
+             k_cont: float, k_min: int, k_max: int, alpha: float,
+             continuous_objective: float) -> OptResult:
+    """The OptResult at the integer k nearest k_cont, clamped to [k_min, k_max]
+    and refined against the exact age (objective="age") or the mean service
+    time (objective="service") of the scheme make(k)."""
+    if objective not in ("age", "service"):
+        raise ValueError(f"objective must be 'age' or 'service', got {objective!r}")
+
+    def fn(k: int) -> float:
+        if objective == "age":
+            return age_of(make(k), params).delta
+        return service_moments(make(k), params).es
+
+    seed = min(max(round(k_cont), k_min), k_max)
+    k_star = refine_discrete(fn, seed, k_min, k_max)
+    return OptResult(k_star, alpha, age_of(make(k_star), params).delta, continuous_objective)
 
 
 def opt_repetition(params: SystemParams, objective: str = "age") -> OptResult:
@@ -99,11 +106,8 @@ def opt_repetition(params: SystemParams, objective: str = "age") -> OptResult:
     """
     n = params.nworkers
     alpha = min(max(params.mu_c, 1.0 / n), 1.0)
-    seed = _clamp(round(alpha * n), 1, n)
-    fn = _objective_fn(params, Repetition, objective)
-    k_star = refine_discrete(fn, seed, 1, n)
     es_cont = params.shift / (alpha * n) + math.log(alpha * n) / (params.straggling * n)
-    return OptResult(k_star, alpha, age_of(Repetition(k_star), params).delta, es_cont)
+    return _refined(params, Repetition, objective, alpha * n, 1, n, alpha, es_cont)
 
 
 def opt_mds(params: SystemParams, objective: str = "age") -> OptResult:
@@ -122,11 +126,8 @@ def opt_mds(params: SystemParams, objective: str = "age") -> OptResult:
     n = params.nworkers
     if n < 2:
         raise ValueError("mds optimization needs at least 2 workers")
-    seed = _clamp(round(alpha * n), 1, n - 1)
-    fn = _objective_fn(params, MDS, objective)
-    k_star = refine_discrete(fn, seed, 1, n - 1)
     es_cont = params.shift / (alpha * n) - math.log1p(-alpha) / (params.straggling * alpha * n)
-    return OptResult(k_star, alpha, age_of(MDS(k_star), params).delta, es_cont)
+    return _refined(params, MDS, objective, alpha * n, 1, n - 1, alpha, es_cont)
 
 
 def opt_mm_mds(params: SystemParams, load: int, objective: str = "age") -> OptResult:
@@ -139,27 +140,28 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age") -> OptRe
     concave, so G' = (mu_c + beta) * sum((1 - a_m) / m^2) > 0: each such
     piece holds at most one local minimum, at the root of G.  The smallest
     objective over these roots is the continuous optimum; k is then refined
-    against the exact age.  OverflowError: no piece has a finite root.
+    against the exact age over the k from mm_k_min up, whose first level is
+    non-empty.  OverflowError: no piece has a finite root.
     """
+    require_int("load", load)
     if load < 1:
         raise ValueError(f"load must be >= 1, got {load}")
     mu_c = params.mu_c
-    beta = np.array(_piece_roots(load, mu_c))
-    if not beta.size:
+    roots = _piece_roots(load, mu_c)
+    if not roots:
         raise OverflowError(f"mm-mds optimization: no finite optimum at shift*straggling = "
                             f"{params.shift:g}*{params.straggling:g}")
-    alpha = chain_alphas(beta, load, mu_c).sum(axis=1) / load
-    cont = params.shift / alpha + beta / (params.straggling * alpha)
-    best = int(np.argmin(cont))
-    alpha_star = float(alpha[best])
-    n, kmax = params.nworkers, params.nworkers * load - 1
-    seed = _clamp(round(alpha_star * n * load), 1, kmax)
-    fn = _objective_fn(params, lambda k: MultiMDS(k, load), objective)
-    k_star = refine_discrete(fn, seed, 1, kmax)
-    split = solve_levels(load, k_star / (n * load), mu_c)
-    counts = tuple(level_counts(split, n, k_star))
-    return OptResult(k_star, alpha_star, age_of(MultiMDS(k_star, load), params).delta,
-                     float(cont[best]) / (n * load), levels=counts)
+
+    def scaled_es(beta: float) -> tuple[float, float]:
+        alpha = math.fsum(chain_alphas(beta, load, mu_c)) / load
+        return params.shift / alpha + beta / (params.straggling * alpha), alpha
+
+    cont, alpha = min(map(scaled_es, roots), key=lambda pair: pair[0])
+    n = params.nworkers
+    result = _refined(params, lambda k: MultiMDS(k, load), objective, alpha * n * load,
+                      mm_k_min(params, load), n * load - 1, alpha, cont / (n * load))
+    split = solve_levels(load, result.k_star / (n * load), mu_c)
+    return replace(result, levels=tuple(level_counts(split, n, result.k_star)))
 
 
 def _piece_roots(load: int, mu_c: float) -> list[float]:
@@ -175,7 +177,7 @@ def _piece_roots(load: int, mu_c: float) -> list[float]:
     roots, harmonic = [], 0.0
     for p in range(1, load + 1):
         def h(beta: float, p: int = p) -> tuple[float, float]:
-            a = chain_alphas_at(beta, load, mu_c)
+            a = chain_alphas(beta, load, mu_c)
             total, weight = math.fsum(a), mu_c + beta
             d1 = sum((1.0 - a[m - 1]) / m for m in range(1, p + 1))
             d2 = sum((1.0 - a[m - 1]) / (m * m) for m in range(1, p + 1))
@@ -193,13 +195,3 @@ def _piece_roots(load: int, mu_c: float) -> list[float]:
         if math.isfinite(hi) and h(lo)[0] < 0.0 < h(hi)[0]:
             roots.append(newton_root(h, lo, hi)[0])
     return roots
-
-
-def _objective_fn(params: SystemParams, make: Callable[[int], Scheme],
-                  objective: str) -> Callable[[int], float]:
-    """k -> the age (or mean service time) of the scheme ``make(k)``."""
-    if objective not in ("age", "service"):
-        raise ValueError(f"objective must be 'age' or 'service', got {objective!r}")
-    if objective == "age":
-        return lambda k: age_of(make(k), params).delta
-    return lambda k: service_moments(make(k), params).es

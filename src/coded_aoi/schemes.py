@@ -34,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .levels import LevelSplit, solve_levels
+from .levels import LevelSplit, chain_alphas, require_int, solve_levels
 from .order_stats import (
     ShiftedExp,
     os_mean,
@@ -50,13 +50,6 @@ MAX_SAMPLE_DRAWS = 1 << 24
 
 class DegenerateLevels(Exception):
     """The level split leaves the first level empty (k too small for the load)."""
-
-
-def _require_int(name: str, value) -> None:
-    # bool is an int subclass, but True as a worker count or code dimension
-    # is a caller's mistake, not a 1
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,7 @@ class SystemParams:
             raise ValueError(f"shift must be > 0, got {self.shift}")
         if self.straggling <= 0:
             raise ValueError(f"straggling must be > 0, got {self.straggling}")
-        _require_int("nworkers", self.nworkers)
+        require_int("nworkers", self.nworkers)
         if self.nworkers < 1:
             raise ValueError(f"nworkers must be >= 1, got {self.nworkers}")
 
@@ -122,7 +115,7 @@ class Repetition:
 
     def check(self, params: SystemParams, sampling: bool = False) -> None:
         n = params.nworkers
-        _require_int("repetition: k", self.k)
+        require_int("repetition: k", self.k)
         if not 1 <= self.k <= n:
             raise ValueError(f"repetition: k must satisfy 1 <= k <= n, got k={self.k}, n={n}")
         if sampling and n % self.k != 0:
@@ -155,7 +148,7 @@ class MDS:
     load: ClassVar[int] = 1
 
     def check(self, params: SystemParams, sampling: bool = False) -> None:
-        _require_int("mds: k", self.k)
+        require_int("mds: k", self.k)
         if self.k < 1:
             raise ValueError(f"mds: k must be >= 1, got k={self.k}")
         if self.k >= params.nworkers:
@@ -178,8 +171,8 @@ class MultiMDS:
 
     def check(self, params: SystemParams, sampling: bool = False) -> None:
         n = params.nworkers
-        _require_int("mm-mds: k", self.k)
-        _require_int("mm-mds: load", self.load)
+        require_int("mm-mds: k", self.k)
+        require_int("mm-mds: load", self.load)
         if self.load < 1:
             raise ValueError(f"mm-mds: load must be >= 1, got {self.load}")
         if not 1 <= self.k < n * self.load:
@@ -250,6 +243,18 @@ def mm_level_split(params: SystemParams, k: int, load: int) -> tuple[int, LevelS
             f"first level rounds to zero subtasks (k={k}, n={params.nworkers}, "
             f"load={load}); no order statistic represents the service time")
     return min(k1, params.nworkers), split
+
+
+def mm_k_min(params: SystemParams, load: int) -> int:
+    """Smallest k at which mm_level_split leaves the first level non-empty.
+
+    k1 = round(alpha_1 * n) is 0 up to alpha_1 = 0.5 / n, where beta_1 =
+    -log1p(-0.5 / n); the level sum there, times n, is the largest k with an
+    empty first level, since the sum k / n rises with beta_1.
+    """
+    n = params.nworkers
+    beta = -math.log1p(-0.5 / n)
+    return math.floor(n * math.fsum(chain_alphas(beta, load, params.mu_c))) + 1
 
 
 def service_order_stat(scheme: Scheme, params: SystemParams) -> tuple[ShiftedExp, int, int]:

@@ -43,7 +43,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .schemes import Scheme, SystemParams, _require_int, sample_service_batch, validate
+from .levels import require_int
+from .schemes import Scheme, SystemParams, sample_service_batch, validate
 
 CHUNK = 1 << 14
 # worker draws per service-sampling chunk: 512 KiB of float64 scratch
@@ -329,7 +330,7 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     """
     for name, value in (("cycles_per_rep", cycles_per_rep), ("reps", reps),
                         ("batches", batches)):
-        _require_int(name, value)
+        require_int(name, value)
     # numpy integers would otherwise leak numpy scalars into the report
     cycles_per_rep, reps, batches = int(cycles_per_rep), int(reps), int(batches)
     if reps < 1:

@@ -4,11 +4,14 @@ With beta_m = -log1p(-alpha_m), a split solves the chain exactly when
 m * beta_m - (m - 1) * beta_{m-1} + mu_c = 0 for every consecutive pair of
 non-empty levels.  This module recomputes those residuals from the returned
 fractions alone, with no reference to how the solver found them.  The
-linear walk over level pieces is kept to check the solver's bisection.
+linear walk over level pieces is kept to check the solver's bisection, and
+an array form of the closed form serves the dense scans over beta_1.
 """
 import math
 
-from coded_aoi.levels import chain_alphas_at
+import numpy as np
+
+from coded_aoi.levels import chain_alphas
 
 EPS = 2.0 ** -52
 
@@ -43,8 +46,16 @@ def linear_level_piece(ell, mu_c, target, hi):
     solve_levels once did: O(ell) sums of O(ell) levels each."""
     lo, filled = 0.0, 1
     while filled < ell and filled * mu_c < hi:
-        if math.fsum(chain_alphas_at(filled * mu_c, ell, mu_c)) >= target:
+        if math.fsum(chain_alphas(filled * mu_c, ell, mu_c)) >= target:
             hi = filled * mu_c
             break
         lo, filled = filled * mu_c, filled + 1
     return filled, lo, hi
+
+
+def chain_alphas_grid(beta1, load, mu_c):
+    """levels.chain_alphas at every beta1 of an array: shape s -> s + (load,)."""
+    starts = np.zeros(load)
+    starts[1:] = np.arange(1, load) * mu_c  # level 1 starts at 0, also at mu_c = inf
+    excess = np.maximum(np.asarray(beta1, dtype=float)[..., None] - starts, 0.0)
+    return -np.expm1(-excess / np.arange(1, load + 1))

@@ -68,6 +68,14 @@ def test_age_degenerate_levels_exits_3(capsys):
     assert "level" in err
 
 
+def test_optimize_mm_mds_skips_k_with_an_empty_first_level(capsys):
+    code, out, err = run_cli(capsys, "optimize", "--family", "mm-mds", "--n", "20", "--l", "4",
+                             "--lambda", "1", "--c", "0.02", "--mu", "0.01")
+    assert (code, err) == (0, "")
+    assert value_of(out, "k_star") == "3"
+    assert value_of(out, "levels") == "1,1,1,0"
+
+
 def test_optimize_mds(capsys):
     code, out, _ = run_cli(capsys, "optimize", "--family", "mds", "--n", "100",
                            "--lambda", "1", "--c", "1", "--mu", "1")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coded_aoi import Infeasible, InconsistentK, LevelSplit, level_counts, levels, solve_levels
-from coded_aoi.levels import chain_alphas, chain_alphas_at
+from coded_aoi.levels import chain_alphas
 from levels_reference import chain_residuals, linear_level_piece
 from coded_aoi.order_stats import ShiftedExp, os_mean
 
@@ -84,6 +84,16 @@ def test_invalid_arguments():
         solve_levels(2, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("ell", [2.0, True, "2", np.float64(2)])
+def test_non_integer_level_count_is_rejected(ell):
+    with pytest.raises(ValueError, match="must be an integer"):
+        solve_levels(ell, 0.3, 1.0)
+
+
+def test_numpy_integer_level_count_is_accepted():
+    assert solve_levels(np.int64(2), 0.3, 0.1) == solve_levels(2, 0.3, 0.1)
+
+
 def test_near_saturation_is_solved():
     # 1 - alpha_1 ~ 1.7e-24 is below double resolution, but beta_1 ~ 54.8 is
     # not: the split is found, and alpha_2 matches the two-level quadratic
@@ -156,7 +166,7 @@ def test_chain_constant_beyond_float_range():
     # never forms it; every level after the first is empty there, as it
     # already is at mu_c = 708
     assert solve_levels(3, 0.2, 800.0) == solve_levels(3, 0.2, 708.0)
-    assert chain_alphas(math.log(2.0), 3, 1e6).tolist() == [0.5, 0.0, 0.0]
+    assert chain_alphas(math.log(2.0), 3, 1e6) == [0.5, 0.0, 0.0]
 
 
 def test_closed_form_matches_forward_recursion():
@@ -168,27 +178,16 @@ def test_closed_form_matches_forward_recursion():
             base = math.exp(mu_c) * prev
             expected.append(max(1.0 - base ** (1.0 / m), 0.0))
             prev = base
-        got = chain_alphas(beta1, ell, mu_c)
-        assert got.tolist() == pytest.approx(expected, abs=1e-15)
-        assert chain_alphas_at(beta1, ell, mu_c) == pytest.approx(expected, abs=1e-15)
+        assert chain_alphas(beta1, ell, mu_c) == pytest.approx(expected, abs=1e-15)
 
 
-def test_chain_alphas_is_vectorised():
-    betas = np.array([[0.0, 0.5], [3.0, 40.0]])
-    got = chain_alphas(betas, 4, 1.0)
-    assert got.shape == (2, 2, 4)
-    for idx in np.ndindex(betas.shape):
-        assert got[idx].tolist() == pytest.approx(chain_alphas_at(betas[idx], 4, 1.0),
-                                                  abs=1e-16)
-    assert got[0, 0].tolist() == [0.0, 0.0, 0.0, 0.0]
-    # numpy's expm1 and math.expm1 may differ in the last bit
-    rng = np.random.default_rng(5)
-    for ell, mu_c in [(2, 0.01), (5, 1.0), (7, 30.0)]:
-        betas = rng.uniform(0.0, (ell - 1) * mu_c + 40.0, 500)
-        scalar = [chain_alphas_at(float(b), ell, mu_c) for b in betas]
-        np.testing.assert_allclose(chain_alphas(betas, ell, mu_c), scalar, rtol=2**-51, atol=0)
-    # levels fill exactly once beta_1 passes (m - 1) * mu_c
-    assert (got[1, 0] > 0).tolist() == [True, True, True, False]
+def test_levels_fill_once_beta1_passes_their_start():
+    assert chain_alphas(0.0, 4, 1.0) == [0.0, 0.0, 0.0, 0.0]
+    # level m fills exactly once beta_1 > (m - 1) * mu_c
+    assert [a > 0 for a in chain_alphas(3.0, 4, 1.0)] == [True, True, True, False]
+    for m, beta1 in enumerate((0.0, 1.0, 2.0, 3.0), start=1):
+        assert chain_alphas(beta1, 4, 1.0)[m - 1] == 0.0
+        assert chain_alphas(math.nextafter(beta1, math.inf), 4, 1.0)[m - 1] > 0.0
 
 
 def test_infinite_chain_offset():
@@ -196,8 +195,7 @@ def test_infinite_chain_offset():
     # 0 * inf must not reach the formula, and only the first level can fill
     mu_c = 1e200 * 1e200
     assert mu_c == math.inf
-    assert chain_alphas(math.log(2.0), 3, mu_c).tolist() == [0.5, 0.0, 0.0]
-    assert chain_alphas_at(math.log(2.0), 3, mu_c) == [0.5, 0.0, 0.0]
+    assert chain_alphas(math.log(2.0), 3, mu_c) == [0.5, 0.0, 0.0]
     split = solve_levels(3, 0.2, mu_c)
     assert split.alphas == (pytest.approx(0.6, abs=1e-15), 0.0, 0.0)
     assert not any(math.isnan(a) for a in split.alphas)
@@ -248,9 +246,9 @@ def test_many_levels_take_few_level_sums(monkeypatch):
 
     def counted(beta1, load, mu_c):
         sums.append(beta1)
-        return chain_alphas_at(beta1, load, mu_c)
+        return chain_alphas(beta1, load, mu_c)
 
-    monkeypatch.setattr(levels, "chain_alphas_at", counted)
+    monkeypatch.setattr(levels, "chain_alphas", counted)
     split = solve_levels(2000, 0.5, 0.01)
     assert len(sums) <= 40
     assert abs(math.fsum(split.alphas) - 1000.0) <= 1e-10

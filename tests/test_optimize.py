@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from coded_aoi import (
+    DegenerateLevels,
     SystemParams,
     age_of,
     lambert_w_m1,
+    mm_level_split,
     opt_mds,
     opt_mm_mds,
     opt_repetition,
     refine_discrete,
     service_moments,
 )
-from coded_aoi.levels import chain_alphas, solve_levels
-from levels_reference import chain_residuals
-from coded_aoi.schemes import MDS, MultiMDS, Repetition
+from coded_aoi.levels import solve_levels
+from levels_reference import chain_alphas_grid, chain_residuals
+from coded_aoi.schemes import MDS, MultiMDS, Repetition, mm_k_min
 
 
 def params(lam=1.0, c=1.0, mu=1.0, n=100):
@@ -182,7 +184,7 @@ def test_opt_mm_mds_continuous_optimum_matches_dense_scan(c, mu, load):
     r = opt_mm_mds(SystemParams(1.0, c, mu, 1000), load, objective="service")
     mu_c = c * mu
     beta = np.linspace(1e-6, (load - 1) * mu_c + 40.0 * load, 400_001)
-    alpha = chain_alphas(beta, load, mu_c).sum(axis=1) / load
+    alpha = chain_alphas_grid(beta, load, mu_c).sum(axis=1) / load
     objective = (c + beta / mu) / alpha
     best = int(np.argmin(objective))
     assert r.continuous_objective * 1000 * load == pytest.approx(objective[best], rel=1e-9)
@@ -216,6 +218,43 @@ def test_opt_mm_mds_where_bisection_on_alpha1_failed():
     assert r.delta_star == age_of(MultiMDS(r.k_star, 5), SystemParams(1.0, 1.0, 2.0, 1000)).delta
 
 
+def dict_memo_refine(age_fn, k_seed, k_min, k_max):
+    """refine_discrete as it was written with a hand-kept memo dict."""
+    if not k_min <= k_seed <= k_max:
+        raise ValueError(f"need k_min <= k_seed <= k_max, got {k_min}, {k_seed}, {k_max}")
+    cache = {}
+
+    def f(k):
+        if k not in cache:
+            cache[k] = age_fn(k)
+        return cache[k]
+
+    k = k_seed
+    if k > k_min and f(k - 1) <= f(k):
+        while k > k_min and f(k - 1) <= f(k):
+            k -= 1
+    else:
+        while k < k_max and f(k + 1) < f(k):
+            k += 1
+    return k
+
+
+def test_refine_discrete_matches_the_dict_memo_loop():
+    # few distinct values make plateaus and ties; every start and range
+    rng = np.random.default_rng(1910)
+    for values in rng.integers(0, 4, (60, 9)).tolist() + [[0] * 9, list(range(9)),
+                                                          list(range(9, 0, -1))]:
+        for k_min in range(9):
+            for k_max in range(k_min, 9):
+                for seed in range(k_min, k_max + 1):
+                    seen, seen_ref = [], []
+                    got = refine_discrete(lambda k: seen.append(k) or values[k],
+                                          seed, k_min, k_max)
+                    ref = dict_memo_refine(lambda k: seen_ref.append(k) or values[k],
+                                           seed, k_min, k_max)
+                    assert (got, seen) == (ref, seen_ref), (values, seed, k_min, k_max)
+
+
 def test_refine_discrete_synthetic():
     assert refine_discrete(lambda k: (k - 69) ** 2, 68, 1, 99) == 69
     assert refine_discrete(lambda k: (k - 69) ** 2, 90, 1, 99) == 69
@@ -228,6 +267,64 @@ def test_refine_discrete_full_sweep_agreement_on_age():
     p = params(mu=1.0)
     fn = lambda k: age_of(MDS(k), p).delta
     assert refine_discrete(fn, 68, 1, 99) == 69 == sweep_argmin(fn, 1, 99)
+
+
+def test_mm_k_min_is_the_first_k_with_a_first_level():
+    rng = np.random.default_rng(10)
+    points = [(SystemParams(1.0, 0.02, 0.01, 20), 4)]
+    points += [(SystemParams(1.0, float(c), float(mu), int(n)), int(load)) for n, load, c, mu in
+               zip(rng.choice([1, 2, 5, 20, 100, 1000], 400), rng.integers(1, 9, 400),
+                   np.exp(rng.uniform(-7.0, 3.4, 400)), np.exp(rng.uniform(-7.0, 3.4, 400)))]
+    above_one = 0
+    for p, load in points:
+        k_min = mm_k_min(p, load)
+        if k_min >= p.nworkers * load:
+            continue
+        mm_level_split(p, k_min, load)
+        if k_min > 1:
+            above_one += 1
+            with pytest.raises(DegenerateLevels):
+                mm_level_split(p, k_min - 1, load)
+    assert above_one > 50
+
+
+def test_opt_mm_mds_refines_only_over_a_non_empty_first_level():
+    # refinement from the seed used to step onto k = 1, whose first level
+    # rounds to no subtask, and raise DegenerateLevels
+    p = SystemParams(1.0, 0.02, 0.01, 20)
+    assert mm_k_min(p, 4) == 2
+    ages = [age_of(MultiMDS(k, 4), p).delta for k in range(2, 7)]
+    assert ages == pytest.approx([6.2978, 4.7166, 5.9574, 5.0934, 5.9159], abs=1e-4)
+    r = opt_mm_mds(p, 4)
+    assert r.k_star == 3
+    assert r.delta_star == ages[1]
+    assert r.levels == (1, 1, 1, 0)
+
+
+@pytest.mark.parametrize("load", [2.0, True, "2", np.float64(2)])
+def test_opt_mm_mds_rejects_a_non_integer_load(load):
+    with pytest.raises(ValueError, match="must be an integer"):
+        opt_mm_mds(params(), load)
+
+
+def test_opt_mm_mds_accepts_a_numpy_integer_load():
+    assert opt_mm_mds(params(), np.int64(2)) == opt_mm_mds(params(), 2)
+
+
+def test_reported_levels_sum_to_k_star_and_stay_near_k1():
+    # levels is a largest-remainder split of k_star; k1, which the age uses,
+    # rounds alpha_1 * n on its own, so the two first counts can differ by one
+    rng = np.random.default_rng(116)
+    for n, load, c, mu in zip(rng.integers(2, 301, 80), rng.integers(2, 6, 80),
+                              np.exp(rng.uniform(-4.6, 3.4, 80)), np.exp(rng.uniform(-4.6, 3.4, 80))):
+        p = SystemParams(1.0, float(c), float(mu), int(n))
+        r = opt_mm_mds(p, int(load))
+        k1, _ = mm_level_split(p, r.k_star, int(load))
+        assert sum(r.levels) == r.k_star
+        assert abs(r.levels[0] - k1) <= 1
+    p = SystemParams(1.0, 0.827263658631598, 1.2711609403944863, 159)
+    r = opt_mm_mds(p, 5)
+    assert (r.k_star, r.levels[0], mm_level_split(p, r.k_star, 5)[0]) == (533, 159, 158)
 
 
 def test_age_and_service_argmins_agree_at_large_n():

@@ -30,8 +30,7 @@ from coded_aoi import (  # noqa: E402
     solve_levels,
 )
 from coded_aoi import cli  # noqa: E402
-from coded_aoi.levels import chain_alphas  # noqa: E402
-from levels_reference import chain_residuals  # noqa: E402
+from levels_reference import chain_alphas_grid, chain_residuals  # noqa: E402
 
 # Few examples keep the module to about a second.  derandomize fixes the
 # examples, so a run is repeatable; a wider search is one edit of max_examples.
@@ -118,7 +117,7 @@ def test_mm_continuous_optimum_is_below_a_dense_scan(load, log_mu_c, c):
     mu_c = p.mu_c
     beta = np.concatenate([np.geomspace(1e-9, 1.0, 20_001),
                            np.linspace(1.0, (load - 1) * mu_c + 40.0 * load, 200_001)])
-    alpha = chain_alphas(beta, load, mu_c).sum(axis=1) / load
+    alpha = chain_alphas_grid(beta, load, mu_c).sum(axis=1) / load
     scan = float(np.min((p.shift + beta / p.straggling) / alpha))
     assert r.continuous_objective * p.nworkers * load <= scan * (1 + 1e-12)
 
