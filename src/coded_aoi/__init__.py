@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .age import AgeResult, age_from_moments, age_of
 from .levels import Infeasible, InconsistentK, LevelSplit, NoConvergence, level_counts, solve_levels
 from .optimize import OptResult, lambert_w_m1, opt_mds, opt_mm_mds, opt_repetition, refine_discrete
-from .order_stats import ShiftedExp, gen_harmonic2, harmonic, os_mean, os_second_moment, os_var
+from .order_stats import ShiftedExp, gen_harmonic2, harmonic, os_mean, os_var
 from .schemes import (
     MDS,
     DegenerateLevels,
@@ -20,7 +20,7 @@ from .schemes import (
     ServiceMoments,
     SystemParams,
     Uncoded,
-    mm_level_split,
+    mm_k1,
     sample_service_batch,
     service_moments,
 )
@@ -32,9 +32,9 @@ __all__ = [
     "level_counts", "solve_levels",
     "OptResult", "lambert_w_m1", "opt_mds", "opt_mm_mds", "opt_repetition",
     "refine_discrete",
-    "ShiftedExp", "gen_harmonic2", "harmonic", "os_mean", "os_second_moment", "os_var",
+    "ShiftedExp", "gen_harmonic2", "harmonic", "os_mean", "os_var",
     "MDS", "DegenerateLevels", "MultiMDS", "Repetition", "Scheme",
-    "ServiceMoments", "SystemParams", "Uncoded", "mm_level_split",
+    "ServiceMoments", "SystemParams", "Uncoded", "mm_k1",
     "sample_service_batch", "service_moments",
     "InsufficientCycles", "SimReport", "run", "run_parallel",
 ]

@@ -25,8 +25,6 @@ class AgeResult:
     delta: float
     es: float
     es2: float
-    scheme: Scheme
-    params: SystemParams
 
 
 def age_from_moments(arrival_rate: float, m: ServiceMoments) -> float:
@@ -45,5 +43,5 @@ def age_of(scheme: Scheme, params: SystemParams) -> AgeResult:
     if not math.isfinite(delta):
         raise OverflowError(f"age of {scheme} overflows a double "
                             f"(E[S]={m.es:.6g}, E[S^2]={m.es2:.6g})")
-    return AgeResult(delta, m.es, m.es2, scheme, params)
+    return AgeResult(delta, m.es, m.es2)
 

@@ -28,7 +28,7 @@ from .schemes import (
     Scheme,
     SystemParams,
     Uncoded,
-    mm_level_split,
+    mm_k1,
     validate,
 )
 from .simulate import SimReport, run_parallel
@@ -283,7 +283,7 @@ def _row(scheme: Scheme, params: SystemParams) -> dict:
         row["k"] = scheme.k
     if "load" in names:
         row["l"] = scheme.load
-        row["k1"] = mm_level_split(params, scheme.k, scheme.load)[0]
+        row["k1"] = mm_k1(params, scheme.k, scheme.load)
     return row
 
 

@@ -122,11 +122,13 @@ def opt_mds(params: SystemParams, objective: str = "age") -> OptResult:
     if math.isinf(cm):
         raise OverflowError(f"mds optimization: shift*straggling = {params.shift:g}*"
                             f"{params.straggling:g} overflows a double")
-    alpha = 1.0 / (1.0 + 1.0 / _branch_excess(cm))
+    u = _branch_excess(cm)
+    alpha = 1.0 / (1.0 + 1.0 / u)
     n = params.nworkers
     if n < 2:
         raise ValueError("mds optimization needs at least 2 workers")
-    es_cont = params.shift / (alpha * n) - math.log1p(-alpha) / (params.straggling * alpha * n)
+    # -log(1 - alpha) = log1p(u), which stays finite where alpha rounds to 1
+    es_cont = params.shift / (alpha * n) + math.log1p(u) / (params.straggling * alpha * n)
     return _refined(params, MDS, objective, alpha * n, 1, n - 1, alpha, es_cont)
 
 
@@ -146,6 +148,9 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age") -> OptRe
     require_int("load", load)
     if load < 1:
         raise ValueError(f"load must be >= 1, got {load}")
+    n = params.nworkers
+    if n * load < 2:
+        raise ValueError(f"mm-mds optimization needs n*load >= 2, got n={n}, load={load}")
     mu_c = params.mu_c
     roots = _piece_roots(load, mu_c)
     if not roots:
@@ -157,7 +162,6 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age") -> OptRe
         return params.shift / alpha + beta / (params.straggling * alpha), alpha
 
     cont, alpha = min(map(scaled_es, roots), key=lambda pair: pair[0])
-    n = params.nworkers
     result = _refined(params, lambda k: MultiMDS(k, load), objective, alpha * n * load,
                       mm_k_min(params, load), n * load - 1, alpha, cont / (n * load))
     split = solve_levels(load, result.k_star / (n * load), mu_c)

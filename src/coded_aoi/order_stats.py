@@ -118,12 +118,6 @@ def os_var(d: ShiftedExp, n: int, k: int) -> float:
     return gen_harmonic2(n, n - k) / d.rate / d.rate
 
 
-def os_second_moment(d: ShiftedExp, n: int, k: int) -> float:
-    """Second moment of the k-th smallest of n i.i.d. draws from d."""
-    m = os_mean(d, n, k)
-    return m * m + os_var(d, n, k)
-
-
 def sample_batch(d: ShiftedExp, rng: np.random.Generator,
                  size: "int | tuple[int, ...]") -> np.ndarray:
     """Draw ``size`` i.i.d. values from d by inverse CDF (see ShiftedExp.quantile)."""

@@ -19,8 +19,8 @@ on how the master distributes work:
 Each scheme class carries its CLI ``label``, its ``load`` (subtasks queued
 per worker) and three methods.  ``check(params, sampling)`` raises
 ValueError for parameters the scheme cannot take (with sampling=True: cannot
-simulate); on checked parameters, ``order_stat(params)`` gives (d, n, k) with
-S the k-th smallest of n draws from d, for the exact moments, and
+simulate); on checked parameters, ``moments(params)`` gives the exact E[S]
+and E[S^2], the only properties of S that the average age depends on, and
 ``sample(params, rng, size)`` draws service times by simulating the workers.
 The module functions below check and then call these methods, so no other
 code dispatches on the scheme type.
@@ -34,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .levels import LevelSplit, chain_alphas, require_int, solve_levels
+from .levels import chain_alphas, require_int, solve_levels
 from .order_stats import (
     ShiftedExp,
     os_mean,
@@ -90,6 +90,20 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
+class ServiceMoments:
+    """First and second moments of the per-update service time."""
+
+    es: float
+    es2: float
+
+
+def _os_moments(d: ShiftedExp, n: int, k: int) -> ServiceMoments:
+    """Moments of the k-th smallest of n i.i.d. draws from d."""
+    m = os_mean(d, n, k)
+    return ServiceMoments(m, m * m + os_var(d, n, k))
+
+
+@dataclass(frozen=True)
 class Uncoded:
     label: ClassVar[str] = "uncoded"
     load: ClassVar[int] = 1  # subtasks per worker
@@ -97,9 +111,9 @@ class Uncoded:
     def check(self, params: SystemParams, sampling: bool = False) -> None:
         pass
 
-    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
+    def moments(self, params: SystemParams) -> ServiceMoments:
         n = params.nworkers
-        return params.whole_task().split(n), n, n
+        return _os_moments(params.whole_task().split(n), n, n)
 
     def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
         n = params.nworkers
@@ -121,11 +135,11 @@ class Repetition:
         if sampling and n % self.k != 0:
             raise ValueError(f"repetition sampling: k must divide n, got k={self.k}, n={n}")
 
-    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
+    def moments(self, params: SystemParams) -> ServiceMoments:
         # min over n/k replicas of a (shift/k, k*rate) piece is a
-        # (shift/k, n*rate) shifted exponential
-        per_subtask = params.whole_task().split(self.k)
-        return ShiftedExp(per_subtask.shift, params.straggling * params.nworkers), self.k, self.k
+        # (shift/k, n*rate) shifted exponential; all k results are needed
+        fastest = ShiftedExp(params.shift / self.k, params.straggling * params.nworkers)
+        return _os_moments(fastest, self.k, self.k)
 
     def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
         k, r = self.k, params.nworkers // self.k
@@ -154,8 +168,8 @@ class MDS:
         if self.k >= params.nworkers:
             raise ValueError(f"mds: k must be < n, got k={self.k}, n={params.nworkers}")
 
-    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
-        return params.whole_task().split(self.k), params.nworkers, self.k
+    def moments(self, params: SystemParams) -> ServiceMoments:
+        return _os_moments(params.whole_task().split(self.k), params.nworkers, self.k)
 
     def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random((size, params.nworkers))
@@ -180,9 +194,9 @@ class MultiMDS:
                 f"mm-mds: k must satisfy 1 <= k < n*load, got k={self.k}, "
                 f"n={n}, load={self.load}")
 
-    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
-        k1, _ = mm_level_split(params, self.k, self.load)
-        return params.whole_task().split(self.k), params.nworkers, k1
+    def moments(self, params: SystemParams) -> ServiceMoments:
+        k1 = mm_k1(params, self.k, self.load)
+        return _os_moments(params.whole_task().split(self.k), params.nworkers, k1)
 
     def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
         # the real finite-n mechanism, unlike the analytic first-level
@@ -202,14 +216,6 @@ class MultiMDS:
 Scheme = Uncoded | Repetition | MDS | MultiMDS
 
 
-@dataclass(frozen=True)
-class ServiceMoments:
-    """First and second moments of the per-update service time."""
-
-    es: float
-    es2: float
-
-
 def validate(scheme: Scheme, params: SystemParams, sampling: bool = False) -> None:
     """Check scheme parameters against the worker pool; raise ValueError if bad.
 
@@ -227,26 +233,25 @@ def validate(scheme: Scheme, params: SystemParams, sampling: bool = False) -> No
                          f"service time exceed the limit of {MAX_SAMPLE_DRAWS}")
 
 
-def mm_level_split(params: SystemParams, k: int, load: int) -> tuple[int, LevelSplit]:
-    """First-level completion count k1 and the solved level fractions.
+def mm_k1(params: SystemParams, k: int, load: int) -> int:
+    """First-level completion count k1 = round(alpha_1 * n), at most n.
 
-    k1 = round(alpha_1 * n); the k-th overall result arrives exactly when
-    the first level delivers its k1-th, so the analytic service time is the
-    k1-th order statistic of the per-subtask runtimes.
+    The k-th overall result arrives exactly when the first level delivers
+    its k1-th, so the analytic service time is the k1-th order statistic of
+    the per-subtask runtimes.
     """
     validate(MultiMDS(k, load), params)
-    alpha = k / (params.nworkers * load)
-    split = solve_levels(load, alpha, params.mu_c)
-    k1 = round(split.alphas[0] * params.nworkers)
+    n = params.nworkers
+    k1 = round(solve_levels(load, k / (n * load), params.mu_c).alphas[0] * n)
     if k1 == 0:
         raise DegenerateLevels(
-            f"first level rounds to zero subtasks (k={k}, n={params.nworkers}, "
+            f"first level rounds to zero subtasks (k={k}, n={n}, "
             f"load={load}); no order statistic represents the service time")
-    return min(k1, params.nworkers), split
+    return min(k1, n)
 
 
 def mm_k_min(params: SystemParams, load: int) -> int:
-    """Smallest k at which mm_level_split leaves the first level non-empty.
+    """Smallest k at which mm_k1 leaves the first level non-empty.
 
     k1 = round(alpha_1 * n) is 0 up to alpha_1 = 0.5 / n, where beta_1 =
     -log1p(-0.5 / n); the level sum there, times n, is the largest k with an
@@ -257,17 +262,10 @@ def mm_k_min(params: SystemParams, load: int) -> int:
     return math.floor(n * math.fsum(chain_alphas(beta, load, params.mu_c))) + 1
 
 
-def service_order_stat(scheme: Scheme, params: SystemParams) -> tuple[ShiftedExp, int, int]:
-    """Distribution d and indices (n, k) with service time S = k-th smallest of n draws."""
-    validate(scheme, params)
-    return scheme.order_stat(params)
-
-
 def service_moments(scheme: Scheme, params: SystemParams) -> ServiceMoments:
     """Exact (E[S], E[S^2]) of the scheme's service time."""
-    d, n, k = service_order_stat(scheme, params)
-    m = os_mean(d, n, k)
-    return ServiceMoments(m, m * m + os_var(d, n, k))
+    validate(scheme, params)
+    return scheme.moments(params)
 
 
 def sample_service_batch(scheme: Scheme, params: SystemParams,

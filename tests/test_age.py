@@ -13,7 +13,7 @@ from coded_aoi import (
     age_of,
     gen_harmonic2,
     harmonic,
-    mm_level_split,
+    mm_k1,
 )
 from coded_aoi.schemes import ServiceMoments
 
@@ -97,7 +97,7 @@ def test_multi_message_agrees_with_direct_transcription():
             for k in (40, 90, 130):
                 if k >= 100 * load:
                     continue
-                k1, _ = mm_level_split(p, k, load)
+                k1 = mm_k1(p, k, load)
                 assert age_of(MultiMDS(k, load), p).delta == pytest.approx(
                     age_mm_mds_direct(1.0, 1.0, mu, 100, k, k1), rel=1e-12)
 

@@ -366,6 +366,28 @@ def test_optimize_at_large_shift_times_straggling_exits_0(capsys, argv):
     assert float(value_of(out, "delta_star")) >= 2.0
 
 
+def test_optimize_mds_where_alpha_rounds_to_one_exits_0(capsys):
+    # c * mu = 1e16: the continuous fraction alpha rounds to 1.0, so
+    # -log1p(-alpha) has no argument; log1p(u) gives the same log-gap
+    code, out, err = run_cli(capsys, "optimize", "--family", "mds", "--n", "100",
+                             "--lambda", "1", "--c", "1e7", "--mu", "1e9")
+    assert code == 0, err
+    assert math.isfinite(float(value_of(out, "es_continuous")))
+
+
+def test_optimize_mm_mds_needs_two_subtasks(capsys):
+    # n*load = 1 leaves no k in 1..n*load-1; the error names that invariant
+    code, out, err = run_cli(capsys, "optimize", "--family", "mm-mds", "--n", "1", "--l", "1",
+                             "--lambda", "1", "--c", "1", "--mu", "1")
+    assert code == 2
+    assert out == ""
+    assert "n*load >= 2" in err
+    code, out, _ = run_cli(capsys, "optimize", "--family", "mm-mds", "--n", "2", "--l", "1",
+                           "--lambda", "1", "--c", "1", "--mu", "1")
+    assert code == 0
+    assert value_of(out, "k_star") == "1"
+
+
 @pytest.mark.parametrize("c, mu", [("1e200", "1e200"), ("1e-200", "1e-200")],
                          ids=["overflow", "underflow"])
 def test_optimize_at_extreme_straggling_exits_3_in_one_line(capsys, c, mu):

@@ -9,7 +9,7 @@ from coded_aoi import (
     SystemParams,
     age_of,
     lambert_w_m1,
-    mm_level_split,
+    mm_k1,
     opt_mds,
     opt_mm_mds,
     opt_repetition,
@@ -280,11 +280,11 @@ def test_mm_k_min_is_the_first_k_with_a_first_level():
         k_min = mm_k_min(p, load)
         if k_min >= p.nworkers * load:
             continue
-        mm_level_split(p, k_min, load)
+        mm_k1(p, k_min, load)
         if k_min > 1:
             above_one += 1
             with pytest.raises(DegenerateLevels):
-                mm_level_split(p, k_min - 1, load)
+                mm_k1(p, k_min - 1, load)
     assert above_one > 50
 
 
@@ -319,12 +319,12 @@ def test_reported_levels_sum_to_k_star_and_stay_near_k1():
                               np.exp(rng.uniform(-4.6, 3.4, 80)), np.exp(rng.uniform(-4.6, 3.4, 80))):
         p = SystemParams(1.0, float(c), float(mu), int(n))
         r = opt_mm_mds(p, int(load))
-        k1, _ = mm_level_split(p, r.k_star, int(load))
+        k1 = mm_k1(p, r.k_star, int(load))
         assert sum(r.levels) == r.k_star
         assert abs(r.levels[0] - k1) <= 1
     p = SystemParams(1.0, 0.827263658631598, 1.2711609403944863, 159)
     r = opt_mm_mds(p, 5)
-    assert (r.k_star, r.levels[0], mm_level_split(p, r.k_star, 5)[0]) == (533, 159, 158)
+    assert (r.k_star, r.levels[0], mm_k1(p, r.k_star, 5)) == (533, 159, 158)
 
 
 def test_age_and_service_argmins_agree_at_large_n():

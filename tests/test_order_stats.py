@@ -15,7 +15,6 @@ from coded_aoi import (
     gen_harmonic2,
     harmonic,
     os_mean,
-    os_second_moment,
     os_var,
 )
 from coded_aoi import MDS, MultiMDS, Repetition, SystemParams, Uncoded, age_of
@@ -203,14 +202,6 @@ def test_os_var_examples():
     assert os_var(ShiftedExp(5, 1), 1, 1) == pytest.approx(1.0, abs=1e-15)
     # frozen: G_4 - G_2 = 1/9 + 1/16
     assert os_var(ShiftedExp(0, 1), 4, 2) == pytest.approx(0.1736111111111111, rel=1e-13)
-
-
-def test_os_second_moment_examples():
-    assert os_second_moment(ShiftedExp(1, 1), 1, 1) == pytest.approx(5.0, abs=1e-14)
-    assert os_second_moment(ShiftedExp(0, 1), 1, 1) == pytest.approx(2.0, abs=1e-14)
-    d = ShiftedExp(1, 1)
-    m = os_mean(d, 100, 50)
-    assert os_second_moment(d, 100, 50) == pytest.approx(m * m + os_var(d, 100, 50), rel=1e-15)
 
 
 def test_order_index_validation():

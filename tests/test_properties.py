@@ -31,6 +31,7 @@ from coded_aoi import (  # noqa: E402
 )
 from coded_aoi import cli  # noqa: E402
 from levels_reference import chain_alphas_grid, chain_residuals  # noqa: E402
+import schemes_reference  # noqa: E402
 
 # Few examples keep the module to about a second.  derandomize fixes the
 # examples, so a run is repeatable; a wider search is one edit of max_examples.
@@ -89,6 +90,20 @@ def test_level_split_solves_the_chain(ell, alpha, mu_c):
     assert a[0] > 0.0
     for r, bound in chain_residuals(LevelSplit(a), mu_c):
         assert abs(r) <= bound
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(valid_points())
+def test_service_moments_match_the_order_statistic_reference(point):
+    # each scheme's moments are the same floats as those of its (d, n, k)
+    # order statistic; k1 = 0 is the degenerate multi-message split
+    scheme, p = point
+    if isinstance(scheme, MultiMDS) and schemes_reference.first_level_count(
+            p, scheme.k, scheme.load) == 0:
+        with pytest.raises(DegenerateLevels):
+            service_moments(scheme, p)
+        return
+    assert service_moments(scheme, p) == schemes_reference.moments(scheme, p)
 
 
 @FEW

@@ -13,13 +13,15 @@ from coded_aoi import (
     SystemParams,
     Uncoded,
     harmonic,
-    mm_level_split,
+    mm_k1,
     os_var,
     sample_service_batch,
     service_moments,
 )
 from coded_aoi.order_stats import sample_batch
-from coded_aoi.schemes import service_order_stat, validate
+from coded_aoi.levels import solve_levels
+from coded_aoi.schemes import validate
+from schemes_reference import order_stat
 
 
 def rng(seed):
@@ -163,9 +165,8 @@ def test_system_params_validation():
 
 def test_repetition_full_k_equals_uncoded():
     p = params(c=2.0, mu=0.5, n=20)
-    assert service_order_stat(Repetition(20), p) == service_order_stat(Uncoded(), p)
-    mr, mu_ = service_moments(Repetition(20), p), service_moments(Uncoded(), p)
-    assert mr == mu_
+    assert Repetition(20).moments(p) == Uncoded().moments(p)
+    assert service_moments(Repetition(20), p) == service_moments(Uncoded(), p)
 
 
 def test_multi_mds_single_load_equals_mds():
@@ -185,8 +186,8 @@ def test_degenerate_levels_raises():
 def test_variance_identity_for_single_level_schemes():
     p = params(lam=2.0, c=0.5, mu=1.5, n=40)
     for scheme in (Uncoded(), Repetition(8), MDS(13)):
-        m = service_moments(scheme, p)
-        d, n, k = service_order_stat(scheme, p)
+        m = scheme.moments(p)
+        d, n, k = order_stat(scheme, p)
         assert m.es2 - m.es**2 == pytest.approx(os_var(d, n, k), abs=1e-12)
 
 
@@ -235,8 +236,8 @@ def test_multi_mds_sampler_matches_levels_at_large_n():
     assert abs(x.mean() - m.es) / m.es < 0.01
 
 
-def test_mm_level_split_counts():
+def test_mm_k1_counts():
     p = params(mu=0.1, n=1000)
-    k1, split = mm_level_split(p, 600, 2)
-    assert k1 == round(split.alphas[0] * 1000)
+    k1 = mm_k1(p, 600, 2)
+    assert k1 == round(solve_levels(2, 600 / 2000, p.mu_c).alphas[0] * 1000)
     assert k1 >= 1
