@@ -19,12 +19,17 @@ Two modes:
                  D, S, Z off the event sequence: the idle wait is measured
                  between real events instead of being drawn from the
                  residual-exponential shortcut.  Arrival times are formed a
-                 block at a time, and the update that ends each cycle is
-                 found by binary search for the first arrival at or after
-                 the service completion; the arrivals skipped over are the
-                 dropped ones.  The draws and the arithmetic are those of a
-                 walk over every arrival in turn, so the results are the
-                 same bits.  Also records the dropped-arrival fraction.
+                 block at a time; in each block, binary search finds the
+                 first arrival at or after each service completion, and
+                 only the accepted arrivals are kept.  The arrivals skipped
+                 over are the dropped ones.  D and Z are formed from the
+                 accepted arrivals in one step at the end.  The draws and
+                 the arithmetic are those of a walk over every arrival in
+                 turn, so the results are the same bits.  Also records the
+                 dropped-arrival fraction.  A cycle costs about lambda * E[S]
+                 dropped arrivals, so a run whose drawn service times give
+                 more than MAX_DROPS_PER_CYCLE is refused with ValueError
+                 (exit 2 from the CLI); fast mode estimates the same age.
 
 The alternative source policy "return-triggered" (send the next update when
 the processed result comes back, rather than on acceptance of the previous
@@ -52,6 +57,9 @@ SCRATCH_DOUBLES = 1 << 16
 # (gap, transit-age) pairs per block of the full-stream arrival draws; only
 # the current block is held as Python floats
 ARRIVAL_BLOCK = 1 << 11
+# largest lambda * E[S], the expected dropped arrivals per cycle, that a
+# full-stream run accepts; the walk draws every one of them
+MAX_DROPS_PER_CYCLE = 1 << 10
 DEFAULT_BATCHES = 30
 
 SeedLike = Union[int, SeedSequence]
@@ -90,9 +98,7 @@ class _RepStats:
     sum_s2: float
     sum_d: float
     sum_z: float
-    cycles: int
     arrivals: int = 0
-    dropped: int = 0
 
 
 def _exp_batch(rate: float, rng: Generator, size: int) -> np.ndarray:
@@ -148,73 +154,57 @@ def _fast_cycles(scheme, params, rng, cycles, policy, sampler):
 def _stream_cycles(scheme, params, rng, cycles, sampler):
     lam = params.arrival_rate
     s = _service_array(scheme, params, rng, cycles + 1, sampler)
-    d_used = np.empty(cycles)
-    z = np.empty(cycles)
+    # "not <=" refuses an infinite or NaN mean too
+    if not lam * s.mean() <= MAX_DROPS_PER_CYCLE:
+        raise ValueError(
+            f"full-stream simulation: lambda*E[S] = {lam * s.mean():.6g} dropped arrivals per "
+            f"cycle exceed the limit of {MAX_DROPS_PER_CYCLE}; fast mode gives the same age")
     # Python floats for the per-cycle search, converted a block at a time
     next_s = itertools.chain.from_iterable(
-        s[a:a + ARRIVAL_BLOCK].tolist() for a in range(0, cycles, ARRIVAL_BLOCK)).__next__
-    j = 0
-    base = 0  # arrivals in earlier blocks
+        s[a:a + ARRIVAL_BLOCK].tolist() for a in range(0, cycles + 1, ARRIVAL_BLOCK)).__next__
+    picked_times, picked_ages = [], []
+    need = cycles + 1  # accepted arrivals still to find; the last only ends a cycle
     last_t = 0.0
-    # completion time and transit age of cycle j's update, while the arrival
-    # that ends cycle j is searched for in a later block
-    completion = d_cur = None
-    while True:
+    completion = -math.inf  # the first arrival finds the pool idle
+    while need:
         # Each arrival consumes two exponentials: the interarrival gap and the
         # transit age the packet carries.  Blocks draw the same stream as one
         # draw at a time, and cumsum adds the gaps in order, as t += gap would.
-        draws = _exp_batch(lam, rng, 2 * ARRIVAL_BLOCK)
-        ages = draws[1::2]
-        gaps = draws[0::2]
-        gaps[0] += last_t
-        times = np.cumsum(gaps)
+        pairs = _exp_batch(lam, rng, 2 * ARRIVAL_BLOCK).reshape(-1, 2)
+        pairs[0, 0] += last_t
+        times = np.cumsum(pairs[:, 0])
         t_list = times.tolist()
         n = len(t_list)
-        if completion is None:
-            i = 0  # the first update finds the pool idle by construction
-        else:
-            # the first arrival at or after the completion is accepted; every
-            # arrival before it finds the pool busy and is dropped
-            i = bisect_left(t_list, completion)
-            if i == n:
-                base += n
-                last_t = t_list[-1]
-                continue
-            d_used[j] = d_cur
-            z[j] = t_list[i] - completion
-            j += 1
-        accepted = [i]
-        t = t_list[i]
-        for _ in range(cycles - j):
-            completion = t + next_s()
-            i = bisect_left(t_list, completion, i + 1)
+        # the first arrival at or after the completion is accepted; every
+        # arrival before it finds the pool busy and is dropped
+        picked = []
+        i = bisect_left(t_list, completion)
+        for _ in range(need):
             if i == n:
                 break
-            t = t_list[i]
-            accepted.append(i)
-        acc = np.array(accepted)
-        j1 = j + len(accepted) - 1
-        d_used[j:j1] = ages[acc[:-1]]
-        z[j:j1] = times[acc[1:]] - (times[acc[:-1]] + s[j:j1])
-        j = j1
-        if j == cycles:
-            break
-        base += n
+            picked.append(i)
+            completion = t_list[i] + next_s()
+            i = bisect_left(t_list, completion, i + 1)
+        need -= len(picked)
+        idx = np.array(picked, dtype=np.intp)
+        picked_times.append(times[idx])
+        picked_ages.append(pairs[:, 1][idx])  # 1-D gather; pairs[idx, 1] is 5x slower
         last_t = t_list[-1]
-        d_cur = ages[accepted[-1]]
+    arrivals = (len(picked_times) - 1) * n + picked[-1] + 1
+    t = np.concatenate(picked_times)
+    d_used = np.concatenate(picked_ages)[:-1]
+    z = t[1:] - (t[:-1] + s[:-1])
     v = d_used + s[:-1]
     length = z + s[1:]
-    arrivals = base + accepted[-1] + 1
-    dropped = arrivals - (cycles + 1)
-    return s, d_used, z, v, length, arrivals, dropped
+    return s, d_used, z, v, length, arrivals, arrivals - (cycles + 1)
 
 
 def _simulate_rep(scheme: Scheme, params: SystemParams, rng: Generator,
                   cycles: int, mode: str, policy: str, batches: int,
                   sampler: Optional[ServiceSampler]) -> _RepStats:
-    arrivals = dropped = 0
+    arrivals = 0
     if mode == "full_stream" and policy != "return-triggered":
-        s, d_used, z, v, length, arrivals, dropped = _stream_cycles(
+        s, d_used, z, v, length, arrivals, _ = _stream_cycles(
             scheme, params, rng, cycles, sampler)
     else:
         s, d_used, z, v, length = _fast_cycles(
@@ -229,9 +219,7 @@ def _simulate_rep(scheme: Scheme, params: SystemParams, rng: Generator,
         sum_s2=float((s_used * s_used).sum()),
         sum_d=float(d_used.sum()),
         sum_z=float(z.sum()),
-        cycles=cycles,
         arrivals=arrivals,
-        dropped=dropped,
     )
 
 
@@ -355,10 +343,10 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     ]
     area = np.concatenate([r.area_batches for r in stats])
     time = np.concatenate([r.time_batches for r in stats])
-    cycles = sum(r.cycles for r in stats)
+    cycles = reps * cycles_per_rep
     arrivals = sum(r.arrivals for r in stats)
-    dropped = sum(r.dropped for r in stats)
-    frac = dropped / arrivals if arrivals else None
+    # every replication accepts cycles_per_rep + 1 of its arrivals
+    frac = (arrivals - reps * (cycles_per_rep + 1)) / arrivals if arrivals else None
     entropy = root.entropy
     seed_out = int(entropy) if np.ndim(entropy) == 0 else tuple(int(e) for e in entropy)
     return SimReport(

@@ -24,7 +24,9 @@ from coded_aoi import (
 import coded_aoi
 from coded_aoi import simulate
 from coded_aoi.simulate import (
+    ARRIVAL_BLOCK,
     CHUNK,
+    MAX_DROPS_PER_CYCLE,
     _exp_batch,
     _service_array,
     _simulate_rep,
@@ -293,7 +295,8 @@ def gamma_service(rng, size):
 @pytest.mark.parametrize("lam", [0.05, 1.0, 20.0, 200.0])
 def test_stream_cycles_bitwise_equal_to_event_walk(scheme, sampler, lam):
     p = params(lam=lam, n=10)
-    for seed, cycles in ((51, 30), (52, 8192)):
+    # a run that ends on the last arrival of a block, or needs one more
+    for seed, cycles in ((51, 30), (52, 8192), (53, ARRIVAL_BLOCK - 1), (54, ARRIVAL_BLOCK)):
         got = _stream_cycles(scheme, p, Generator(PCG64(seed)), cycles, sampler)
         want = _reference_stream_cycles(scheme, p, Generator(PCG64(seed)), cycles, sampler)
         assert [a.tobytes() for a in got[:5]] == [a.tobytes() for a in want[:5]]
@@ -315,6 +318,20 @@ def test_full_stream_report_does_not_depend_on_arrival_block(monkeypatch):
     one_block = reports()
     assert one_arrival == default
     assert one_block == default
+
+
+def test_full_stream_refuses_more_than_the_drop_cap():
+    # lambda * E[S] is about 1e6 here: the walk would draw 1e8 arrivals
+    p = SystemParams(1, 1, 1e-6, 9)
+    with pytest.raises(ValueError, match=f"limit of {MAX_DROPS_PER_CYCLE};"):
+        run(Uncoded(), p, 100, 1156, mode="full_stream")
+    assert math.isfinite(run(Uncoded(), p, 100, 1156).mean_age)
+    with pytest.raises(ValueError, match="lambda\\*E\\[S\\] = 1e\\+06 "):
+        run(Uncoded(), params(), 100, 1, mode="full_stream",
+            service_sampler=lambda rng, size: np.full(size, 1e6))
+    # nothing is dropped under return-triggered sending, so nothing is capped
+    r = run(Uncoded(), p, 100, 1156, mode="full_stream", policy="return-triggered")
+    assert r.dropped_fraction is None
 
 
 @pytest.mark.parametrize("kwargs", [
