@@ -3,7 +3,9 @@
 The same update can be spread over the pool in different ways; what the
 destination feels is the service time S until enough results are back.
 This script tabulates E[S] for each scheme and confirms the analytic
-moments against the samplers.
+moments against the samplers.  The single-level schemes sample the law of
+their order statistic (two gamma draws per service time); MultiMDS at
+load 2 simulates every worker's queue of coded subtasks.
 """
 import numpy as np
 from numpy.random import Generator, PCG64

@@ -119,6 +119,17 @@ def os_var(d: ShiftedExp, n: int, k: int) -> float:
 
 
 def sample_batch(d: ShiftedExp, rng: np.random.Generator,
-                 size: "int | tuple[int, ...]") -> np.ndarray:
-    """Draw ``size`` i.i.d. values from d by inverse CDF (see ShiftedExp.quantile)."""
-    return d.quantile(rng.random(size))
+                 size: "int | tuple[int, ...]", out: "np.ndarray | None" = None) -> np.ndarray:
+    """Draw ``size`` i.i.d. values from d by inverse CDF (see ShiftedExp.quantile).
+
+    With ``out`` (a C-contiguous float64 array of shape ``size``) the draws
+    are formed in place there and ``out`` is returned; the floats are the
+    same as without it.
+    """
+    if out is None:
+        return d.quantile(rng.random(size))
+    u = rng.random(size, out=out)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.divide(u, d.rate, out=u)
+    return np.subtract(d.shift, u, out=u)

@@ -21,9 +21,18 @@ per worker) and three methods.  ``check(params, sampling)`` raises
 ValueError for parameters the scheme cannot take (with sampling=True: cannot
 simulate); on checked parameters, ``moments(params)`` gives the exact E[S]
 and E[S^2], the only properties of S that the average age depends on, and
-``sample(params, rng, size)`` draws service times by simulating the workers.
-The module functions below check and then call these methods, so no other
-code dispatches on the scheme type.
+``sample(params, rng, size)`` draws service times.  The module functions
+below check and then call these methods, so no other code dispatches on the
+scheme type.
+
+The single-level schemes (uncoded, repetition, MDS, and MultiMDS at load 1)
+have a service time that is one order statistic, the k-th smallest of N
+i.i.d. draws from a shifted exponential d; each states its ``order_stat``
+triple (d, N, k) once, and both its moments and its samples follow from it.
+Samples come from the law of that order statistic in O(1) per service time
+(see ``_os_sample``), not from N worker draws.  MultiMDS at load >= 2 has no
+such law in closed form, so it simulates the workers: n draws and an
+n*load multiset per service time.
 """
 from __future__ import annotations
 
@@ -43,9 +52,15 @@ from .order_stats import (
 )
 
 
-# Largest n*load a service time may be sampled at: the sampler holds at
-# least one row of that many worker draws (128 MiB of doubles at the limit).
+# Largest n*load a service time may be sampled at.  The worker-level
+# sampler holds at least one row of that many draws (128 MiB of doubles at
+# the limit); the order-statistic law needs no row, but every scheme keeps
+# the one limit, so which sweep rows are simulated does not depend on the
+# sampler.
 MAX_SAMPLE_DRAWS = 1 << 24
+# Doubles per row chunk of the worker-level sampler, its draws and multiset
+# together: 512 KiB, so the scratch stays in a core's L2 cache.
+SCRATCH_DOUBLES = 1 << 16
 
 
 class DegenerateLevels(Exception):
@@ -103,29 +118,57 @@ def _os_moments(d: ShiftedExp, n: int, k: int) -> ServiceMoments:
     return ServiceMoments(m, m * m + os_var(d, n, k))
 
 
-@dataclass(frozen=True)
-class Uncoded:
-    label: ClassVar[str] = "uncoded"
+def _os_sample(d: ShiftedExp, n: int, k: int, rng: np.random.Generator,
+               size: int) -> np.ndarray:
+    """``size`` draws of the k-th smallest of n i.i.d. draws from d, from its law.
+
+    The k-th of n uniforms is B = G_k / (G_k + G_{n-k+1}) for independent
+    standard gammas (David & Nagaraja, Order Statistics, 2003), and the
+    inverse CDF maps it to d.shift - log(1 - B)/d.rate, which is d.shift +
+    log1p(G_k / G_{n-k+1})/d.rate: no difference cancels at any n.  Each
+    sample's two gammas are drawn together, row by row, so the values do not
+    depend on how a run is split into calls.
+    """
+    g = rng.standard_gamma([k, n - k + 1], (size, 2))
+    x = np.divide(g[:, 0], g[:, 1])
+    np.log1p(x, out=x)
+    x /= d.rate
+    x += d.shift
+    return x
+
+
+class _OrderStat:
+    """A single-level scheme: S is the k-th smallest of N draws from d."""
+
     load: ClassVar[int] = 1  # subtasks per worker
+
+    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
+        """The triple (d, N, k) of the service time's order statistic."""
+        raise NotImplementedError
+
+    def moments(self, params: SystemParams) -> ServiceMoments:
+        return _os_moments(*self.order_stat(params))
+
+    def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
+        return _os_sample(*self.order_stat(params), rng, size)
+
+
+@dataclass(frozen=True)
+class Uncoded(_OrderStat):
+    label: ClassVar[str] = "uncoded"
 
     def check(self, params: SystemParams, sampling: bool = False) -> None:
         pass
 
-    def moments(self, params: SystemParams) -> ServiceMoments:
+    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
         n = params.nworkers
-        return _os_moments(params.whole_task().split(n), n, n)
-
-    def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
-        n = params.nworkers
-        u = rng.random((size, n))
-        return params.whole_task().split(n).quantile(u.max(axis=1))
+        return params.whole_task().split(n), n, n
 
 
 @dataclass(frozen=True)
-class Repetition:
+class Repetition(_OrderStat):
     k: int
     label: ClassVar[str] = "repetition"
-    load: ClassVar[int] = 1
 
     def check(self, params: SystemParams, sampling: bool = False) -> None:
         n = params.nworkers
@@ -135,31 +178,17 @@ class Repetition:
         if sampling and n % self.k != 0:
             raise ValueError(f"repetition sampling: k must divide n, got k={self.k}, n={n}")
 
-    def moments(self, params: SystemParams) -> ServiceMoments:
+    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
         # min over n/k replicas of a (shift/k, k*rate) piece is a
         # (shift/k, n*rate) shifted exponential; all k results are needed
         fastest = ShiftedExp(params.shift / self.k, params.straggling * params.nworkers)
-        return _os_moments(fastest, self.k, self.k)
-
-    def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
-        k, r = self.k, params.nworkers // self.k
-        groups = rng.random((size, params.nworkers)).reshape(size, k, r)
-        if r <= k:
-            # few replicas: an elementwise minimum over strided replica
-            # columns beats a reduction over a short trailing axis
-            fastest = groups[:, :, 0].copy()
-            for j in range(1, r):
-                np.minimum(fastest, groups[:, :, j], out=fastest)
-        else:
-            fastest = groups.min(axis=2)
-        return params.whole_task().split(k).quantile(fastest.max(axis=1))
+        return fastest, self.k, self.k
 
 
 @dataclass(frozen=True)
-class MDS:
+class MDS(_OrderStat):
     k: int
     label: ClassVar[str] = "mds"
-    load: ClassVar[int] = 1
 
     def check(self, params: SystemParams, sampling: bool = False) -> None:
         require_int("mds: k", self.k)
@@ -168,13 +197,8 @@ class MDS:
         if self.k >= params.nworkers:
             raise ValueError(f"mds: k must be < n, got k={self.k}, n={params.nworkers}")
 
-    def moments(self, params: SystemParams) -> ServiceMoments:
-        return _os_moments(params.whole_task().split(self.k), params.nworkers, self.k)
-
-    def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random((size, params.nworkers))
-        u.partition(self.k - 1, axis=1)
-        return params.whole_task().split(self.k).quantile(u[:, self.k - 1])
+    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
+        return params.whole_task().split(self.k), params.nworkers, self.k
 
 
 @dataclass(frozen=True)
@@ -199,18 +223,31 @@ class MultiMDS:
         return _os_moments(params.whole_task().split(self.k), params.nworkers, k1)
 
     def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
+        if self.load == 1:
+            # one subtask per worker is exactly MDS
+            return MDS(self.k).sample(params, rng, size)
         # the real finite-n mechanism, unlike the analytic first-level
         # identification: the k-th smallest of the multiset {m * X_i} over
-        # workers i and queue positions m = 1..load
-        n = params.nworkers
-        x = sample_batch(params.whole_task().split(self.k), rng, (size, n))
-        # level m holds every worker's m-th result at m * X_i; the k-th
-        # smallest does not depend on the column order of the multiset
-        multiset = np.empty((size, n * self.load))
-        for m in range(1, self.load + 1):
-            np.multiply(x, m, out=multiset[:, (m - 1) * n:m * n])
-        multiset.partition(self.k - 1, axis=1)
-        return multiset[:, self.k - 1]
+        # workers i and queue positions m = 1..load.  Level m holds every
+        # worker's m-th result at m * X_i; the k-th smallest does not depend
+        # on the column order of the multiset.  Both buffers are allocated
+        # once and reused for every row chunk; the draws fill them
+        # row-major, so the chunk size never changes the values.
+        n, width = params.nworkers, params.nworkers * self.load
+        d = params.whole_task().split(self.k)
+        rows = max(1, min(size, SCRATCH_DOUBLES // (n + width)))
+        out = np.empty(size)
+        draws = np.empty((rows, n))
+        multiset = np.empty((rows, width))
+        for a in range(0, size, rows):
+            b = min(a + rows, size)
+            x = sample_batch(d, rng, (b - a, n), out=draws[:b - a])
+            chunk = multiset[:b - a]
+            for m in range(1, self.load + 1):
+                np.multiply(x, m, out=chunk[:, (m - 1) * n:m * n])
+            chunk.partition(self.k - 1, axis=1)
+            out[a:b] = chunk[:, self.k - 1]
+        return out
 
 
 Scheme = Uncoded | Repetition | MDS | MultiMDS
@@ -270,12 +307,12 @@ def service_moments(scheme: Scheme, params: SystemParams) -> ServiceMoments:
 
 def sample_service_batch(scheme: Scheme, params: SystemParams,
                          rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` i.i.d. service times by simulating the workers.
+    """Draw ``size`` i.i.d. service times.
 
-    Every scheme draws n*load uniforms per service time, row by row.  The
-    single-level schemes select their order statistic on the uniforms and
-    transform only the selected value; the inverse CDF is nondecreasing, so
-    this returns the same float as transforming every draw first.
+    The single-level schemes draw from the law of their order statistic:
+    two gammas per service time at any n.  MultiMDS at load >= 2 simulates
+    the workers: n uniforms per service time, row by row, and the k-th
+    smallest of the n*load multiset of their completion times.
     """
     validate(scheme, params, sampling=True)
     return scheme.sample(params, rng, size)

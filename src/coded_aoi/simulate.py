@@ -51,9 +51,6 @@ from numpy.random import Generator, PCG64, SeedSequence
 from .levels import require_int
 from .schemes import Scheme, SystemParams, sample_service_batch, validate
 
-CHUNK = 1 << 14
-# worker draws per service-sampling chunk: 512 KiB of float64 scratch
-SCRATCH_DOUBLES = 1 << 16
 # (gap, transit-age) pairs per block of the full-stream arrival draws; only
 # the current block is held as Python floats
 ARRIVAL_BLOCK = 1 << 11
@@ -108,29 +105,16 @@ def _exp_batch(rate: float, rng: Generator, size: int) -> np.ndarray:
 
 def _service_array(scheme: Scheme, params: SystemParams, rng: Generator,
                    count: int, sampler: Optional[ServiceSampler]) -> np.ndarray:
-    # Each chunk fills a (rows, width) scratch matrix and selects on it.
-    # Capped at SCRATCH_DOUBLES, the matrix stays in a core's L2 cache and the
-    # allocator recycles its memory, where a multi-MB matrix is mapped and
-    # page-faulted afresh on every chunk.  Uniforms fill row-major, so the
-    # chunk size never changes the drawn values, only how many rows are
-    # materialized at once.
-    width = params.nworkers * scheme.load
-    chunk = max(1, min(CHUNK, SCRATCH_DOUBLES // width))
-    out = np.empty(count)
-    for a in range(0, count, chunk):
-        b = min(a + chunk, count)
-        if sampler is None:
-            out[a:b] = sample_service_batch(scheme, params, rng, b - a)
-            continue
-        # a custom sampler is outside the model's checks: a negative or NaN
-        # service time gives a wrong age, and an infinite one leaves the
-        # full-stream search waiting for an arrival that never comes
-        draws = np.asarray(sampler(rng, b - a), dtype=float)
-        if draws.shape != (b - a,) or not (np.isfinite(draws).all() and (draws >= 0).all()):
-            raise ValueError(f"service_sampler must return a 1-D array of {b - a} finite "
-                             f"values >= 0, got shape {draws.shape}")
-        out[a:b] = draws
-    return out
+    if sampler is None:
+        return sample_service_batch(scheme, params, rng, count)
+    # a custom sampler is outside the model's checks: a negative or NaN
+    # service time gives a wrong age, and an infinite one leaves the
+    # full-stream search waiting for an arrival that never comes
+    draws = np.asarray(sampler(rng, count), dtype=float)
+    if draws.shape != (count,) or not (np.isfinite(draws).all() and (draws >= 0).all()):
+        raise ValueError(f"service_sampler must return a 1-D array of {count} finite "
+                         f"values >= 0, got shape {draws.shape}")
+    return draws
 
 
 def _batch_edges(cycles: int, batches: int) -> np.ndarray:
@@ -314,7 +298,9 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     ``seed`` is a SeedSequence or an integer >= 0.  The replications draw
     from SeedSequence children of ``seed`` in replication order, so the
     pooled report depends only on (seed, reps, cycles_per_rep), not on
-    execution interleaving.
+    execution interleaving.  A ``service_sampler(rng, size)``, if given,
+    replaces the scheme's sampler; each replication calls it once, for all
+    of its cycles_per_rep + 1 service times.
     """
     for name, value in (("cycles_per_rep", cycles_per_rep), ("reps", reps),
                         ("batches", batches)):

@@ -5,10 +5,19 @@ This is how the moments were computed before each scheme owned its
 ``moments`` method; the library must keep giving the same floats.  The
 multi-message k1 comes straight from the level solver, not from
 ``schemes.mm_k1``; it is 0 where the first level rounds to no subtask.
+
+``mechanism_sample`` is the worker-level reference sampler: it simulates
+every worker, where the library draws single-level service times from their
+order-statistic law.
 """
+import numpy as np
+
 from coded_aoi import MDS, MultiMDS, Repetition, ServiceMoments, ShiftedExp, Uncoded
 from coded_aoi.levels import solve_levels
 from coded_aoi.order_stats import os_mean, os_var
+
+# worker draws per row chunk of mechanism_sample
+SCRATCH_DOUBLES = 1 << 16
 
 
 def order_stat(scheme, params):
@@ -38,3 +47,44 @@ def moments(scheme, params):
     d, n, k = order_stat(scheme, params)
     m = os_mean(d, n, k)
     return ServiceMoments(m, m * m + os_var(d, n, k))
+
+
+def _mechanism_rows(scheme, params, rng, rows):
+    n = params.nworkers
+    task = params.whole_task()
+    if isinstance(scheme, MultiMDS):
+        x = task.split(scheme.k).quantile(rng.random((rows, n)))
+        multiset = (x[:, :, None] * np.arange(1, scheme.load + 1)).reshape(rows, -1)
+        return np.partition(multiset, scheme.k - 1, axis=1)[:, scheme.k - 1]
+    # the single-level schemes select their order statistic on the uniforms
+    # and transform only the selected value; the inverse CDF is
+    # nondecreasing, so this is the float that transforming every draw
+    # first would select
+    u = rng.random((rows, n))
+    if isinstance(scheme, Uncoded):
+        return task.split(n).quantile(u.max(axis=1))
+    if isinstance(scheme, Repetition):
+        fastest = u.reshape(rows, scheme.k, n // scheme.k).min(axis=2)
+        return task.split(scheme.k).quantile(fastest.max(axis=1))
+    u.partition(scheme.k - 1, axis=1)
+    return task.split(scheme.k).quantile(u[:, scheme.k - 1])
+
+
+def mechanism_sample(scheme, params, rng, size):
+    """``size`` service times by simulating all n workers of every sample.
+
+    The n worker uniforms of a sample fill one row; rows are drawn in
+    order, a bounded chunk at a time, so the chunk size never changes the
+    values.
+    """
+    rows = max(1, SCRATCH_DOUBLES // (params.nworkers * scheme.load))
+    out = np.empty(size)
+    for a in range(0, size, rows):
+        b = min(a + rows, size)
+        out[a:b] = _mechanism_rows(scheme, params, rng, b - a)
+    return out
+
+
+def mechanism_sampler(scheme, params):
+    """mechanism_sample as a ``service_sampler`` for ``simulate.run``."""
+    return lambda rng, size: mechanism_sample(scheme, params, rng, size)

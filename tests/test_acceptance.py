@@ -26,6 +26,7 @@ from coded_aoi import (
 )
 from coded_aoi.cli import main as cli_main
 from levels_reference import chain_residuals
+from schemes_reference import mechanism_sampler
 
 
 def check(cid, description, ok):
@@ -111,7 +112,10 @@ def test_criterion_05_simulation_matches_analytic_at_million_cycles():
              f"mm-mds({k_mm})"),
         ]
         for scheme, pp, analytic, tol, label in cases:
-            r = run(scheme, pp, 1_000_000, seed=97)
+            # the simulator stays an independent check: every worker is
+            # simulated, not only the order statistic's law
+            sampler = mechanism_sampler(scheme, pp) if scheme.load == 1 else None
+            r = run(scheme, pp, 1_000_000, seed=97, service_sampler=sampler)
             rel = abs(r.mean_age - analytic) / analytic
             detail.append(f"mu={mu} {label} {rel*100:.3f}%")
             ok = ok and rel < tol

@@ -107,9 +107,12 @@ def test_service_moments_match_the_order_statistic_reference(point):
 
 
 @FEW
-@given(systems())
-def test_full_repetition_has_uncoded_moments(p):
+@given(systems(), st.integers(0, 2**32), st.integers(1, 16))
+def test_full_repetition_has_uncoded_moments(p, seed, size):
     assert service_moments(Repetition(p.nworkers), p) == service_moments(Uncoded(), p)
+    a = sample_service_batch(Repetition(p.nworkers), p, Generator(PCG64(seed)), size)
+    b = sample_service_batch(Uncoded(), p, Generator(PCG64(seed)), size)
+    assert a.tobytes() == b.tobytes()
 
 
 @FEW

@@ -20,8 +20,8 @@ from coded_aoi import (
 )
 from coded_aoi.order_stats import sample_batch
 from coded_aoi.levels import solve_levels
-from coded_aoi.schemes import validate
-from schemes_reference import order_stat
+from coded_aoi.schemes import MAX_SAMPLE_DRAWS, validate
+from schemes_reference import mechanism_sample, order_stat
 
 
 def rng(seed):
@@ -36,7 +36,18 @@ class FixedUniform:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.values.reshape(size)
+        out[...] = self.values.reshape(out.shape)
+        return out
+
+
+class FixedGamma:
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def standard_gamma(self, shape, size=None):
         return self.values.reshape(size)
 
 
@@ -65,12 +76,50 @@ def _reference_sample_service_batch(scheme, params, rng, size):
     (MultiMDS(30, 1), 100), (MultiMDS(129, 3), 100), (MultiMDS(299, 3), 100),
 ])
 def test_sampler_is_bitwise_equal_to_reference(scheme, n):
+    # the library simulates the workers only at load >= 2; at load 1 the
+    # worker-level sampler checked here is the tests' chunked mechanism,
+    # on which acceptance criterion 05 runs
+    sampler = sample_service_batch if scheme.load >= 2 else mechanism_sample
     p = params(mu=0.5, n=n)
     for seed, size in ((31, 1), (32, 7), (33, 700)):
-        got = sample_service_batch(scheme, p, rng(seed), size)
+        got = sampler(scheme, p, rng(seed), size)
         want = _reference_sample_service_batch(scheme, p, rng(seed), size)
         assert got.shape == want.shape
         assert (got == want).all()
+
+
+LAW_CASES = [(Uncoded(), 1), (Repetition(1), 1)] + [
+    (scheme, n) for n in (100, 1000)
+    for scheme in (Uncoded(), Repetition(n), Repetition(n // 4),
+                   MDS(1), MDS(69 * n // 100), MDS(n - 1))]
+
+
+@pytest.mark.parametrize("scheme, n", LAW_CASES)
+def test_law_sampler_matches_the_worker_mechanism(scheme, n):
+    # the order-statistic law against every worker simulated, at fixed seeds
+    stats = pytest.importorskip("scipy.stats")
+    p = params(mu=0.5, n=n)
+    size, rows = 20_000, 500
+    law = sample_service_batch(scheme, p, rng(61), size)
+    worker_rng = rng(62)  # rows draw in order, so chunks give one call's values
+    mechanism = np.concatenate([_reference_sample_service_batch(scheme, p, worker_rng, rows)
+                                for _ in range(size // rows)])
+    assert stats.ks_2samp(law, mechanism).pvalue > 1e-3
+    se = math.sqrt(os_var(*order_stat(scheme, p)) / size)
+    assert abs(law.mean() - service_moments(scheme, p).es) < 4 * se
+
+
+@pytest.mark.parametrize("mu_c", [1e-6, 1e6])
+@pytest.mark.parametrize("scheme, n", [
+    (Uncoded(), MAX_SAMPLE_DRAWS), (MDS(1), 10**6), (MDS(10**6 - 1), 10**6)])
+def test_law_sampler_is_precise_at_extreme_parameters(scheme, n, mu_c):
+    p = SystemParams(1.0, 1.0, mu_c, n)
+    size = 20_000
+    x = sample_service_batch(scheme, p, rng(71), size)
+    d = order_stat(scheme, p)[0]
+    assert np.isfinite(x).all() and (x >= d.shift).all()
+    se = math.sqrt(os_var(*order_stat(scheme, p)) / size)
+    assert abs(x.mean() - service_moments(scheme, p).es) < 4 * se
 
 
 def test_system_params_rejects_non_finite():
@@ -201,10 +250,11 @@ def test_multiset_enumeration_fixed_draws():
 
 
 def test_uncoded_single_worker_sampling_law():
-    # one worker, whole task: same inverse-CDF transform as one plain draw
+    # one worker, whole task: shift + log1p(G / G')/rate with the two
+    # gammas in the ratio expm1(0.7) is the draw 1 + 0.7
     p = params(n=1)
-    u = np.array([1.0 - math.exp(-0.7)])
-    out = sample_service_batch(Uncoded(), p, FixedUniform(u), 1)
+    g = np.array([[math.expm1(0.7), 1.0]])
+    out = sample_service_batch(Uncoded(), p, FixedGamma(g), 1)
     assert out[0] == pytest.approx(1.7, rel=1e-12)
 
 

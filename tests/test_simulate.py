@@ -22,10 +22,9 @@ from coded_aoi import (
     service_moments,
 )
 import coded_aoi
-from coded_aoi import simulate
+from coded_aoi import schemes, simulate
 from coded_aoi.simulate import (
     ARRIVAL_BLOCK,
-    CHUNK,
     MAX_DROPS_PER_CYCLE,
     _exp_batch,
     _service_array,
@@ -220,15 +219,17 @@ def test_bad_mode_and_policy_rejected():
 @pytest.mark.parametrize("mode", ["fast", "full_stream"])
 def test_report_does_not_depend_on_chunk_size(monkeypatch, mode):
     p = params(n=20)
-    schemes = (Uncoded(), Repetition(4), MDS(13), MultiMDS(30, 2))
+    tested = (Uncoded(), Repetition(4), MDS(13), MultiMDS(30, 2))
 
     def reports():
-        return [repr(run_parallel(s, p, 2000, 2, seed=41, mode=mode)) for s in schemes]
+        return [repr(run_parallel(s, p, 2000, 2, seed=41, mode=mode)) for s in tested]
 
+    # only the worker-level sampler (MultiMDS at load >= 2) walks row chunks;
+    # the order-statistic law draws each sample's gammas together
     default = reports()
-    monkeypatch.setattr(simulate, "SCRATCH_DOUBLES", 3 * 40)  # three rows at width 40
+    monkeypatch.setattr(schemes, "SCRATCH_DOUBLES", 3 * 60)  # three rows of 20 + 40
     few_rows = reports()
-    monkeypatch.setattr(simulate, "SCRATCH_DOUBLES", 1 << 30)  # one chunk per replication
+    monkeypatch.setattr(schemes, "SCRATCH_DOUBLES", 1 << 30)  # one chunk per replication
     whole_run = reports()
     assert few_rows == default
     assert whole_run == default
@@ -242,6 +243,9 @@ def test_seed_sequence_entropy_is_reported_as_given():
     assert run(MDS(69), params(), 1000, seed=5).seed == 5
 
 
+WALK_BLOCK = 1 << 14  # arrivals per draw of the reference walk; any size draws the same values
+
+
 def _reference_stream_cycles(scheme, params, rng, cycles, sampler):
     """The per-arrival event walk that _stream_cycles must reproduce bit for bit."""
     lam = params.arrival_rate
@@ -250,13 +254,13 @@ def _reference_stream_cycles(scheme, params, rng, cycles, sampler):
     z = np.empty(cycles)
     dropped = 0
 
-    buf = _exp_batch(lam, rng, 2 * CHUNK)
+    buf = _exp_batch(lam, rng, 2 * WALK_BLOCK)
     pos = 0
 
     def draw() -> float:
         nonlocal buf, pos
         if pos == len(buf):
-            buf = _exp_batch(lam, rng, 2 * CHUNK)
+            buf = _exp_batch(lam, rng, 2 * WALK_BLOCK)
             pos = 0
         pos += 1
         return buf[pos - 1]
