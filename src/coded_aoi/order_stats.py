@@ -92,13 +92,16 @@ class ShiftedExp:
             raise ValueError(f"cannot split into {m} pieces")
         return ShiftedExp(self.shift / m, self.rate * m)
 
-    def quantile(self, u: "float | np.ndarray") -> "float | np.ndarray":
+    def quantile(self, u: "float | np.ndarray",
+                 out: "np.ndarray | None" = None) -> "float | np.ndarray":
         """Inverse CDF at u in [0, 1): shift - log(1 - u)/rate.
 
         Nondecreasing in u, so an order statistic of draws can be selected
         on the uniforms and transformed once; the log argument is never zero.
+        With ``out`` (which may be u itself) the steps run in place there.
         """
-        return self.shift - np.log1p(-u) / self.rate
+        x = np.log1p(np.negative(u, out=out), out=out)
+        return np.subtract(self.shift, np.divide(x, self.rate, out=out), out=out)
 
 
 def _check_order(n: int, k: int) -> None:
@@ -126,10 +129,5 @@ def sample_batch(d: ShiftedExp, rng: np.random.Generator,
     are formed in place there and ``out`` is returned; the floats are the
     same as without it.
     """
-    if out is None:
-        return d.quantile(rng.random(size))
     u = rng.random(size, out=out)
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    np.divide(u, d.rate, out=u)
-    return np.subtract(d.shift, u, out=u)
+    return d.quantile(u, out=u)

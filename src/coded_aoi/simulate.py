@@ -300,7 +300,9 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     pooled report depends only on (seed, reps, cycles_per_rep), not on
     execution interleaving.  A ``service_sampler(rng, size)``, if given,
     replaces the scheme's sampler; each replication calls it once, for all
-    of its cycles_per_rep + 1 service times.
+    of its cycles_per_rep + 1 service times, so the sampler must bound its
+    own scratch memory: one that simulates n workers per service time in a
+    single (size, n) matrix would hold 8 GB at 1e6 cycles and n = 1000.
     """
     for name, value in (("cycles_per_rep", cycles_per_rep), ("reps", reps),
                         ("batches", batches)):

@@ -6,15 +6,15 @@ This is how the moments were computed before each scheme owned its
 multi-message k1 comes straight from the level solver, not from
 ``schemes.mm_k1``; it is 0 where the first level rounds to no subtask.
 
-``mechanism_sample`` is the worker-level reference sampler: it simulates
+``reference_sample`` is the worker-level reference sampler: it simulates
 every worker, where the library draws single-level service times from their
-order-statistic law.
+order-statistic law (``law_sample``).
 """
 import numpy as np
 
 from coded_aoi import MDS, MultiMDS, Repetition, ServiceMoments, ShiftedExp, Uncoded
 from coded_aoi.levels import solve_levels
-from coded_aoi.order_stats import os_mean, os_var
+from coded_aoi.order_stats import os_mean, os_var, sample_batch
 
 # worker draws per row chunk of mechanism_sample
 SCRATCH_DOUBLES = 1 << 16
@@ -49,42 +49,51 @@ def moments(scheme, params):
     return ServiceMoments(m, m * m + os_var(d, n, k))
 
 
-def _mechanism_rows(scheme, params, rng, rows):
+def reference_sample(scheme, params, rng, size):
+    """Transform every worker draw, then select: the worker-level mechanism.
+
+    The n worker draws of a sample fill one row, drawn in row order.
+    """
     n = params.nworkers
     task = params.whole_task()
-    if isinstance(scheme, MultiMDS):
-        x = task.split(scheme.k).quantile(rng.random((rows, n)))
-        multiset = (x[:, :, None] * np.arange(1, scheme.load + 1)).reshape(rows, -1)
-        return np.partition(multiset, scheme.k - 1, axis=1)[:, scheme.k - 1]
-    # the single-level schemes select their order statistic on the uniforms
-    # and transform only the selected value; the inverse CDF is
-    # nondecreasing, so this is the float that transforming every draw
-    # first would select
-    u = rng.random((rows, n))
     if isinstance(scheme, Uncoded):
-        return task.split(n).quantile(u.max(axis=1))
+        return sample_batch(task.split(n), rng, (size, n)).max(axis=1)
     if isinstance(scheme, Repetition):
-        fastest = u.reshape(rows, scheme.k, n // scheme.k).min(axis=2)
-        return task.split(scheme.k).quantile(fastest.max(axis=1))
-    u.partition(scheme.k - 1, axis=1)
-    return task.split(scheme.k).quantile(u[:, scheme.k - 1])
+        x = sample_batch(task.split(scheme.k), rng, (size, n))
+        return x.reshape(size, scheme.k, n // scheme.k).min(axis=2).max(axis=1)
+    if isinstance(scheme, MDS):
+        x = sample_batch(task.split(scheme.k), rng, (size, n))
+        return np.partition(x, scheme.k - 1, axis=1)[:, scheme.k - 1]
+    x = sample_batch(task.split(scheme.k), rng, (size, n))
+    multiset = (x[:, :, None] * np.arange(1, scheme.load + 1)).reshape(size, n * scheme.load)
+    return np.partition(multiset, scheme.k - 1, axis=1)[:, scheme.k - 1]
 
 
 def mechanism_sample(scheme, params, rng, size):
-    """``size`` service times by simulating all n workers of every sample.
+    """reference_sample a bounded chunk of rows at a time.
 
-    The n worker uniforms of a sample fill one row; rows are drawn in
-    order, a bounded chunk at a time, so the chunk size never changes the
-    values.
+    Rows are drawn in order, so the chunk size never changes the values.
     """
     rows = max(1, SCRATCH_DOUBLES // (params.nworkers * scheme.load))
     out = np.empty(size)
     for a in range(0, size, rows):
         b = min(a + rows, size)
-        out[a:b] = _mechanism_rows(scheme, params, rng, b - a)
+        out[a:b] = reference_sample(scheme, params, rng, b - a)
     return out
 
 
 def mechanism_sampler(scheme, params):
     """mechanism_sample as a ``service_sampler`` for ``simulate.run``."""
     return lambda rng, size: mechanism_sample(scheme, params, rng, size)
+
+
+def law_sample(scheme, params, rng, size):
+    """``size`` draws from the law of the scheme's order statistic.
+
+    The k-th of n uniforms is G_k / (G_k + G_{n-k+1}) for independent
+    standard gammas, which the inverse CDF maps to
+    shift + log1p(G_k / G_{n-k+1}) / rate; each sample's pair is one row.
+    """
+    d, n, k = order_stat(scheme, params)
+    g = rng.standard_gamma([k, n - k + 1], (size, 2))
+    return d.shift + np.log1p(g[:, 0] / g[:, 1]) / d.rate

@@ -31,10 +31,13 @@ class FixedUniform:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
         if size is None:
             return float(self.values[0])
-        return self.values.reshape(size)
+        # a fresh array, like Generator.random: sample_batch transforms it in place
+        out = np.empty(size) if out is None else out
+        out[...] = self.values.reshape(out.shape)
+        return out
 
 
 def sample(d, rng):

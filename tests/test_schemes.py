@@ -18,10 +18,9 @@ from coded_aoi import (
     sample_service_batch,
     service_moments,
 )
-from coded_aoi.order_stats import sample_batch
 from coded_aoi.levels import solve_levels
 from coded_aoi.schemes import MAX_SAMPLE_DRAWS, validate
-from schemes_reference import mechanism_sample, order_stat
+from schemes_reference import law_sample, mechanism_sample, order_stat, reference_sample
 
 
 def rng(seed):
@@ -37,8 +36,7 @@ class FixedUniform:
         self.values = np.asarray(values, dtype=float)
 
     def random(self, size=None, out=None):
-        if out is None:
-            return self.values.reshape(size)
+        out = np.empty(size) if out is None else out
         out[...] = self.values.reshape(out.shape)
         return out
 
@@ -51,23 +49,6 @@ class FixedGamma:
         return self.values.reshape(size)
 
 
-def _reference_sample_service_batch(scheme, params, rng, size):
-    """Transform every worker draw, then select: the sampler's reference form."""
-    n = params.nworkers
-    task = params.whole_task()
-    if isinstance(scheme, Uncoded):
-        return sample_batch(task.split(n), rng, (size, n)).max(axis=1)
-    if isinstance(scheme, Repetition):
-        x = sample_batch(task.split(scheme.k), rng, (size, n))
-        return x.reshape(size, scheme.k, n // scheme.k).min(axis=2).max(axis=1)
-    if isinstance(scheme, MDS):
-        x = sample_batch(task.split(scheme.k), rng, (size, n))
-        return np.partition(x, scheme.k - 1, axis=1)[:, scheme.k - 1]
-    x = sample_batch(task.split(scheme.k), rng, (size, n))
-    multiset = (x[:, :, None] * np.arange(1, scheme.load + 1)).reshape(size, n * scheme.load)
-    return np.partition(multiset, scheme.k - 1, axis=1)[:, scheme.k - 1]
-
-
 @pytest.mark.parametrize("scheme, n", [
     (Uncoded(), 1), (Uncoded(), 100),
     (Repetition(1), 100), (Repetition(4), 100), (Repetition(50), 100),
@@ -76,14 +57,14 @@ def _reference_sample_service_batch(scheme, params, rng, size):
     (MultiMDS(30, 1), 100), (MultiMDS(129, 3), 100), (MultiMDS(299, 3), 100),
 ])
 def test_sampler_is_bitwise_equal_to_reference(scheme, n):
-    # the library simulates the workers only at load >= 2; at load 1 the
-    # worker-level sampler checked here is the tests' chunked mechanism,
-    # on which acceptance criterion 05 runs
-    sampler = sample_service_batch if scheme.load >= 2 else mechanism_sample
+    # the library simulates the workers only at load >= 2; at load 1 it
+    # draws from the order statistic's law, here written out from the
+    # tests' own (d, n, k) triples
+    reference = reference_sample if scheme.load >= 2 else law_sample
     p = params(mu=0.5, n=n)
     for seed, size in ((31, 1), (32, 7), (33, 700)):
-        got = sampler(scheme, p, rng(seed), size)
-        want = _reference_sample_service_batch(scheme, p, rng(seed), size)
+        got = sample_service_batch(scheme, p, rng(seed), size)
+        want = reference(scheme, p, rng(seed), size)
         assert got.shape == want.shape
         assert (got == want).all()
 
@@ -99,11 +80,9 @@ def test_law_sampler_matches_the_worker_mechanism(scheme, n):
     # the order-statistic law against every worker simulated, at fixed seeds
     stats = pytest.importorskip("scipy.stats")
     p = params(mu=0.5, n=n)
-    size, rows = 20_000, 500
+    size = 20_000
     law = sample_service_batch(scheme, p, rng(61), size)
-    worker_rng = rng(62)  # rows draw in order, so chunks give one call's values
-    mechanism = np.concatenate([_reference_sample_service_batch(scheme, p, worker_rng, rows)
-                                for _ in range(size // rows)])
+    mechanism = mechanism_sample(scheme, p, rng(62), size)
     assert stats.ks_2samp(law, mechanism).pvalue > 1e-3
     se = math.sqrt(os_var(*order_stat(scheme, p)) / size)
     assert abs(law.mean() - service_moments(scheme, p).es) < 4 * se
