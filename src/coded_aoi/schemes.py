@@ -52,11 +52,10 @@ from .order_stats import (
 )
 
 
-# Largest n*load a service time may be sampled at.  The worker-level
-# sampler holds at least one row of that many draws (128 MiB of doubles at
-# the limit); the order-statistic law needs no row, but every scheme keeps
-# the one limit, so which sweep rows are simulated does not depend on the
-# sampler.
+# Largest n*load at which MultiMDS at load >= 2 may be sampled: its
+# worker-level sampler holds at least one row of that many draws (128 MiB of
+# doubles at the limit).  The order-statistic law of the other schemes draws
+# two gammas per service time at any n, so they have no such limit.
 MAX_SAMPLE_DRAWS = 1 << 24
 # Doubles per row chunk of the worker-level sampler, its draws and multiset
 # together: 512 KiB, so the scratch stays in a core's L2 cache.
@@ -213,10 +212,14 @@ class MultiMDS:
         require_int("mm-mds: load", self.load)
         if self.load < 1:
             raise ValueError(f"mm-mds: load must be >= 1, got {self.load}")
-        if not 1 <= self.k < n * self.load:
+        draws = n * self.load
+        if not 1 <= self.k < draws:
             raise ValueError(
                 f"mm-mds: k must satisfy 1 <= k < n*load, got k={self.k}, "
                 f"n={n}, load={self.load}")
+        if sampling and self.load >= 2 and draws > MAX_SAMPLE_DRAWS:
+            raise ValueError(f"{self.label} sampling: n*load = {draws} worker draws per "
+                             f"service time exceed the limit of {MAX_SAMPLE_DRAWS}")
 
     def moments(self, params: SystemParams) -> ServiceMoments:
         k1 = mm_k1(params, self.k, self.load)
@@ -257,17 +260,13 @@ def validate(scheme: Scheme, params: SystemParams, sampling: bool = False) -> No
     """Check scheme parameters against the worker pool; raise ValueError if bad.
 
     With sampling=True the repetition scheme additionally requires k to
-    divide n (the replica groups must be equal), and no scheme may need more
-    than MAX_SAMPLE_DRAWS worker draws per service time; the analytic moments
-    are defined at any n.
+    divide n (the replica groups must be equal), and MultiMDS at load >= 2
+    may need at most MAX_SAMPLE_DRAWS worker draws per service time; the
+    analytic moments are defined at any n.
     """
     if not isinstance(scheme, Scheme):
         raise TypeError(f"unknown scheme {scheme!r}")
     scheme.check(params, sampling)
-    draws = params.nworkers * scheme.load
-    if sampling and draws > MAX_SAMPLE_DRAWS:
-        raise ValueError(f"{scheme.label} sampling: n*load = {draws} worker draws per "
-                         f"service time exceed the limit of {MAX_SAMPLE_DRAWS}")
 
 
 def mm_k1(params: SystemParams, k: int, load: int) -> int:

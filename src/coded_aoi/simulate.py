@@ -57,7 +57,8 @@ ARRIVAL_BLOCK = 1 << 11
 # largest lambda * E[S], the expected dropped arrivals per cycle, that a
 # full-stream run accepts; the walk draws every one of them
 MAX_DROPS_PER_CYCLE = 1 << 10
-DEFAULT_BATCHES = 30
+# batch means per replication behind the 95% interval
+BATCHES = 30
 
 SeedLike = Union[int, SeedSequence]
 ServiceSampler = Callable[[Generator, int], np.ndarray]
@@ -117,10 +118,6 @@ def _service_array(scheme: Scheme, params: SystemParams, rng: Generator,
     return draws
 
 
-def _batch_edges(cycles: int, batches: int) -> np.ndarray:
-    return (np.arange(batches) * cycles) // batches
-
-
 def _fast_cycles(scheme, params, rng, cycles, policy, sampler):
     lam = params.arrival_rate
     s = _service_array(scheme, params, rng, cycles + 1, sampler)
@@ -130,9 +127,7 @@ def _fast_cycles(scheme, params, rng, cycles, policy, sampler):
     else:
         d_used = _exp_batch(lam, rng, cycles)
         z = _exp_batch(lam, rng, cycles)
-    v = d_used + s[:-1]
-    length = z + s[1:]
-    return s, d_used, z, v, length
+    return s, d_used, z
 
 
 def _stream_cycles(scheme, params, rng, cycles, sampler):
@@ -178,24 +173,24 @@ def _stream_cycles(scheme, params, rng, cycles, sampler):
     t = np.concatenate(picked_times)
     d_used = np.concatenate(picked_ages)[:-1]
     z = t[1:] - (t[:-1] + s[:-1])
-    v = d_used + s[:-1]
-    length = z + s[1:]
-    return s, d_used, z, v, length, arrivals, arrivals - (cycles + 1)
+    return s, d_used, z, arrivals
 
 
 def _simulate_rep(scheme: Scheme, params: SystemParams, rng: Generator,
-                  cycles: int, mode: str, policy: str, batches: int,
+                  cycles: int, mode: str, policy: str,
                   sampler: Optional[ServiceSampler]) -> _RepStats:
-    arrivals = 0
     if mode == "full_stream" and policy != "return-triggered":
-        s, d_used, z, v, length, arrivals, _ = _stream_cycles(
-            scheme, params, rng, cycles, sampler)
+        s, d_used, z, arrivals = _stream_cycles(scheme, params, rng, cycles, sampler)
     else:
-        s, d_used, z, v, length = _fast_cycles(
-            scheme, params, rng, cycles, policy, sampler)
-    areas = length * (v + 0.5 * length)
-    edges = _batch_edges(cycles, batches)
+        s, d_used, z = _fast_cycles(scheme, params, rng, cycles, policy, sampler)
+        arrivals = 0
     s_used = s[:-1]
+    # cycle i starts at the age v = d_i + s_i of update i and lasts until
+    # update i+1 returns, z_i + s_{i+1} later
+    v = d_used + s_used
+    length = z + s[1:]
+    areas = length * (v + 0.5 * length)
+    edges = (np.arange(BATCHES) * cycles) // BATCHES
     return _RepStats(
         area_batches=np.add.reduceat(areas, edges),
         time_batches=np.add.reduceat(length, edges),
@@ -289,44 +284,47 @@ def _root_seq(seed: SeedLike) -> SeedSequence:
     return SeedSequence(seed)
 
 
+@np.errstate(all="ignore")  # the finite check at the end reports what overflowed
 def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
                  reps: int, seed: SeedLike, mode: str = "fast",
-                 policy: str = "zero-wait", batches: int = DEFAULT_BATCHES,
+                 policy: str = "zero-wait",
                  service_sampler: Optional[ServiceSampler] = None) -> SimReport:
     """Run independent replications on split substreams and pool the cycles.
 
     ``seed`` is a SeedSequence or an integer >= 0.  The replications draw
     from SeedSequence children of ``seed`` in replication order, so the
     pooled report depends only on (seed, reps, cycles_per_rep), not on
-    execution interleaving.  A ``service_sampler(rng, size)``, if given,
-    replaces the scheme's sampler; each replication calls it once, for all
-    of its cycles_per_rep + 1 service times, so the sampler must bound its
-    own scratch memory: one that simulates n workers per service time in a
+    execution interleaving.  Each replication contributes BATCHES batch
+    means to the 95% interval, so it needs at least that many cycles
+    (InsufficientCycles otherwise).  A report whose age or moments a double
+    cannot hold raises OverflowError, as age_of does for the analytic age.
+
+    A ``service_sampler(rng, size)``, if given, replaces the scheme's
+    sampler; each replication calls it once, for all of its
+    cycles_per_rep + 1 service times, so the sampler must bound its own
+    scratch memory: one that simulates n workers per service time in a
     single (size, n) matrix would hold 8 GB at 1e6 cycles and n = 1000.
     """
-    for name, value in (("cycles_per_rep", cycles_per_rep), ("reps", reps),
-                        ("batches", batches)):
-        require_int(name, value)
+    require_int("cycles_per_rep", cycles_per_rep)
+    require_int("reps", reps)
     # numpy integers would otherwise leak numpy scalars into the report
-    cycles_per_rep, reps, batches = int(cycles_per_rep), int(reps), int(batches)
+    cycles_per_rep, reps = int(cycles_per_rep), int(reps)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if batches < 2:
-        raise ValueError(f"batches must be >= 2, got {batches}")
     if mode not in ("fast", "full_stream"):
         raise ValueError(f"mode must be 'fast' or 'full_stream', got {mode!r}")
     if policy not in ("zero-wait", "return-triggered"):
         raise ValueError(f"policy must be 'zero-wait' or 'return-triggered', got {policy!r}")
-    if cycles_per_rep < batches:
+    if cycles_per_rep < BATCHES:
         raise InsufficientCycles(
-            f"need at least {batches} cycles per replication, got {cycles_per_rep}")
+            f"need at least {BATCHES} cycles per replication, got {cycles_per_rep}")
     if service_sampler is None:
         validate(scheme, params, sampling=True)
 
     root = _root_seq(seed)
     stats = [
         _simulate_rep(scheme, params, Generator(PCG64(child)), cycles_per_rep,
-                      mode, policy, batches, service_sampler)
+                      mode, policy, service_sampler)
         for child in root.spawn(reps)
     ]
     area = np.concatenate([r.area_batches for r in stats])
@@ -337,7 +335,7 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     frac = (arrivals - reps * (cycles_per_rep + 1)) / arrivals if arrivals else None
     entropy = root.entropy
     seed_out = int(entropy) if np.ndim(entropy) == 0 else tuple(int(e) for e in entropy)
-    return SimReport(
+    report = SimReport(
         mean_age=float(area.sum() / time.sum()),
         ci95_halfwidth=batch_means_ci(area, time),
         cycles=cycles,
@@ -348,13 +346,18 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
         seed=seed_out,
         dropped_fraction=frac,
     )
+    values = (report.mean_age, report.ci95_halfwidth, report.empirical_es,
+              report.empirical_es2, report.empirical_ed, report.empirical_ez)
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"simulated age of {scheme} overflows a double "
+                            f"(mean_age={report.mean_age:.6g}, "
+                            f"E[S^2]={report.empirical_es2:.6g})")
+    return report
 
 
 def run(scheme: Scheme, params: SystemParams, cycles: int, seed: SeedLike,
         mode: str = "fast", policy: str = "zero-wait",
-        batches: int = DEFAULT_BATCHES,
         service_sampler: Optional[ServiceSampler] = None) -> SimReport:
     """Single-replication simulation; see run_parallel for the contract."""
     return run_parallel(scheme, params, cycles, 1, seed, mode=mode,
-                        policy=policy, batches=batches,
-                        service_sampler=service_sampler)
+                        policy=policy, service_sampler=service_sampler)

@@ -424,30 +424,45 @@ def test_age_at_vanishing_arrival_rate_exits_3(capsys):
 
 
 def test_simulate_above_the_sampling_limit_exits_2(monkeypatch, capsys):
+    # only the worker-level sampler of mm-mds at load >= 2 has the limit
     monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", 1000)
     code, _, err = run_cli(capsys, "simulate", "--scheme", "mm-mds", "--k", "900", "--l", "2",
                            "--n", "600", "--lambda", "1", "--c", "1", "--mu", "1",
                            "--cycles", "100", "--seed", "1")
     assert code == 2
     assert "n*load = 1200" in err and "limit of 1000" in err
-    code, _, err = run_cli(capsys, "simulate", "--scheme", "mds", "--k", "900", "--n", "2000",
-                           "--lambda", "1", "--c", "1", "--mu", "1",
-                           "--cycles", "100", "--seed", "1")
-    assert code == 2
-    assert "limit of 1000" in err
+    for scheme in (["mds", "--k", "900"], ["mm-mds", "--k", "900", "--l", "1"]):
+        code, out, err = run_cli(capsys, "simulate", "--scheme", *scheme, "--n", "2000",
+                                 "--lambda", "1", "--c", "1", "--mu", "1",
+                                 "--cycles", "100", "--seed", "1")
+        assert code == 0, err
+        assert math.isfinite(float(value_of(out, "mean_age")))
 
 
 def test_sweep_rows_above_the_sampling_limit_are_analytic_only(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", 1000)
-    out_path = tmp_path / "n.csv"
-    code, _, _ = run_cli(capsys, "sweep", "--scheme", "mds", "--k", "50", "--n-range",
-                         "500:2000:1500", "--lambda", "1", "--c", "1", "--mu", "1",
-                         "--seed", "1", "--cycles", "60", "--out", str(out_path))
-    assert code == 0
-    rows = read_rows(out_path)
-    assert [r["n"] for r in rows] == ["500", "2000"]
-    assert rows[0]["age_sim_mean"] != "" and rows[1]["age_sim_mean"] == ""
-    assert all(r["age_analytic"] != "" for r in rows)
+    for scheme, simulated in ((["mm-mds", "--l", "2"], ["400"]), (["mds"], ["400", "1200"])):
+        out_path = tmp_path / "n.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--scheme", *scheme, "--k", "50", "--n-range",
+                             "400:1200:800", "--lambda", "1", "--c", "1", "--mu", "1",
+                             "--seed", "1", "--cycles", "60", "--out", str(out_path))
+        assert code == 0
+        rows = read_rows(out_path)
+        assert [r["n"] for r in rows] == ["400", "1200"]
+        assert [r["n"] for r in rows if r["age_sim_mean"] != ""] == simulated
+        assert all(r["age_analytic"] != "" for r in rows)
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, command):
+    argv = {"simulate": ["--scheme", "mds", "--k", "5", "--n", "10", "--cycles", "100"],
+            "sweep": ["--scheme", "mds", "--n", "10", "--k-range", "1:9",
+                      "--out", str(tmp_path / "s.csv")]}[command]
+    code, out, err = run_cli(capsys, command, *argv, "--lambda", "1", "--c", "1", "--mu", "1",
+                             "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: seed must be a SeedSequence or an integer >= 0, got -1\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_simulate_overflowing_age_exits_3_in_one_line(capsys):

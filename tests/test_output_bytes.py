@@ -1,10 +1,14 @@
-"""Analytic CLI output stays byte-identical across refactors.
+"""Seeded CLI output stays byte-identical across refactors.
 
 The expected files under ``tests/expected_output/`` hold the exact stdout of
 the optimizer and large-n age commands, and the four preset CSVs at seed 7.
 These paths compute with Python ``math`` only (no numpy ufuncs), so their
-bytes do not depend on the platform's SIMD code.  A change that moves them
-on purpose regenerates the files and says why:
+bytes do not depend on the platform's SIMD code.  They also hold the stdout
+of seeded ``simulate`` commands over every scheme, mode, policy and
+replication count, and one sweep CSV with a simulation overlay.  Those go
+through numpy's random generators and its log/log1p ufuncs, so a numpy build
+that rounds these differently moves their last digits.  A change that moves
+any file on purpose regenerates the files and says why:
 
     PYTHONPATH=src python tests/test_output_bytes.py
 """
@@ -19,8 +23,12 @@ from coded_aoi.cli import PRESETS, main
 
 EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "expected_output")
 CLI_FILE = "analytic_cli.txt"
+SIM_FILE = "simulate_cli.txt"
+OVERLAY_FILE = "sweep_mds_overlay.csv"
 UNIT = ["--lambda", "1", "--c", "1", "--mu", "1"]
 SEED = "7"
+OVERLAY = ["sweep", "--scheme", "mds", "--n", "20", "--k-range", "1:19:3",
+           "--cycles", "200", "--seed", "3"] + UNIT
 
 
 def _commands() -> list[list[str]]:
@@ -39,10 +47,31 @@ def _commands() -> list[list[str]]:
     return cmds
 
 
-def _cli_transcript() -> str:
+def _sim_commands() -> list[list[str]]:
+    """Every scheme, both modes and both policies, at one and three replications.
+
+    The lambda = 20 runs make the full-stream pool drop arrivals.
+    """
+    schemes = [["--scheme", "uncoded"], ["--scheme", "repetition", "--k", "5"],
+               ["--scheme", "mds", "--k", "14"], ["--scheme", "mm-mds", "--k", "14", "--l", "1"],
+               ["--scheme", "mm-mds", "--k", "30", "--l", "2"]]
+    runs = [("fast", "zero-wait", "1"), ("full-stream", "return-triggered", "3"),
+            ("full-stream", "zero-wait", "1"), ("fast", "return-triggered", "3"),
+            ("full-stream", "zero-wait", "3"), ("fast", "zero-wait", "3")]
+    cmds = []
+    for i, (mode, policy, reps) in enumerate(runs):
+        for j in (i % 5, (i + 2) % 5):
+            lam = "20" if mode == "full-stream" and j % 2 else "1"
+            cmds.append(["simulate", *schemes[j], "--n", "20", "--lambda", lam, "--c", "1",
+                         "--mu", "1", "--cycles", "300", "--seed", str(11 + len(cmds)),
+                         "--reps", reps, "--mode", mode, "--policy", policy])
+    return cmds
+
+
+def _transcript(commands: list[list[str]]) -> str:
     """Each command as a ``$ coded-aoi ...`` line followed by its stdout."""
     parts = []
-    for argv in _commands():
+    for argv in commands:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(argv)
@@ -50,11 +79,15 @@ def _cli_transcript() -> str:
     return "".join(parts)
 
 
-def _write_preset(preset: str, path: str) -> None:
+def _write_sweep(argv: list[str], path: str) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["sweep", "--preset", preset, "--seed", SEED, "--out", path])
+        code = main(argv + ["--out", path])
     if code != 0:
-        raise RuntimeError(f"sweep --preset {preset} exited {code}")
+        raise RuntimeError(f"{' '.join(argv)} exited {code}")
+
+
+def _write_preset(preset: str, path: str) -> None:
+    _write_sweep(["sweep", "--preset", preset, "--seed", SEED], path)
 
 
 def _read(name: str) -> bytes:
@@ -63,7 +96,17 @@ def _read(name: str) -> bytes:
 
 
 def test_analytic_cli_stdout_is_byte_identical():
-    assert _cli_transcript().encode() == _read(CLI_FILE)
+    assert _transcript(_commands()).encode() == _read(CLI_FILE)
+
+
+def test_seeded_simulate_stdout_is_byte_identical():
+    assert _transcript(_sim_commands()).encode() == _read(SIM_FILE)
+
+
+def test_sweep_overlay_csv_is_byte_identical(tmp_path):
+    path = tmp_path / OVERLAY_FILE
+    _write_sweep(OVERLAY, str(path))
+    assert path.read_bytes() == _read(OVERLAY_FILE)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -75,8 +118,10 @@ def test_preset_csv_is_byte_identical(tmp_path, preset):
 
 if __name__ == "__main__":
     os.makedirs(EXPECTED, exist_ok=True)
-    with open(os.path.join(EXPECTED, CLI_FILE), "w", newline="") as fh:
-        fh.write(_cli_transcript())
+    for name, commands in ((CLI_FILE, _commands()), (SIM_FILE, _sim_commands())):
+        with open(os.path.join(EXPECTED, name), "w", newline="") as fh:
+            fh.write(_transcript(commands))
+    _write_sweep(OVERLAY, os.path.join(EXPECTED, OVERLAY_FILE))
     for name in sorted(PRESETS):
         _write_preset(name, os.path.join(EXPECTED, f"{name}.csv"))
-    print(f"wrote {len(PRESETS) + 1} files to {EXPECTED}", file=sys.stderr)
+    print(f"wrote {len(PRESETS) + 3} files to {EXPECTED}", file=sys.stderr)

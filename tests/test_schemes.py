@@ -90,7 +90,8 @@ def test_law_sampler_matches_the_worker_mechanism(scheme, n):
 
 @pytest.mark.parametrize("mu_c", [1e-6, 1e6])
 @pytest.mark.parametrize("scheme, n", [
-    (Uncoded(), MAX_SAMPLE_DRAWS), (MDS(1), 10**6), (MDS(10**6 - 1), 10**6)])
+    (Uncoded(), MAX_SAMPLE_DRAWS), (MDS(1), 10**6), (MDS(10**6 - 1), 10**6),
+    (Uncoded(), 10**12)])
 def test_law_sampler_is_precise_at_extreme_parameters(scheme, n, mu_c):
     p = SystemParams(1.0, 1.0, mu_c, n)
     size = 20_000
