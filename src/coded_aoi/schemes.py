@@ -25,20 +25,21 @@ and E[S^2], the only properties of S that the average age depends on, and
 below check and then call these methods, so no other code dispatches on the
 scheme type.
 
-The single-level schemes (uncoded, repetition, MDS, and MultiMDS at load 1)
-have a service time that is one order statistic, the k-th smallest of N
-i.i.d. draws from a shifted exponential d; each states its ``order_stat``
-triple (d, N, k) once, and both its moments and its samples follow from it.
-Samples come from the law of that order statistic in O(1) per service time
-(see ``_os_sample``), not from N worker draws.  MultiMDS at load >= 2 has no
-such law in closed form, so it simulates the workers: n draws and an
-n*load multiset per service time.
+Every scheme states its service time as one order statistic, the k-th
+smallest of N i.i.d. draws from a shifted exponential d, in an
+``order_stat`` triple (d, N, k); its moments follow from that triple.  For
+MultiMDS the triple is the large-pool model: the k-th result overall
+arrives with the first level's k1-th (see ``mm_k1``), and at load 1 it is
+the MDS triple.  Samples come from the law of the order statistic in O(1)
+per service time (see ``_os_sample``), not from N worker draws, except for
+MultiMDS at load >= 2: the model is exact there only as n grows, so it
+simulates the workers, n draws and an n*load multiset per service time.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -111,12 +112,6 @@ class ServiceMoments:
     es2: float
 
 
-def _os_moments(d: ShiftedExp, n: int, k: int) -> ServiceMoments:
-    """Moments of the k-th smallest of n i.i.d. draws from d."""
-    m = os_mean(d, n, k)
-    return ServiceMoments(m, m * m + os_var(d, n, k))
-
-
 def _os_sample(d: ShiftedExp, n: int, k: int, rng: np.random.Generator,
                size: int) -> np.ndarray:
     """``size`` draws of the k-th smallest of n i.i.d. draws from d, from its law.
@@ -137,7 +132,7 @@ def _os_sample(d: ShiftedExp, n: int, k: int, rng: np.random.Generator,
 
 
 class _OrderStat:
-    """A single-level scheme: S is the k-th smallest of N draws from d."""
+    """A scheme whose S is modelled as the k-th smallest of N draws from d."""
 
     load: ClassVar[int] = 1  # subtasks per worker
 
@@ -146,7 +141,9 @@ class _OrderStat:
         raise NotImplementedError
 
     def moments(self, params: SystemParams) -> ServiceMoments:
-        return _os_moments(*self.order_stat(params))
+        d, n, k = self.order_stat(params)
+        m = os_mean(d, n, k)
+        return ServiceMoments(m, m * m + os_var(d, n, k))
 
     def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
         return _os_sample(*self.order_stat(params), rng, size)
@@ -201,9 +198,11 @@ class MDS(_OrderStat):
 
 
 @dataclass(frozen=True)
-class MultiMDS:
+class MultiMDS(_OrderStat):
     k: int
-    load: int  # coded subtasks queued per worker
+    # coded subtasks queued per worker; field() keeps it required instead of
+    # defaulting to the class constant load = 1 inherited from _OrderStat
+    load: int = field()
     label: ClassVar[str] = "mm-mds"
 
     def check(self, params: SystemParams, sampling: bool = False) -> None:
@@ -221,14 +220,15 @@ class MultiMDS:
             raise ValueError(f"{self.label} sampling: n*load = {draws} worker draws per "
                              f"service time exceed the limit of {MAX_SAMPLE_DRAWS}")
 
-    def moments(self, params: SystemParams) -> ServiceMoments:
+    def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
+        # the large-pool model: the k-th result overall is the first
+        # level's k1-th; at load 1 that is k itself, which is MDS
         k1 = mm_k1(params, self.k, self.load)
-        return _os_moments(params.whole_task().split(self.k), params.nworkers, k1)
+        return params.whole_task().split(self.k), params.nworkers, k1
 
     def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.load == 1:
-            # one subtask per worker is exactly MDS
-            return MDS(self.k).sample(params, rng, size)
+            return super().sample(params, rng, size)
         # the real finite-n mechanism, unlike the analytic first-level
         # identification: the k-th smallest of the multiset {m * X_i} over
         # workers i and queue positions m = 1..load.  Level m holds every
@@ -277,6 +277,10 @@ def mm_k1(params: SystemParams, k: int, load: int) -> int:
     the per-subtask runtimes.
     """
     validate(MultiMDS(k, load), params)
+    if load == 1:
+        # one level holds every result; the solver's alpha_1 = k/n would
+        # round back to k only while k/n is exact
+        return k
     n = params.nworkers
     k1 = round(solve_levels(load, k / (n * load), params.mu_c).alphas[0] * n)
     if k1 == 0:
@@ -308,10 +312,10 @@ def sample_service_batch(scheme: Scheme, params: SystemParams,
                          rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` i.i.d. service times.
 
-    The single-level schemes draw from the law of their order statistic:
-    two gammas per service time at any n.  MultiMDS at load >= 2 simulates
-    the workers: n uniforms per service time, row by row, and the k-th
-    smallest of the n*load multiset of their completion times.
+    Every scheme but MultiMDS at load >= 2 draws from the law of its order
+    statistic: two gammas per service time at any n.  MultiMDS at load >= 2
+    simulates the workers: n uniforms per service time, row by row, and the
+    k-th smallest of the n*load multiset of their completion times.
     """
     validate(scheme, params, sampling=True)
     return scheme.sample(params, rng, size)

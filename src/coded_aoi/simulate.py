@@ -43,7 +43,7 @@ import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
@@ -61,7 +61,6 @@ MAX_DROPS_PER_CYCLE = 1 << 10
 BATCHES = 30
 
 SeedLike = Union[int, SeedSequence]
-ServiceSampler = Callable[[Generator, int], np.ndarray]
 
 
 class InsufficientCycles(ValueError):
@@ -104,23 +103,9 @@ def _exp_batch(rate: float, rng: Generator, size: int) -> np.ndarray:
     return -np.log1p(-rng.random(size)) / rate
 
 
-def _service_array(scheme: Scheme, params: SystemParams, rng: Generator,
-                   count: int, sampler: Optional[ServiceSampler]) -> np.ndarray:
-    if sampler is None:
-        return sample_service_batch(scheme, params, rng, count)
-    # a custom sampler is outside the model's checks: a negative or NaN
-    # service time gives a wrong age, and an infinite one leaves the
-    # full-stream search waiting for an arrival that never comes
-    draws = np.asarray(sampler(rng, count), dtype=float)
-    if draws.shape != (count,) or not (np.isfinite(draws).all() and (draws >= 0).all()):
-        raise ValueError(f"service_sampler must return a 1-D array of {count} finite "
-                         f"values >= 0, got shape {draws.shape}")
-    return draws
-
-
-def _fast_cycles(scheme, params, rng, cycles, policy, sampler):
+def _fast_cycles(scheme, params, rng, cycles, policy):
     lam = params.arrival_rate
-    s = _service_array(scheme, params, rng, cycles + 1, sampler)
+    s = sample_service_batch(scheme, params, rng, cycles + 1)
     if policy == "return-triggered":
         d = _exp_batch(lam, rng, cycles + 1)
         d_used, z = d[:-1], d[1:]
@@ -130,9 +115,9 @@ def _fast_cycles(scheme, params, rng, cycles, policy, sampler):
     return s, d_used, z
 
 
-def _stream_cycles(scheme, params, rng, cycles, sampler):
+def _stream_cycles(scheme, params, rng, cycles):
     lam = params.arrival_rate
-    s = _service_array(scheme, params, rng, cycles + 1, sampler)
+    s = sample_service_batch(scheme, params, rng, cycles + 1)
     # "not <=" refuses an infinite or NaN mean too
     if not lam * s.mean() <= MAX_DROPS_PER_CYCLE:
         raise ValueError(
@@ -177,12 +162,11 @@ def _stream_cycles(scheme, params, rng, cycles, sampler):
 
 
 def _simulate_rep(scheme: Scheme, params: SystemParams, rng: Generator,
-                  cycles: int, mode: str, policy: str,
-                  sampler: Optional[ServiceSampler]) -> _RepStats:
+                  cycles: int, mode: str, policy: str) -> _RepStats:
     if mode == "full_stream" and policy != "return-triggered":
-        s, d_used, z, arrivals = _stream_cycles(scheme, params, rng, cycles, sampler)
+        s, d_used, z, arrivals = _stream_cycles(scheme, params, rng, cycles)
     else:
-        s, d_used, z = _fast_cycles(scheme, params, rng, cycles, policy, sampler)
+        s, d_used, z = _fast_cycles(scheme, params, rng, cycles, policy)
         arrivals = 0
     s_used = s[:-1]
     # cycle i starts at the age v = d_i + s_i of update i and lasts until
@@ -287,8 +271,7 @@ def _root_seq(seed: SeedLike) -> SeedSequence:
 @np.errstate(all="ignore")  # the finite check at the end reports what overflowed
 def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
                  reps: int, seed: SeedLike, mode: str = "fast",
-                 policy: str = "zero-wait",
-                 service_sampler: Optional[ServiceSampler] = None) -> SimReport:
+                 policy: str = "zero-wait") -> SimReport:
     """Run independent replications on split substreams and pool the cycles.
 
     ``seed`` is a SeedSequence or an integer >= 0.  The replications draw
@@ -299,11 +282,10 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     (InsufficientCycles otherwise).  A report whose age or moments a double
     cannot hold raises OverflowError, as age_of does for the analytic age.
 
-    A ``service_sampler(rng, size)``, if given, replaces the scheme's
-    sampler; each replication calls it once, for all of its
-    cycles_per_rep + 1 service times, so the sampler must bound its own
-    scratch memory: one that simulates n workers per service time in a
-    single (size, n) matrix would hold 8 GB at 1e6 cycles and n = 1000.
+    Service times come from the scheme alone: each replication calls
+    ``sample_service_batch`` once, for all of its cycles_per_rep + 1 of
+    them, so a ``sample`` override must bound its own scratch memory, as
+    MultiMDS does with its row chunks.
     """
     require_int("cycles_per_rep", cycles_per_rep)
     require_int("reps", reps)
@@ -318,13 +300,11 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     if cycles_per_rep < BATCHES:
         raise InsufficientCycles(
             f"need at least {BATCHES} cycles per replication, got {cycles_per_rep}")
-    if service_sampler is None:
-        validate(scheme, params, sampling=True)
+    validate(scheme, params, sampling=True)
 
     root = _root_seq(seed)
     stats = [
-        _simulate_rep(scheme, params, Generator(PCG64(child)), cycles_per_rep,
-                      mode, policy, service_sampler)
+        _simulate_rep(scheme, params, Generator(PCG64(child)), cycles_per_rep, mode, policy)
         for child in root.spawn(reps)
     ]
     area = np.concatenate([r.area_batches for r in stats])
@@ -356,8 +336,6 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
 
 
 def run(scheme: Scheme, params: SystemParams, cycles: int, seed: SeedLike,
-        mode: str = "fast", policy: str = "zero-wait",
-        service_sampler: Optional[ServiceSampler] = None) -> SimReport:
+        mode: str = "fast", policy: str = "zero-wait") -> SimReport:
     """Single-replication simulation; see run_parallel for the contract."""
-    return run_parallel(scheme, params, cycles, 1, seed, mode=mode,
-                        policy=policy, service_sampler=service_sampler)
+    return run_parallel(scheme, params, cycles, 1, seed, mode=mode, policy=policy)

@@ -8,8 +8,12 @@ multi-message k1 comes straight from the level solver, not from
 
 ``reference_sample`` is the worker-level reference sampler: it simulates
 every worker, where the library draws single-level service times from their
-order-statistic law (``law_sample``).
+order-statistic law (``law_sample``).  ``with_mechanism`` hands it to the
+simulator as a subclass of the scheme; ``ZeroService`` is a scheme whose
+service time is always 0.
 """
+import dataclasses
+
 import numpy as np
 
 from coded_aoi import MDS, MultiMDS, Repetition, ServiceMoments, ShiftedExp, Uncoded
@@ -82,9 +86,18 @@ def mechanism_sample(scheme, params, rng, size):
     return out
 
 
-def mechanism_sampler(scheme, params):
-    """mechanism_sample as a ``service_sampler`` for ``simulate.run``."""
-    return lambda rng, size: mechanism_sample(scheme, params, rng, size)
+def with_mechanism(scheme):
+    """The scheme as an instance of a subclass whose ``sample`` is mechanism_sample."""
+    cls = type(scheme)
+    sub = type(f"Mechanism{cls.__name__}", (cls,), {"sample": mechanism_sample})
+    return sub(*(getattr(scheme, f.name) for f in dataclasses.fields(scheme)))
+
+
+class ZeroService(Uncoded):
+    """S = 0 always: the limit in which the average age is 2 / lambda."""
+
+    def sample(self, params, rng, size):
+        return np.zeros(size)
 
 
 def law_sample(scheme, params, rng, size):

@@ -26,7 +26,7 @@ from coded_aoi import (
 )
 from coded_aoi.cli import main as cli_main
 from levels_reference import chain_residuals
-from schemes_reference import mechanism_sampler
+from schemes_reference import ZeroService, with_mechanism
 
 
 def check(cid, description, ok):
@@ -114,8 +114,8 @@ def test_criterion_05_simulation_matches_analytic_at_million_cycles():
         for scheme, pp, analytic, tol, label in cases:
             # the simulator stays an independent check: every worker is
             # simulated, not only the order statistic's law
-            sampler = mechanism_sampler(scheme, pp) if scheme.load == 1 else None
-            r = run(scheme, pp, 1_000_000, seed=97, service_sampler=sampler)
+            simulated = with_mechanism(scheme) if scheme.load == 1 else scheme
+            r = run(simulated, pp, 1_000_000, seed=97)
             rel = abs(r.mean_age - analytic) / analytic
             detail.append(f"mu={mu} {label} {rel*100:.3f}%")
             ok = ok and rel < tol
@@ -135,8 +135,7 @@ def test_criterion_05_simulation_matches_analytic_at_million_cycles():
 def test_criterion_06_zero_service_limit():
     ok = True
     for lam in (0.5, 1.0, 2.0):
-        r = run(Uncoded(), params(lam=lam, n=1), 200_000, seed=42,
-                service_sampler=lambda rng, size: np.zeros(size))
+        r = run(ZeroService(), params(lam=lam, n=1), 200_000, seed=42)
         ok = ok and abs(r.mean_age - 2 / lam) <= r.ci95_halfwidth
     check(6, "zero-service simulation covers 2/lambda for lambda in {0.5, 1, 2}", ok)
 

@@ -453,6 +453,23 @@ def test_sweep_rows_above_the_sampling_limit_are_analytic_only(tmp_path, monkeyp
         assert all(r["age_analytic"] != "" for r in rows)
 
 
+def test_sweep_notes_rows_left_analytic_only_by_the_worker_limit(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", 1000)
+    note = ("# note: mm-mds rows with n*load above MAX_SAMPLE_DRAWS = 1000 worker draws "
+            "per service time are analytic-only\n")
+    out_path = tmp_path / "n.csv"
+    for n_range, cycles, noted in (("400:1200:800", ["--cycles", "60"], True),
+                                   ("400:400", ["--cycles", "60"], False),
+                                   ("400:1200:800", [], False)):
+        code, _, _ = run_cli(capsys, "sweep", "--scheme", "mm-mds", "--l", "2", "--k", "50",
+                             "--n-range", n_range, "--lambda", "1", "--c", "1", "--mu", "1",
+                             "--seed", "1", *cycles, "--out", str(out_path))
+        assert code == 0
+        header = [ln for ln in out_path.read_text().splitlines(True) if ln.startswith("#")]
+        assert header[2:] == ([note] if noted else [])
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, command):
     argv = {"simulate": ["--scheme", "mds", "--k", "5", "--n", "10", "--cycles", "100"],

@@ -11,7 +11,7 @@ import tempfile
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import numpy as np  # noqa: E402
 from numpy.random import Generator, PCG64  # noqa: E402
 
@@ -115,12 +115,20 @@ def test_full_repetition_has_uncoded_moments(p, seed, size):
     assert a.tobytes() == b.tobytes()
 
 
+@st.composite
+def single_load_points(draw):
+    """(params, k) of a MultiMDS(k, 1); about half the draws put n past 2**53, where k/n rounds."""
+    n = draw(st.one_of(st.integers(2, 200), st.integers(2, 2**62)))
+    return SystemParams(draw(rates), draw(rates), draw(rates), n), draw(st.integers(1, n - 1))
+
+
 @FEW
-@given(systems(), st.data())
-def test_single_load_multi_message_is_mds(p, data):
-    k = data.draw(st.integers(1, p.nworkers - 1))
+@given(single_load_points(), st.integers(0, 2**32), st.integers(1, 16))
+@example((SystemParams(1.0, 1.0, 1.0, 2**60), 2**60 - 1), 0, 16)
+@example((SystemParams(1.0, 1.0, 1.0, 6327292262462506), 3937903690167497), 0, 16)
+def test_single_load_multi_message_is_mds(point, seed, size):
+    p, k = point
     assert service_moments(MultiMDS(k, 1), p) == service_moments(MDS(k), p)
-    seed, size = data.draw(st.integers(0, 2**32)), data.draw(st.integers(1, 16))
     a = sample_service_batch(MultiMDS(k, 1), p, Generator(PCG64(seed)), size)
     b = sample_service_batch(MDS(k), p, Generator(PCG64(seed)), size)
     assert a.tobytes() == b.tobytes()

@@ -20,7 +20,13 @@ from coded_aoi import (
 )
 from coded_aoi.levels import solve_levels
 from coded_aoi.schemes import MAX_SAMPLE_DRAWS, validate
-from schemes_reference import law_sample, mechanism_sample, order_stat, reference_sample
+from schemes_reference import (
+    law_sample,
+    mechanism_sample,
+    order_stat,
+    reference_sample,
+    with_mechanism,
+)
 
 
 def rng(seed):
@@ -86,6 +92,16 @@ def test_law_sampler_matches_the_worker_mechanism(scheme, n):
     assert stats.ks_2samp(law, mechanism).pvalue > 1e-3
     se = math.sqrt(os_var(*order_stat(scheme, p)) / size)
     assert abs(law.mean() - service_moments(scheme, p).es) < 4 * se
+
+
+@pytest.mark.parametrize("scheme", [Uncoded(), Repetition(50), MDS(69)])
+def test_with_mechanism_simulates_every_worker(scheme):
+    # criterion 05 simulates these through with_mechanism: the library must
+    # call the subclass's sample, not the order-statistic law
+    p = params()
+    got = sample_service_batch(with_mechanism(scheme), p, rng(63), 5000)
+    assert got.tobytes() == mechanism_sample(scheme, p, rng(63), 5000).tobytes()
+    assert got.tobytes() != sample_service_batch(scheme, p, rng(63), 5000).tobytes()
 
 
 @pytest.mark.parametrize("mu_c", [1e-6, 1e6])

@@ -20,6 +20,7 @@ from coded_aoi import (
     age_of,
     run,
     run_parallel,
+    sample_service_batch,
     service_moments,
 )
 import coded_aoi
@@ -28,26 +29,21 @@ from coded_aoi.simulate import (
     ARRIVAL_BLOCK,
     MAX_DROPS_PER_CYCLE,
     _exp_batch,
-    _service_array,
     _simulate_rep,
     _stream_cycles,
     _t_quantile,
     batch_means_ci,
 )
+from schemes_reference import ZeroService
 
 
 def params(lam=1.0, c=1.0, mu=1.0, n=100):
     return SystemParams(lam, c, mu, n)
 
 
-def zero_service(rng, size):
-    return np.zeros(size)
-
-
 def test_zero_service_gives_twice_inverse_rate():
     for lam in (0.5, 1.0, 2.0):
-        r = run(Uncoded(), params(lam=lam, n=1), 200_000, seed=42,
-                service_sampler=zero_service)
+        r = run(ZeroService(), params(lam=lam, n=1), 200_000, seed=42)
         assert abs(r.mean_age - 2 / lam) <= r.ci95_halfwidth
         assert r.empirical_es == 0.0
 
@@ -168,7 +164,7 @@ def jackknife_ci(area_batches, time_batches):
 
 def test_jackknife_matches_batch_means_scale():
     rng = Generator(PCG64(SeedSequence(3)))
-    rep = _simulate_rep(MDS(69), params(), rng, 60_000, "fast", "zero-wait", None)
+    rep = _simulate_rep(MDS(69), params(), rng, 60_000, "fast", "zero-wait")
     bm = batch_means_ci(rep.area_batches, rep.time_batches)
     jk = jackknife_ci(rep.area_batches, rep.time_batches)
     assert 0.5 < jk / bm < 2.0
@@ -240,10 +236,10 @@ def test_seed_sequence_entropy_is_reported_as_given():
 WALK_BLOCK = 1 << 14  # arrivals per draw of the reference walk; any size draws the same values
 
 
-def _reference_stream_cycles(scheme, params, rng, cycles, sampler):
+def _reference_stream_cycles(scheme, params, rng, cycles):
     """The per-arrival event walk that _stream_cycles must reproduce bit for bit."""
     lam = params.arrival_rate
-    s = _service_array(scheme, params, rng, cycles + 1, sampler)
+    s = sample_service_batch(scheme, params, rng, cycles + 1)
     d_used = np.empty(cycles)
     z = np.empty(cycles)
     dropped = 0
@@ -279,21 +275,33 @@ def _reference_stream_cycles(scheme, params, rng, cycles, sampler):
     return s, d_used, z, cycles + 1 + dropped
 
 
-def gamma_service(rng, size):
-    return rng.gamma(2.0, 0.05, size)
+class GammaService(Uncoded):
+    """Service times no scheme gives: Gamma(2, 0.05), continuous and unshifted."""
+
+    def sample(self, params, rng, size):
+        return rng.gamma(2.0, 0.05, size)
 
 
-@pytest.mark.parametrize("scheme, sampler", [
-    (Uncoded(), None), (MDS(7), None), (MultiMDS(13, 2), None),
-    (Uncoded(), gamma_service), (Uncoded(), zero_service),
-])
+class SlowService(Uncoded):
+    """S = 1e6 always: lambda * E[S] is far past the full-stream drop cap."""
+
+    def sample(self, params, rng, size):
+        return np.full(size, 1e6)
+
+
+# the case ids name the service-time source after the scheme; they stay fixed
+# so a case can be compared across revisions
+@pytest.mark.parametrize("scheme", [
+    Uncoded(), MDS(7), MultiMDS(13, 2), GammaService(), ZeroService(),
+], ids=["scheme0-None", "scheme1-None", "scheme2-None",
+        "scheme3-gamma_service", "scheme4-zero_service"])
 @pytest.mark.parametrize("lam", [0.05, 1.0, 20.0, 200.0])
-def test_stream_cycles_bitwise_equal_to_event_walk(scheme, sampler, lam):
+def test_stream_cycles_bitwise_equal_to_event_walk(scheme, lam):
     p = params(lam=lam, n=10)
     # a run that ends on the last arrival of a block, or needs one more
     for seed, cycles in ((51, 30), (52, 8192), (53, ARRIVAL_BLOCK - 1), (54, ARRIVAL_BLOCK)):
-        got = _stream_cycles(scheme, p, Generator(PCG64(seed)), cycles, sampler)
-        want = _reference_stream_cycles(scheme, p, Generator(PCG64(seed)), cycles, sampler)
+        got = _stream_cycles(scheme, p, Generator(PCG64(seed)), cycles)
+        want = _reference_stream_cycles(scheme, p, Generator(PCG64(seed)), cycles)
         assert len(got) == len(want)
         assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]
         assert got[3] == want[3]
@@ -323,8 +331,7 @@ def test_full_stream_refuses_more_than_the_drop_cap():
         run(Uncoded(), p, 100, 1156, mode="full_stream")
     assert math.isfinite(run(Uncoded(), p, 100, 1156).mean_age)
     with pytest.raises(ValueError, match="lambda\\*E\\[S\\] = 1e\\+06 "):
-        run(Uncoded(), params(), 100, 1, mode="full_stream",
-            service_sampler=lambda rng, size: np.full(size, 1e6))
+        run(SlowService(), params(), 100, 1, mode="full_stream")
     # nothing is dropped under return-triggered sending, so nothing is capped
     r = run(Uncoded(), p, 100, 1156, mode="full_stream", policy="return-triggered")
     assert r.dropped_fraction is None
@@ -370,16 +377,3 @@ def test_run_parallel_accepts_integer_and_seed_sequence_seeds():
     assert repr(run(MDS(5), p, 100, SeedSequence(7))) == repr(run(MDS(5), p, 100, 7))
     fresh = SeedSequence()
     assert run(MDS(5), p, 100, fresh).seed == fresh.entropy
-
-
-@pytest.mark.parametrize("mode", ["fast", "full_stream"])
-@pytest.mark.parametrize("sampler", [
-    lambda rng, size: -rng.random(size),
-    lambda rng, size: np.full(size, np.nan),
-    lambda rng, size: np.full(size, np.inf),
-    lambda rng, size: rng.random(size + 1),
-    lambda rng, size: rng.random((size, 1)),
-], ids=["negative", "nan", "inf", "too-long", "2-d"])
-def test_custom_sampler_output_is_checked(mode, sampler):
-    with pytest.raises(ValueError, match="service_sampler must return a 1-D array"):
-        run(MDS(5), SystemParams(1, 1, 1, 10), 100, 1, mode=mode, service_sampler=sampler)
