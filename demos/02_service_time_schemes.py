@@ -5,7 +5,8 @@ destination feels is the service time S until enough results are back.
 This script tabulates E[S] for each scheme and confirms the analytic
 moments against the samplers.  The single-level schemes sample the law of
 their order statistic (two gamma draws per service time); MultiMDS at
-load 2 simulates every worker's queue of coded subtasks.
+load 2 samples the exact law of the workers' queues, drawing only the
+results near the k-th.
 """
 import numpy as np
 from numpy.random import Generator, PCG64

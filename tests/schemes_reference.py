@@ -69,8 +69,12 @@ def reference_sample(scheme, params, rng, size):
         x = sample_batch(task.split(scheme.k), rng, (size, n))
         return np.partition(x, scheme.k - 1, axis=1)[:, scheme.k - 1]
     x = sample_batch(task.split(scheme.k), rng, (size, n))
-    multiset = (x[:, :, None] * np.arange(1, scheme.load + 1)).reshape(size, n * scheme.load)
-    return np.partition(multiset, scheme.k - 1, axis=1)[:, scheme.k - 1]
+    # level m holds every worker's m-th result, in the m-th block of n columns
+    multiset = np.empty((size, n * scheme.load))
+    for m in range(1, scheme.load + 1):
+        np.multiply(x, m, out=multiset[:, (m - 1) * n:m * n])
+    multiset.partition(scheme.k - 1, axis=1)
+    return multiset[:, scheme.k - 1]
 
 
 def mechanism_sample(scheme, params, rng, size):

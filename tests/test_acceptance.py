@@ -113,16 +113,16 @@ def test_criterion_05_simulation_matches_analytic_at_million_cycles():
         ]
         for scheme, pp, analytic, tol, label in cases:
             # the simulator stays an independent check: every worker is
-            # simulated, not only the order statistic's law
-            simulated = with_mechanism(scheme) if scheme.load == 1 else scheme
-            r = run(simulated, pp, 1_000_000, seed=97)
+            # simulated, not only the order statistic's law or the mm-mds
+            # elements near the k-th
+            r = run(with_mechanism(scheme), pp, 1_000_000, seed=97)
             rel = abs(r.mean_age - analytic) / analytic
             detail.append(f"mu={mu} {label} {rel*100:.3f}%")
             ok = ok and rel < tol
     # finite-pool tolerance tightens to 1% at n = 1000
     p1k = params(n=1000)
     k1k = opt_mm_mds(p1k, 2).k_star
-    r = run(MultiMDS(k1k, 2), p1k, 1_000_000, seed=97)
+    r = run(with_mechanism(MultiMDS(k1k, 2)), p1k, 1_000_000, seed=97)
     analytic = age_of(MultiMDS(k1k, 2), p1k).delta
     rel = abs(r.mean_age - analytic) / analytic
     detail.append(f"n=1000 mm-mds({k1k}) {rel*100:.3f}%")

@@ -1,5 +1,6 @@
 """Service-time moments and samplers for every distribution scheme."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,15 +19,10 @@ from coded_aoi import (
     sample_service_batch,
     service_moments,
 )
+from coded_aoi import schemes
 from coded_aoi.levels import solve_levels
-from coded_aoi.schemes import MAX_SAMPLE_DRAWS, validate
-from schemes_reference import (
-    law_sample,
-    mechanism_sample,
-    order_stat,
-    reference_sample,
-    with_mechanism,
-)
+from coded_aoi.schemes import MAX_SAMPLE_DRAWS, _multiset_kth, validate
+from schemes_reference import law_sample, mechanism_sample, order_stat, with_mechanism
 
 
 def rng(seed):
@@ -35,16 +31,6 @@ def rng(seed):
 
 def params(lam=1.0, c=1.0, mu=1.0, n=100):
     return SystemParams(lam, c, mu, n)
-
-
-class FixedUniform:
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def random(self, size=None, out=None):
-        out = np.empty(size) if out is None else out
-        out[...] = self.values.reshape(out.shape)
-        return out
 
 
 class FixedGamma:
@@ -60,19 +46,107 @@ class FixedGamma:
     (Repetition(1), 100), (Repetition(4), 100), (Repetition(50), 100),
     (Repetition(100), 100), (Repetition(1), 1000), (Repetition(500), 1000),
     (MDS(1), 100), (MDS(69), 100), (MDS(99), 100),
-    (MultiMDS(30, 1), 100), (MultiMDS(129, 3), 100), (MultiMDS(299, 3), 100),
+    (MultiMDS(30, 1), 100),
 ])
 def test_sampler_is_bitwise_equal_to_reference(scheme, n):
-    # the library simulates the workers only at load >= 2; at load 1 it
-    # draws from the order statistic's law, here written out from the
-    # tests' own (d, n, k) triples
-    reference = reference_sample if scheme.load >= 2 else law_sample
+    # single-level service times come from the order statistic's law, here
+    # written out from the tests' own (d, n, k) triples; MultiMDS at load
+    # >= 2 is checked in distribution against the worker mechanism below
     p = params(mu=0.5, n=n)
     for seed, size in ((31, 1), (32, 7), (33, 700)):
         got = sample_service_batch(scheme, p, rng(seed), size)
-        want = reference(scheme, p, rng(seed), size)
+        want = law_sample(scheme, p, rng(seed), size)
         assert got.shape == want.shape
         assert (got == want).all()
+
+
+# MultiMDS at load >= 2 draws only the elements of its multiset near the
+# k-th; with MultiMDS(399, 4) at n = 100, mu = 2 below, these points cover
+# loads 2, 3 and 4 and pools of 7 to 1000 workers
+MULTISET_POINTS = [
+    (MultiMDS(129, 2), params(n=100)),
+    (MultiMDS(1287, 2), params(n=1000)),
+    (MultiMDS(30, 2), params(n=20)),
+    (MultiMDS(5, 3), params(n=7)),
+    (MultiMDS(129, 3), params(mu=0.5, n=100)),
+]
+
+
+def against_mechanism(scheme, p, seeds=8, size=20_000):
+    """Pooled sampler draws, after multi-seed KS and moment gates against the mechanism.
+
+    Each seed pairs a sampler run with an independent mechanism run; for one
+    law the KS p-values are uniform, so their own KS test against U(0, 1)
+    must not reject, and the pooled first and second moments must agree
+    within four standard errors.
+    """
+    stats = pytest.importorskip("scipy.stats")
+    got, want, pvalues = [], [], []
+    for seed in range(seeds):
+        got.append(sample_service_batch(scheme, p, rng(300 + seed), size))
+        want.append(mechanism_sample(scheme, p, rng(400 + seed), size))
+        pvalues.append(stats.ks_2samp(got[-1], want[-1]).pvalue)
+    assert stats.kstest(pvalues, "uniform").pvalue > 1e-3, pvalues
+    x, y = np.concatenate(got), np.concatenate(want)
+    for power in (1, 2):
+        a, b = x**power, y**power
+        se = math.sqrt(a.var() / a.size + b.var() / b.size)
+        assert abs(a.mean() - b.mean()) < 4 * se, (power, a.mean(), b.mean(), se)
+    return x
+
+
+@pytest.mark.parametrize("scheme, p", MULTISET_POINTS)
+def test_multiset_sampler_matches_the_worker_mechanism(scheme, p):
+    against_mechanism(scheme, p)
+
+
+def test_multiset_sampler_is_exact_where_the_model_is_not():
+    # at MultiMDS(399, 4), n = 100, mu = 2 the exact finite-n E[S] is
+    # 0.031508 (numerical integration of P(S > t)); the large-pool model
+    # behind service_moments gives 0.0090, and the sampler must not follow it
+    scheme, p = MultiMDS(399, 4), params(mu=2.0, n=100)
+    x = against_mechanism(scheme, p)
+    se = x.std() / math.sqrt(x.size)
+    assert abs(x.mean() - 0.031508) < 4 * se + 1e-6
+    assert service_moments(scheme, p).es < 0.01
+
+
+def test_multiset_sampler_is_exact_outside_its_bracket(monkeypatch):
+    # a bracket of +-0.1 standard deviations leaves most rows outside it, so
+    # most service times come from every worker time drawn in its cell
+    monkeypatch.setattr(schemes, "BRACKET_Z", 0.1)
+    scheme, p = MultiMDS(129, 2), params(n=100)
+    draws = []
+    original = schemes.sample_batch
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        draws.append(out.size)
+        return out
+
+    monkeypatch.setattr(schemes, "sample_batch", counted)
+    against_mechanism(scheme, p, seeds=4)
+    assert sum(draws) / (4 * 20_000) > 0.5 * p.nworkers
+
+
+def test_multiset_sampler_scratch_is_bounded(monkeypatch):
+    # a 4097-sample call holds at most SCRATCH_DOUBLES doubles of row-chunk
+    # scratch, plus O(size) for the output and a block's cell counts; without
+    # row chunks its in-bracket draws alone would exceed that bound
+    scheme, p, size = MultiMDS(1287, 2), params(n=1000), 4097
+    bound = 8 * schemes.SCRATCH_DOUBLES + 64 * size
+
+    def peak():
+        tracemalloc.start()
+        try:
+            sample_service_batch(scheme, p, rng(8), size)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= bound
+    monkeypatch.setattr(schemes, "SCRATCH_DOUBLES", 1 << 30)
+    assert peak() > bound
 
 
 LAW_CASES = [(Uncoded(), 1), (Repetition(1), 1)] + [
@@ -237,12 +311,11 @@ def test_variance_identity_for_single_level_schemes():
 
 
 def test_multiset_enumeration_fixed_draws():
-    # per-subtask distribution (1, 1): uniforms below give draws [1, 2],
-    # multiset {1, 2, 2, 4}, third smallest = 2
-    p = SystemParams(1.0, 3.0, 1.0 / 3.0, 2)
-    u = np.array([0.0, 1.0 - math.exp(-1.0)])
-    out = sample_service_batch(MultiMDS(3, 2), p, FixedUniform(u), 1)
-    assert out[0] == pytest.approx(2.0, rel=1e-12)
+    # worker times [1, 2] at load 2: multiset {1, 2, 2, 4}, third smallest 2;
+    # at load 3 {1, 2, 2, 3, 4, 6}, fifth smallest 4
+    x = np.array([[1.0, 2.0], [2.0, 1.0]])
+    assert (_multiset_kth(x, 3, 2) == 2.0).all()
+    assert (_multiset_kth(x, 5, 3) == 4.0).all()
 
 
 def test_uncoded_single_worker_sampling_law():

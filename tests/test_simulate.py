@@ -214,10 +214,10 @@ def test_report_does_not_depend_on_chunk_size(monkeypatch, mode):
     def reports():
         return [repr(run_parallel(s, p, 2000, 2, seed=41, mode=mode)) for s in tested]
 
-    # only the worker-level sampler (MultiMDS at load >= 2) walks row chunks;
-    # the order-statistic law draws each sample's gammas together
+    # only the MultiMDS sampler at load >= 2 walks row chunks; the
+    # order-statistic law draws each sample's gammas together
     default = reports()
-    monkeypatch.setattr(schemes, "SCRATCH_DOUBLES", 3 * 60)  # three rows of 20 + 40
+    monkeypatch.setattr(schemes, "SCRATCH_DOUBLES", 3 * 60)  # one row per chunk
     few_rows = reports()
     monkeypatch.setattr(schemes, "SCRATCH_DOUBLES", 1 << 30)  # one chunk per replication
     whole_run = reports()
