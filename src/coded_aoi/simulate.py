@@ -285,7 +285,7 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     Service times come from the scheme alone: each replication calls
     ``sample_service_batch`` once, for all of its cycles_per_rep + 1 of
     them, so a ``sample`` override must bound its own scratch memory, as
-    MultiMDS at load >= 2 does: its bracket sampler (about 3.0 us per
+    MultiMDS at load >= 2 does: its window sampler (about 3.2 us per
     service time at n = 1000) holds its draws in row chunks of at most
     SCRATCH_DOUBLES doubles.
     """

@@ -1,6 +1,10 @@
 """Service-time moments and samplers for every distribution scheme."""
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,9 +116,10 @@ def test_multiset_sampler_is_exact_where_the_model_is_not():
 
 
 def test_multiset_sampler_is_exact_outside_its_bracket(monkeypatch):
-    # a bracket of +-0.1 standard deviations leaves most rows outside it, so
-    # most service times come from every worker time drawn in its cell
-    monkeypatch.setattr(schemes, "BRACKET_Z", 0.1)
+    # windows of +-(0.1 sd + 1) ranks leave most rows unsettled, so most
+    # service times come from every worker time, drawn between the known
+    # order statistics
+    monkeypatch.setattr(schemes, "WINDOW_Z", 0.1)
     scheme, p = MultiMDS(129, 2), params(n=100)
     draws = []
     original = schemes.sample_batch
@@ -129,10 +134,87 @@ def test_multiset_sampler_is_exact_outside_its_bracket(monkeypatch):
     assert sum(draws) / (4 * 20_000) > 0.5 * p.nworkers
 
 
+def fixed_worker_times(d, rows, n):
+    """Worker times from d at fixed, distinct uniforms that vary from row to row.
+
+    The uniforms are ((A i^2 mod P) + 1/2) / P, a quadratic residue
+    sequence for the prime P = 2^31 - 1 and A = 48271, computed in
+    integers, so no generator is involved.
+    """
+    prime = 2**31 - 1
+    i = np.arange(1, rows * n + 1, dtype=np.int64)
+    u = ((i * i % prime) * 48271 % prime + 0.5) / prime
+    return d.quantile(u).reshape(rows, n)
+
+
+# (n, load, k, mu, windows): None takes the sampler's own windows; then
+# narrow, overlapping and rank-1 or rank-n windows, and windows wholly above
+# the k-th, which leave no column to pick
+SELECTION_CASES = [
+    (7, 3, 5, 1.0, None),
+    (20, 2, 30, 1.0, None),
+    (100, 2, 129, 1.0, None),
+    (100, 4, 399, 2.0, None),
+    (7, 2, 6, 1.0, [(3, 5), (1, 2)]),
+    (7, 4, 12, 1.0, [(4, 7), (2, 5), (1, 3), (1, 2)]),
+    (20, 2, 30, 1.0, [(17, 19), (10, 13)]),
+    (20, 3, 25, 1.0, [(15, 19), (6, 16), (1, 3)]),
+    (20, 2, 10, 1.0, [(15, 20), (15, 20)]),
+    (100, 2, 129, 1.0, [(84, 90), (38, 44)]),
+    (100, 3, 129, 0.5, [(70, 83), (33, 43), (9, 20)]),
+    (100, 4, 399, 2.0, [(99, 100), (99, 100), (99, 100), (98, 100)]),
+]
+
+
+@pytest.mark.parametrize("n, load, k, mu, windows", SELECTION_CASES)
+def test_window_selection_is_the_multiset_kth(n, load, k, mu, windows):
+    # the window pick of fixed worker times against the whole multiset: the
+    # check accepts exactly when every level's crossing count lies in its
+    # window, and then the pick is the k-th
+    d = params(mu=mu, n=n).whole_task().split(k)
+    windows = windows or schemes._windows(d, n, k, load)
+    x = np.sort(fixed_worker_times(d, 2000, n), axis=1)
+    plan = schemes._window_plan(windows, n, k)
+    got, ok = schemes._window_kth(x[:, plan.ranks - 1], plan)
+    want = _multiset_kth(x, k, load)
+    settled = np.ones(x.shape[0], dtype=bool)
+    inside = np.zeros(x.shape[0], dtype=bool)
+    for m, (a, b) in enumerate(windows, 1):
+        level = x * m
+        settled &= (a == 1) | ((level <= want[:, None]).sum(axis=1) >= a)
+        settled &= (b == n) | ((level < want[:, None]).sum(axis=1) < b)
+        hit = level == want[:, None]
+        rank = np.argmax(hit, axis=1) + 1
+        inside |= hit.any(axis=1) & (a <= rank) & (rank <= b)
+    assert (ok == settled).all()
+    assert (got[ok] == want[ok]).all()
+    assert not ok[~inside].any()
+    if sum(a - 1 for a, _ in windows) >= k:
+        assert not ok.any()
+    else:
+        assert ok.sum() > 100
+
+
+def test_multiset_sampler_leaves_numpy_ma_unloaded():
+    # np.unique, np.union1d and np.isin import numpy.ma, about 18 ms on the
+    # first call of a fresh process; the window plan uses none of them
+    src = str(Path(schemes.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, numpy as np; "
+            "from coded_aoi import MultiMDS, SystemParams, sample_service_batch; "
+            "sample_service_batch(MultiMDS(129, 2), SystemParams(1.0, 1.0, 1.0, 100), "
+            "np.random.default_rng(1), 4097); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_multiset_sampler_scratch_is_bounded(monkeypatch):
     # a 4097-sample call holds at most SCRATCH_DOUBLES doubles of row-chunk
-    # scratch, plus O(size) for the output and a block's cell counts; without
-    # row chunks its in-bracket draws alone would exceed that bound
+    # scratch, plus O(size) for the output and a block's gamma draws; without
+    # row chunks its window draws alone would exceed that bound
     scheme, p, size = MultiMDS(1287, 2), params(n=1000), 4097
     bound = 8 * schemes.SCRATCH_DOUBLES + 64 * size
 

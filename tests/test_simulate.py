@@ -217,7 +217,7 @@ def test_report_does_not_depend_on_chunk_size(monkeypatch, mode):
     # only the MultiMDS sampler at load >= 2 walks row chunks; the
     # order-statistic law draws each sample's gammas together
     default = reports()
-    monkeypatch.setattr(schemes, "SCRATCH_DOUBLES", 3 * 60)  # one row per chunk
+    monkeypatch.setattr(schemes, "SCRATCH_DOUBLES", 1)  # one row per chunk
     few_rows = reports()
     monkeypatch.setattr(schemes, "SCRATCH_DOUBLES", 1 << 30)  # one chunk per replication
     whole_run = reports()
