@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PI2_OVER_6 = math.pi**2 / 6
-
 # Terms 1/j**order with j <= _DIRECT are summed directly; above it the
 # expansion's first omitted term is below 1e-17 of the sum.
 _DIRECT = 32
@@ -81,9 +79,10 @@ class ShiftedExp:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.shift < 0:
+        # "not >=" refuses NaN too; an infinite rate is allowed
+        if not self.shift >= 0:
             raise ValueError(f"shift must be >= 0, got {self.shift}")
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
     def split(self, m: int) -> "ShiftedExp":

@@ -38,10 +38,8 @@ worker order statistics in a window of ranks around each level's share of
 the k-th result (see ``_multiset_sample``): two gammas per run of
 consecutive ranks and one exponential per rank, then a sort of the
 windows' elements.  That costs about 1.7 us per service time at n = 100
-and 3.2 us at n = 1000, against 2.8 and 5.0 us for the multinomial cell
-counts it replaces (MultiMDS(129, 2) and MultiMDS(1287, 2), medians of
+and 3.2 us at n = 1000 (MultiMDS(129, 2) and MultiMDS(1287, 2), medians of
 interleaved 4097-sample calls, 2-core Intel Xeon VM, numpy 2.4).
-Seeded MultiMDS output at load >= 2 differs from earlier versions.
 """
 from __future__ import annotations
 
@@ -131,19 +129,22 @@ class ServiceMoments:
     es2: float
 
 
-def _os_sample(d: ShiftedExp, n: int, k: int, rng: np.random.Generator,
-               size: int) -> np.ndarray:
+def _os_sample(d: ShiftedExp, n: "int | np.ndarray", k: "int | np.ndarray",
+               rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` draws of the k-th smallest of n i.i.d. draws from d, from its law.
 
     The k-th of n uniforms is B = G_k / (G_k + G_{n-k+1}) for independent
     standard gammas (David & Nagaraja, Order Statistics, 2003), and the
     inverse CDF maps it to d.shift - log(1 - B)/d.rate, which is d.shift +
-    log1p(G_k / G_{n-k+1})/d.rate: no difference cancels at any n.  Each
-    sample's two gammas are drawn together, row by row, so the values do not
-    depend on how a run is split into calls.
+    log1p(G_k / G_{n-k+1})/d.rate: no difference cancels at any n.  n and k
+    may be arrays of one shape s, which gives (size,) + s draws.  Each
+    sample's gammas are drawn together, row by row, so the values do not
+    depend on how a run is split into calls.  The shapes are converted to
+    doubles first, so Python integers past 2**63 work too.
     """
-    g = rng.standard_gamma([k, n - k + 1], (size, 2))
-    x = np.divide(g[:, 0], g[:, 1])
+    shapes = np.stack([k, n - k + 1], axis=-1).astype(float)
+    g = rng.standard_gamma(shapes, (size,) + shapes.shape)
+    x = np.divide(g[..., 0], g[..., 1])
     np.log1p(x, out=x)
     x /= d.rate
     x += d.shift
@@ -329,25 +330,19 @@ class _WindowPlan:
 
 def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
     """The plan of windows [a_m, b_m], level m = 1.. in order, at n workers."""
-    segments: list[list[int]] = []
-    for a, b in sorted(windows):
-        if segments and a <= segments[-1][1] + 1:
-            segments[-1][1] = max(segments[-1][1], b)
-        else:
-            segments.append([a, b])
-    first = np.cumsum([0] + [b - a + 1 for a, b in segments])  # position of each segment
-
-    def position(rank: int) -> int:
-        s = max(i for i, (a, _) in enumerate(segments) if a <= rank)
-        return first[s] + rank - segments[s][0]
-
     low, high = np.array(windows).T
     widths = high - low + 1
     last = np.cumsum(widths) - 1  # gathered column of each window's highest rank
+    # every window's ranks, level by level; the union drops the repeats
+    gathered = np.arange(widths.sum()) + np.repeat(low + widths - 1 - last, widths)
+    ranks = np.sort(gathered)
+    ranks = ranks[np.diff(ranks, prepend=0) > 0]
+    # the position of each segment's first rank, and one past the last rank
+    first = np.flatnonzero(np.diff(ranks, prepend=-1, append=n + 2) > 1)
     return _WindowPlan(
-        ranks=np.concatenate([np.arange(a, b + 1) for a, b in segments]),
+        ranks=ranks,
         edges=np.column_stack([first[:-1], first[1:] - 1]).ravel(),
-        gather=np.concatenate([np.arange(position(a), position(b) + 1) for a, b in windows]),
+        gather=np.searchsorted(ranks, gathered),
         scale=np.repeat(np.arange(1.0, len(windows) + 1), widths),
         lower=(last - widths + 1)[low > 1],
         upper=last[high < n],
@@ -400,18 +395,15 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, load: int,
     # the spacing scale 1/(n - j + 1) of each rank j; a segment's first rank
     # takes its gamma jump instead, which overwrites that column's draw
     gaps = 1.0 / (n + 1 - ranks)
-    # gamma shapes (u - j, n - u + 1) of each segment's first rank u
+    # the last rank j below each segment's first rank u (0 for the first)
     below = np.concatenate([[0], ranks[ends][:-1]])
-    shapes = np.column_stack([ranks[starts] - below, n + 1 - ranks[starts]])
     spacing = ShiftedExp(0.0, d.rate)
     step = max(1, SCRATCH_DOUBLES // (ranks.size + plan.scale.size))
     leftover_rows = max(1, SCRATCH_DOUBLES // (n * (load + 4)))
     out = np.empty(size)
     for a in range(0, size, ROW_BLOCK):
         block = out[a:a + ROW_BLOCK]
-        g = rng.standard_gamma(shapes, (block.size,) + shapes.shape)
-        jumps = np.log1p(np.divide(g[..., 0], g[..., 1]))
-        jumps /= d.rate
+        jumps = _os_sample(spacing, n - below, ranks[starts] - below, rng, block.size)
         jumps[:, 0] += d.shift  # the cumulative sums carry it to every rank
         missed, known = [], []
         for i in range(0, block.size, step):
@@ -530,8 +522,7 @@ def sample_service_batch(scheme: Scheme, params: SystemParams,
     order statistics in a window of ranks per level, or, for the rows the
     windows do not settle (about 1e-4 at n = 100 and 1e-3 at n = 1000),
     every worker time and the whole n*load multiset.  About 1.7 us per
-    service time at n = 100 and 3.2 us at n = 1000; seeded output differs
-    from earlier versions.
+    service time at n = 100 and 3.2 us at n = 1000.
     """
     validate(scheme, params, sampling=True)
     return scheme.sample(params, rng, size)

@@ -49,6 +49,7 @@ import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 from .levels import require_int
+from .order_stats import ShiftedExp, sample_batch
 from .schemes import Scheme, SystemParams, sample_service_batch, validate
 
 # (gap, transit-age) pairs per block of the full-stream arrival draws; only
@@ -98,25 +99,21 @@ class _RepStats:
     arrivals: int = 0
 
 
-def _exp_batch(rate: float, rng: Generator, size: int) -> np.ndarray:
-    # inverse CDF on 1 - U with U in [0, 1), so log never sees 0
-    return -np.log1p(-rng.random(size)) / rate
-
-
 def _fast_cycles(scheme, params, rng, cycles, policy):
-    lam = params.arrival_rate
+    exp = ShiftedExp(0.0, params.arrival_rate)
     s = sample_service_batch(scheme, params, rng, cycles + 1)
     if policy == "return-triggered":
-        d = _exp_batch(lam, rng, cycles + 1)
+        d = sample_batch(exp, rng, cycles + 1)
         d_used, z = d[:-1], d[1:]
     else:
-        d_used = _exp_batch(lam, rng, cycles)
-        z = _exp_batch(lam, rng, cycles)
+        d_used = sample_batch(exp, rng, cycles)
+        z = sample_batch(exp, rng, cycles)
     return s, d_used, z
 
 
 def _stream_cycles(scheme, params, rng, cycles):
     lam = params.arrival_rate
+    exp = ShiftedExp(0.0, lam)
     s = sample_service_batch(scheme, params, rng, cycles + 1)
     # "not <=" refuses an infinite or NaN mean too
     if not lam * s.mean() <= MAX_DROPS_PER_CYCLE:
@@ -134,7 +131,7 @@ def _stream_cycles(scheme, params, rng, cycles):
         # Each arrival consumes two exponentials: the interarrival gap and the
         # transit age the packet carries.  Blocks draw the same stream as one
         # draw at a time, and cumsum adds the gaps in order, as t += gap would.
-        pairs = _exp_batch(lam, rng, 2 * ARRIVAL_BLOCK).reshape(-1, 2)
+        pairs = sample_batch(exp, rng, (ARRIVAL_BLOCK, 2))
         pairs[0, 0] += last_t
         times = np.cumsum(pairs[:, 0])
         t_list = times.tolist()
@@ -285,9 +282,8 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     Service times come from the scheme alone: each replication calls
     ``sample_service_batch`` once, for all of its cycles_per_rep + 1 of
     them, so a ``sample`` override must bound its own scratch memory, as
-    MultiMDS at load >= 2 does: its window sampler (about 3.2 us per
-    service time at n = 1000) holds its draws in row chunks of at most
-    SCRATCH_DOUBLES doubles.
+    MultiMDS at load >= 2 does: its window sampler holds its draws in row
+    chunks of at most SCRATCH_DOUBLES doubles.
     """
     require_int("cycles_per_rep", cycles_per_rep)
     require_int("reps", reps)

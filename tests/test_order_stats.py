@@ -18,7 +18,9 @@ from coded_aoi import (
     os_var,
 )
 from coded_aoi import MDS, MultiMDS, Repetition, SystemParams, Uncoded, age_of
-from coded_aoi.order_stats import _DIRECT, PI2_OVER_6, _check_order, sample_batch
+from coded_aoi.order_stats import _DIRECT, _check_order, sample_batch
+
+PI2_OVER_6 = math.pi**2 / 6
 
 
 def rng(seed):
@@ -188,6 +190,18 @@ def test_shifted_exp_invariants():
         ShiftedExp(1.0, 0.0)
     d = ShiftedExp(1.0, 1.0).split(4)
     assert d == ShiftedExp(0.25, 4.0)
+
+
+def test_shifted_exp_rejects_nan():
+    # a NaN parameter would turn every moment and draw into NaN, silently
+    for shift, rate in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError):
+            ShiftedExp(shift, rate)
+    # an infinite rate stays allowed: it is the point mass at the shift,
+    # which splits at extreme rates reach
+    d = ShiftedExp(1.0, math.inf)
+    assert os_mean(d, 3, 2) == 1.0
+    assert (sample_batch(d, rng(3), 5) == 1.0).all()
 
 
 def test_os_mean_examples():

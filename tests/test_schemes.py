@@ -115,7 +115,7 @@ def test_multiset_sampler_is_exact_where_the_model_is_not():
     assert service_moments(scheme, p).es < 0.01
 
 
-def test_multiset_sampler_is_exact_outside_its_bracket(monkeypatch):
+def test_multiset_sampler_is_exact_outside_its_windows(monkeypatch):
     # windows of +-(0.1 sd + 1) ranks leave most rows unsettled, so most
     # service times come from every worker time, drawn between the known
     # order statistics
@@ -195,6 +195,42 @@ def test_window_selection_is_the_multiset_kth(n, load, k, mu, windows):
         assert ok.sum() > 100
 
 
+def plan_from_sets(windows):
+    """ranks, edges and gather of a window plan, built from Python sets."""
+    ranks = sorted(set().union(*(range(a, b + 1) for a, b in windows)))
+    column = {rank: i for i, rank in enumerate(ranks)}
+    edges = []
+    for i, rank in enumerate(ranks):
+        if rank - 1 not in column:
+            edges.append(i)
+        if rank + 1 not in column:
+            edges.append(i)
+    gather = [column[rank] for a, b in windows for rank in range(a, b + 1)]
+    return ranks, edges, gather
+
+
+def plan_windows():
+    """Every SELECTION_CASES window list, then the sampler's own windows."""
+    for n, load, k, mu, windows in SELECTION_CASES:
+        if windows is not None:
+            yield windows, n, k
+    points = MULTISET_POINTS + [(MultiMDS(399, 4), params(mu=2.0, n=100)),
+                                (MultiMDS(1287000, 2), params(n=10**6))]
+    for scheme, p in points:
+        n = p.nworkers
+        d = p.whole_task().split(scheme.k)
+        yield schemes._windows(d, n, scheme.k, scheme.load), n, scheme.k
+
+
+def test_window_plan_matches_a_set_construction():
+    for windows, n, k in plan_windows():
+        plan = schemes._window_plan(windows, n, k)
+        ranks, edges, gather = plan_from_sets(windows)
+        assert plan.ranks.tolist() == ranks, windows
+        assert plan.edges.tolist() == edges, windows
+        assert plan.gather.tolist() == gather, windows
+
+
 def test_multiset_sampler_leaves_numpy_ma_unloaded():
     # np.unique, np.union1d and np.isin import numpy.ma, about 18 ms on the
     # first call of a fresh process; the window plan uses none of them
@@ -248,6 +284,16 @@ def test_law_sampler_matches_the_worker_mechanism(scheme, n):
     assert stats.ks_2samp(law, mechanism).pvalue > 1e-3
     se = math.sqrt(os_var(*order_stat(scheme, p)) / size)
     assert abs(law.mean() - service_moments(scheme, p).es) < 4 * se
+
+
+@pytest.mark.parametrize("scheme", [Uncoded(), MDS(10**20 - 1)])
+def test_law_sampler_runs_past_int64_workers(scheme):
+    # n = 10**20 exceeds every numpy integer type; the law's gamma shapes
+    # must still reach the generator as doubles
+    p = params(n=10**20)
+    got = sample_service_batch(scheme, p, rng(64), 1000)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == law_sample(scheme, p, rng(64), 1000).tobytes()
 
 
 @pytest.mark.parametrize("scheme", [Uncoded(), Repetition(50), MDS(69)])

@@ -28,7 +28,6 @@ from coded_aoi import schemes, simulate
 from coded_aoi.simulate import (
     ARRIVAL_BLOCK,
     MAX_DROPS_PER_CYCLE,
-    _exp_batch,
     _simulate_rep,
     _stream_cycles,
     _t_quantile,
@@ -244,13 +243,18 @@ def _reference_stream_cycles(scheme, params, rng, cycles):
     z = np.empty(cycles)
     dropped = 0
 
-    buf = _exp_batch(lam, rng, 2 * WALK_BLOCK)
+    def exponentials() -> np.ndarray:
+        # the inverse CDF on 1 - U, U in [0, 1), written out here so the
+        # walk does not share the library's exponential sampler
+        return -np.log1p(-rng.random(2 * WALK_BLOCK)) / lam
+
+    buf = exponentials()
     pos = 0
 
     def draw() -> float:
         nonlocal buf, pos
         if pos == len(buf):
-            buf = _exp_batch(lam, rng, 2 * WALK_BLOCK)
+            buf = exponentials()
             pos = 0
         pos += 1
         return buf[pos - 1]
