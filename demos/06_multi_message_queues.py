@@ -18,10 +18,10 @@ from coded_aoi import (
 
 # The level split in a small concrete case: 10 workers, queue of 3, and a
 # code that needs 7 results in a low-straggling regime.
-split = solve_levels(3, 7 / 30, 0.01)
+alphas = solve_levels(3, 7 / 30, 0.01)
 print("7 results from 10 workers with 3 queued pieces each (mild straggling):")
-print("  level fractions:", [f"{a:.4f}" for a in split.alphas])
-print("  integer split:  ", level_counts(split, 10, 7),
+print("  level fractions:", [f"{a:.4f}" for a in alphas])
+print("  integer split:  ", level_counts(alphas, 10, 7),
       " (fastest worker finishes 3, next 2, ...)")
 
 # More load, lower optimized age: here straggling is slow compared to the

@@ -1,7 +1,8 @@
 """Command-line front end: point evaluations, optimization, simulation, sweeps.
 
 Exit codes: 0 success, 2 usage error (a named invariant is violated),
-3 numerical failure from the solvers or a result that overflows a double.
+3 numerical failure from the solvers, a result that overflows a double, or
+a simulation whose arrays do not fit in memory.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .levels import Infeasible, NoConvergence
 from .optimize import opt_mds, opt_mm_mds, opt_repetition
 from .schemes import (
     MDS,
-    DegenerateLevels,
     MultiMDS,
     Repetition,
     Scheme,
@@ -381,8 +381,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (Infeasible, NoConvergence, DegenerateLevels, OverflowError) as e:
+    except (Infeasible, NoConvergence, OverflowError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
         return 3
 
 

@@ -17,17 +17,16 @@ beta_1 - (m - 1) * mu_c, so each level follows from the first in closed form,
 and 0 otherwise: empty levels trail, and exp(mu_c) is never formed.  The
 level sum rises from 0 to load as beta_1 grows, so every total below load
 has a split, also where 1 - alpha_1 is below double resolution.  Multi-
-message points that once failed (exit 3) therefore solve; their optima can
-sit at k = n*load - 1, where the large-pool model is least accurate (see the
-README: at MultiMDS(399, 4), n=100, c=1, mu=2 the analytic age is 2.0090,
-simulation 2.0347 +- 0.0216 at 2 x 20k cycles).
+message optima can therefore sit at k = n*load - 1, where the large-pool
+model is least accurate (see the README: at MultiMDS(399, 4), n=100, c=1,
+mu=2 the analytic age is 2.0090, simulation 2.0347 +- 0.0216 at 2 x 20k
+cycles).
 """
 from __future__ import annotations
 
 import bisect
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable
 
 CHAIN_TOL = 1e-10
@@ -56,13 +55,6 @@ def require_int(name: str, value) -> None:
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class LevelSplit:
-    """Per-level completion fractions, nonincreasing, trailing zeros allowed."""
-
-    alphas: tuple[float, ...]
 
 
 def chain_alphas(beta1: float, load: int, mu_c: float) -> list[float]:
@@ -123,8 +115,9 @@ def _level_piece(ell: int, mu_c: float, target: float,
     return filled, lo, hi
 
 
-def solve_levels(ell: int, alpha: float, mu_c: float) -> LevelSplit:
-    """Solve for the level fractions alpha_1..alpha_ell.
+def solve_levels(ell: int, alpha: float, mu_c: float) -> tuple[float, ...]:
+    """Solve for the level fractions alpha_1..alpha_ell: nonincreasing,
+    trailing zeros allowed.
 
     The level sum is continuous and increasing in beta_1, and reaches
     ell * alpha by beta_1 = (ell - 1) * mu_c - ell * log1p(-alpha), where
@@ -155,7 +148,7 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> LevelSplit:
             f"total fraction {target} not reachable with {ell} levels at mu_c={mu_c}")
     filled, lo, hi = _level_piece(ell, mu_c, target, hi)
     if filled == 1:  # the first level alone: alpha_1 = ell * alpha exactly
-        return LevelSplit((target,) + (0.0,) * (ell - 1))
+        return (target,) + (0.0,) * (ell - 1)
 
     def residual(beta: float) -> tuple[float, float]:
         a = chain_alphas(beta, ell, mu_c)
@@ -166,10 +159,10 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> LevelSplit:
         raise NoConvergence(
             f"level solver residual {abs(resid):.3e} above {CHAIN_TOL} "
             f"at ell={ell}, alpha={alpha}, mu_c={mu_c}")
-    return LevelSplit(tuple(chain_alphas(beta, ell, mu_c)))
+    return tuple(chain_alphas(beta, ell, mu_c))
 
 
-def level_counts(split: LevelSplit, n: int, k: int) -> list[int]:
+def level_counts(alphas: tuple[float, ...], n: int, k: int) -> list[int]:
     """Integer subtask counts per level, summing to k exactly.
 
     Largest-remainder rounding of alpha_m * n; ties go to the earlier level
@@ -180,7 +173,7 @@ def level_counts(split: LevelSplit, n: int, k: int) -> list[int]:
     """
     if n < 1 or k < 0:
         raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    raw = [a * n for a in split.alphas]
+    raw = [a * n for a in alphas]
     counts = [math.floor(r) for r in raw]
     deficit = k - sum(counts)
     if deficit < 0 or deficit > len(raw):

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from .age import age_of
 from .levels import chain_alphas, level_counts, newton_root, require_int, solve_levels
-from .schemes import MDS, MultiMDS, Repetition, Scheme, SystemParams, mm_k_min, service_moments
+from .schemes import MDS, MultiMDS, Repetition, Scheme, SystemParams, service_moments
 
 _BRANCH_POINT = -math.exp(-1.0)
 
@@ -142,8 +142,8 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age") -> OptRe
     concave, so G' = (mu_c + beta) * sum((1 - a_m) / m^2) > 0: each such
     piece holds at most one local minimum, at the root of G.  The smallest
     objective over these roots is the continuous optimum; k is then refined
-    against the exact age over the k from mm_k_min up, whose first level is
-    non-empty.  OverflowError: no piece has a finite root.
+    against the exact age (or mean service time) over integers
+    1..n*load-1.  OverflowError: no piece has a finite root.
     """
     require_int("load", load)
     if load < 1:
@@ -163,9 +163,9 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age") -> OptRe
 
     cont, alpha = min(map(scaled_es, roots), key=lambda pair: pair[0])
     result = _refined(params, lambda k: MultiMDS(k, load), objective, alpha * n * load,
-                      mm_k_min(params, load), n * load - 1, alpha, cont / (n * load))
-    split = solve_levels(load, result.k_star / (n * load), mu_c)
-    return replace(result, levels=tuple(level_counts(split, n, result.k_star)))
+                      1, n * load - 1, alpha, cont / (n * load))
+    alphas = solve_levels(load, result.k_star / (n * load), mu_c)
+    return replace(result, levels=tuple(level_counts(alphas, n, result.k_star)))
 
 
 def _piece_roots(load: int, mu_c: float) -> list[float]:

@@ -50,7 +50,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .levels import chain_alphas, require_int, solve_levels
+from .levels import require_int, solve_levels
 from .order_stats import (
     ShiftedExp,
     os_mean,
@@ -78,10 +78,6 @@ WINDOW_Z = 3.0
 # other worker times of the rows the windows do not settle, so the values
 # depend on this block size but not on SCRATCH_DOUBLES.
 ROW_BLOCK = 1 << 10
-
-
-class DegenerateLevels(Exception):
-    """The level split leaves the first level empty (k too small for the load)."""
 
 
 @dataclass(frozen=True)
@@ -474,11 +470,13 @@ def validate(scheme: Scheme, params: SystemParams, sampling: bool = False) -> No
 
 
 def mm_k1(params: SystemParams, k: int, load: int) -> int:
-    """First-level completion count k1 = round(alpha_1 * n), at most n.
+    """First-level completion count k1 = round(alpha_1 * n), clamped to [1, n].
 
     The k-th overall result arrives exactly when the first level delivers
     its k1-th, so the analytic service time is the k1-th order statistic of
-    the per-subtask runtimes.
+    the per-subtask runtimes.  A worker's m-th result follows its first, so
+    any result at all brings a first-level one: k1 >= 1 even where the
+    large-pool fraction rounds to 0.
     """
     validate(MultiMDS(k, load), params)
     if load == 1:
@@ -486,24 +484,7 @@ def mm_k1(params: SystemParams, k: int, load: int) -> int:
         # round back to k only while k/n is exact
         return k
     n = params.nworkers
-    k1 = round(solve_levels(load, k / (n * load), params.mu_c).alphas[0] * n)
-    if k1 == 0:
-        raise DegenerateLevels(
-            f"first level rounds to zero subtasks (k={k}, n={n}, "
-            f"load={load}); no order statistic represents the service time")
-    return min(k1, n)
-
-
-def mm_k_min(params: SystemParams, load: int) -> int:
-    """Smallest k at which mm_k1 leaves the first level non-empty.
-
-    k1 = round(alpha_1 * n) is 0 up to alpha_1 = 0.5 / n, where beta_1 =
-    -log1p(-0.5 / n); the level sum there, times n, is the largest k with an
-    empty first level, since the sum k / n rises with beta_1.
-    """
-    n = params.nworkers
-    beta = -math.log1p(-0.5 / n)
-    return math.floor(n * math.fsum(chain_alphas(beta, load, params.mu_c))) + 1
+    return min(max(round(solve_levels(load, k / (n * load), params.mu_c)[0] * n), 1), n)
 
 
 def service_moments(scheme: Scheme, params: SystemParams) -> ServiceMoments:

@@ -16,8 +16,9 @@ from coded_aoi.levels import chain_alphas
 EPS = 2.0 ** -52
 
 
-def chain_residuals(split, mu_c):
-    """(residual, bound) for each consecutive pair of non-empty levels.
+def chain_residuals(a, mu_c):
+    """(residual, bound) for each consecutive pair of non-empty levels of
+    the fractions a.
 
     ``bound`` is how far the residual can sit from 0 on an exact split once
     each fraction is rounded to a double: 1 - alpha_m carries a relative
@@ -26,7 +27,6 @@ def chain_residuals(split, mu_c):
     that level's log-gap is past what a double resolves, and the sum check
     on the split still covers it.
     """
-    a = split.alphas
     out = []
     for m in range(2, len(a) + 1):
         if a[m - 1] <= 0.0:

@@ -4,7 +4,7 @@ S is the k-th smallest of n i.i.d. draws from the shifted exponential d.
 This is how the moments were computed before each scheme owned its
 ``moments`` method; the library must keep giving the same floats.  The
 multi-message k1 comes straight from the level solver, not from
-``schemes.mm_k1``; it is 0 where the first level rounds to no subtask.
+``schemes.mm_k1``, clamped to [1, n] as there.
 
 ``reference_sample`` is the worker-level reference sampler: it simulates
 every worker, where the library draws single-level service times from their
@@ -41,10 +41,10 @@ def order_stat(scheme, params):
 
 
 def first_level_count(params, k, load):
-    """k1 = round(alpha_1 * n), capped at n."""
+    """k1 = round(alpha_1 * n), clamped to [1, n]: the first result is always
+    a first-level one."""
     n = params.nworkers
-    split = solve_levels(load, k / (n * load), params.mu_c)
-    return min(round(split.alphas[0] * n), n)
+    return min(max(round(solve_levels(load, k / (n * load), params.mu_c)[0] * n), 1), n)
 
 
 def moments(scheme, params):

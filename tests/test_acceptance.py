@@ -154,15 +154,15 @@ def test_criterion_07_mode_equivalence():
 
 
 def test_criterion_08_level_solver():
-    single = all(solve_levels(1, a, 1.0).alphas == (a,) for a in (0.1, 0.5, 0.9))
+    single = all(solve_levels(1, a, 1.0) == (a,) for a in (0.1, 0.5, 0.9))
     residuals_ok = True
     for ell in (2, 3, 5):
         for mu_c in (0.01, 0.5, 1.0):
             for alpha in (0.1, 0.3, 0.6):
-                split = solve_levels(ell, alpha, mu_c)
-                residuals_ok = residuals_ok and abs(sum(split.alphas) - ell * alpha) < 1e-10
+                alphas = solve_levels(ell, alpha, mu_c)
+                residuals_ok = residuals_ok and abs(sum(alphas) - ell * alpha) < 1e-10
                 residuals_ok = residuals_ok and all(
-                    abs(r) < 1e-10 for r, _ in chain_residuals(split, mu_c))
+                    abs(r) < 1e-10 for r, _ in chain_residuals(alphas, mu_c))
     fig3 = level_counts(solve_levels(3, 7 / 30, 0.01), 10, 7) == [4, 2, 1]
     check(8, "single level exact, chain and sum residuals < 1e-10, "
              "7-of-10 three-level instance splits 4/2/1",

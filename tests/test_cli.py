@@ -61,11 +61,16 @@ def test_age_missing_flag_exits_2(capsys):
     assert "--lambda" in err
 
 
-def test_age_degenerate_levels_exits_3(capsys):
-    code, _, err = run_cli(capsys, "age", "--scheme", "mm-mds", "--n", "100", "--k", "1",
-                           "--l", "4", "--lambda", "1", "--c", "1", "--mu", "0.0001")
-    assert code == 3
-    assert "level" in err
+def test_age_mm_mds_at_k_one_prints_the_mds_age(capsys):
+    # alpha_1 * n rounds to 0 here, but the first result is a first-level
+    # one: S is X_(1) under both schemes
+    rates = ["--lambda", "1", "--c", "0.02", "--mu", "0.01"]
+    code, out, err = run_cli(capsys, "age", "--scheme", "mm-mds", "--n", "20", "--k", "1",
+                             "--l", "4", *rates)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "age=11.1894684385 es=5.02 es2=50.2004"
+    assert run_cli(capsys, "age", "--scheme", "mds", "--n", "20", "--k", "1", *rates)[1] \
+        .splitlines()[-1] == out.splitlines()[-1]
 
 
 def test_optimize_mm_mds_skips_k_with_an_empty_first_level(capsys):
@@ -489,6 +494,16 @@ def test_simulate_overflowing_age_exits_3_in_one_line(capsys):
                              "--cycles", "100", "--seed", "1")
     assert code == 3 and out == ""
     assert err.startswith("numerical failure: simulated age of Uncoded() overflows")
+    assert err.count("\n") == 1
+
+
+def test_simulate_past_the_address_space_exits_3_in_one_line(capsys):
+    # 10**15 cycles need petabytes: the allocation fails at once, with no
+    # page committed, and the CLI reports it instead of a traceback
+    code, out, err = run_cli(capsys, "simulate", "--scheme", "mds", "--k", "5", "--n", "10",
+                             "--cycles", "1000000000000000", "--seed", "1", *UNIT)
+    assert code == 3 and out == ""
+    assert err.startswith("out of memory: ")
     assert err.count("\n") == 1
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coded_aoi import Infeasible, InconsistentK, LevelSplit, level_counts, levels, solve_levels
+from coded_aoi import Infeasible, InconsistentK, level_counts, levels, solve_levels
 from coded_aoi.levels import chain_alphas
 from levels_reference import chain_residuals, linear_level_piece
 from coded_aoi.order_stats import ShiftedExp, os_mean
@@ -23,27 +23,27 @@ def two_level_oracle(alpha, mu_c):
 
 def test_single_level_is_exact():
     for alpha in (0.01, 0.25, 0.5, 0.9, 0.999):
-        split = solve_levels(1, alpha, 1.0)
-        assert split.alphas == (alpha,)
+        alphas = solve_levels(1, alpha, 1.0)
+        assert alphas == (alpha,)
 
 
 def test_two_levels_match_quadratic_oracle():
     for mu_c, alpha in [(0.1, 0.3), (1.0, 0.5), (0.01, 0.2), (0.5, 0.45)]:
-        split = solve_levels(2, alpha, mu_c)
+        alphas = solve_levels(2, alpha, mu_c)
         a1, a2 = two_level_oracle(alpha, mu_c)
-        assert split.alphas[0] == pytest.approx(a1, abs=1e-10)
-        assert split.alphas[1] == pytest.approx(a2, abs=1e-10)
+        assert alphas[0] == pytest.approx(a1, abs=1e-10)
+        assert alphas[1] == pytest.approx(a2, abs=1e-10)
 
 
 def test_second_level_unreachable_for_large_straggling():
     # with a steep chain constant the whole quota lands in level one
-    split = solve_levels(2, 0.3, 5.0)
-    assert split.alphas[0] == pytest.approx(0.6, abs=1e-10)
-    assert split.alphas[1] == 0.0
+    alphas = solve_levels(2, 0.3, 5.0)
+    assert alphas[0] == pytest.approx(0.6, abs=1e-10)
+    assert alphas[1] == 0.0
     # mu_c = 1 at alpha = 0.3 is already degenerate (quadratic oracle agrees)
-    split = solve_levels(2, 0.3, 1.0)
-    assert split.alphas[0] == pytest.approx(0.6, abs=1e-10)
-    assert split.alphas[1] == 0.0
+    alphas = solve_levels(2, 0.3, 1.0)
+    assert alphas[0] == pytest.approx(0.6, abs=1e-10)
+    assert alphas[1] == 0.0
     assert two_level_oracle(0.3, 1.0) == (0.6, 0.0)
 
 
@@ -51,11 +51,11 @@ def test_chain_and_sum_residuals_on_grid():
     for ell in (2, 3, 5):
         for mu_c in (0.01, 0.1, 0.5, 1.0, 2.0):
             for alpha in (0.05, 0.2, 0.4, 0.6, 0.8):
-                split = solve_levels(ell, alpha, mu_c)
-                assert abs(sum(split.alphas) - ell * alpha) < 1e-10
-                for r, _ in chain_residuals(split, mu_c):
+                alphas = solve_levels(ell, alpha, mu_c)
+                assert abs(sum(alphas) - ell * alpha) < 1e-10
+                for r, _ in chain_residuals(alphas, mu_c):
                     assert abs(r) < 1e-10
-                a = split.alphas
+                a = alphas
                 assert all(x >= y for x, y in zip(a, a[1:]))
                 # zeros only trail
                 seen_zero = False
@@ -68,7 +68,7 @@ def test_chain_and_sum_residuals_on_grid():
 
 def test_alpha1_strictly_increasing_in_alpha():
     for mu_c in (0.1, 1.0):
-        grid = [solve_levels(3, a, mu_c).alphas[0] for a in
+        grid = [solve_levels(3, a, mu_c)[0] for a in
                 (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)]
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
@@ -99,31 +99,31 @@ def test_near_saturation_is_solved():
     # not: the split is found, and alpha_2 matches the two-level quadratic
     # (1 - alpha_2)^2 = e * (1 - alpha_1), solved without cancellation
     alpha, mu_c = 1.0 - 1e-12, 1.0
-    split = solve_levels(2, alpha, mu_c)
-    assert abs(sum(split.alphas) - 2 * alpha) <= 1e-15
+    alphas = solve_levels(2, alpha, mu_c)
+    assert abs(sum(alphas) - 2 * alpha) <= 1e-15
     e, s = math.exp(mu_c), 2.0 - 2.0 * alpha
     gamma = 2.0 * e * s / (e + math.sqrt(e * e + 4.0 * e * s))
-    assert split.alphas == (1.0, pytest.approx(1.0 - gamma, abs=1e-15))
-    for r, bound in chain_residuals(split, mu_c):
+    assert alphas == (1.0, pytest.approx(1.0 - gamma, abs=1e-15))
+    for r, bound in chain_residuals(alphas, mu_c):
         assert abs(r) <= bound
     # further from saturation every log-gap is a finite double
-    split = solve_levels(3, 1.0 - 1e-4, mu_c)
-    residuals = chain_residuals(split, mu_c)
+    alphas = solve_levels(3, 1.0 - 1e-4, mu_c)
+    residuals = chain_residuals(alphas, mu_c)
     assert len(residuals) == 2
     assert all(abs(r) <= bound for r, bound in residuals)
-    assert abs(sum(split.alphas) - 3 * (1.0 - 1e-4)) <= 1e-15
+    assert abs(sum(alphas) - 3 * (1.0 - 1e-4)) <= 1e-15
 
 
 def test_level_counts_trivial_and_exact():
-    assert level_counts(LevelSplit((0.5,)), 100, 50) == [50]
-    assert level_counts(LevelSplit((0.35, 0.25)), 100, 60) == [35, 25]
+    assert level_counts((0.5,), 100, 50) == [50]
+    assert level_counts((0.35, 0.25), 100, 60) == [35, 25]
 
 
 def test_level_counts_seven_of_ten_three_levels():
     # low-straggling regime (shift*rate = 0.01): 7 subtasks over 10 workers,
     # 3 per queue, split 4/2/1
-    split = solve_levels(3, 7 / 30, 0.01)
-    assert level_counts(split, 10, 7) == [4, 2, 1]
+    alphas = solve_levels(3, 7 / 30, 0.01)
+    assert level_counts(alphas, 10, 7) == [4, 2, 1]
 
 
 def test_level_counts_sum_exact_on_grid():
@@ -132,17 +132,17 @@ def test_level_counts_sum_exact_on_grid():
             for n in (10, 100, 997):
                 for alpha in (0.1, 0.33, 0.61):
                     k = round(ell * alpha * n)
-                    split = solve_levels(ell, alpha, mu_c)
-                    counts = level_counts(split, n, k)
+                    alphas = solve_levels(ell, alpha, mu_c)
+                    counts = level_counts(alphas, n, k)
                     assert sum(counts) == k
                     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
 def test_level_counts_inconsistent_k():
     with pytest.raises(InconsistentK):
-        level_counts(LevelSplit((0.5,)), 10, 9)
+        level_counts((0.5,), 10, 9)
     with pytest.raises(InconsistentK):
-        level_counts(LevelSplit((0.5, 0.3)), 10, 3)
+        level_counts((0.5, 0.3), 10, 3)
 
 
 def test_sandwich_ordering_at_rounded_counts():
@@ -150,8 +150,8 @@ def test_sandwich_ordering_at_rounded_counts():
     # finishes within one order-statistic step of every other level's
     n, ell, alpha, shift, rate = 1000, 3, 0.2, 1.0, 0.5
     k = round(ell * alpha * n)
-    split = solve_levels(ell, alpha, shift * rate)
-    counts = level_counts(split, n, k)
+    alphas = solve_levels(ell, alpha, shift * rate)
+    counts = level_counts(alphas, n, k)
     d = ShiftedExp(shift / k, k * rate)
     active = [(m + 1, km) for m, km in enumerate(counts) if km > 0]
     for m, km in active:
@@ -196,9 +196,9 @@ def test_infinite_chain_offset():
     mu_c = 1e200 * 1e200
     assert mu_c == math.inf
     assert chain_alphas(math.log(2.0), 3, mu_c) == [0.5, 0.0, 0.0]
-    split = solve_levels(3, 0.2, mu_c)
-    assert split.alphas == (pytest.approx(0.6, abs=1e-15), 0.0, 0.0)
-    assert not any(math.isnan(a) for a in split.alphas)
+    alphas = solve_levels(3, 0.2, mu_c)
+    assert alphas == (pytest.approx(0.6, abs=1e-15), 0.0, 0.0)
+    assert not any(math.isnan(a) for a in alphas)
     with pytest.raises(Infeasible):
         solve_levels(3, 0.5, mu_c)
 
@@ -207,11 +207,11 @@ def test_second_level_past_first_level_resolution():
     # mu_c = 28.2: level 2 opens only at 1 - alpha_1 = exp(-28.2) ~ 5.6e-13,
     # finer than a double alpha_1 resolves near 1
     mu_c = 9.4 * 3.0
-    split = solve_levels(4, 117 / 448, mu_c)
-    assert split.alphas[2:] == (0.0, 0.0)
-    assert 0.0 < split.alphas[1] < 0.1
-    assert abs(sum(split.alphas) - 4 * 117 / 448) <= 1e-12
-    assert all(abs(r) <= bound for r, bound in chain_residuals(split, mu_c))
+    alphas = solve_levels(4, 117 / 448, mu_c)
+    assert alphas[2:] == (0.0, 0.0)
+    assert 0.0 < alphas[1] < 0.1
+    assert abs(sum(alphas) - 4 * 117 / 448) <= 1e-12
+    assert all(abs(r) <= bound for r, bound in chain_residuals(alphas, mu_c))
 
 
 def _bits(values):
@@ -232,9 +232,9 @@ def test_piece_bisection_matches_the_linear_walk(monkeypatch):
         target, hi = ell * alpha, (ell - 1) * mu_c - ell * math.log1p(-alpha)
         assert _bits(levels._level_piece(ell, mu_c, target, hi)) == \
             _bits(linear_level_piece(ell, mu_c, target, hi)), (ell, alpha, mu_c)
-        bisected.append(_bits(solve_levels(ell, alpha, mu_c).alphas))
+        bisected.append(_bits(solve_levels(ell, alpha, mu_c)))
     monkeypatch.setattr(levels, "_level_piece", linear_level_piece)
-    walked = [_bits(solve_levels(ell, alpha, mu_c).alphas) for ell, alpha, mu_c in points]
+    walked = [_bits(solve_levels(ell, alpha, mu_c)) for ell, alpha, mu_c in points]
     assert bisected == walked
 
 
@@ -249,8 +249,8 @@ def test_many_levels_take_few_level_sums(monkeypatch):
         return chain_alphas(beta1, load, mu_c)
 
     monkeypatch.setattr(levels, "chain_alphas", counted)
-    split = solve_levels(2000, 0.5, 0.01)
+    alphas = solve_levels(2000, 0.5, 0.01)
     assert len(sums) <= 40
-    assert abs(math.fsum(split.alphas) - 1000.0) <= 1e-10
-    for r, bound in chain_residuals(split, 0.01):
+    assert abs(math.fsum(alphas) - 1000.0) <= 1e-10
+    for r, bound in chain_residuals(alphas, 0.01):
         assert abs(r) <= bound

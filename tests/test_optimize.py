@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from coded_aoi import (
-    DegenerateLevels,
     SystemParams,
     age_of,
     lambert_w_m1,
@@ -18,7 +17,7 @@ from coded_aoi import (
 )
 from coded_aoi.levels import solve_levels
 from levels_reference import chain_alphas_grid, chain_residuals
-from coded_aoi.schemes import MDS, MultiMDS, Repetition, mm_k_min
+from coded_aoi.schemes import MDS, MultiMDS, Repetition
 
 
 def params(lam=1.0, c=1.0, mu=1.0, n=100):
@@ -170,8 +169,8 @@ def test_opt_mm_mds_k_grows_with_pool():
 
 def test_opt_mm_mds_three_levels_satisfies_chain():
     r = opt_mm_mds(params(mu=1.0), 3)
-    split = solve_levels(3, r.k_star / 300, 1.0)
-    for resid, _ in chain_residuals(split, 1.0):
+    alphas = solve_levels(3, r.k_star / 300, 1.0)
+    for resid, _ in chain_residuals(alphas, 1.0):
         assert abs(resid) < 1e-10
 
 
@@ -269,35 +268,39 @@ def test_refine_discrete_full_sweep_agreement_on_age():
     assert refine_discrete(fn, 68, 1, 99) == 69 == sweep_argmin(fn, 1, 99)
 
 
-def test_mm_k_min_is_the_first_k_with_a_first_level():
+def test_mm_k1_is_clamped_to_one_through_n():
+    # the first result is always a first-level one, so k1 >= 1 also where
+    # alpha_1 * n rounds to 0: at small k and small shift*straggling
     rng = np.random.default_rng(10)
     points = [(SystemParams(1.0, 0.02, 0.01, 20), 4)]
     points += [(SystemParams(1.0, float(c), float(mu), int(n)), int(load)) for n, load, c, mu in
                zip(rng.choice([1, 2, 5, 20, 100, 1000], 400), rng.integers(1, 9, 400),
                    np.exp(rng.uniform(-7.0, 3.4, 400)), np.exp(rng.uniform(-7.0, 3.4, 400)))]
-    above_one = 0
+    clamped = 0
     for p, load in points:
-        k_min = mm_k_min(p, load)
-        if k_min >= p.nworkers * load:
-            continue
-        mm_k1(p, k_min, load)
-        if k_min > 1:
-            above_one += 1
-            with pytest.raises(DegenerateLevels):
-                mm_k1(p, k_min - 1, load)
-    assert above_one > 50
+        n = p.nworkers
+        for k in {k for k in (1, 2, n * load // 2, n * load - 1) if 1 <= k < n * load}:
+            k1 = mm_k1(p, k, load)
+            assert 1 <= k1 <= n
+            if load > 1:
+                raw = round(solve_levels(load, k / (n * load), p.mu_c)[0] * n)
+                assert k1 == min(max(raw, 1), n)
+                clamped += raw == 0
+    assert clamped > 50
 
 
 def test_opt_mm_mds_refines_only_over_a_non_empty_first_level():
-    # refinement from the seed used to step onto k = 1, whose first level
-    # rounds to no subtask, and raise DegenerateLevels
+    # every k from 1 on has a first level of at least one subtask; at k = 1
+    # the service time is X_(1), as for MDS(1), whose age is far above the
+    # optimum's
     p = SystemParams(1.0, 0.02, 0.01, 20)
-    assert mm_k_min(p, 4) == 2
-    ages = [age_of(MultiMDS(k, 4), p).delta for k in range(2, 7)]
-    assert ages == pytest.approx([6.2978, 4.7166, 5.9574, 5.0934, 5.9159], abs=1e-4)
+    assert all(mm_k1(p, k, 4) >= 1 for k in range(1, 80))
+    ages = [age_of(MultiMDS(k, 4), p).delta for k in range(1, 7)]
+    assert ages == pytest.approx([11.1895, 6.2978, 4.7166, 5.9574, 5.0934, 5.9159], abs=1e-4)
+    assert ages[0] == age_of(MDS(1), p).delta
     r = opt_mm_mds(p, 4)
     assert r.k_star == 3
-    assert r.delta_star == ages[1]
+    assert r.delta_star == ages[2]
     assert r.levels == (1, 1, 1, 0)
 
 

@@ -17,13 +17,12 @@ from numpy.random import Generator, PCG64  # noqa: E402
 
 from coded_aoi import (  # noqa: E402
     MDS,
-    DegenerateLevels,
-    LevelSplit,
     MultiMDS,
     Repetition,
     SystemParams,
     Uncoded,
     age_of,
+    mm_k1,
     opt_mm_mds,
     sample_service_batch,
     service_moments,
@@ -64,13 +63,7 @@ def valid_points(draw):
 @given(valid_points())
 def test_age_is_finite_and_above_two_over_rate(point):
     scheme, p = point
-    try:
-        delta = age_of(scheme, p).delta
-    except DegenerateLevels:
-        # a multi-message split whose first level rounds to no subtask has
-        # no age; the CLI reports it as a numerical failure (exit 3)
-        assert isinstance(scheme, MultiMDS)
-        return
+    delta = age_of(scheme, p).delta
     assert math.isfinite(delta)
     assert delta >= 2 / p.arrival_rate
 
@@ -80,7 +73,7 @@ def test_age_is_finite_and_above_two_over_rate(point):
        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        st.floats(1e-3, 1e4))
 def test_level_split_solves_the_chain(ell, alpha, mu_c):
-    a = solve_levels(ell, alpha, mu_c).alphas
+    a = solve_levels(ell, alpha, mu_c)
     assert len(a) == ell
     assert abs(sum(a) - ell * alpha) <= 1e-10
     assert all(x >= y for x, y in zip(a, a[1:]))
@@ -88,7 +81,7 @@ def test_level_split_solves_the_chain(ell, alpha, mu_c):
     # zeros trail: once a level is empty every deeper one is
     assert all(y == 0.0 for x, y in zip(a, a[1:]) if x == 0.0)
     assert a[0] > 0.0
-    for r, bound in chain_residuals(LevelSplit(a), mu_c):
+    for r, bound in chain_residuals(a, mu_c):
         assert abs(r) <= bound
 
 
@@ -96,14 +89,29 @@ def test_level_split_solves_the_chain(ell, alpha, mu_c):
 @given(valid_points())
 def test_service_moments_match_the_order_statistic_reference(point):
     # each scheme's moments are the same floats as those of its (d, n, k)
-    # order statistic; k1 = 0 is the degenerate multi-message split
+    # order statistic
     scheme, p = point
-    if isinstance(scheme, MultiMDS) and schemes_reference.first_level_count(
-            p, scheme.k, scheme.load) == 0:
-        with pytest.raises(DegenerateLevels):
-            service_moments(scheme, p)
-        return
     assert service_moments(scheme, p) == schemes_reference.moments(scheme, p)
+
+
+@FEW
+@given(valid_points())
+@example((MultiMDS(1, 4), SystemParams(1.0, 0.02, 0.01, 20)))
+def test_first_level_count_is_between_one_and_n(point):
+    scheme, p = point
+    if isinstance(scheme, MultiMDS):
+        assert 1 <= mm_k1(p, scheme.k, scheme.load) <= p.nworkers
+
+
+@FEW
+@given(st.integers(1, 6), st.floats(1e-2, 1e2), st.floats(1e-6, 1e2), st.integers(2, 10**6))
+@example(4, 0.02, 0.02 * 0.01, 20)
+@example(4, 1.0, 1e-6, 100)
+def test_first_result_of_any_load_is_mds_one(load, c, mu_c, n):
+    # a worker's later results follow its first, so the first of all
+    # results is a first-level one at every load: S = X_(1)
+    p = SystemParams(1.0, c, mu_c / c, n)
+    assert service_moments(MultiMDS(1, load), p) == service_moments(MDS(1), p)
 
 
 @FEW

@@ -12,7 +12,6 @@ from numpy.random import Generator, PCG64
 
 from coded_aoi import (
     MDS,
-    DegenerateLevels,
     MultiMDS,
     Repetition,
     SystemParams,
@@ -422,12 +421,14 @@ def test_multi_mds_single_load_equals_mds():
         assert service_moments(MultiMDS(k, 1), p) == service_moments(MDS(k), p)
 
 
-def test_degenerate_levels_raises():
+def test_multi_mds_k_one_equals_mds_one():
     # nearly uniform levels (tiny shift*rate): k = 1 spread over 4 levels
-    # leaves the first level below half a subtask
+    # leaves alpha_1 * n below one half, yet the first result is always a
+    # first-level one, so k1 is clamped to 1 and S is X_(1), as for MDS(1)
     p = params(mu=0.0001, n=100)
-    with pytest.raises(DegenerateLevels):
-        service_moments(MultiMDS(1, 4), p)
+    assert round(solve_levels(4, 1 / 400, p.mu_c)[0] * 100) == 0
+    assert mm_k1(p, 1, 4) == 1
+    assert service_moments(MultiMDS(1, 4), p) == service_moments(MDS(1), p)
 
 
 def test_variance_identity_for_single_level_schemes():
@@ -486,5 +487,5 @@ def test_multi_mds_sampler_matches_levels_at_large_n():
 def test_mm_k1_counts():
     p = params(mu=0.1, n=1000)
     k1 = mm_k1(p, 600, 2)
-    assert k1 == round(solve_levels(2, 600 / 2000, p.mu_c).alphas[0] * 1000)
+    assert k1 == round(solve_levels(2, 600 / 2000, p.mu_c)[0] * 1000)
     assert k1 >= 1

@@ -135,6 +135,18 @@ def test_multi_message_moment_gap_shrinks_with_pool():
     assert gaps[1000] < 0.01
 
 
+def test_multi_message_at_k_one_matches_analytic():
+    # alpha_1 * n rounds to 0 at this point, yet k1 = 1 makes the model exact:
+    # the first of all results is the fastest worker's first subtask
+    p = params(c=0.02, mu=0.01, n=20)
+    scheme = MultiMDS(1, 4)
+    m = service_moments(scheme, p)
+    r = run_parallel(scheme, p, 20_000, 2, seed=19)
+    se = math.sqrt((m.es2 - m.es**2) / 40_000)
+    assert abs(r.empirical_es - m.es) < 3 * se
+    assert abs(r.mean_age - age_of(scheme, p).delta) <= 1.5 * r.ci95_halfwidth
+
+
 def test_return_triggered_policy_matches_analytic():
     p = params()
     r = run(MDS(69), p, 200_000, seed=21, policy="return-triggered")
