@@ -3,8 +3,13 @@
 The simulator never sees the closed forms: it draws delays, service times,
 and idle waits, integrates the age sawtooth cycle by cycle, and reports a
 batch-means confidence interval.  fast mode draws the per-cycle triple
-directly; full_stream mode walks the whole arrival sequence, dropping the
-transmissions that find the pool busy.
+directly.  full_stream mode draws every transmission, dropping the ones
+that find the pool busy: each accepted update starts a fresh arrival
+stream, so every cycle walks its own arrivals, all cycles together in
+numpy rounds, until a gap sum reaches its service time.  That costs the
+arrivals drawn, about lambda*E[S] per cycle, in about log-many rounds.
+Only accepted updates carry a drawn transit delay, since a dropped
+update's age is never read.
 """
 from coded_aoi import (
     MDS,

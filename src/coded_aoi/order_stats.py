@@ -100,6 +100,10 @@ class ShiftedExp:
         With ``out`` (which may be u itself) the steps run in place there.
         """
         x = np.log1p(np.negative(u, out=out), out=out)
+        if self.shift == 0:
+            # -(x/rate) in the divide's own pass: the bits of 0 - x/rate at
+            # every u but -0.0, where the sign of the zero flips
+            return np.divide(x, -self.rate, out=out)
         return np.subtract(self.shift, np.divide(x, self.rate, out=out), out=out)
 
 
@@ -136,7 +140,7 @@ def sample_batch(d: ShiftedExp, rng: np.random.Generator,
     no draw is infinite.
     """
     u = rng.random(size)
-    if np.ndim(a) or np.ndim(b) or (a, b) != (0.0, 1.0):
+    if not (type(a) is float and type(b) is float and a == 0.0 and b == 1.0):
         u *= np.subtract(b, a)
         u += a
         np.minimum(u, _BELOW_ONE, out=u)

@@ -14,22 +14,24 @@ Two modes:
                  arrival after an exponential interarrival process is again
                  exponential.
     full_stream  generates the arrival stream the pool actually sees (every
-                 transmission, including the ones the busy pool throws away,
-                 each carrying the age it accumulated in transit) and reads
-                 D, S, Z off the event sequence: the idle wait is measured
-                 between real events instead of being drawn from the
-                 residual-exponential shortcut.  Arrival times are formed a
-                 block at a time; in each block, binary search finds the
-                 first arrival at or after each service completion, and
-                 only the accepted arrivals are kept.  The arrivals skipped
-                 over are the dropped ones.  D and Z are formed from the
-                 accepted arrivals in one step at the end.  The draws and
-                 the arithmetic are those of a walk over every arrival in
-                 turn, so the results are the same bits.  Also records the
-                 dropped-arrival fraction.  A cycle costs about lambda * E[S]
-                 dropped arrivals, so a run whose drawn service times give
-                 more than MAX_DROPS_PER_CYCLE is refused with ValueError
-                 (exit 2 from the CLI); fast mode estimates the same age.
+                 transmission, including the ones the busy pool throws away)
+                 and reads Z off it: the idle wait is the overshoot of real
+                 interarrival-gap sums past the service completion, never
+                 a draw from the residual-exponential shortcut.  Each
+                 accepted arrival is a regeneration point: the gaps after
+                 it are fresh draws, so every cycle walks its own arrivals
+                 and all cycles advance together, a round at a time.  In a
+                 round each cycle still waiting draws a row of gaps, about
+                 as many as the average waiting cycle still needs; the
+                 first partial sum at or after its service time ends the
+                 cycle, the gaps before it are dropped arrivals, and the
+                 rounds are about log-many.  Only the accepted arrivals'
+                 transit ages D are drawn: a dropped update's age is never
+                 read.  Also records the dropped-arrival fraction.  A cycle
+                 costs about lambda * E[S] drawn gaps, so a run whose drawn
+                 service times give more than MAX_DROPS_PER_CYCLE is
+                 refused with ValueError (exit 2 from the CLI); fast mode
+                 estimates the same age.
 
 The alternative source policy "return-triggered" (send the next update when
 the processed result comes back, rather than on acceptance of the previous
@@ -38,10 +40,8 @@ dropped under it, so both modes coincide there.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import statistics
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -52,11 +52,12 @@ from .levels import require_int
 from .order_stats import ShiftedExp, sample_batch
 from .schemes import Scheme, SystemParams, sample_service_batch, validate
 
-# (gap, transit-age) pairs per block of the full-stream arrival draws; only
-# the current block is held as Python floats
-ARRIVAL_BLOCK = 1 << 11
+# most arrival gaps the full-stream walk holds at once, or one round's row
+# if that is wider; the results do not depend on it
+WAIT_SLICE = 1 << 16
 # largest lambda * E[S], the expected dropped arrivals per cycle, that a
-# full-stream run accepts; the walk draws every one of them
+# full-stream run accepts, and the widest row of gaps a waiting cycle draws
+# in one round; the walk draws every arrival, about lambda * E[S] per cycle
 MAX_DROPS_PER_CYCLE = 1 << 10
 # batch means per replication behind the 95% interval
 BATCHES = 30
@@ -120,42 +121,38 @@ def _stream_cycles(scheme, params, rng, cycles):
         raise ValueError(
             f"full-stream simulation: lambda*E[S] = {lam * s.mean():.6g} dropped arrivals per "
             f"cycle exceed the limit of {MAX_DROPS_PER_CYCLE}; fast mode gives the same age")
-    # Python floats for the per-cycle search, converted a block at a time
-    next_s = itertools.chain.from_iterable(
-        s[a:a + ARRIVAL_BLOCK].tolist() for a in range(0, cycles + 1, ARRIVAL_BLOCK)).__next__
-    picked_times, picked_ages = [], []
-    need = cycles + 1  # accepted arrivals still to find; the last only ends a cycle
-    last_t = 0.0
-    completion = -math.inf  # the first arrival finds the pool idle
-    while need:
-        # Each arrival consumes two exponentials: the interarrival gap and the
-        # transit age the packet carries.  Blocks draw the same stream as one
-        # draw at a time, and cumsum adds the gaps in order, as t += gap would.
-        pairs = sample_batch(exp, rng, (ARRIVAL_BLOCK, 2))
-        pairs[0, 0] += last_t
-        times = np.cumsum(pairs[:, 0])
-        t_list = times.tolist()
-        n = len(t_list)
-        # the first arrival at or after the completion is accepted; every
-        # arrival before it finds the pool busy and is dropped
-        picked = []
-        i = bisect_left(t_list, completion)
-        for _ in range(need):
-            if i == n:
-                break
-            picked.append(i)
-            completion = t_list[i] + next_s()
-            i = bisect_left(t_list, completion, i + 1)
-        need -= len(picked)
-        idx = np.array(picked, dtype=np.intp)
-        picked_times.append(times[idx])
-        picked_ages.append(pairs[:, 1][idx])  # 1-D gather; pairs[idx, 1] is 5x slower
-        last_t = t_list[-1]
-    arrivals = (len(picked_times) - 1) * n + picked[-1] + 1
-    t = np.concatenate(picked_times)
-    d_used = np.concatenate(picked_ages)[:-1]
-    z = t[1:] - (t[:-1] + s[:-1])
-    return s, d_used, z, arrivals
+    # the transit ages of the accepted arrivals but the last, which only
+    # ends the run
+    d_used = sample_batch(exp, rng, cycles)
+    z = np.empty(cycles)
+    # the cycles still waiting for their next arrival, their service times
+    # and the gaps they have summed so far
+    idx, need, waited = np.arange(cycles), s[:-1], np.zeros(cycles)
+    dropped = 0
+    while idx.size:
+        # about the arrivals the average waiting cycle still needs, so the
+        # rounds are about log-many; the cap bounds a row's memory
+        w = 1 + int(min(lam * (need - waited).mean(), MAX_DROPS_PER_CYCLE))
+        rows = max(1, WAIT_SLICE // w)
+        early = np.empty(idx.size, dtype=np.intp)
+        last = np.empty(idx.size)
+        for a in range(0, idx.size, rows):
+            b = min(a + rows, idx.size)
+            t = sample_batch(exp, rng, (b - a, w))
+            t[:, 0] += waited[a:b]
+            np.cumsum(t, axis=1, out=t)  # gap sums in order, as t += gap would
+            # arrivals before the service completes find the pool busy; the
+            # first one at or after it ends the cycle
+            n_early = np.count_nonzero(t < need[a:b, None], axis=1)
+            hit = np.flatnonzero(n_early < w)
+            z[idx[a + hit]] = t[hit, n_early[hit]] - need[a + hit]
+            early[a:b] = n_early
+            last[a:b] = t[:, -1]
+            del t  # freed before the next slice is drawn, not after
+        dropped += int(early.sum())
+        wait = early == w
+        idx, need, waited = idx[wait], need[wait], last[wait]
+    return s, d_used, z, cycles + 1 + dropped
 
 
 def _simulate_rep(scheme: Scheme, params: SystemParams, rng: Generator,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from coded_aoi import (
 import coded_aoi
 from coded_aoi import schemes, simulate
 from coded_aoi.simulate import (
-    ARRIVAL_BLOCK,
     MAX_DROPS_PER_CYCLE,
     _simulate_rep,
     _stream_cycles,
@@ -248,7 +248,11 @@ WALK_BLOCK = 1 << 14  # arrivals per draw of the reference walk; any size draws 
 
 
 def _reference_stream_cycles(scheme, params, rng, cycles):
-    """The per-arrival event walk that _stream_cycles must reproduce bit for bit."""
+    """The global per-arrival event walk whose law _stream_cycles must follow.
+
+    One arrival stream for the whole run, every arrival carrying a drawn
+    transit age, the dropped ones too.
+    """
     lam = params.arrival_rate
     s = sample_service_batch(scheme, params, rng, cycles + 1)
     d_used = np.empty(cycles)
@@ -305,22 +309,94 @@ class SlowService(Uncoded):
         return np.full(size, 1e6)
 
 
+def _round_walk(scheme, params, rng, cycles):
+    """The round rule of _stream_cycles one gap at a time, in Python floats.
+
+    Each round draws one (waiting cycles, w) matrix of gaps, whatever the
+    slice size, and adds each row's gaps in turn onto the cycle's wait.
+    """
+    lam = params.arrival_rate
+    s = sample_service_batch(scheme, params, rng, cycles + 1)
+    # the inverse CDF on 1 - U, U in [0, 1), written out as in the event walk
+    d_used = -np.log1p(-rng.random(cycles)) / lam
+    z = [0.0] * cycles
+    waiting = [(j, s[j], 0.0) for j in range(cycles)]
+    dropped = 0
+    while waiting:
+        rest = np.array([need - waited for _, need, waited in waiting])
+        w = 1 + int(min(lam * rest.mean(), MAX_DROPS_PER_CYCLE))
+        gaps = (-np.log1p(-rng.random((len(waiting), w))) / lam).tolist()
+        still = []
+        for (j, need, t), row in zip(waiting, gaps):
+            for early, gap in enumerate(row):
+                t += gap
+                if t >= need:
+                    z[j] = t - need
+                    dropped += early
+                    break
+            else:
+                dropped += w
+                still.append((j, need, t))
+        waiting = still
+    return s, d_used, np.array(z), cycles + 1 + dropped
+
+
 # the case ids name the service-time source after the scheme; they stay fixed
 # so a case can be compared across revisions
-@pytest.mark.parametrize("scheme", [
+STREAM_SCHEMES = pytest.mark.parametrize("scheme", [
     Uncoded(), MDS(7), MultiMDS(13, 2), GammaService(), ZeroService(),
 ], ids=["scheme0-None", "scheme1-None", "scheme2-None",
         "scheme3-gamma_service", "scheme4-zero_service"])
-@pytest.mark.parametrize("lam", [0.05, 1.0, 20.0, 200.0])
+STREAM_RATES = pytest.mark.parametrize("lam", [0.05, 1.0, 20.0, 200.0])
+
+
+@STREAM_SCHEMES
+@STREAM_RATES
 def test_stream_cycles_bitwise_equal_to_event_walk(scheme, lam):
     p = params(lam=lam, n=10)
-    # a run that ends on the last arrival of a block, or needs one more
-    for seed, cycles in ((51, 30), (52, 8192), (53, ARRIVAL_BLOCK - 1), (54, ARRIVAL_BLOCK)):
+    for seed, cycles in ((51, 30), (52, 8192), (53, 1)):
         got = _stream_cycles(scheme, p, Generator(PCG64(seed)), cycles)
-        want = _reference_stream_cycles(scheme, p, Generator(PCG64(seed)), cycles)
+        want = _round_walk(scheme, p, Generator(PCG64(seed)), cycles)
         assert len(got) == len(want)
         assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]
         assert got[3] == want[3]
+
+
+def _stream_law_sample(walk, scheme, p, seeds, cycles):
+    """Pooled Z and D draws, dropped arrivals and their conditional mean."""
+    z, d, dropped, expected = [], [], 0, 0.0
+    for seed in seeds:
+        s, d_used, z_used, arrivals = walk(scheme, p, Generator(PCG64(seed)), cycles)
+        z.append(z_used)
+        d.append(d_used)
+        dropped += arrivals - (cycles + 1)
+        # given S_j, the arrivals a cycle drops are Poisson(lambda * S_j)
+        expected += p.arrival_rate * float(s[:-1].sum())
+    return np.concatenate(z), np.concatenate(d), dropped, expected
+
+
+def _assert_same_stream_law(scheme, p, seeds, cycles):
+    stats = pytest.importorskip("scipy.stats")
+    z, d, dropped, expected = _stream_law_sample(_stream_cycles, scheme, p, seeds, cycles)
+    z_ref, d_ref, dropped_ref, expected_ref = _stream_law_sample(
+        _reference_stream_cycles, scheme, p, [seed + 100 for seed in seeds], cycles)
+    assert stats.ks_2samp(z, z_ref).pvalue > 1e-4
+    assert stats.ks_2samp(d, d_ref).pvalue > 1e-4
+    # the two walks' drop counts less their Poisson means, in standard errors
+    excess = (dropped - expected) - (dropped_ref - expected_ref)
+    assert abs(excess) <= 4.0 * math.sqrt(expected + expected_ref)
+
+
+@STREAM_SCHEMES
+@STREAM_RATES
+def test_stream_cycles_follow_the_event_walk_law(scheme, lam):
+    _assert_same_stream_law(scheme, params(lam=lam, n=10), range(61, 65), 3000)
+
+
+def test_stream_cycles_follow_the_event_walk_law_when_heavy_tailed():
+    # one worker with E[S] = 101: about 808 dropped arrivals per cycle, and
+    # the cycles still waiting after a round are the long ones
+    _assert_same_stream_law(Uncoded(), SystemParams(8, 1, 0.01, 1), range(71, 73), 1000)
 
 
 def test_full_stream_report_does_not_depend_on_arrival_block(monkeypatch):
@@ -332,12 +408,34 @@ def test_full_stream_report_does_not_depend_on_arrival_block(monkeypatch):
                 for s, p in points]
 
     default = reports()
-    monkeypatch.setattr(simulate, "ARRIVAL_BLOCK", 1)  # two draws per block
-    one_arrival = reports()
-    monkeypatch.setattr(simulate, "ARRIVAL_BLOCK", 1 << 21)  # 1 << 22 draws: one block per run
-    one_block = reports()
-    assert one_arrival == default
-    assert one_block == default
+    monkeypatch.setattr(simulate, "WAIT_SLICE", 1)  # one cycle's row per slice
+    one_row = reports()
+    monkeypatch.setattr(simulate, "WAIT_SLICE", 1 << 30)  # one slice per round
+    one_slice = reports()
+    assert one_row == default
+    assert one_slice == default
+
+
+def test_stream_cycles_scratch_is_bounded(monkeypatch):
+    # about 909 arrivals per cycle, near the cap: 2000 cycles draw some 1.8e6
+    # gaps, but the walk holds one slice of at most WAIT_SLICE of them, its
+    # comparison bytes and O(cycles) per-cycle arrays; with one slice per
+    # round the first round alone is larger
+    p, cycles = SystemParams(9, 1, 0.01, 1), 2000
+    bound = 10 * simulate.WAIT_SLICE + 128 * cycles
+
+    def peak():
+        tracemalloc.start()
+        try:
+            arrivals = _stream_cycles(Uncoded(), p, Generator(PCG64(5)), cycles)[3]
+            return tracemalloc.get_traced_memory()[1], arrivals
+        finally:
+            tracemalloc.stop()
+
+    scratch, arrivals = peak()
+    assert scratch <= bound < 8 * arrivals
+    monkeypatch.setattr(simulate, "WAIT_SLICE", 1 << 30)
+    assert peak()[0] > bound
 
 
 def test_full_stream_refuses_more_than_the_drop_cap():
