@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, schemes
+from . import __version__
 from .age import age_of
 from .levels import Infeasible, NoConvergence
 from .optimize import opt_mds, opt_mm_mds, opt_repetition
@@ -28,7 +28,6 @@ from .schemes import (
     SystemParams,
     Uncoded,
     mm_k1,
-    validate,
 )
 from .simulate import _root_seq, run_parallel
 
@@ -332,16 +331,8 @@ def cmd_sweep(args) -> int:
     out = args.out or (f"{args.preset}.csv" if args.preset else "sweep.csv")
     reps = 1 if args.reps is None else args.reps
     row_seeds = root.generate_state(max(len(points), 1), np.uint64)
-    over_limit = False
     if args.cycles is not None:
         for (scheme, params), row, row_seed in zip(points, rows, row_seeds):
-            try:
-                validate(scheme, params, sampling=True)
-            except ValueError:
-                # analytic-only row: the analytic check passed, so a
-                # multi-message row failed only the worker limit
-                over_limit = over_limit or type(scheme) is MultiMDS
-                continue
             rep = run_parallel(scheme, params, args.cycles, reps, int(row_seed))
             row["age_sim_mean"] = _fmt(rep.mean_age)
             row["age_sim_ci95"] = _fmt(rep.ci95_halfwidth)
@@ -349,13 +340,6 @@ def cmd_sweep(args) -> int:
     lines = [f"# coded-aoi sweep v{__version__}"]
     meta_str = " ".join(f"{k}={v}" for k, v in meta.items())
     lines.append(f"# {meta_str} seed={seed} cycles={args.cycles or '-'} reps={reps}")
-    if any(type(scheme) is Repetition for scheme, _ in points):
-        lines.append("# note: repetition rows with k not dividing n are analytic-only "
-                     "(the sampler needs k | n)")
-    if over_limit:
-        lines.append("# note: mm-mds rows with n*load above MAX_SAMPLE_DRAWS = "
-                     f"{schemes.MAX_SAMPLE_DRAWS} worker draws per service time are "
-                     "analytic-only")
     try:
         fh = open(out, "w", newline="")
     except OSError as e:

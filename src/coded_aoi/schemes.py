@@ -17,29 +17,29 @@ on how the master distributes work:
                  results while stragglers contribute none.
 
 Each scheme class carries its CLI ``label``, its ``load`` (subtasks queued
-per worker) and three methods.  ``check(params, sampling)`` raises
-ValueError for parameters the scheme cannot take (with sampling=True: cannot
-simulate); on checked parameters, ``moments(params)`` gives the exact E[S]
-and E[S^2], the only properties of S that the average age depends on, and
-``sample(params, rng, size)`` draws service times.  The module functions
-below check and then call these methods, so no other code dispatches on the
-scheme type.
+per worker) and three methods.  ``check(params)`` raises ValueError for
+parameters the scheme cannot take; on checked parameters,
+``moments(params)`` gives the E[S] and E[S^2] of the paper's model, the
+only properties of S that the average age depends on, and
+``sample(params, rng, size)`` draws service times from the mechanism's
+exact law.  The module functions below check and then call these methods,
+so no other code dispatches on the scheme type.
 
-Every scheme states its service time as one order statistic, the k-th
-smallest of N i.i.d. draws from a shifted exponential d, in an
+Every scheme states its modelled service time as one order statistic, the
+k-th smallest of N i.i.d. draws from a shifted exponential d, in an
 ``order_stat`` triple (d, N, k); its moments follow from that triple.  For
-MultiMDS the triple is the large-pool model: the k-th result overall
+Repetition the triple gives every group n/k replicas, exact only where k
+divides n; for MultiMDS it is the large-pool model: the k-th result overall
 arrives with the first level's k1-th (see ``mm_k1``), and at load 1 it is
-the MDS triple.  Samples come from the law of the order statistic in O(1)
-per service time (see ``_os_sample``), not from N worker draws, except for
-MultiMDS at load >= 2, where the model is exact only as n grows.  Its
-sampler draws from the law of the worker mechanism itself, but only the
+the MDS triple.  Samples come from order-statistic laws in O(1) per service
+time (see ``_os_sample``), not from N worker draws: Repetition takes the
+larger of two, one per group size.  MultiMDS at load >= 2 draws only the
 worker order statistics in a window of ranks around each level's share of
 the k-th result (see ``_multiset_sample``): two gammas per run of
-consecutive ranks and one exponential per rank, then a sort of the
-windows' elements.  That costs about 1.7 us per service time at n = 100
-and 3.2 us at n = 1000 (MultiMDS(129, 2) and MultiMDS(1287, 2), medians of
-interleaved 4097-sample calls, 2-core Intel Xeon VM, numpy 2.4).
+consecutive ranks and one exponential per rank, then a sort of the windows'
+elements.  That costs about 1.7 us per service time at n = 100 and 3.2 us
+at n = 1000 (MultiMDS(129, 2) and MultiMDS(1287, 2), medians of interleaved
+4097-sample calls, 2-core Intel Xeon VM, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -59,24 +59,23 @@ from .order_stats import (
 )
 
 
-# Largest n*load at which MultiMDS at load >= 2 may be sampled: a row whose
-# k-th result the sampler's windows do not settle draws every worker, and
-# one row of its multiset holds n*load doubles (128 MiB at the limit).  The
-# order-statistic law of the other schemes draws two gammas per service time
-# at any n, so they have no such limit.
+# Most doubles a row of the MultiMDS sampler at load >= 2 may hold: X_(j) at
+# each window rank and m X_(j) per level, twice the windows' summed widths.
+# That grows as sqrt(n): MultiMDS(1.287 n, 2) at c = mu = 1 reaches it near
+# n = 9e12.  The order-statistic laws have no such bound.
 MAX_SAMPLE_DRAWS = 1 << 24
 # Doubles of scratch per row chunk of the MultiMDS sampler at load >= 2:
 # 512 KiB, so the scratch stays in a core's L2 cache.
 SCRATCH_DOUBLES = 1 << 16
 # Half-width of each level's window of worker ranks in the MultiMDS sampler,
 # in standard deviations of the level's crossing rank, plus one rank (see
-# _windows); the windows leave about 1e-4 of rows unsettled at n = 100 and
-# 1e-3 at n = 1000.
+# _windows); the windows leave about 1.7e-4 of rows unsettled at n = 100
+# and 1.6e-3 at n = 1000, and those widen them (see _multiset_sample).
 WINDOW_Z = 3.0
 # MultiMDS service times whose segment-start gammas are drawn together: the
-# sampler draws a block's gammas, then its in-window spacings, then the
-# other worker times of the rows the windows do not settle, so the values
-# depend on this block size but not on SCRATCH_DOUBLES.
+# sampler draws a block's gammas, then its in-window spacings, and after the
+# last block the widened ranks of the rows the windows do not settle, so
+# the values depend on this block size but not on SCRATCH_DOUBLES.
 ROW_BLOCK = 1 << 10
 
 
@@ -169,7 +168,7 @@ class _OrderStat:
 class Uncoded(_OrderStat):
     label: ClassVar[str] = "uncoded"
 
-    def check(self, params: SystemParams, sampling: bool = False) -> None:
+    def check(self, params: SystemParams) -> None:
         pass
 
     def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
@@ -182,19 +181,30 @@ class Repetition(_OrderStat):
     k: int
     label: ClassVar[str] = "repetition"
 
-    def check(self, params: SystemParams, sampling: bool = False) -> None:
+    def check(self, params: SystemParams) -> None:
         n = params.nworkers
         require_int("repetition: k", self.k)
         if not 1 <= self.k <= n:
             raise ValueError(f"repetition: k must satisfy 1 <= k <= n, got k={self.k}, n={n}")
-        if sampling and n % self.k != 0:
-            raise ValueError(f"repetition sampling: k must divide n, got k={self.k}, n={n}")
 
     def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
-        # min over n/k replicas of a (shift/k, k*rate) piece is a
-        # (shift/k, n*rate) shifted exponential; all k results are needed
+        # the paper's model: min over n/k replicas of a (shift/k, k*rate)
+        # piece is a (shift/k, n*rate) shifted exponential; all k results
+        # are needed
         fastest = ShiftedExp(params.shift / self.k, params.straggling * params.nworkers)
         return fastest, self.k, self.k
+
+    def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
+        # the real split: n mod k groups of q + 1 replicas, the others of q;
+        # m replicas finish at shift/k + Exp(m*k*rate), S at the slowest group
+        k = self.k
+        q, r = divmod(params.nworkers, k)
+        x = _os_sample(ShiftedExp(params.shift / k, q * k * params.straggling),
+                       k - r, k - r, rng, size)
+        if r:
+            np.maximum(x, _os_sample(ShiftedExp(params.shift / k, (q + 1) * k * params.straggling),
+                                     r, r, rng, size), out=x)
+        return x
 
 
 @dataclass(frozen=True)
@@ -202,7 +212,7 @@ class MDS(_OrderStat):
     k: int
     label: ClassVar[str] = "mds"
 
-    def check(self, params: SystemParams, sampling: bool = False) -> None:
+    def check(self, params: SystemParams) -> None:
         require_int("mds: k", self.k)
         if self.k < 1:
             raise ValueError(f"mds: k must be >= 1, got k={self.k}")
@@ -221,20 +231,16 @@ class MultiMDS(_OrderStat):
     load: int = field()
     label: ClassVar[str] = "mm-mds"
 
-    def check(self, params: SystemParams, sampling: bool = False) -> None:
+    def check(self, params: SystemParams) -> None:
         n = params.nworkers
         require_int("mm-mds: k", self.k)
         require_int("mm-mds: load", self.load)
         if self.load < 1:
             raise ValueError(f"mm-mds: load must be >= 1, got {self.load}")
-        draws = n * self.load
-        if not 1 <= self.k < draws:
+        if not 1 <= self.k < n * self.load:
             raise ValueError(
                 f"mm-mds: k must satisfy 1 <= k < n*load, got k={self.k}, "
                 f"n={n}, load={self.load}")
-        if sampling and self.load >= 2 and draws > MAX_SAMPLE_DRAWS:
-            raise ValueError(f"{self.label} sampling: n*load = {draws} worker draws per "
-                             f"service time exceed the limit of {MAX_SAMPLE_DRAWS}")
 
     def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
         # the large-pool model: the k-th result overall is the first
@@ -245,8 +251,14 @@ class MultiMDS(_OrderStat):
     def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.load == 1:
             return super().sample(params, rng, size)
-        d = params.whole_task().split(self.k)
-        return _multiset_sample(d, params.nworkers, self.k, self.load, rng, size)
+        n, d = params.nworkers, params.whole_task().split(self.k)
+        # the scratch bound, before any array is built; ranks reach n + 2
+        windows = _windows(d, n, self.k, self.load)
+        held = 2 * sum(b - a + 1 for a, b in windows)
+        if held > MAX_SAMPLE_DRAWS or n + 2 > np.iinfo(np.int64).max:
+            raise ValueError(f"{self.label} sampler: a row of its windows holds {held} doubles "
+                             f"at n = {n}; the limits are {MAX_SAMPLE_DRAWS} and n < 2**63 - 2")
+        return _multiset_sample(d, n, self.k, windows, rng, size)
 
 
 def _cdf(d: ShiftedExp, x: float) -> float:
@@ -332,9 +344,9 @@ def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
     # every window's ranks, level by level; the union drops the repeats
     gathered = np.arange(widths.sum()) + np.repeat(low + widths - 1 - last, widths)
     ranks = np.sort(gathered)
-    ranks = ranks[np.diff(ranks, prepend=0) > 0]
+    ranks = ranks[np.concatenate([[True], ranks[1:] > ranks[:-1]])]
     # the position of each segment's first rank, and one past the last rank
-    first = np.flatnonzero(np.diff(ranks, prepend=-1, append=n + 2) > 1)
+    first = np.flatnonzero(np.concatenate([[2], ranks[1:] - ranks[:-1], [2]]) > 1)
     return _WindowPlan(
         ranks=ranks,
         edges=np.column_stack([first[:-1], first[1:] - 1]).ravel(),
@@ -368,25 +380,24 @@ def _window_kth(x: np.ndarray, plan: _WindowPlan) -> tuple[np.ndarray, np.ndarra
     return v, (lo <= v) & (v <= hi)
 
 
-def _multiset_sample(d: ShiftedExp, n: int, k: int, load: int,
+def _multiset_sample(d: ShiftedExp, n: int, k: int, windows: list[tuple[int, int]],
                      rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` draws of the k-th smallest of the multiset {m * X_i}, by windows.
 
-    The multiset is that of ``_windows``, at load >= 2.  A row draws the
-    worker order statistics X_(j) at the windows' ranks from their joint
-    law (Renyi 1953; David & Nagaraja, Order Statistics, 2003): the spacing
-    X_(j) - X_(j-1) is an exponential of rate (n - j + 1) d.rate,
+    The multiset is that of ``_windows``, at load = len(windows) >= 2.  A
+    row draws the worker order statistics X_(j) at the windows' ranks from
+    their joint law (Renyi 1953; David & Nagaraja, Order Statistics, 2003):
+    the spacing X_(j) - X_(j-1) is an exponential of rate (n - j + 1) d.rate,
     independent across j.  So inside a segment of consecutive ranks the
     order statistics are scaled exponentials summed up, and the first rank
     u of a segment lies above the last known rank j (or d.shift) by the
     (u - j)-th smallest of n - j exponentials, log1p(G / G')/d.rate for
     gammas of shape u - j and n - u + 1 (see ``_os_sample``).  The windows
-    settle most rows (see ``_window_kth``); the others draw their other
-    worker times (see ``_completed_kth``) and take the k-th of the whole
-    multiset.  Every row is the worker mechanism's k-th in law, for any
-    windows.
+    settle most rows (see ``_window_kth``); after the last block the others
+    widen their windows until they settle (see ``_widen``).  Every row is
+    the worker mechanism's k-th in law, for any windows.
     """
-    plan = _window_plan(_windows(d, n, k, load), n, k)
+    plan = _window_plan(windows, n, k)
     ranks, starts, ends = plan.ranks, plan.edges[0::2], plan.edges[1::2]
     # the spacing scale 1/(n - j + 1) of each rank j; a segment's first rank
     # takes its gamma jump instead, which overwrites that column's draw
@@ -395,13 +406,12 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, load: int,
     below = np.concatenate([[0], ranks[ends][:-1]])
     spacing = ShiftedExp(0.0, d.rate)
     step = max(1, SCRATCH_DOUBLES // (ranks.size + plan.scale.size))
-    leftover_rows = max(1, SCRATCH_DOUBLES // (n * (load + 4)))
     out = np.empty(size)
+    missed, known = [], []
     for a in range(0, size, ROW_BLOCK):
         block = out[a:a + ROW_BLOCK]
         jumps = _os_sample(spacing, n - below, ranks[starts] - below, rng, block.size)
         jumps[:, 0] += d.shift  # the cumulative sums carry it to every rank
-        missed, known = [], []
         for i in range(0, block.size, step):
             rows = min(step, block.size - i)
             x = sample_batch(spacing, rng, (rows, ranks.size))
@@ -409,64 +419,70 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, load: int,
             x[:, starts] = jumps[i:i + rows]
             np.cumsum(x, axis=1, out=x)
             block[i:i + rows], ok = _window_kth(x, plan)
-            miss = np.flatnonzero(~ok)
-            missed.append(miss + i)
-            known.append(x[miss])
-        missed, known = np.concatenate(missed), np.concatenate(known)
-        for i in range(0, missed.size, leftover_rows):
-            r = slice(i, i + leftover_rows)
-            block[missed[r]] = _completed_kth(d, rng, known[r], plan, n, k, load)
+            missed.append(np.flatnonzero(~ok) + a + i)
+            known.append(x[~ok])
+    # each round doubles every window about its centre, cut to [1, n]
+    while (missed := np.concatenate(missed)).size:
+        windows = [(max(1, a - (b - a + 1) // 2), min(n, b + (b - a + 2) // 2))
+                   for a, b in windows]
+        wide = _window_plan(windows, n, k)
+        step = max(1, SCRATCH_DOUBLES // (wide.ranks.size + wide.scale.size))
+        rows, x, missed, known = missed, np.concatenate(known), [], []
+        for i in range(0, rows.size, step):
+            wider = _widen(d, n, rng, plan, wide, x[i:i + step])
+            out[rows[i:i + step]], ok = _window_kth(wider, wide)
+            missed.append(rows[i:i + step][~ok])
+            known.append(wider[~ok])
+        plan = wide
     return out
 
 
-def _completed_kth(d: ShiftedExp, rng: np.random.Generator, x: np.ndarray,
-                   plan: _WindowPlan, n: int, k: int, load: int) -> np.ndarray:
-    """Each row's k-th multiset element, from all n worker times.
+def _widen(d: ShiftedExp, n: int, rng: np.random.Generator, plan: _WindowPlan,
+           wide: _WindowPlan, x: np.ndarray) -> np.ndarray:
+    """Each row's X_(j) at the ranks of ``wide``, given x at those of ``plan``.
 
-    x holds a row's X_(j) at the plan's ranks.  Given them, the worker times
-    in each gap between segments, and below the first and above the last,
-    are i.i.d. from d truncated to the gap, so they are drawn on its CDF
-    interval.
+    Given the known order statistics, the ranks in a gap between known
+    X_(i) < X_(h) (X_(0) = d.shift, X_(n+1) = inf) are those of h - i - 1
+    i.i.d. draws from d truncated to (X_(i), X_(h)).  The t-th of them is the
+    truncated inverse CDF X_(i) - log1p(q expm1(-rate (X_(h) - X_(i))))/rate
+    at q = G_t / G_(h-i), for G_t the sum of t standard exponentials (David &
+    Nagaraja, Order Statistics, 2003): each new rank takes one gamma, of
+    shape its offset from the rank before it, and each gap one more.
     """
-    ranks = plan.ranks[plan.edges]
-    cdf = -np.expm1(-d.rate * (x[:, plan.edges] - d.shift))
-    rows = x.shape[0]
-    lower = np.column_stack([np.zeros(rows), cdf[:, 1::2]])
-    upper = np.column_stack([cdf[:, 0::2], np.ones(rows)])
-    counts = np.diff(ranks, prepend=0, append=n + 1)[::2] - 1
-    rest = sample_batch(d, rng, (rows, n - plan.ranks.size),
-                        np.repeat(lower, counts, axis=1), np.repeat(upper, counts, axis=1))
-    return _multiset_kth(np.concatenate([x, rest], axis=1), k, load)
-
-
-def _multiset_kth(x: np.ndarray, k: int, load: int) -> np.ndarray:
-    """k-th smallest of each row's multiset {m * x_i : m = 1..load}.
-
-    The k-th smallest does not depend on the column order of the multiset,
-    so level m fills the m-th block of n columns.
-    """
-    rows, n = x.shape
-    multiset = np.empty((rows, n * load))
-    for m in range(1, load + 1):
-        np.multiply(x, m, out=multiset[:, (m - 1) * n:m * n])
-    multiset.partition(k - 1, axis=1)
-    return multiset[:, k - 1]
+    # the widened ranks between 0 and n + 1, whose X_(0) and X_(n+1) are known
+    ranks = np.concatenate([[0], wide.ranks, [n + 1]])
+    known = np.zeros(ranks.size, dtype=bool)
+    known[np.searchsorted(ranks, plan.ranks)] = True
+    known[0] = known[-1] = True
+    new = ~known
+    # a gamma for each new rank and for the known rank that closes its gap
+    slot = new[1:] | new[:-1]
+    g = rng.standard_gamma((ranks[1:] - ranks[:-1])[slot].astype(float),
+                           (x.shape[0], np.count_nonzero(slot)))
+    ends = (np.flatnonzero(known[1:][slot]) + 1).tolist()
+    for a, b in zip([0, *ends[:-1]], ends):
+        gap = g[:, a:b]
+        gap.cumsum(axis=1, out=gap)
+        gap /= gap[:, -1:]
+    out = np.empty((x.shape[0], ranks.size))
+    out[:, 0], out[:, -1] = d.shift, np.inf
+    out[:, 1:-1][:, known[1:-1]] = x
+    # the columns of the known ranks around each new rank
+    around = np.flatnonzero(known)[np.cumsum(known)[new] + [[-1], [0]]]
+    low = out[:, around[0]]
+    out[:, new] = low - np.log1p(
+        g[:, new[1:][slot]] * np.expm1(-d.rate * (out[:, around[1]] - low))) / d.rate
+    return out[:, 1:-1]
 
 
 Scheme = Uncoded | Repetition | MDS | MultiMDS
 
 
-def validate(scheme: Scheme, params: SystemParams, sampling: bool = False) -> None:
-    """Check scheme parameters against the worker pool; raise ValueError if bad.
-
-    With sampling=True the repetition scheme additionally requires k to
-    divide n (the replica groups must be equal), and MultiMDS at load >= 2
-    may need at most MAX_SAMPLE_DRAWS worker draws per service time; the
-    analytic moments are defined at any n.
-    """
+def validate(scheme: Scheme, params: SystemParams) -> None:
+    """Check scheme parameters against the worker pool; raise ValueError if bad."""
     if not isinstance(scheme, Scheme):
         raise TypeError(f"unknown scheme {scheme!r}")
-    scheme.check(params, sampling)
+    scheme.check(params)
 
 
 def mm_k1(params: SystemParams, k: int, load: int) -> int:
@@ -495,15 +511,15 @@ def service_moments(scheme: Scheme, params: SystemParams) -> ServiceMoments:
 
 def sample_service_batch(scheme: Scheme, params: SystemParams,
                          rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` i.i.d. service times.
+    """Draw ``size`` i.i.d. service times from the mechanism's exact law.
 
-    Every scheme but MultiMDS at load >= 2 draws from the law of its order
-    statistic: two gammas per service time at any n.  MultiMDS at load >= 2
-    draws from the law of the worker mechanism: per service time, the worker
-    order statistics in a window of ranks per level, or, for the rows the
-    windows do not settle (about 1e-4 at n = 100 and 1e-3 at n = 1000),
-    every worker time and the whole n*load multiset.  About 1.7 us per
-    service time at n = 100 and 3.2 us at n = 1000.
+    Every scheme but MultiMDS at load >= 2 draws from order-statistic laws:
+    two gammas per service time (four for Repetition where k does not divide
+    n) at any n.  MultiMDS at load >= 2 draws the worker order statistics in
+    a window of ranks per level, and widens the windows of the rows they do
+    not settle (about 1.7e-4 at n = 100 and 1.6e-3 at n = 1000), about
+    1.7 us per service time at n = 100 and 3.2 us at n = 1000.  Past its
+    scratch bound (see MAX_SAMPLE_DRAWS) it raises ValueError.
     """
-    validate(scheme, params, sampling=True)
+    validate(scheme, params)
     return scheme.sample(params, rng, size)

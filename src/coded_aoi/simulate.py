@@ -280,7 +280,7 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     ``sample_service_batch`` once, for all of its cycles_per_rep + 1 of
     them, so a ``sample`` override must bound its own scratch memory, as
     MultiMDS at load >= 2 does: its window sampler holds its draws in row
-    chunks of at most SCRATCH_DOUBLES doubles.
+    chunks of at most SCRATCH_DOUBLES doubles, at widened windows too.
     """
     require_int("cycles_per_rep", cycles_per_rep)
     require_int("reps", reps)
@@ -295,7 +295,7 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     if cycles_per_rep < BATCHES:
         raise InsufficientCycles(
             f"need at least {BATCHES} cycles per replication, got {cycles_per_rep}")
-    validate(scheme, params, sampling=True)
+    validate(scheme, params)
 
     root = _root_seq(seed)
     stats = [

@@ -57,24 +57,42 @@ def reference_sample(scheme, params, rng, size):
     """Transform every worker draw, then select: the worker-level mechanism.
 
     The n worker draws of a sample fill one row, drawn in row order.
+    Repetition groups are contiguous: the first n mod k groups hold
+    ceil(n/k) workers and the others floor(n/k).
     """
     n = params.nworkers
     task = params.whole_task()
     if isinstance(scheme, Uncoded):
         return sample_batch(task.split(n), rng, (size, n)).max(axis=1)
     if isinstance(scheme, Repetition):
-        x = sample_batch(task.split(scheme.k), rng, (size, n))
-        return x.reshape(size, scheme.k, n // scheme.k).min(axis=2).max(axis=1)
+        k = scheme.k
+        x = sample_batch(task.split(k), rng, (size, n))
+        q, r = divmod(n, k)
+        wide = q + (r > 0)
+        # a short group's missing replica never finishes
+        groups = np.full((size, k, wide), np.inf)
+        groups[:, :r] = x[:, :r * wide].reshape(size, r, wide)
+        groups[:, r:, :q] = x[:, r * wide:].reshape(size, k - r, q)
+        return groups.min(axis=2).max(axis=1)
     if isinstance(scheme, MDS):
         x = sample_batch(task.split(scheme.k), rng, (size, n))
         return np.partition(x, scheme.k - 1, axis=1)[:, scheme.k - 1]
     x = sample_batch(task.split(scheme.k), rng, (size, n))
-    # level m holds every worker's m-th result, in the m-th block of n columns
-    multiset = np.empty((size, n * scheme.load))
-    for m in range(1, scheme.load + 1):
+    return multiset_kth(x, scheme.k, scheme.load)
+
+
+def multiset_kth(x, k, load):
+    """k-th smallest of each row's multiset {m * x_i : m = 1..load}.
+
+    Level m holds every worker's m-th result, in the m-th block of n columns;
+    the k-th smallest does not depend on the column order.
+    """
+    rows, n = x.shape
+    multiset = np.empty((rows, n * load))
+    for m in range(1, load + 1):
         np.multiply(x, m, out=multiset[:, (m - 1) * n:m * n])
-    multiset.partition(scheme.k - 1, axis=1)
-    return multiset[:, scheme.k - 1]
+    multiset.partition(k - 1, axis=1)
+    return multiset[:, k - 1]
 
 
 def mechanism_sample(scheme, params, rng, size):
@@ -110,7 +128,19 @@ def law_sample(scheme, params, rng, size):
     The k-th of n uniforms is G_k / (G_k + G_{n-k+1}) for independent
     standard gammas, which the inverse CDF maps to
     shift + log1p(G_k / G_{n-k+1}) / rate; each sample's pair is one row.
+    Repetition takes the larger of one such draw per group size: the groups
+    of floor(n/k) replicas, then the n mod k of ceil(n/k), if any; where k
+    divides n that is the law of ``order_stat``.
     """
-    d, n, k = order_stat(scheme, params)
+    if isinstance(scheme, Repetition):
+        k = scheme.k
+        q, r = divmod(params.nworkers, k)
+        sizes = [(q, k - r), (q + 1, r)] if r else [(q, k)]
+        return np.max([os_law(ShiftedExp(params.shift / k, m * k * params.straggling),
+                              groups, groups, rng, size) for m, groups in sizes], axis=0)
+    return os_law(*order_stat(scheme, params), rng, size)
+
+
+def os_law(d, n, k, rng, size):
     g = rng.standard_gamma([k, n - k + 1], (size, 2))
     return d.shift + np.log1p(g[:, 0] / g[:, 1]) / d.rate

@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import coded_aoi
-from coded_aoi import MDS, SystemParams, Uncoded, age_of, opt_mds, schemes
+from coded_aoi import MDS, Repetition, SystemParams, Uncoded, age_of, opt_mds, schemes
+from coded_aoi import service_moments
 from coded_aoi.cli import main
 
 
@@ -127,12 +129,17 @@ def test_simulate_requires_seed_and_cycles(capsys):
     assert code == 2 and "--cycles" in err
 
 
-def test_simulate_rejects_nondivisor_repetition(capsys):
-    code, _, err = run_cli(capsys, "simulate", "--scheme", "repetition", "--n", "100",
-                           "--k", "33", "--lambda", "1", "--c", "1", "--mu", "1",
-                           "--cycles", "1000", "--seed", "1")
-    assert code == 2
-    assert "divide" in err
+def test_simulate_samples_nondivisor_repetition(capsys):
+    # 40 groups of one replica and 20 of two: the simulated E[S] follows the
+    # real split, 0.0778 at c = mu = 1, not the paper's model, 18.5% lower
+    code, out, err = run_cli(capsys, "simulate", "--scheme", "repetition", "--n", "100",
+                             "--k", "60", "--lambda", "1", "--c", "1", "--mu", "1",
+                             "--cycles", "20000", "--seed", "1")
+    assert code == 0, err
+    es = float(value_of(out, "es"))
+    se = math.sqrt((float(value_of(out, "es2")) - es * es) / 20_000)
+    assert abs(es - 0.07784643800851959) < 4 * se
+    assert service_moments(Repetition(60), SystemParams(1, 1, 1, 100)).es < es - 20 * se
 
 
 def test_config_file_supplies_and_flags_override(tmp_path, capsys):
@@ -203,9 +210,10 @@ def test_sweep_preset_fig4a(tmp_path, capsys):
     assert best_rep["k"] == "100"
     assert float(unc_rows[0]["age_analytic"]) == pytest.approx(
         age_of(Uncoded(), SystemParams(1, 1, 1, 100)).delta, rel=1e-11)
-    # divisibility caveat recorded for the repetition rows
-    header = out_path.read_text().splitlines()[:4]
-    assert any("k | n" in ln for ln in header if ln.startswith("#"))
+    # every repetition row can be simulated: the header holds no caveat
+    header = [ln for ln in out_path.read_text().splitlines() if ln.startswith("#")]
+    assert header == [f"# coded-aoi sweep v{coded_aoi.__version__}",
+                      "# preset=fig4a seed=1 cycles=- reps=1"]
 
 
 def test_sweep_preset_fig4b_optima(tmp_path, capsys):
@@ -429,13 +437,14 @@ def test_age_at_vanishing_arrival_rate_exits_3(capsys):
 
 
 def test_simulate_above_the_sampling_limit_exits_2(monkeypatch, capsys):
-    # only the worker-level sampler of mm-mds at load >= 2 has the limit
-    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", 1000)
-    code, _, err = run_cli(capsys, "simulate", "--scheme", "mm-mds", "--k", "900", "--l", "2",
-                           "--n", "600", "--lambda", "1", "--c", "1", "--mu", "1",
-                           "--cycles", "100", "--seed", "1")
-    assert code == 2
-    assert "n*load = 1200" in err and "limit of 1000" in err
+    # only the window sampler of mm-mds at load >= 2 has the limit, on the
+    # doubles a row of its windows holds: 128 at n = 600, k = 900
+    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", 100)
+    code, out, err = run_cli(capsys, "simulate", "--scheme", "mm-mds", "--k", "900", "--l", "2",
+                             "--n", "600", "--lambda", "1", "--c", "1", "--mu", "1",
+                             "--cycles", "100", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "holds 128 doubles" in err and err.count("\n") == 1
     for scheme in (["mds", "--k", "900"], ["mm-mds", "--k", "900", "--l", "1"]):
         code, out, err = run_cli(capsys, "simulate", "--scheme", *scheme, "--n", "2000",
                                  "--lambda", "1", "--c", "1", "--mu", "1",
@@ -444,35 +453,43 @@ def test_simulate_above_the_sampling_limit_exits_2(monkeypatch, capsys):
         assert math.isfinite(float(value_of(out, "mean_age")))
 
 
-def test_sweep_rows_above_the_sampling_limit_are_analytic_only(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", 1000)
-    for scheme, simulated in ((["mm-mds", "--l", "2"], ["400"]), (["mds"], ["400", "1200"])):
-        out_path = tmp_path / "n.csv"
-        code, _, _ = run_cli(capsys, "sweep", "--scheme", *scheme, "--k", "50", "--n-range",
-                             "400:1200:800", "--lambda", "1", "--c", "1", "--mu", "1",
-                             "--seed", "1", "--cycles", "60", "--out", str(out_path))
-        assert code == 0
-        rows = read_rows(out_path)
-        assert [r["n"] for r in rows] == ["400", "1200"]
-        assert [r["n"] for r in rows if r["age_sim_mean"] != ""] == simulated
-        assert all(r["age_analytic"] != "" for r in rows)
+@pytest.mark.parametrize("n, k, load", [
+    (2**62, 2**62, 2), (2**64, 2**66 - 1, 4), (2**63 - 2, 1, 2)])
+def test_simulate_past_the_window_bound_exits_2_at_once(capsys, n, k, load):
+    # the windows' rank count comes from Python integers before any array is
+    # built; ranks past int64 are refused the same way
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "simulate", "--scheme", "mm-mds", "--k", str(k),
+                                 "--l", str(load), "--n", str(n), *UNIT,
+                                 "--cycles", "100", "--seed", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error: mm-mds sampler: ") and err.count("\n") == 1
+    assert peak < 1 << 20
 
 
-def test_sweep_notes_rows_left_analytic_only_by_the_worker_limit(tmp_path, monkeypatch,
-                                                                 capsys):
-    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", 1000)
-    note = ("# note: mm-mds rows with n*load above MAX_SAMPLE_DRAWS = 1000 worker draws "
-            "per service time are analytic-only\n")
+def test_sweep_above_the_sampling_limit_exits_2_before_writing(tmp_path, monkeypatch, capsys):
+    # every row is simulated, and the header holds no note; a row past the
+    # limit (248 doubles at n = 1200) fails the sweep before it writes
     out_path = tmp_path / "n.csv"
-    for n_range, cycles, noted in (("400:1200:800", ["--cycles", "60"], True),
-                                   ("400:400", ["--cycles", "60"], False),
-                                   ("400:1200:800", [], False)):
-        code, _, _ = run_cli(capsys, "sweep", "--scheme", "mm-mds", "--l", "2", "--k", "50",
-                             "--n-range", n_range, "--lambda", "1", "--c", "1", "--mu", "1",
-                             "--seed", "1", *cycles, "--out", str(out_path))
-        assert code == 0
-        header = [ln for ln in out_path.read_text().splitlines(True) if ln.startswith("#")]
-        assert header[2:] == ([note] if noted else [])
+    argv = ["sweep", "--scheme", "mm-mds", "--l", "2", "--k", "900", "--n-range",
+            "600:1200:600", *UNIT, "--seed", "1", "--cycles", "60", "--out", str(out_path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    rows = read_rows(out_path)
+    assert [r["n"] for r in rows] == ["600", "1200"]
+    assert all(r["age_sim_mean"] != "" and r["age_analytic"] != "" for r in rows)
+    written = out_path.read_text()
+    assert [ln for ln in written.splitlines() if ln.startswith("#")] == [
+        f"# coded-aoi sweep v{coded_aoi.__version__}",
+        "# scheme=mm-mds seed=1 cycles=60 reps=1"]
+    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", 200)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "holds 248 doubles" in err
+    assert out_path.read_text() == written
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -24,8 +24,14 @@ from coded_aoi import (
 )
 from coded_aoi import schemes
 from coded_aoi.levels import solve_levels
-from coded_aoi.schemes import MAX_SAMPLE_DRAWS, _multiset_kth, validate
-from schemes_reference import law_sample, mechanism_sample, order_stat, with_mechanism
+from coded_aoi.schemes import MAX_SAMPLE_DRAWS, validate
+from schemes_reference import (
+    law_sample,
+    mechanism_sample,
+    multiset_kth,
+    order_stat,
+    with_mechanism,
+)
 
 
 def rng(seed):
@@ -116,21 +122,33 @@ def test_multiset_sampler_is_exact_where_the_model_is_not():
 
 def test_multiset_sampler_is_exact_outside_its_windows(monkeypatch):
     # windows of +-(0.1 sd + 1) ranks leave most rows unsettled, so most
-    # service times come from every worker time, drawn between the known
-    # order statistics
+    # service times come from widened windows, whose new ranks are drawn
+    # between the known order statistics; no row holds all n*load elements
     monkeypatch.setattr(schemes, "WINDOW_Z", 0.1)
     scheme, p = MultiMDS(129, 2), params(n=100)
-    draws = []
-    original = schemes.sample_batch
+    widened = []
+    original = schemes._widen
 
-    def counted(*args, **kwargs):
-        out = original(*args, **kwargs)
-        draws.append(out.size)
+    def counted(d, n, rng, plan, wide, x):
+        out = original(d, n, rng, plan, wide, x)
+        widened.append((plan.ranks.size, x.shape[0], out.shape[1]))
         return out
 
-    monkeypatch.setattr(schemes, "sample_batch", counted)
+    monkeypatch.setattr(schemes, "_widen", counted)
     against_mechanism(scheme, p, seeds=4)
-    assert sum(draws) / (4 * 20_000) > 0.5 * p.nworkers
+    first = [rows for known, rows, _ in widened if known == widened[0][0]]
+    assert sum(first) > 0.5 * 4 * 20_000
+    assert max(cols for _, _, cols in widened) < p.nworkers * scheme.load
+
+
+@pytest.mark.parametrize("scheme, p", [
+    (MultiMDS(129, 2), params(n=100)), (MultiMDS(5, 3), params(n=7)),
+    (MultiMDS(399, 4), params(mu=2.0, n=100)), (MultiMDS(1287, 2), params(n=1000))])
+def test_widened_windows_keep_the_mechanism_law(monkeypatch, scheme, p):
+    # windows of one rank or so: nearly every row widens, some of them
+    # several times, up to windows that cover every worker
+    monkeypatch.setattr(schemes, "WINDOW_Z", 0.0)
+    against_mechanism(scheme, p, seeds=4, size=10_000)
 
 
 def fixed_worker_times(d, rows, n):
@@ -175,7 +193,7 @@ def test_window_selection_is_the_multiset_kth(n, load, k, mu, windows):
     x = np.sort(fixed_worker_times(d, 2000, n), axis=1)
     plan = schemes._window_plan(windows, n, k)
     got, ok = schemes._window_kth(x[:, plan.ranks - 1], plan)
-    want = _multiset_kth(x, k, load)
+    want = multiset_kth(x, k, load)
     settled = np.ones(x.shape[0], dtype=bool)
     inside = np.zeros(x.shape[0], dtype=bool)
     for m, (a, b) in enumerate(windows, 1):
@@ -266,26 +284,68 @@ def test_multiset_sampler_scratch_is_bounded(monkeypatch):
     assert peak() > bound
 
 
+def test_multiset_sampler_scratch_stays_within_its_windows(monkeypatch):
+    # at n = 10**8 one row of the whole n*load multiset would be 1.6 GB; the
+    # sampler holds at most some doubles per window rank, also in the rows
+    # whose windows it widens, plus O(size) for the output and the gammas
+    scheme, p, size = MultiMDS(128_700_000, 2), params(n=10**8), 1000
+    d = p.whole_task().split(scheme.k)
+    ranks = sum(b - a + 1 for a, b in schemes._windows(d, p.nworkers, scheme.k, scheme.load))
+    widened = []
+    original = schemes._widen
+
+    def counted(*args):
+        widened.append(args[-1].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(schemes, "_widen", counted)
+    tracemalloc.start()
+    try:
+        x = sample_service_batch(scheme, p, rng(9), size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(x).all()
+    assert sum(widened) > 0
+    assert peak <= 8 * 48 * ranks + 64 * size
+
+
 LAW_CASES = [(Uncoded(), 1), (Repetition(1), 1)] + [
     (scheme, n) for n in (100, 1000)
     for scheme in (Uncoded(), Repetition(n), Repetition(n // 4),
-                   MDS(1), MDS(69 * n // 100), MDS(n - 1))]
+                   MDS(1), MDS(69 * n // 100), MDS(n - 1))] + [
+    (Repetition(33), 100), (Repetition(60), 100)]
 
 
 @pytest.mark.parametrize("scheme, n", LAW_CASES)
 def test_law_sampler_matches_the_worker_mechanism(scheme, n):
-    # the order-statistic law against every worker simulated, at fixed seeds
+    # the order-statistic laws against every worker simulated, at fixed seeds
     stats = pytest.importorskip("scipy.stats")
     p = params(mu=0.5, n=n)
     size = 20_000
     law = sample_service_batch(scheme, p, rng(61), size)
     mechanism = mechanism_sample(scheme, p, rng(62), size)
     assert stats.ks_2samp(law, mechanism).pvalue > 1e-3
+    if isinstance(scheme, Repetition) and n % scheme.k:
+        # the real split, n mod k groups of ceil(n/k) replicas and the rest
+        # of floor(n/k): E[S] = c/k + integral of P(max of the groups > t)
+        quad = pytest.importorskip("scipy.integrate").quad
+        k, (q, r) = scheme.k, divmod(n, scheme.k)
+
+        def tail(t):
+            return 1 - ((-math.expm1(-(q + 1) * k * 0.5 * t))**r
+                        * (-math.expm1(-q * k * 0.5 * t))**(k - r))
+
+        es = 1 / k + quad(tail, 0, math.inf, epsabs=1e-13, epsrel=1e-12)[0]
+        assert abs(law.mean() - es) < 4 * law.std() / math.sqrt(size)
+        # the paper's model gives every group n/k replicas: 21% low at k = 60
+        assert service_moments(scheme, p).es < es
+        return
     se = math.sqrt(os_var(*order_stat(scheme, p)) / size)
     assert abs(law.mean() - service_moments(scheme, p).es) < 4 * se
 
 
-@pytest.mark.parametrize("scheme", [Uncoded(), MDS(10**20 - 1)])
+@pytest.mark.parametrize("scheme", [Uncoded(), MDS(10**20 - 1), Repetition(3)])
 def test_law_sampler_runs_past_int64_workers(scheme):
     # n = 10**20 exceeds every numpy integer type; the law's gamma shapes
     # must still reach the generator as doubles
@@ -374,10 +434,8 @@ def test_scheme_validation_errors():
         validate(MultiMDS(200, 2), p)
     with pytest.raises(ValueError):
         validate(MultiMDS(5, 0), p)
-    # analytic path allows any 1 <= k <= n for repetition; sampling does not
+    # any 1 <= k <= n is a repetition code, a divisor of n or not
     validate(Repetition(33), p)
-    with pytest.raises(ValueError, match="divide"):
-        validate(Repetition(33), p, sampling=True)
 
 
 @pytest.mark.parametrize("build", [
@@ -407,6 +465,14 @@ def test_system_params_validation():
         kwargs.update(bad)
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 10**9, 10**18])
+def test_repetition_one_equals_mds_one(n):
+    # one group of n replicas and any 1 of n coded workers: the min of n
+    # draws from the whole task, in both models, to the bit
+    p = params(n=n)
+    assert service_moments(Repetition(1), p) == service_moments(MDS(1), p)
 
 
 def test_repetition_full_k_equals_uncoded():
@@ -443,8 +509,8 @@ def test_multiset_enumeration_fixed_draws():
     # worker times [1, 2] at load 2: multiset {1, 2, 2, 4}, third smallest 2;
     # at load 3 {1, 2, 2, 3, 4, 6}, fifth smallest 4
     x = np.array([[1.0, 2.0], [2.0, 1.0]])
-    assert (_multiset_kth(x, 3, 2) == 2.0).all()
-    assert (_multiset_kth(x, 5, 3) == 4.0).all()
+    assert (multiset_kth(x, 3, 2) == 2.0).all()
+    assert (multiset_kth(x, 5, 3) == 4.0).all()
 
 
 def test_uncoded_single_worker_sampling_law():

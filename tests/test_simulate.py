@@ -52,9 +52,13 @@ def test_insufficient_cycles():
         run(Uncoded(), params(n=1), 10, seed=1)
 
 
-def test_sampling_validation_applies():
-    with pytest.raises(ValueError, match="divide"):
-        run(Repetition(33), params(n=100), 1000, seed=1)
+def test_nondivisor_repetition_simulates_the_real_split():
+    # 40 groups of one replica and 20 of two: E[S] = 0.0778 at c = mu = 1
+    # (integral of the real split's tail), where the paper's model gives 0.0635
+    r = run(Repetition(60), params(), 20_000, seed=1)
+    se = math.sqrt((r.empirical_es2 - r.empirical_es**2) / r.cycles)
+    assert abs(r.empirical_es - 0.07784643800851959) < 4 * se
+    assert service_moments(Repetition(60), params()).es < r.empirical_es - 20 * se
 
 
 def test_run_is_deterministic():
@@ -491,3 +495,30 @@ def test_run_parallel_accepts_integer_and_seed_sequence_seeds():
     assert repr(run(MDS(5), p, 100, SeedSequence(7))) == repr(run(MDS(5), p, 100, 7))
     fresh = SeedSequence()
     assert run(MDS(5), p, 100, fresh).seed == fresh.entropy
+
+
+SCALING_SCHEMES = [Uncoded(), Repetition(5), Repetition(6), MDS(14), MultiMDS(14, 1),
+                   MultiMDS(30, 2), MultiMDS(70, 4)]
+
+
+@pytest.mark.parametrize("j", [-3, 5])
+@pytest.mark.parametrize("mode, policy", [
+    ("fast", "zero-wait"), ("fast", "return-triggered"),
+    ("full_stream", "zero-wait"), ("full_stream", "return-triggered")])
+@pytest.mark.parametrize("scheme", SCALING_SCHEMES, ids=repr)
+def test_power_of_two_time_scaling_is_exact(monkeypatch, scheme, mode, policy, j):
+    # lambda and mu times 2**-j and c times 2**j scale every time by 2**j
+    # with no change of rounding: every draw, window and sum scales exactly.
+    # Windows of +-(0.1 sd + 1) ranks make most mm-mds rows widen, so the
+    # widening is under the property too; repetition at k = 6 does not
+    # divide n = 20
+    monkeypatch.setattr(schemes, "WINDOW_Z", 0.1)
+    base = params(lam=3.0, c=0.7, mu=1.3, n=20)
+    scaled = params(lam=math.ldexp(3.0, -j), c=math.ldexp(0.7, j), mu=math.ldexp(1.3, -j), n=20)
+    a = run_parallel(scheme, base, 300, 2, seed=5, mode=mode, policy=policy)
+    b = run_parallel(scheme, scaled, 300, 2, seed=5, mode=mode, policy=policy)
+    for name in ("mean_age", "ci95_halfwidth", "empirical_es", "empirical_ed", "empirical_ez"):
+        assert getattr(b, name) == math.ldexp(getattr(a, name), j), name
+    assert b.empirical_es2 == math.ldexp(a.empirical_es2, 2 * j)
+    assert (b.dropped_fraction, b.cycles, b.seed) == (a.dropped_fraction, a.cycles, a.seed)
+    assert age_of(scheme, scaled).delta == math.ldexp(age_of(scheme, base).delta, j)
