@@ -8,6 +8,9 @@ that find the pool busy: each accepted update starts a fresh arrival
 stream, so every cycle walks its own arrivals, all cycles together in
 numpy rounds, until a gap sum reaches its service time.  That costs the
 arrivals drawn, about lambda*E[S] per cycle, in about log-many rounds.
+Narrow rounds, with many more cycles than gaps per row, sum the gaps one
+column at a time; wide ones sum row by row, to the same bits.  The cycles
+still waiting after a round are gathered by index.
 Only accepted updates carry a drawn transit delay, since a dropped
 update's age is never read.
 """

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 
@@ -24,13 +25,15 @@ from coded_aoi import (  # noqa: E402
     age_of,
     mm_k1,
     opt_mm_mds,
+    run_parallel,
     sample_service_batch,
     service_moments,
     solve_levels,
 )
-from coded_aoi import cli  # noqa: E402
+from coded_aoi import cli, simulate  # noqa: E402
 from levels_reference import chain_alphas_grid, chain_residuals  # noqa: E402
 import schemes_reference  # noqa: E402
+import simulate_reference  # noqa: E402
 
 # Few examples keep the module to about a second.  derandomize fixes the
 # examples, so a run is repeatable; a wider search is one edit of max_examples.
@@ -154,6 +157,53 @@ def test_mm_continuous_optimum_is_below_a_dense_scan(load, log_mu_c, c):
     alpha = chain_alphas_grid(beta, load, mu_c).sum(axis=1) / load
     scan = float(np.min((p.shift + beta / p.straggling) / alpha))
     assert r.continuous_objective * p.nworkers * load <= scan * (1 + 1e-12)
+
+
+@FEW
+@given(st.sampled_from([Uncoded(), MDS(7)]), st.floats(0.05, 200.0), st.integers(1, 5000),
+       st.integers(0, 2**32), st.just(simulate.WAIT_SLICE))
+# the first round at seed 9 is 8 gaps wide for both schemes: 512 rows scan
+# by column, 511 row-wise
+@example(Uncoded(), 19.2, 512, 9, simulate.WAIT_SLICE)
+@example(Uncoded(), 19.2, 511, 9, simulate.WAIT_SLICE)
+@example(MDS(7), 24.8, 512, 9, simulate.WAIT_SLICE)
+@example(MDS(7), 24.8, 511, 9, simulate.WAIT_SLICE)
+@example(MDS(7), 24.8, 512, 9, 1)  # one row per slice
+def test_stream_cycles_equal_the_round_walk(scheme, lam, cycles, seed, wait_slice):
+    # the walk's scan layout, slices and compaction leave its bits as they are
+    p = SystemParams(lam, 1.0, 1.0, 10)
+    with mock.patch.object(simulate, "WAIT_SLICE", wait_slice):
+        got = simulate._stream_cycles(scheme, p, Generator(PCG64(seed)), cycles)
+    want = simulate_reference.round_walk(scheme, p, Generator(PCG64(seed)), cycles)
+    assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]
+    assert got[3] == want[3]
+
+
+def scaled_report(scheme, p, j, mode):
+    """run_parallel at p with every time scaled by 2**j, or the ValueError it raises."""
+    p = SystemParams(math.ldexp(p.arrival_rate, -j), math.ldexp(p.shift, j),
+                     math.ldexp(p.straggling, -j), p.nworkers)
+    try:
+        return run_parallel(scheme, p, 300, 2, seed=5, mode=mode)
+    except ValueError as e:  # past the full-stream drop cap
+        return str(e)
+
+
+@FEW
+@given(valid_points(), st.integers(-8, 8), st.sampled_from(["fast", "full_stream"]))
+@example((Uncoded(), SystemParams(100.0, 100.0, 1.0, 2)), 3, "full_stream")  # past the cap
+def test_power_of_two_time_scaling_is_exact_everywhere(point, j, mode):
+    # lambda and mu times 2**-j and c times 2**j scale every time by 2**j
+    # with no change of rounding; no tolerance, the same seed on both sides
+    scheme, p = point
+    a, b = scaled_report(scheme, p, 0, mode), scaled_report(scheme, p, j, mode)
+    if isinstance(a, str):
+        assert b == a
+        return
+    for name in ("mean_age", "ci95_halfwidth", "empirical_es", "empirical_ed", "empirical_ez"):
+        assert getattr(b, name) == math.ldexp(getattr(a, name), j), name
+    assert b.empirical_es2 == math.ldexp(a.empirical_es2, 2 * j)
+    assert (b.dropped_fraction, b.cycles, b.seed) == (a.dropped_fraction, a.cycles, a.seed)
 
 
 @pytest.mark.parametrize("label", list(cli._SCHEMES))

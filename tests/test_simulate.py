@@ -34,6 +34,7 @@ from coded_aoi.simulate import (
     batch_means_ci,
 )
 from schemes_reference import ZeroService
+from simulate_reference import round_walk
 
 
 def params(lam=1.0, c=1.0, mu=1.0, n=100):
@@ -313,38 +314,6 @@ class SlowService(Uncoded):
         return np.full(size, 1e6)
 
 
-def _round_walk(scheme, params, rng, cycles):
-    """The round rule of _stream_cycles one gap at a time, in Python floats.
-
-    Each round draws one (waiting cycles, w) matrix of gaps, whatever the
-    slice size, and adds each row's gaps in turn onto the cycle's wait.
-    """
-    lam = params.arrival_rate
-    s = sample_service_batch(scheme, params, rng, cycles + 1)
-    # the inverse CDF on 1 - U, U in [0, 1), written out as in the event walk
-    d_used = -np.log1p(-rng.random(cycles)) / lam
-    z = [0.0] * cycles
-    waiting = [(j, s[j], 0.0) for j in range(cycles)]
-    dropped = 0
-    while waiting:
-        rest = np.array([need - waited for _, need, waited in waiting])
-        w = 1 + int(min(lam * rest.mean(), MAX_DROPS_PER_CYCLE))
-        gaps = (-np.log1p(-rng.random((len(waiting), w))) / lam).tolist()
-        still = []
-        for (j, need, t), row in zip(waiting, gaps):
-            for early, gap in enumerate(row):
-                t += gap
-                if t >= need:
-                    z[j] = t - need
-                    dropped += early
-                    break
-            else:
-                dropped += w
-                still.append((j, need, t))
-        waiting = still
-    return s, d_used, np.array(z), cycles + 1 + dropped
-
-
 # the case ids name the service-time source after the scheme; they stay fixed
 # so a case can be compared across revisions
 STREAM_SCHEMES = pytest.mark.parametrize("scheme", [
@@ -360,7 +329,7 @@ def test_stream_cycles_bitwise_equal_to_event_walk(scheme, lam):
     p = params(lam=lam, n=10)
     for seed, cycles in ((51, 30), (52, 8192), (53, 1)):
         got = _stream_cycles(scheme, p, Generator(PCG64(seed)), cycles)
-        want = _round_walk(scheme, p, Generator(PCG64(seed)), cycles)
+        want = round_walk(scheme, p, Generator(PCG64(seed)), cycles)
         assert len(got) == len(want)
         assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]
         assert got[3] == want[3]
@@ -412,7 +381,10 @@ def test_full_stream_report_does_not_depend_on_arrival_block(monkeypatch):
                 for s, p in points]
 
     default = reports()
-    monkeypatch.setattr(simulate, "WAIT_SLICE", 1)  # one cycle's row per slice
+    # one cycle's row per slice: every slice then scans row-wise, where the
+    # default slices of narrow rounds scan by column, so this also pins the
+    # reports' independence of the scan layout
+    monkeypatch.setattr(simulate, "WAIT_SLICE", 1)
     one_row = reports()
     monkeypatch.setattr(simulate, "WAIT_SLICE", 1 << 30)  # one slice per round
     one_slice = reports()
