@@ -24,7 +24,6 @@ cycles).
 """
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 from typing import Callable
@@ -76,8 +75,10 @@ def newton_root(fn: Callable[[float], tuple[float, float]], lo: float,
                 hi: float) -> tuple[float, float]:
     """Root in [lo, hi] of fn, negative left of it and positive right, by
     Newton steps from lo; fn(x) is (value, slope).  Each evaluation narrows
-    the bracket, and a step that leaves it bisects.  Returns the evaluated
-    (x, value) with the smallest |value|.
+    the bracket, and a step that leaves it, or a slope that is not positive
+    and finite, bisects.  Stops at a zero value, a step below one ulp, a
+    bracket with no double inside, or MAX_ITER evaluations.  Returns the
+    evaluated (x, value) with the smallest |value|.
     """
     x, best, best_val = lo, lo, math.inf
     for _ in range(MAX_ITER):
@@ -87,7 +88,7 @@ def newton_root(fn: Callable[[float], tuple[float, float]], lo: float,
         if val == 0.0:
             break
         lo, hi = (x, hi) if val < 0.0 else (lo, x)
-        newton = x - val / slope if slope > 0.0 else math.nan
+        newton = x - val / slope if 0.0 < slope < math.inf else math.nan
         if newton == x:  # the step is below one ulp of x
             break
         x = newton if lo < newton < hi else 0.5 * (lo + hi)
@@ -96,37 +97,21 @@ def newton_root(fn: Callable[[float], tuple[float, float]], lo: float,
     return best, best_val
 
 
-def _level_piece(ell: int, mu_c: float, target: float,
-                 hi: float) -> tuple[int, float, float]:
-    """(filled, lo, hi): the levels active on the piece of (0, hi) that holds
-    the root, and the piece's ends.
-
-    The piece ends at the first start p * mu_c, p < ell, whose level sum
-    reaches target, or at hi if none below hi does.  The sum in floats
-    never decreases as beta_1 grows, so that p is found by bisection.
-    """
-    def ends_piece(p: int) -> bool:
-        return not p * mu_c < hi or math.fsum(chain_alphas(p * mu_c, ell, mu_c)) >= target
-
-    filled = bisect.bisect_left(range(1, ell), True, key=ends_piece) + 1
-    lo = (filled - 1) * mu_c if filled > 1 else 0.0
-    if filled < ell and filled * mu_c < hi:
-        hi = filled * mu_c
-    return filled, lo, hi
-
-
 def solve_levels(ell: int, alpha: float, mu_c: float) -> tuple[float, ...]:
     """Solve for the level fractions alpha_1..alpha_ell: nonincreasing,
     trailing zeros allowed.
 
     The level sum is continuous and increasing in beta_1, and reaches
     ell * alpha by beta_1 = (ell - 1) * mu_c - ell * log1p(-alpha), where
-    every level is at least alpha.  The bracket is narrowed, by bisection
-    over the level starts, to the piece between two starts that holds the
-    root, so the cost is O(ell * log(ell)); the sum is smooth and
-    concave there, and newton_root's steps with its exact slope, the sum of
-    exp(-x_m / m) / m = (1 - alpha_m) / m, rise onto the root from the
-    piece's left end.
+    every level is at least alpha.  If the sum already reaches it at
+    beta_1 = mu_c, where level 2 opens, the first level alone holds the
+    total.  Otherwise newton_root solves on all of (0, hi] with the exact
+    slope, the sum of exp(-x_m / m) / m = (1 - alpha_m) / m over the open
+    levels (none at beta_1 = 0, so the first step bisects).  The sum is
+    concave between two level starts and its slope jumps up at each, so a
+    step past a start can overshoot the root; the bracket then closes from
+    the right.  That takes 8 or 9 level sums of O(ell) each at ell = 300 to
+    10**4, and at most 28 over 5000 random (ell <= 1000, alpha, mu_c).
 
     Args:
         ell: number of subtasks queued per worker (levels), >= 1.
@@ -146,15 +131,15 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> tuple[float, ...]:
     if not math.isfinite(hi) and target >= 1.0:
         raise Infeasible(
             f"total fraction {target} not reachable with {ell} levels at mu_c={mu_c}")
-    filled, lo, hi = _level_piece(ell, mu_c, target, hi)
-    if filled == 1:  # the first level alone: alpha_1 = ell * alpha exactly
+    # the level sum at beta_1 = mu_c is the first level's alone
+    if ell == 1 or -math.expm1(-mu_c) >= target:
         return (target,) + (0.0,) * (ell - 1)
 
     def residual(beta: float) -> tuple[float, float]:
         a = chain_alphas(beta, ell, mu_c)
-        return math.fsum(a) - target, sum((1.0 - a[m - 1]) / m for m in range(1, filled + 1))
+        return math.fsum(a) - target, sum((1.0 - x) / m for m, x in enumerate(a, 1) if x > 0.0)
 
-    beta, resid = newton_root(residual, lo, hi)
+    beta, resid = newton_root(residual, 0.0, hi)
     if not abs(resid) <= CHAIN_TOL:
         raise NoConvergence(
             f"level solver residual {abs(resid):.3e} above {CHAIN_TOL} "

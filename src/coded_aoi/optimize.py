@@ -49,17 +49,26 @@ def _branch_excess(d: float) -> float:
     """The u >= 0 with u - log1p(u) = d, so that W_{-1}(-exp(-1 - d)) = -1 - u.
 
     This is w + log(-w) = -1 - d in u = -1 - w; it forms no exp(-d), so any
-    d >= 0 works.  The left side is increasing and convex, and the start
-    u0 - sqrt(u0) = d lies right of the root (log1p(u) <= sqrt(u)), so the
-    Newton steps fall monotonically onto it; they stop when u stops falling.
+    d >= 0 works.  newton_root solves sqrt(u - log1p(u)) = sqrt(d), whose
+    left side rises from 0 with slope 1 / sqrt(2) and is concave, so the
+    steps climb onto the root from u = 0: 3 to 8 evaluations at d <= 100,
+    and 19 at most at any d.  Below u = 0.1 the difference would cancel, so
+    the left side is u * sqrt(q) there, with q = (u - log1p(u)) / u**2 =
+    1/2 - u/3 + u**2/4 - ... summed to u**16.  The bracket ends at
+    d + 2 sqrt(d) + 1, the square of 1 + sqrt(d) without its rounding,
+    where u - log1p(u) >= u - sqrt(u) > d.
     """
-    u = (0.5 * (1.0 + math.sqrt(1.0 + 4.0 * d))) ** 2
-    for _ in range(200):
-        nxt = u - (u - math.log1p(u) - d) * (1.0 + u) / u
-        if not 0.0 < nxt < u:
-            break
-        u = nxt
-    return u
+    def excess(u: float) -> tuple[float, float]:
+        if u < 0.1:
+            q = 0.0
+            for j in range(18, 1, -1):
+                q = 1.0 / j - u * q
+            return u * math.sqrt(q) - root_d, 0.5 / ((1.0 + u) * math.sqrt(q))
+        rho = math.sqrt(u - math.log1p(u))
+        return rho - root_d, 0.5 * u / (1.0 + u) / rho
+
+    root_d = math.sqrt(d)
+    return newton_root(excess, 0.0, d + 2.0 * root_d + 1.0)[0]
 
 
 def refine_discrete(age_fn: Callable[[int], float], k_seed: int,
@@ -127,8 +136,9 @@ def opt_mds(params: SystemParams, objective: str = "age") -> OptResult:
     n = params.nworkers
     if n < 2:
         raise ValueError("mds optimization needs at least 2 workers")
-    # -log(1 - alpha) = log1p(u), which stays finite where alpha rounds to 1
-    es_cont = params.shift / (alpha * n) + math.log1p(u) / (params.straggling * alpha * n)
+    # -log(1 - alpha) = log1p(u), which stays finite where alpha rounds to 1;
+    # log1p(u) / alpha is near 1 where straggling * alpha would underflow
+    es_cont = params.shift / (alpha * n) + math.log1p(u) / alpha / (params.straggling * n)
     return _refined(params, MDS, objective, alpha * n, 1, n - 1, alpha, es_cont)
 
 

@@ -124,24 +124,9 @@ def os_var(d: ShiftedExp, n: int, k: int) -> float:
     return gen_harmonic2(n, n - k) / d.rate / d.rate
 
 
-# the largest double below 1, which is also the largest standard uniform
-_BELOW_ONE = 1.0 - 2.0**-53
-
-
 def sample_batch(d: ShiftedExp, rng: np.random.Generator,
-                 size: "int | tuple[int, ...]", a: "float | np.ndarray" = 0.0,
-                 b: "float | np.ndarray" = 1.0) -> np.ndarray:
-    """Draw ``size`` values from d restricted to the CDF interval [a, b).
-
-    Each draw is the inverse CDF (see ShiftedExp.quantile) of u = a + (b - a)U
-    for a standard uniform U, so it lies in [quantile(a), quantile(b)] and
-    follows d truncated to that range.  ``a`` and ``b`` broadcast against
-    ``size``.  At the default [0, 1) u is U itself.  u is kept below 1, so
-    no draw is infinite.
-    """
+                 size: "int | tuple[int, ...]") -> np.ndarray:
+    """Draw ``size`` values from d: the inverse CDF (see ShiftedExp.quantile)
+    of standard uniforms, which lie below 1, so no draw is infinite."""
     u = rng.random(size)
-    if not (type(a) is float and type(b) is float and a == 0.0 and b == 1.0):
-        u *= np.subtract(b, a)
-        u += a
-        np.minimum(u, _BELOW_ONE, out=u)
     return d.quantile(u, out=u)

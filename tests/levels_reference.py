@@ -3,15 +3,12 @@
 With beta_m = -log1p(-alpha_m), a split solves the chain exactly when
 m * beta_m - (m - 1) * beta_{m-1} + mu_c = 0 for every consecutive pair of
 non-empty levels.  This module recomputes those residuals from the returned
-fractions alone, with no reference to how the solver found them.  The
-linear walk over level pieces is kept to check the solver's bisection, and
-an array form of the closed form serves the dense scans over beta_1.
+fractions alone, with no reference to how the solver found them.  An array
+form of the closed form serves the dense scans over beta_1.
 """
 import math
 
 import numpy as np
-
-from coded_aoi.levels import chain_alphas
 
 EPS = 2.0 ** -52
 
@@ -39,18 +36,6 @@ def chain_residuals(a, mu_c):
                            + m * beta + (m - 1) * beta_prev + m * mu_c)
         out.append((resid, bound))
     return out
-
-
-def linear_level_piece(ell, mu_c, target, hi):
-    """levels._level_piece by walking the piece starts in order, as
-    solve_levels once did: O(ell) sums of O(ell) levels each."""
-    lo, filled = 0.0, 1
-    while filled < ell and filled * mu_c < hi:
-        if math.fsum(chain_alphas(filled * mu_c, ell, mu_c)) >= target:
-            hi = filled * mu_c
-            break
-        lo, filled = filled * mu_c, filled + 1
-    return filled, lo, hi
 
 
 def chain_alphas_grid(beta1, load, mu_c):

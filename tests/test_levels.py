@@ -6,7 +6,7 @@ import pytest
 
 from coded_aoi import Infeasible, InconsistentK, level_counts, levels, solve_levels
 from coded_aoi.levels import chain_alphas
-from levels_reference import chain_residuals, linear_level_piece
+from levels_reference import chain_residuals
 from coded_aoi.order_stats import ShiftedExp, os_mean
 
 
@@ -214,34 +214,79 @@ def test_second_level_past_first_level_resolution():
     assert all(abs(r) <= bound for r, bound in chain_residuals(alphas, mu_c))
 
 
-def _bits(values):
-    return tuple(float(v).hex() if isinstance(v, float) else v for v in values)
+def test_newton_root_returns_a_root_at_lo():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x - 2.0, 1.0
+
+    assert levels.newton_root(fn, 2.0, 5.0) == (2.0, 0.0)
+    assert calls == [2.0]
 
 
-def test_piece_bisection_matches_the_linear_walk(monkeypatch):
-    # the same piece, so the same Newton path and the same split to the bit
-    rng = np.random.default_rng(20191008)
-    points = [(int(ell), float(alpha), float(math.exp(log_mu_c)))
-              for ell, alpha, log_mu_c in zip(rng.integers(1, 13, 1500), rng.random(1500),
-                                              rng.uniform(-7.0, 9.0, 1500))]
-    points += [(ell, 1.0 - 10.0 ** -e, mu_c) for ell in (2, 5, 12)
-               for e in (3, 8, 15) for mu_c in (1e-3, 1.0, 30.0)]
-    points += [(300, 0.5, 0.01), (300, 0.9, 0.2), (1000, 0.3, 1e-4)]
-    bisected = []
-    for ell, alpha, mu_c in points:
-        target, hi = ell * alpha, (ell - 1) * mu_c - ell * math.log1p(-alpha)
-        assert _bits(levels._level_piece(ell, mu_c, target, hi)) == \
-            _bits(linear_level_piece(ell, mu_c, target, hi)), (ell, alpha, mu_c)
-        bisected.append(_bits(solve_levels(ell, alpha, mu_c)))
-    monkeypatch.setattr(levels, "_level_piece", linear_level_piece)
-    walked = [_bits(solve_levels(ell, alpha, mu_c)) for ell, alpha, mu_c in points]
-    assert bisected == walked
+@pytest.mark.parametrize("slope", [0.0, -1.0, math.inf, math.nan])
+def test_newton_root_bisects_without_a_usable_slope(slope):
+    # a slope that is not positive and finite at lo gives no Newton step:
+    # the next point is the middle of the bracket
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x - 3.0, (slope if x == 0.0 else 1.0)
+
+    assert levels.newton_root(fn, 0.0, 8.0) == (3.0, 0.0)
+    assert calls == [0.0, 4.0, 3.0]
+
+
+def test_newton_root_solves_an_increasing_function_with_kinks():
+    # concave pieces whose slope jumps up at 1 and 2, as the level sum's does
+    # at each level start: the step from 1.5 passes the kink at 2 and the
+    # root, and the bracket closes from the right
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        value = -math.expm1(-x) + sum(-math.expm1(-(x - s) / 2) for s in (1.0, 2.0) if x > s)
+        slope = math.exp(-x) + sum(0.5 * math.exp(-(x - s) / 2) for s in (1.0, 2.0) if x >= s)
+        return value - 1.5, slope
+
+    x, value = levels.newton_root(fn, 0.0, 10.0)
+    assert calls[:2] == [0.0, 1.5] and calls[2] > x and len(calls) <= 8
+    assert fn(math.nextafter(x, 0.0))[0] < 0.0 <= value < fn(math.nextafter(x, 10.0))[0]
+
+
+def test_newton_root_stops_on_a_bracket_with_no_double_inside():
+    # the root 1 + 2**-53 lies between two adjacent doubles, and the
+    # value at either never reaches 0
+    lo, hi = 1.0, math.nextafter(1.0, 2.0)
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return (x - 1.0) - 2.0**-53, 1.0
+
+    assert levels.newton_root(fn, lo, hi) == (lo, -2.0**-53)
+    assert calls == [lo]
+
+
+def test_newton_root_stops_after_max_iter_evaluations():
+    # a slope 1000 times too steep: each step closes 1/1000 of the gap to
+    # the root, so only the cap ends the loop, at the last and best point
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x - 1.0, 1000.0
+
+    x, value = levels.newton_root(fn, 0.0, 2.0)
+    assert len(calls) == levels.MAX_ITER
+    assert x == calls[-1] and value == x - 1.0 and 0.09 < x < 0.1
 
 
 def test_many_levels_take_few_level_sums(monkeypatch):
     # each level sum costs O(load); walking the piece starts in order took
-    # about 1000 of them here, bisection takes about log2(2000) = 11 plus
-    # the Newton steps
+    # about 1000 of them here, and the Newton steps take 8
     sums = []
 
     def counted(beta1, load, mu_c):

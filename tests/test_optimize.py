@@ -1,5 +1,6 @@
 """Optimizers against bisection, exhaustive-sweep, and closed-form oracles."""
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -61,6 +62,55 @@ def test_lambert_domain_errors():
     for x in (-0.5, 0.0, 0.1, -1.0):
         with pytest.raises(ValueError):
             lambert_w_m1(x)
+
+
+EPS = 2.0 ** -52
+
+
+def decimal_branch_excess(d):
+    """The u >= 0 with u - ln(1 + u) = d, for d < 1 (0 for d <= 0), by Newton
+    steps in decimal arithmetic with enough digits that 1 + u keeps 60 of u's.
+    The left side is convex, so the steps fall onto the root from the right."""
+    d = Decimal(d)
+    if d <= 0:
+        return Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 60 - 2 * d.adjusted()
+        u = 2 * (2 * d).sqrt()
+        for _ in range(200):
+            step = (u - (1 + u).ln() - d) * (1 + u) / u
+            u -= step
+            if step <= u.scaleb(-60):
+                break
+        return u
+
+
+@pytest.mark.parametrize("cm", [1e-10, 1e-20, 1e-200])
+def test_opt_mds_alpha_at_small_shift_times_straggling(cm):
+    # u - log1p(u) = cm cancels in doubles once u is small: the fraction
+    # u / (1 + u) came out 1.5e-7 low at cm = 1e-20, and 1.24e-16 at any cm
+    # below about 1e-32, where it is about sqrt(2 cm)
+    u = decimal_branch_excess(cm)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        expected = float(u / (1 + u))
+    alpha = opt_mds(SystemParams(1.0, cm, 1.0, 100)).alpha_star
+    assert alpha == pytest.approx(expected, rel=4 * EPS, abs=0.0)
+
+
+@pytest.mark.parametrize("cm", [1e-10, 1e-20, 1e-200])
+def test_lambert_near_the_branch_point_matches_a_decimal_solve(cm):
+    # x = -exp(-1 - cm) rounds to the branch point for the two smaller cm.
+    # W at the double x is -1 - u with u - log1p(u) = d = -log(-x) - 1,
+    # which lambert_w_m1 forms within 2 EPS; u must lie between the exact
+    # solutions at the two ends of that range
+    x = -math.exp(-1.0 - cm)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        d = -(-Decimal(x)).ln() - 1
+        low, high = (float(decimal_branch_excess(d + Decimal(e))) for e in (-2 * EPS, 2 * EPS))
+    u = -1.0 - lambert_w_m1(x)
+    assert low * (1 - 4 * EPS) <= u <= high * (1 + 4 * EPS)
 
 
 def log_form_bisection(y):

@@ -31,6 +31,7 @@ from coded_aoi import (  # noqa: E402
     solve_levels,
 )
 from coded_aoi import cli, simulate  # noqa: E402
+from coded_aoi.levels import CHAIN_TOL, Infeasible, NoConvergence  # noqa: E402
 from levels_reference import chain_alphas_grid, chain_residuals  # noqa: E402
 import schemes_reference  # noqa: E402
 import simulate_reference  # noqa: E402
@@ -86,6 +87,27 @@ def test_level_split_solves_the_chain(ell, alpha, mu_c):
     assert a[0] > 0.0
     for r, bound in chain_residuals(a, mu_c):
         assert abs(r) <= bound
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 1000), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(math.log(1e-12), math.log(1e8)))
+@example(2000, 0.5, math.log(0.01))
+@example(2, 1.0 - 1e-12, 0.0)
+@example(4, 117 / 448, math.log(28.2))
+@example(2, 0.6, math.log(5e6))  # NoConvergence: one ulp of beta_1 moves the sum by more
+def test_level_split_sums_to_its_target_on_the_chain(ell, alpha, log_mu_c):
+    # up to 1000 levels and mu_c over 20 decades; past (ell - 1) * mu_c of
+    # about 4e6 the solver may refuse, but never returns a split off target
+    mu_c = math.exp(log_mu_c)
+    try:
+        alphas = solve_levels(ell, alpha, mu_c)
+    except (Infeasible, NoConvergence):
+        return
+    assert len(alphas) == ell
+    assert all(a >= b for a, b in zip(alphas, alphas[1:]))
+    assert abs(math.fsum(alphas) - ell * alpha) <= CHAIN_TOL
+    assert all(abs(r) <= bound for r, bound in chain_residuals(alphas, mu_c))
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)

@@ -151,6 +151,16 @@ def test_widened_windows_keep_the_mechanism_law(monkeypatch, scheme, p):
     against_mechanism(scheme, p, seeds=4, size=10_000)
 
 
+def test_windows_sit_at_the_crossing_rank_where_the_count_slope_overflows():
+    # n * rate = 1000 * 1e306 overflows: the expected count jumps from 0 to
+    # n within 1e-306 of the shift, and the root solve bisects onto the jump
+    # instead of stopping at the shift, where every window would sit at rank 1
+    # and every row would widen
+    scheme, p = MultiMDS(1000, 2), params(mu=1e303, n=1000)
+    d = p.whole_task().split(scheme.k)
+    assert schemes._windows(d, p.nworkers, scheme.k, scheme.load) == [(999, 1000), (1, 1)]
+
+
 def fixed_worker_times(d, rows, n):
     """Worker times from d at fixed, distinct uniforms that vary from row to row.
 

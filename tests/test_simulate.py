@@ -193,6 +193,13 @@ def test_t_quantile_closed_forms():
         _t_quantile(0)
 
 
+def test_normal_quantile_literal_is_the_statistics_value():
+    # simulate keeps the literal so that importing it loads no statistics module
+    from statistics import NormalDist
+
+    assert simulate._T_NORMAL == NormalDist().inv_cdf(simulate._T_LEVEL) == 1.9599639845400536
+
+
 def test_t_quantile_matches_scipy():
     scipy = pytest.importorskip("scipy")
     from scipy import stats
