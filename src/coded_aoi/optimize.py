@@ -23,6 +23,10 @@ from .levels import chain_alphas, level_counts, newton_root, require_int, solve_
 from .schemes import MDS, MultiMDS, Repetition, Scheme, SystemParams, service_moments
 
 _BRANCH_POINT = -math.exp(-1.0)
+# e = _E_HI + _E_LO to about 1e-32, and Veltkamp's constant 2**27 + 1, which
+# splits a double into two halves whose products are exact
+_E_HI, _E_LO = math.e, 1.4456468917292502e-16
+_SPLIT = 134217729.0
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,22 @@ def lambert_w_m1(x: float) -> float:
     """
     if not _BRANCH_POINT <= x < 0.0:
         raise ValueError(f"lambert_w_m1 requires -1/e <= x < 0, got {x}")
-    return -1.0 - _branch_excess(max(-math.log(-x) - 1.0, 0.0))
+    # d = -log(-x) - 1 is off by about EPS, and w by about sqrt(2 EPS) next
+    # to the branch point; there d is -log1p(t) for t = -x e - 1, formed in
+    # double-double.  Near x = 0, t rounds to -1, so d keeps its log form
+    p, err = _two_product(-x, _E_HI)
+    t = (p - 1.0 + err) - x * _E_LO
+    d = -math.log1p(t) if t > -0.5 else -math.log(-x) - 1.0
+    return -1.0 - _branch_excess(max(d, 0.0))
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, err) with p = fl(a * b) and p + err = a * b exactly (Dekker 1971)."""
+    p = a * b
+    ca, cb = _SPLIT * a, _SPLIT * b
+    a_hi, b_hi = ca - (ca - a), cb - (cb - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _branch_excess(d: float) -> float:

@@ -37,12 +37,14 @@ larger of two, one per group size.  MultiMDS at load >= 2 draws only the
 worker order statistics in a window of ranks around each level's share of
 the k-th result (see ``_multiset_sample``): two gammas per run of
 consecutive ranks and one exponential per rank, then a sort of the windows'
-elements.  That costs about 1.7 us per service time at n = 100 and 3.2 us
+elements.  That costs about 1.2 us per service time at n = 100 and 2.4 us
 at n = 1000 (MultiMDS(129, 2) and MultiMDS(1287, 2), medians of interleaved
 4097-sample calls, 2-core Intel Xeon VM, numpy 2.4).
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -61,22 +63,34 @@ from .order_stats import (
 
 # Most doubles a row of the MultiMDS sampler at load >= 2 may hold: X_(j) at
 # each window rank and m X_(j) per level, twice the windows' summed widths.
-# That grows as sqrt(n): MultiMDS(1.287 n, 2) at c = mu = 1 reaches it near
-# n = 9e12.  The order-statistic laws have no such bound.
+# That grows as WINDOW_Z sqrt(n): MultiMDS(1.287 n, 2) at c = mu = 1 reaches
+# it near n = 2.7e13.  The order-statistic laws have no such bound.
 MAX_SAMPLE_DRAWS = 1 << 24
 # Doubles of scratch per row chunk of the MultiMDS sampler at load >= 2:
 # 512 KiB, so the scratch stays in a core's L2 cache.
 SCRATCH_DOUBLES = 1 << 16
 # Half-width of each level's window of worker ranks in the MultiMDS sampler,
 # in standard deviations of the level's crossing rank, plus one rank (see
-# _windows); the windows leave about 1.7e-4 of rows unsettled at n = 100
-# and 1.6e-3 at n = 1000, and those widen them (see _multiset_sample).
-WINDOW_Z = 3.0
+# _windows), and the factor by which each round widens the windows of the
+# rows they leave unsettled (see _multiset_sample).  A first-pass rank costs
+# about 25 ns and a widened row about 3 us at n = 1000, plus about 0.2 ms
+# per round, so narrow windows win: these leave about 1.8% of rows
+# unsettled at n = 100 and 4.8% at n = 1000 (MultiMDS(129, 2) and
+# MultiMDS(1287, 2)).  Of the pairs tried, Z from 1 to 3 and growth from
+# 1.25 to 3, they gave the least geometric mean time per service time over
+# n = 100, 1000 and 1e4 at loads 2 and 4.
+WINDOW_Z = 1.75
+WINDOW_GROWTH = 1.5
 # MultiMDS service times whose segment-start gammas are drawn together: the
-# sampler draws a block's gammas, then its in-window spacings, and after the
-# last block the widened ranks of the rows the windows do not settle, so
-# the values depend on this block size but not on SCRATCH_DOUBLES.
+# sampler draws a block's gammas, then its in-window spacings.
 ROW_BLOCK = 1 << 10
+# First-pass doubles of the MultiMDS sampler between widening rounds: the
+# rows the windows leave unsettled wait for theirs until the end, or the
+# next multiple of WIDEN_DOUBLES // (window ranks) rows, so 8 MiB of rows
+# wait at most, and 4097 service times at n <= 1e4 and load 2 widen once.
+# With ROW_BLOCK, this fixes the order of the draws, so the values do not
+# depend on SCRATCH_DOUBLES.
+WIDEN_DOUBLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -317,19 +331,21 @@ class _WindowPlan:
     ``ranks`` is the union of the windows' worker ranks, ascending; a row
     holds X_(j) for j in ``ranks``.  The union falls into segments of
     consecutive ranks; ``edges`` holds the positions in ``ranks`` of each
-    segment's first and last rank, interleaved.  The gathered elements are
-    m X_(j) for every rank j of level m's window, level by level:
-    ``gather`` holds their positions in ``ranks`` and ``scale`` their m.
-    ``lower`` and ``upper`` are the gathered columns of m X_(a_m) for
-    a_m > 1 and of m X_(b_m) for b_m < n, and ``col`` = k - sum(a_m - 1) - 1
-    is the column of the k-th element among the gathered ones once they
-    are sorted.
+    segment's first and last rank, interleaved.  The pooled elements are
+    m X_(j) for every rank j of level m's window: a pooled row holds each
+    rank of ``ranks`` once, times ``scale``, the lowest level whose window
+    holds it, then the ranks at the positions ``extra`` times
+    ``extra_scale``, one column for each further window that shares a rank.
+    ``lower`` and ``upper`` are the pooled columns of m X_(a_m) for a_m > 1
+    and of m X_(b_m) for b_m < n, and ``col`` = k - sum(a_m - 1) - 1 is the
+    column of the k-th element among the pooled ones once they are sorted.
     """
 
     ranks: np.ndarray
     edges: np.ndarray
-    gather: np.ndarray
     scale: np.ndarray
+    extra: np.ndarray
+    extra_scale: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     col: int
@@ -337,41 +353,68 @@ class _WindowPlan:
 
 def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
     """The plan of windows [a_m, b_m], level m = 1.. in order, at n workers."""
-    low, high = np.array(windows).T
-    widths = high - low + 1
-    last = np.cumsum(widths) - 1  # gathered column of each window's highest rank
-    # every window's ranks, level by level; the union drops the repeats
-    gathered = np.arange(widths.sum()) + np.repeat(low + widths - 1 - last, widths)
-    ranks = np.sort(gathered)
-    ranks = ranks[np.concatenate([[True], ranks[1:] > ranks[:-1]])]
-    # the position of each segment's first rank, and one past the last rank
-    first = np.flatnonzero(np.concatenate([[2], ranks[1:] - ranks[:-1], [2]]) > 1)
+    # the union's segments of consecutive ranks, ascending
+    segments: list[list[int]] = []
+    for a, b in sorted(windows):
+        if segments and a <= segments[-1][1] + 1:
+            segments[-1][1] = max(segments[-1][1], b)
+        else:
+            segments.append([a, b])
+    firsts = [a for a, _ in segments]
+    offsets = list(itertools.accumulate((b - a + 1 for a, b in segments), initial=0))
+
+    def column(rank: int) -> int:
+        i = bisect.bisect_right(firsts, rank) - 1
+        return offsets[i] + rank - firsts[i]
+
+    ranks = np.concatenate([np.arange(a, b + 1) for a, b in segments])
+    # each rank at the lowest level whose window holds it, so the windows
+    # are written from the top level down; then the ranks each window
+    # shares with a lower one, level by level
+    spans = [(column(a), column(b) + 1) for a, b in windows]
+    scale = np.empty(ranks.size)
+    for m in range(len(windows), 0, -1):
+        scale[slice(*spans[m - 1])] = m
+    shared = [np.flatnonzero(scale[c:e] < m) + c for m, (c, e) in enumerate(spans, 1)]
+    lower, upper, at = [], [], ranks.size
+    for m, ((a, b), (c, e), extra) in enumerate(zip(windows, spans, shared), 1):
+        # a window's lowest and highest ranks, if shared, are its first and
+        # last extra columns
+        if a > 1:
+            lower.append(c if scale[c] == m else at)
+        if b < n:
+            upper.append(e - 1 if scale[e - 1] == m else at + extra.size - 1)
+        at += extra.size
     return _WindowPlan(
         ranks=ranks,
-        edges=np.column_stack([first[:-1], first[1:] - 1]).ravel(),
-        gather=np.searchsorted(ranks, gathered),
-        scale=np.repeat(np.arange(1.0, len(windows) + 1), widths),
-        lower=(last - widths + 1)[low > 1],
-        upper=last[high < n],
-        col=k - int(low.sum()) + len(windows) - 1)
+        edges=np.array([[c, e - 1] for c, e in zip(offsets, offsets[1:])]).ravel(),
+        scale=scale,
+        extra=np.concatenate(shared),
+        extra_scale=np.repeat(np.arange(1.0, len(windows) + 1), [e.size for e in shared]),
+        lower=np.array(lower, dtype=np.intp),
+        upper=np.array(upper, dtype=np.intp),
+        col=k - sum(a for a, _ in windows) + len(windows) - 1)
 
 
 def _window_kth(x: np.ndarray, plan: _WindowPlan) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k-th multiset element from its window order statistics, and
     whether the windows settle it.
 
-    x holds a row's X_(j) at the plan's ranks.  The gathered elements m X_(j)
+    x holds a row's X_(j) at the plan's ranks.  The pooled elements m X_(j)
     are sorted and v is the one at ``col``.  v is the k-th of the whole
     multiset if it lies between every m X_(a_m) with a_m > 1 and every
     m X_(b_m) with b_m < n: then each level's elements below its window are
     at or below v and those above it at or above v, so exactly k elements
     are at or below v.  Rows where that fails are not settled, and neither
-    is any row when ``col`` falls outside the gathered columns.
+    is any row when ``col`` falls outside the pooled columns.
     """
-    if not 0 <= plan.col < plan.gather.size:
+    once = plan.ranks.size
+    pooled = np.empty((x.shape[0], once + plan.extra.size))
+    if not 0 <= plan.col < pooled.shape[1]:
         return np.full(x.shape[0], np.nan), np.zeros(x.shape[0], dtype=bool)
-    pooled = np.take(x, plan.gather, axis=1)
-    pooled *= plan.scale
+    np.multiply(x, plan.scale, out=pooled[:, :once])
+    if plan.extra.size:
+        np.multiply(np.take(x, plan.extra, axis=1), plan.extra_scale, out=pooled[:, once:])
     lo = pooled[:, plan.lower].max(axis=1, initial=-np.inf)
     hi = pooled[:, plan.upper].min(axis=1, initial=np.inf)
     pooled.sort(axis=1)
@@ -392,9 +435,10 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, windows: list[tuple[int, int
     u of a segment lies above the last known rank j (or d.shift) by the
     (u - j)-th smallest of n - j exponentials, log1p(G / G')/d.rate for
     gammas of shape u - j and n - u + 1 (see ``_os_sample``).  The windows
-    settle most rows (see ``_window_kth``); after the last block the others
-    widen their windows until they settle (see ``_widen``).  Every row is
-    the worker mechanism's k-th in law, for any windows.
+    settle most rows (see ``_window_kth``); the others widen their windows
+    until they settle (see ``_settle``), after the last row or every
+    WIDEN_DOUBLES first-pass doubles.  Every row is the worker mechanism's
+    k-th in law, for any windows.
     """
     plan = _window_plan(windows, n, k)
     ranks, starts, ends = plan.ranks, plan.edges[0::2], plan.edges[1::2]
@@ -404,15 +448,18 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, windows: list[tuple[int, int
     # the last rank j below each segment's first rank u (0 for the first)
     below = np.concatenate([[0], ranks[ends][:-1]])
     spacing = ShiftedExp(0.0, d.rate)
-    step = max(1, SCRATCH_DOUBLES // (ranks.size + plan.scale.size))
+    step = max(1, SCRATCH_DOUBLES // (2 * ranks.size + plan.extra.size))
+    wait = max(1, WIDEN_DOUBLES // ranks.size)
     out = np.empty(size)
     missed, known = [], []
+    rounds = [(windows, plan)]
     for a in range(0, size, ROW_BLOCK):
         block = out[a:a + ROW_BLOCK]
         jumps = _os_sample(spacing, n - below, ranks[starts] - below, rng, block.size)
         jumps[:, 0] += d.shift  # the cumulative sums carry it to every rank
-        for i in range(0, block.size, step):
-            rows = min(step, block.size - i)
+        i = 0
+        while i < block.size:
+            rows = min(step, block.size - i, wait - (a + i) % wait)
             x = sample_batch(spacing, rng, (rows, ranks.size))
             x *= gaps
             x[:, starts] = jumps[i:i + rows]
@@ -420,20 +467,42 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, windows: list[tuple[int, int
             block[i:i + rows], ok = _window_kth(x, plan)
             missed.append(np.flatnonzero(~ok) + a + i)
             known.append(x[~ok])
-    # each round doubles every window about its centre, cut to [1, n]
-    while (missed := np.concatenate(missed)).size:
-        windows = [(max(1, a - (b - a + 1) // 2), min(n, b + (b - a + 2) // 2))
-                   for a, b in windows]
-        wide = _window_plan(windows, n, k)
-        step = max(1, SCRATCH_DOUBLES // (wide.ranks.size + wide.scale.size))
+            i += rows
+            if (a + i) % wait == 0 or a + i == size:
+                _settle(d, n, k, rng, rounds, out, missed, known)
+                missed, known = [], []
+    return out
+
+
+def _settle(d: ShiftedExp, n: int, k: int, rng: np.random.Generator,
+            rounds: list[tuple[list[tuple[int, int]], _WindowPlan]], out: np.ndarray,
+            missed: list[np.ndarray], known: list[np.ndarray]) -> None:
+    """Widen the windows of the rows at ``missed`` until each one settles.
+
+    ``rounds`` holds the windows and plan of the first pass, then those of
+    each round so far, and ``known`` the rows' X_(j) at the first plan's
+    ranks.  Each round widens every window about its centre by
+    WINDOW_GROWTH, and by one rank at least on each side, cut to [1, n]; a
+    round past the end of ``rounds`` appends its own, so a call plans each
+    round once.  A round draws the new ranks of the rows left (see
+    ``_widen``) and writes the ones it settles to ``out``.
+    """
+    for r in itertools.count(1):
+        if not (missed := np.concatenate(missed)).size:
+            return
+        if r == len(rounds):
+            windows = rounds[-1][0]
+            grow = [max(1, math.ceil((WINDOW_GROWTH - 1) * (b - a + 1) / 2)) for a, b in windows]
+            windows = [(max(1, a - g), min(n, b + g)) for (a, b), g in zip(windows, grow)]
+            rounds.append((windows, _window_plan(windows, n, k)))
+        plan, wide = rounds[r - 1][1], rounds[r][1]
+        step = max(1, SCRATCH_DOUBLES // (2 * wide.ranks.size + wide.extra.size))
         rows, x, missed, known = missed, np.concatenate(known), [], []
         for i in range(0, rows.size, step):
             wider = _widen(d, n, rng, plan, wide, x[i:i + step])
             out[rows[i:i + step]], ok = _window_kth(wider, wide)
             missed.append(rows[i:i + step][~ok])
             known.append(wider[~ok])
-        plan = wide
-    return out
 
 
 def _widen(d: ShiftedExp, n: int, rng: np.random.Generator, plan: _WindowPlan,
@@ -446,31 +515,39 @@ def _widen(d: ShiftedExp, n: int, rng: np.random.Generator, plan: _WindowPlan,
     truncated inverse CDF X_(i) - log1p(q expm1(-rate (X_(h) - X_(i))))/rate
     at q = G_t / G_(h-i), for G_t the sum of t standard exponentials (David &
     Nagaraja, Order Statistics, 2003): each new rank takes one gamma, of
-    shape its offset from the rank before it, and each gap one more.
+    shape its offset from the rank before it, and each gap one more.  Each
+    segment of ``plan`` lies inside one of ``wide``, so the known ranks and
+    each gap's new ones are runs of consecutive columns.
     """
     # the widened ranks between 0 and n + 1, whose X_(0) and X_(n+1) are known
     ranks = np.concatenate([[0], wide.ranks, [n + 1]])
-    known = np.zeros(ranks.size, dtype=bool)
-    known[np.searchsorted(ranks, plan.ranks)] = True
-    known[0] = known[-1] = True
-    new = ~known
-    # a gamma for each new rank and for the known rank that closes its gap
-    slot = new[1:] | new[:-1]
-    g = rng.standard_gamma((ranks[1:] - ranks[:-1])[slot].astype(float),
-                           (x.shape[0], np.count_nonzero(slot)))
-    ends = (np.flatnonzero(known[1:][slot]) + 1).tolist()
-    for a, b in zip([0, *ends[:-1]], ends):
-        gap = g[:, a:b]
-        gap.cumsum(axis=1, out=gap)
-        gap /= gap[:, -1:]
     out = np.empty((x.shape[0], ranks.size))
     out[:, 0], out[:, -1] = d.shift, np.inf
-    out[:, 1:-1][:, known[1:-1]] = x
-    # the columns of the known ranks around each new rank
-    around = np.flatnonzero(known)[np.cumsum(known)[new] + [[-1], [0]]]
-    low = out[:, around[0]]
-    out[:, new] = low - np.log1p(
-        g[:, new[1:][slot]] * np.expm1(-d.rate * (out[:, around[1]] - low))) / d.rate
+    # each known segment's columns: [start, stop) in out, first column in x
+    firsts = plan.edges[0::2].tolist()
+    starts = np.searchsorted(ranks, plan.ranks[plan.edges[0::2]]).tolist()
+    stops = [c + e - f + 1 for c, f, e in zip(starts, firsts, plan.edges[1::2].tolist())]
+    for c, e, f in zip(starts, stops, firsts):
+        out[:, c:e] = x[:, f:f + e - c]
+    # each gap's new columns [a, b); column b holds the known rank above them
+    gaps = [(a, b) for a, b in zip([1, *stops], [*starts, ranks.size - 1]) if a < b]
+    # a gamma for each new rank and for the known rank that closes its gap,
+    # of shape the rank's offset from the column before it, drawn row by
+    # row, so the values do not depend on how the rows are split
+    cols = np.concatenate([np.arange(0)] + [np.arange(a, b + 1) for a, b in gaps])
+    g = rng.standard_gamma((ranks[cols] - ranks[cols - 1]).astype(float),
+                           (x.shape[0], cols.size))
+    i = 0
+    for a, b in gaps:
+        # G_t at the new ranks, then q = G_t / G_(h-i)
+        new = np.cumsum(g[:, i:i + b - a], axis=1, out=out[:, a:b])
+        new /= new[:, -1:] + g[:, i + b - a:i + b - a + 1]
+        i += b - a + 1
+        low = out[:, a - 1:a]
+        new *= np.expm1(-d.rate * (out[:, b:b + 1] - low))
+        np.log1p(new, out=new)
+        new /= -d.rate
+        new += low
     return out[:, 1:-1]
 
 
@@ -516,9 +593,9 @@ def sample_service_batch(scheme: Scheme, params: SystemParams,
     two gammas per service time (four for Repetition where k does not divide
     n) at any n.  MultiMDS at load >= 2 draws the worker order statistics in
     a window of ranks per level, and widens the windows of the rows they do
-    not settle (about 1.7e-4 at n = 100 and 1.6e-3 at n = 1000), about
-    1.7 us per service time at n = 100 and 3.2 us at n = 1000.  Past its
-    scratch bound (see MAX_SAMPLE_DRAWS) it raises ValueError.
+    not settle (about 1.8% at n = 100 and 4.8% at n = 1000), about 1.2 us
+    per service time at n = 100 and 2.4 us at n = 1000.  Past its scratch
+    bound (see MAX_SAMPLE_DRAWS) it raises ValueError.
     """
     validate(scheme, params)
     return scheme.sample(params, rng, size)

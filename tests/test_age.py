@@ -62,14 +62,14 @@ def test_age_from_moments_deterministic_service():
 
 
 def test_uncoded_single_worker_value():
-    assert age_of(Uncoded(), params(n=1)).delta == pytest.approx(29 / 6, rel=1e-14)
+    assert age_of(Uncoded(), params(n=1)).delta == pytest.approx(29 / 6, rel=1e-14, abs=0.0)
 
 
 def test_mds_two_workers_hand_value():
     res = age_of(MDS(1), params(n=2))
-    assert res.es == pytest.approx(1.5, rel=1e-14)
-    assert res.es2 == pytest.approx(2.5, rel=1e-14)
-    assert res.delta == pytest.approx(4.0, rel=1e-14)
+    assert res.es == pytest.approx(1.5, rel=1e-14, abs=0.0)
+    assert res.es2 == pytest.approx(2.5, rel=1e-14, abs=0.0)
+    assert res.delta == pytest.approx(4.0, rel=1e-14, abs=0.0)
 
 
 def test_moment_formula_agrees_with_direct_transcriptions():
@@ -79,15 +79,15 @@ def test_moment_formula_agrees_with_direct_transcriptions():
                 for n in (2, 10, 100):
                     p = params(lam, c, mu, n)
                     assert age_of(Uncoded(), p).delta == pytest.approx(
-                        age_uncoded_direct(lam, c, mu, n), rel=1e-12)
+                        age_uncoded_direct(lam, c, mu, n), rel=1e-12, abs=0.0)
                     for k in {1, n // 2, n}:
                         if 1 <= k <= n:
                             assert age_of(Repetition(k), p).delta == pytest.approx(
-                                age_repetition_direct(lam, c, mu, n, k), rel=1e-12)
+                                age_repetition_direct(lam, c, mu, n, k), rel=1e-12, abs=0.0)
                     for k in {1, n // 2, n - 1}:
                         if 1 <= k < n:
                             assert age_of(MDS(k), p).delta == pytest.approx(
-                                age_mds_direct(lam, c, mu, n, k), rel=1e-12)
+                                age_mds_direct(lam, c, mu, n, k), rel=1e-12, abs=0.0)
 
 
 def test_multi_message_agrees_with_direct_transcription():
@@ -99,7 +99,7 @@ def test_multi_message_agrees_with_direct_transcription():
                     continue
                 k1 = mm_k1(p, k, load)
                 assert age_of(MultiMDS(k, load), p).delta == pytest.approx(
-                    age_mm_mds_direct(1.0, 1.0, mu, 100, k, k1), rel=1e-12)
+                    age_mm_mds_direct(1.0, 1.0, mu, 100, k, k1), rel=1e-12, abs=0.0)
 
 
 def test_repetition_full_k_equals_uncoded_age():

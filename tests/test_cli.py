@@ -40,14 +40,14 @@ def test_age_mds_reference_point(capsys):
                            "--lambda", "1", "--c", "1", "--mu", "1")
     assert code == 0
     expected = age_of(MDS(69), SystemParams(1, 1, 1, 100)).delta
-    assert float(value_of(out, "age")) == pytest.approx(expected, rel=1e-12)
+    assert float(value_of(out, "age")) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_age_uncoded_single_worker(capsys):
     code, out, _ = run_cli(capsys, "age", "--scheme", "uncoded", "--n", "1",
                            "--lambda", "1", "--c", "1", "--mu", "1")
     assert code == 0
-    assert float(value_of(out, "age")) == pytest.approx(29 / 6, rel=1e-12)
+    assert float(value_of(out, "age")) == pytest.approx(29 / 6, rel=1e-12, abs=0.0)
 
 
 def test_age_invalid_k_exits_2(capsys):
@@ -149,10 +149,12 @@ def test_config_file_supplies_and_flags_override(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "age", "--config", str(cfg))
     assert code == 0
     p = SystemParams(1, 1, 1, 100)
-    assert float(value_of(out, "age")) == pytest.approx(age_of(MDS(69), p).delta, rel=1e-12)
+    assert float(value_of(out, "age")) == pytest.approx(age_of(MDS(69), p).delta,
+                                                        rel=1e-12, abs=0.0)
     # explicit flag wins over the config value
     code, out, _ = run_cli(capsys, "age", "--config", str(cfg), "--k", "58")
-    assert float(value_of(out, "age")) == pytest.approx(age_of(MDS(58), p).delta, rel=1e-12)
+    assert float(value_of(out, "age")) == pytest.approx(age_of(MDS(58), p).delta,
+                                                        rel=1e-12, abs=0.0)
 
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):
@@ -209,7 +211,7 @@ def test_sweep_preset_fig4a(tmp_path, capsys):
     best_rep = min(rep_rows, key=lambda r: float(r["age_analytic"]))
     assert best_rep["k"] == "100"
     assert float(unc_rows[0]["age_analytic"]) == pytest.approx(
-        age_of(Uncoded(), SystemParams(1, 1, 1, 100)).delta, rel=1e-11)
+        age_of(Uncoded(), SystemParams(1, 1, 1, 100)).delta, rel=1e-11, abs=0.0)
     # every repetition row can be simulated: the header holds no caveat
     header = [ln for ln in out_path.read_text().splitlines() if ln.startswith("#")]
     assert header == [f"# coded-aoi sweep v{coded_aoi.__version__}",
@@ -436,15 +438,22 @@ def test_age_at_vanishing_arrival_rate_exits_3(capsys):
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
+def window_doubles(n, k, load):
+    """The doubles a row of the mm-mds window sampler holds at c = mu = 1."""
+    d = SystemParams(1.0, 1.0, 1.0, n).whole_task().split(k)
+    return 2 * sum(b - a + 1 for a, b in schemes._windows(d, n, k, load))
+
+
 def test_simulate_above_the_sampling_limit_exits_2(monkeypatch, capsys):
     # only the window sampler of mm-mds at load >= 2 has the limit, on the
-    # doubles a row of its windows holds: 128 at n = 600, k = 900
-    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", 100)
+    # doubles a row of its windows holds at n = 600, k = 900
+    held = window_doubles(600, 900, 2)
+    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", held - 1)
     code, out, err = run_cli(capsys, "simulate", "--scheme", "mm-mds", "--k", "900", "--l", "2",
                              "--n", "600", "--lambda", "1", "--c", "1", "--mu", "1",
                              "--cycles", "100", "--seed", "1")
     assert code == 2 and out == ""
-    assert "holds 128 doubles" in err and err.count("\n") == 1
+    assert f"holds {held} doubles" in err and err.count("\n") == 1
     for scheme in (["mds", "--k", "900"], ["mm-mds", "--k", "900", "--l", "1"]):
         code, out, err = run_cli(capsys, "simulate", "--scheme", *scheme, "--n", "2000",
                                  "--lambda", "1", "--c", "1", "--mu", "1",
@@ -473,7 +482,7 @@ def test_simulate_past_the_window_bound_exits_2_at_once(capsys, n, k, load):
 
 def test_sweep_above_the_sampling_limit_exits_2_before_writing(tmp_path, monkeypatch, capsys):
     # every row is simulated, and the header holds no note; a row past the
-    # limit (248 doubles at n = 1200) fails the sweep before it writes
+    # limit, the n = 1200 one, fails the sweep before it writes
     out_path = tmp_path / "n.csv"
     argv = ["sweep", "--scheme", "mm-mds", "--l", "2", "--k", "900", "--n-range",
             "600:1200:600", *UNIT, "--seed", "1", "--cycles", "60", "--out", str(out_path)]
@@ -485,10 +494,12 @@ def test_sweep_above_the_sampling_limit_exits_2_before_writing(tmp_path, monkeyp
     assert [ln for ln in written.splitlines() if ln.startswith("#")] == [
         f"# coded-aoi sweep v{coded_aoi.__version__}",
         "# scheme=mm-mds seed=1 cycles=60 reps=1"]
-    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", 200)
+    held = window_doubles(1200, 900, 2)
+    assert window_doubles(600, 900, 2) < held
+    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", held - 1)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert "holds 248 doubles" in err
+    assert f"holds {held} doubles" in err
     assert out_path.read_text() == written
 
 

@@ -113,6 +113,37 @@ def test_lambert_near_the_branch_point_matches_a_decimal_solve(cm):
     assert low * (1 - 4 * EPS) <= u <= high * (1 + 4 * EPS)
 
 
+def decimal_lambert_w_m1(x):
+    """W_{-1} at the double x, as -1 - u with u - ln(1 + u) = -ln(-x) - 1, by
+    Newton steps in 120-digit decimal arithmetic from u = d + 2 sqrt(2 d),
+    right of the root, onto which the convex left side's steps fall."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        d = -(-Decimal(x)).ln() - 1
+        u = d + 2 * (2 * d).sqrt()
+        for _ in range(500):
+            step = (u - (1 + u).ln() - d) * (1 + u) / u
+            u -= step
+            if abs(step) <= u.scaleb(-70):
+                break
+        return float(-1 - u)
+
+
+def doubles_above_the_branch_point(count):
+    x = [math.nextafter(-math.exp(-1.0), 0.0)]
+    while len(x) < count:
+        x.append(math.nextafter(x[-1], 0.0))
+    return x
+
+
+@pytest.mark.parametrize("x", doubles_above_the_branch_point(6)
+                         + [-0.36, -0.3, -0.1, -1e-3, -1e-100])
+def test_lambert_matches_a_decimal_w_at_every_distance_from_the_branch_point(x):
+    # the double -exp(-1) lies below -1/e, so the six after it are the first
+    # six in the domain; d = -log(-x) - 1 in doubles put w up to 5.8e-9 off there
+    assert lambert_w_m1(x) == pytest.approx(decimal_lambert_w_m1(x), rel=2 * EPS, abs=0.0)
+
+
 def log_form_bisection(y):
     """Root w <= -1 of w + log(-w) = -y by plain bisection (left side increasing)."""
     lo, hi = -2.0 * y - 1.0, -1.0
@@ -133,8 +164,8 @@ def test_lambert_relative_accuracy_near_zero():
     for y in (20.0, 31.0, 101.0, 701.0):
         x = -math.exp(-y)
         w = lambert_w_m1(x)
-        assert w + math.log(-w) == pytest.approx(math.log(-x), rel=1e-15)
-        assert w == pytest.approx(log_form_bisection(y), rel=1e-15)
+        assert w + math.log(-w) == pytest.approx(math.log(-x), rel=1e-15, abs=0.0)
+        assert w == pytest.approx(log_form_bisection(y), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("cm", [20.0, 28.0, 30.0, 100.0, 700.0, 1e4])
@@ -143,7 +174,7 @@ def test_opt_mds_alpha_at_large_shift_times_straggling(cm):
     # (cm >= 745); the log form w + log(-w) = -(cm + 1) holds throughout
     r = opt_mds(SystemParams(1.0, cm, 1.0, 100))
     expected = 1.0 + 1.0 / log_form_bisection(cm + 1.0)
-    assert r.alpha_star == pytest.approx(expected, rel=1e-14)
+    assert r.alpha_star == pytest.approx(expected, rel=1e-14, abs=0.0)
     assert r.delta_star == age_of(MDS(r.k_star), SystemParams(1.0, cm, 1.0, 100)).delta
 
 
@@ -163,7 +194,7 @@ def test_opt_repetition_continuous_fraction_sends_one_subpacket():
     # c * mu = 1e-6 is below 1/n: the large-pool formula needs alpha * n >= 1
     r = opt_repetition(params(c=1e-3, mu=1e-3))
     assert r.alpha_star == 0.01
-    assert r.continuous_objective == pytest.approx(1e-3, rel=1e-12)
+    assert r.continuous_objective == pytest.approx(1e-3, rel=1e-12, abs=0.0)
     assert r.continuous_objective >= 0.0
     assert r.k_star == 1
 
@@ -236,7 +267,8 @@ def test_opt_mm_mds_continuous_optimum_matches_dense_scan(c, mu, load):
     alpha = chain_alphas_grid(beta, load, mu_c).sum(axis=1) / load
     objective = (c + beta / mu) / alpha
     best = int(np.argmin(objective))
-    assert r.continuous_objective * 1000 * load == pytest.approx(objective[best], rel=1e-9)
+    assert r.continuous_objective * 1000 * load == pytest.approx(objective[best],
+                                                                 rel=1e-9, abs=0.0)
     assert r.alpha_star == pytest.approx(alpha[best], abs=1e-4)
 
 
@@ -254,7 +286,8 @@ def test_opt_mm_mds_optimum_on_the_last_level_piece():
     # the later pieces reported the third piece's optimum scaled by 3/4
     r = opt_mm_mds(params(c=1.0, mu=3.0), 4)
     assert r.alpha_star == pytest.approx(0.793190, abs=1e-6)
-    assert r.continuous_objective * 100 * 4 == pytest.approx(0.0146456855443 * 400, rel=1e-9)
+    assert r.continuous_objective * 100 * 4 == pytest.approx(0.0146456855443 * 400,
+                                                             rel=1e-9, abs=0.0)
     assert r.k_star == 399
     assert r.levels == (100, 100, 100, 99)
 

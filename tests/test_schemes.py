@@ -151,6 +151,25 @@ def test_widened_windows_keep_the_mechanism_law(monkeypatch, scheme, p):
     against_mechanism(scheme, p, seeds=4, size=10_000)
 
 
+def test_widening_between_first_pass_rows_keeps_the_law_and_the_values(monkeypatch):
+    # unsettled rows wait for their widening rounds at most WIDEN_DOUBLES
+    # first-pass doubles: here 40 rows, with windows of +-(0.5 sd + 1) ranks,
+    # so a call runs many rounds between its rows; their order is fixed, so
+    # the values do not depend on the row chunks either
+    monkeypatch.setattr(schemes, "WINDOW_Z", 0.5)
+    scheme, p = MultiMDS(129, 2), params(n=100)
+    d = p.whole_task().split(scheme.k)
+    windows = schemes._windows(d, p.nworkers, scheme.k, scheme.load)
+    ranks = schemes._window_plan(windows, p.nworkers, scheme.k).ranks.size
+    monkeypatch.setattr(schemes, "WIDEN_DOUBLES", 40 * ranks)
+    x = sample_service_batch(scheme, p, rng(5), 3000)
+    for scratch in (1, 1 << 30):
+        with monkeypatch.context() as m:
+            m.setattr(schemes, "SCRATCH_DOUBLES", scratch)
+            assert (sample_service_batch(scheme, p, rng(5), 3000) == x).all()
+    against_mechanism(scheme, p, seeds=4, size=10_000)
+
+
 def test_windows_sit_at_the_crossing_rank_where_the_count_slope_overflows():
     # n * rate = 1000 * 1e306 overflows: the expected count jumps from 0 to
     # n within 1e-306 of the shift, and the root solve bisects onto the jump
@@ -223,7 +242,8 @@ def test_window_selection_is_the_multiset_kth(n, load, k, mu, windows):
 
 
 def plan_from_sets(windows):
-    """ranks, edges and gather of a window plan, built from Python sets."""
+    """ranks and edges of a window plan, built from Python sets, and each
+    rank's levels, ascending."""
     ranks = sorted(set().union(*(range(a, b + 1) for a, b in windows)))
     column = {rank: i for i, rank in enumerate(ranks)}
     edges = []
@@ -232,8 +252,9 @@ def plan_from_sets(windows):
             edges.append(i)
         if rank + 1 not in column:
             edges.append(i)
-    gather = [column[rank] for a, b in windows for rank in range(a, b + 1)]
-    return ranks, edges, gather
+    levels = {rank: [m for m, (a, b) in enumerate(windows, 1) if a <= rank <= b]
+              for rank in ranks}
+    return ranks, edges, levels
 
 
 def plan_windows():
@@ -252,10 +273,42 @@ def plan_windows():
 def test_window_plan_matches_a_set_construction():
     for windows, n, k in plan_windows():
         plan = schemes._window_plan(windows, n, k)
-        ranks, edges, gather = plan_from_sets(windows)
+        ranks, edges, levels = plan_from_sets(windows)
         assert plan.ranks.tolist() == ranks, windows
         assert plan.edges.tolist() == edges, windows
-        assert plan.gather.tolist() == gather, windows
+        # a pooled row: each rank at its lowest level, then one column per
+        # further level that shares it
+        pooled = list(zip(ranks, plan.scale.tolist()))
+        pooled += zip(plan.ranks[plan.extra].tolist(), plan.extra_scale.tolist())
+        assert [m for _, m in pooled[:len(ranks)]] == [levels[r][0] for r in ranks], windows
+        assert sorted(pooled) == sorted((r, m) for r in ranks for m in levels[r]), windows
+        assert [pooled[c] for c in plan.lower] == [
+            (a, m) for m, (a, _) in enumerate(windows, 1) if a > 1], windows
+        assert [pooled[c] for c in plan.upper] == [
+            (b, m) for m, (_, b) in enumerate(windows, 1) if b < n], windows
+
+
+def test_multiset_sampler_draws_fewer_worker_order_statistics(monkeypatch):
+    # a seeded MultiMDS(1287, 2) call at n = 1000 draws the window ranks of
+    # every row (one spacing each in sample_batch) and the new ranks of the
+    # rows it widens; windows of +-(3 sd + 1) ranks drew 96 per row
+    scheme, p, size = MultiMDS(1287, 2), params(n=1000), 4097
+    first, widened = [], []
+    draw, widen = schemes.sample_batch, schemes._widen
+
+    def counted_draw(d, rng, shape):
+        first.append(shape[0] * shape[1])
+        return draw(d, rng, shape)
+
+    def counted_widen(d, n, rng, plan, wide, x):
+        widened.append(x.shape[0] * (wide.ranks.size - plan.ranks.size))
+        return widen(d, n, rng, plan, wide, x)
+
+    monkeypatch.setattr(schemes, "sample_batch", counted_draw)
+    monkeypatch.setattr(schemes, "_widen", counted_widen)
+    sample_service_batch(scheme, p, rng(12), size)
+    assert sum(widened) > 0
+    assert (sum(first) + sum(widened)) / size < 96
 
 
 def test_multiset_sampler_leaves_numpy_ma_unloaded():
@@ -420,14 +473,14 @@ def test_uncoded_single_worker_moments():
 def test_mds_two_workers_one_needed():
     # min of 2 draws from (1, 1): rate doubles, es = 1 + 1/2
     m = service_moments(MDS(1), params(n=2))
-    assert m.es == pytest.approx(1.5, rel=1e-14)
+    assert m.es == pytest.approx(1.5, rel=1e-14, abs=0.0)
 
 
 def test_mds_best_k_from_sweep_figure():
     # frozen from the harmonic oracle: 1/69 + (H_100 - H_31)/69
     m = service_moments(MDS(69), params(n=100))
-    assert m.es == pytest.approx(0.03130626553917537, rel=1e-13)
-    assert m.es == pytest.approx((1 + harmonic(100) - harmonic(31)) / 69, rel=1e-15)
+    assert m.es == pytest.approx(0.03130626553917537, rel=1e-13, abs=0.0)
+    assert m.es == pytest.approx((1 + harmonic(100) - harmonic(31)) / 69, rel=1e-15, abs=0.0)
 
 
 def test_scheme_validation_errors():
@@ -529,7 +582,7 @@ def test_uncoded_single_worker_sampling_law():
     p = params(n=1)
     g = np.array([[math.expm1(0.7), 1.0]])
     out = sample_service_batch(Uncoded(), p, FixedGamma(g), 1)
-    assert out[0] == pytest.approx(1.7, rel=1e-12)
+    assert out[0] == pytest.approx(1.7, rel=1e-12, abs=0.0)
 
 
 def test_scalar_sampler_matches_batch():

@@ -187,8 +187,8 @@ def test_jackknife_matches_batch_means_scale():
 
 
 def test_t_quantile_closed_forms():
-    assert _t_quantile(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-14)
-    assert _t_quantile(2) == pytest.approx(0.95 / math.sqrt(0.04875), rel=1e-14)
+    assert _t_quantile(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-14, abs=0.0)
+    assert _t_quantile(2) == pytest.approx(0.95 / math.sqrt(0.04875), rel=1e-14, abs=0.0)
     with pytest.raises(ValueError):
         _t_quantile(0)
 
