@@ -250,26 +250,15 @@ def _parse_range(text: str, flag: str) -> list[int]:
     return list(range(nums[0], nums[1] + 1, step))
 
 
-def _row(scheme: Scheme, params: SystemParams) -> dict:
+def _row(scheme: Scheme, params: SystemParams) -> list:
+    """One CSV row in CSV_COLUMNS order, with the simulation columns empty."""
     res = age_of(scheme, params)
-    row = {c: "" for c in CSV_COLUMNS}
-    row.update({
-        "scheme": scheme.label,
-        "n": params.nworkers,
-        "lambda": _fmt(params.arrival_rate),
-        "c": _fmt(params.shift),
-        "mu": _fmt(params.straggling),
-        "es": _fmt(res.es),
-        "es2": _fmt(res.es2),
-        "age_analytic": _fmt(res.delta),
-    })
-    names = [f.name for f in fields(scheme)]  # load is a class constant unless a field
-    if "k" in names:
-        row["k"] = scheme.k
-    if "load" in names:
-        row["l"] = scheme.load
-        row["k1"] = mm_k1(params, scheme.k, scheme.load)
-    return row
+    load, k1 = "", ""
+    if isinstance(scheme, MultiMDS):
+        load, k1 = scheme.load, mm_k1(params, scheme.k, scheme.load)
+    return [scheme.label, params.nworkers, getattr(scheme, "k", ""), load,
+            _fmt(params.arrival_rate), _fmt(params.shift), _fmt(params.straggling),
+            _fmt(res.es), _fmt(res.es2), _fmt(res.delta), "", "", k1]
 
 
 def _sweep_rows(args) -> tuple[list[tuple[Scheme, SystemParams]], dict]:
@@ -330,12 +319,12 @@ def cmd_sweep(args) -> int:
 
     out = args.out or (f"{args.preset}.csv" if args.preset else "sweep.csv")
     reps = 1 if args.reps is None else args.reps
-    row_seeds = root.generate_state(max(len(points), 1), np.uint64)
     if args.cycles is not None:
+        sim = CSV_COLUMNS.index("age_sim_mean")
+        row_seeds = root.generate_state(len(points), np.uint64)
         for (scheme, params), row, row_seed in zip(points, rows, row_seeds):
             rep = run_parallel(scheme, params, args.cycles, reps, int(row_seed))
-            row["age_sim_mean"] = _fmt(rep.mean_age)
-            row["age_sim_ci95"] = _fmt(rep.ci95_halfwidth)
+            row[sim:sim + 2] = _fmt(rep.mean_age), _fmt(rep.ci95_halfwidth)
 
     lines = [f"# coded-aoi sweep v{__version__}"]
     meta_str = " ".join(f"{k}={v}" for k, v in meta.items())
@@ -348,8 +337,8 @@ def cmd_sweep(args) -> int:
     with fh:
         for line in lines:
             fh.write(line + "\n")
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         writer.writerows(rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0

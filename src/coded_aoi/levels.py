@@ -24,9 +24,10 @@ cycles).
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from typing import Callable
+from typing import Callable, Optional
 
 CHAIN_TOL = 1e-10
 MAX_ITER = 100  # newton_root's evaluation cap
@@ -52,6 +53,8 @@ def require_int(name: str, value) -> None:
     bool is an Integral, but True as a worker count or a load is a caller's
     mistake, not a 1.
     """
+    if type(value) is int:
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
@@ -112,6 +115,8 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> tuple[float, ...]:
     step past a start can overshoot the root; the bracket then closes from
     the right.  That takes 8 or 9 level sums of O(ell) each at ell = 300 to
     10**4, and at most 28 over 5000 random (ell <= 1000, alpha, mu_c).
+    The root is kept per (ell, alpha, mu_c) after the checks (see
+    _level_root), so a repeated split costs one level sum.
 
     Args:
         ell: number of subtasks queued per worker (levels), >= 1.
@@ -126,6 +131,20 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> tuple[float, ...]:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not mu_c > 0:
         raise ValueError(f"mu_c must be > 0, got {mu_c}")
+    ell, alpha, mu_c = int(ell), float(alpha), float(mu_c)
+    beta = _level_root(ell, alpha, mu_c)
+    if beta is None:
+        return (ell * alpha,) + (0.0,) * (ell - 1)
+    return tuple(chain_alphas(beta, ell, mu_c))
+
+
+# An optimizer's search over k, a sweep and a k1 column solve the same split
+# again and again; an entry is one float at any ell, so 1024 of them stay
+# small where a cached --l 2000 split would hold 2000.
+@functools.lru_cache(maxsize=1024)
+def _level_root(ell: int, alpha: float, mu_c: float) -> Optional[float]:
+    """The Newton root beta_1 of solve_levels' split on checked arguments, or
+    None where the first level alone holds the total."""
     target = ell * alpha
     hi = (ell - 1) * mu_c - ell * math.log1p(-alpha)
     if not math.isfinite(hi) and target >= 1.0:
@@ -133,7 +152,7 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> tuple[float, ...]:
             f"total fraction {target} not reachable with {ell} levels at mu_c={mu_c}")
     # the level sum at beta_1 = mu_c is the first level's alone
     if ell == 1 or -math.expm1(-mu_c) >= target:
-        return (target,) + (0.0,) * (ell - 1)
+        return None
 
     def residual(beta: float) -> tuple[float, float]:
         a = chain_alphas(beta, ell, mu_c)
@@ -144,7 +163,7 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> tuple[float, ...]:
         raise NoConvergence(
             f"level solver residual {abs(resid):.3e} above {CHAIN_TOL} "
             f"at ell={ell}, alpha={alpha}, mu_c={mu_c}")
-    return tuple(chain_alphas(beta, ell, mu_c))
+    return beta
 
 
 def level_counts(alphas: tuple[float, ...], n: int, k: int) -> list[int]:

@@ -181,7 +181,7 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age") -> OptRe
     if n * load < 2:
         raise ValueError(f"mm-mds optimization needs n*load >= 2, got n={n}, load={load}")
     mu_c = params.mu_c
-    roots = _piece_roots(load, mu_c)
+    roots = _piece_roots(int(load), float(mu_c))
     if not roots:
         raise OverflowError(f"mm-mds optimization: no finite optimum at shift*straggling = "
                             f"{params.shift:g}*{params.straggling:g}")
@@ -197,7 +197,10 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age") -> OptRe
     return replace(result, levels=tuple(level_counts(alphas, n, result.k_star)))
 
 
-def _piece_roots(load: int, mu_c: float) -> list[float]:
+# A fig5a sweep asks for the same roots at each of its n; a tuple of at most
+# load floats per entry
+@functools.lru_cache(maxsize=256)
+def _piece_roots(load: int, mu_c: float) -> tuple[float, ...]:
     """The root of G (see opt_mm_mds) on each piece where G changes sign.
 
     Piece p starts at (p - 1) * mu_c.  Past that start every 1 - a_m is at
@@ -227,4 +230,4 @@ def _piece_roots(load: int, mu_c: float) -> list[float]:
             hi = min(hi, p * mu_c)
         if math.isfinite(hi) and h(lo)[0] < 0.0 < h(hi)[0]:
             roots.append(newton_root(h, lo, hi)[0])
-    return roots
+    return tuple(roots)

@@ -23,7 +23,11 @@ parameters the scheme cannot take; on checked parameters,
 only properties of S that the average age depends on, and
 ``sample(params, rng, size)`` draws service times from the mechanism's
 exact law.  The module functions below check and then call these methods,
-so no other code dispatches on the scheme type.
+so no other code dispatches on the scheme type.  ``order_stat``,
+``moments`` and ``sample`` check nothing themselves: they assume parameters
+that a public entry point (``service_moments``, ``sample_service_batch``,
+``mm_k1``, or ``age_of`` through ``service_moments``) has already checked,
+so each public call validates once.
 
 Every scheme states its modelled service time as one order statistic, the
 k-th smallest of N i.i.d. draws from a shifted exponential d, in an
@@ -259,7 +263,7 @@ class MultiMDS(_OrderStat):
     def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
         # the large-pool model: the k-th result overall is the first
         # level's k1-th; at load 1 that is k itself, which is MDS
-        k1 = mm_k1(params, self.k, self.load)
+        k1 = _k1(params, self.k, self.load)
         return params.whole_task().split(self.k), params.nworkers, k1
 
     def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -571,6 +575,11 @@ def mm_k1(params: SystemParams, k: int, load: int) -> int:
     large-pool fraction rounds to 0.
     """
     validate(MultiMDS(k, load), params)
+    return _k1(params, k, load)
+
+
+def _k1(params: SystemParams, k: int, load: int) -> int:
+    """mm_k1 on parameters that MultiMDS.check has passed."""
     if load == 1:
         # one level holds every result; the solver's alpha_1 = k/n would
         # round back to k only while k/n is exact

@@ -12,7 +12,7 @@ import pytest
 
 import coded_aoi
 from coded_aoi import MDS, Repetition, SystemParams, Uncoded, age_of, opt_mds, schemes
-from coded_aoi import service_moments
+from coded_aoi import cli, levels, optimize, service_moments
 from coded_aoi.cli import main
 
 
@@ -252,6 +252,45 @@ def test_sweep_preset_fig5a_k_grows(tmp_path, capsys):
     assert len(ks) == 10
     assert all(b > a for a, b in zip(ks, ks[1:]))
     assert all(int(r["k1"]) < int(r["k"]) for r in rows)
+
+
+def test_sweep_preset_fig5a_solves_each_split_once(tmp_path, capsys, monkeypatch):
+    # its ten optima and rows ask 76 times for 23 distinct level splits, and
+    # ten times for the piece roots of one (load, mu_c)
+    newton_runs, newton_root = [], levels.newton_root
+
+    def counted(*args):
+        newton_runs.append(args)
+        return newton_root(*args)
+
+    monkeypatch.setattr(levels, "newton_root", counted)
+    levels._level_root.cache_clear()
+    optimize._piece_roots.cache_clear()
+    assert run_cli(capsys, "sweep", "--preset", "fig5a", "--seed", "7",
+                   "--out", str(tmp_path / "fig5a.csv"))[0] == 0
+    splits = levels._level_root.cache_info()
+    assert len(newton_runs) == splits.misses == 23
+    assert splits.hits + splits.misses == 76
+    assert optimize._piece_roots.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("cycles, drawn", [([], []), (["--cycles", "40"], [19])])
+def test_only_an_overlay_sweep_draws_row_seeds(tmp_path, capsys, monkeypatch, cycles, drawn):
+    # no analytic row reads a seed; an overlay row simulates with its own
+    class Recording:
+        def __init__(self, seq):
+            self.seq = seq
+
+        def generate_state(self, n_words, dtype):
+            calls.append(n_words)
+            return self.seq.generate_state(n_words, dtype)
+
+    calls = []
+    root_seq = cli._root_seq
+    monkeypatch.setattr(cli, "_root_seq", lambda seed: Recording(root_seq(seed)))
+    assert run_cli(capsys, "sweep", "--scheme", "mds", "--n", "20", "--k-range", "1:19",
+                   "--seed", "3", *cycles, "--out", str(tmp_path / "s.csv"), *UNIT)[0] == 0
+    assert calls == drawn
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path, capsys):
@@ -547,6 +586,10 @@ def test_repeated_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, 
         ["age", "--config", "bad.json"] + UNIT,          # the config parser rejects --n
         ["age", "--scheme", "mm-mds", "--n", "100", "--k", "129", "--l", "2"] + UNIT,
         ["optimize", "--family", "mm-mds", "--n", "100", "--l", "3"] + UNIT,
+        # the same again, now from warm level and piece-root caches
+        ["age", "--scheme", "mm-mds", "--n", "100", "--k", "129", "--l", "2"] + UNIT,
+        ["optimize", "--family", "mm-mds", "--n", "100", "--l", "3"] + UNIT,
+        ["sweep", "--preset", "fig5a", "--seed", "7", "--out", "s.csv"],
         ["sweep", "--scheme", "mds", "--n", "20", "--k-range", "1:19:3", "--seed", "3",
          "--cycles", "40", "--out", "s.csv"] + UNIT,
         ["age", "--scheme", "mds", "--n", "100", "--k", "69"] + UNIT,

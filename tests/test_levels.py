@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coded_aoi import Infeasible, InconsistentK, level_counts, levels, solve_levels
+from coded_aoi import Infeasible, InconsistentK, NoConvergence, level_counts, levels, solve_levels
 from coded_aoi.levels import chain_alphas
 from levels_reference import chain_residuals
 from coded_aoi.order_stats import ShiftedExp, os_mean
@@ -86,8 +86,34 @@ def test_invalid_arguments():
 
 @pytest.mark.parametrize("ell", [2.0, True, "2", np.float64(2)])
 def test_non_integer_level_count_is_rejected(ell):
+    # the checks run before the root is looked up, so a split cached under
+    # an equal key does not let a wrong type through
+    solve_levels(2, 0.3, 1.0)
     with pytest.raises(ValueError, match="must be an integer"):
         solve_levels(ell, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("args, error", [((3, 0.5, math.inf), Infeasible),
+                                         ((2, 0.6, 5e6), NoConvergence)])
+def test_a_failed_split_fails_again(args, error):
+    # an exception is never cached
+    for _ in range(2):
+        with pytest.raises(error):
+            solve_levels(*args)
+
+
+@pytest.mark.parametrize("args", [(2, 0.3, 1.0), (3, 7 / 30, 0.01), (2000, 0.5, 0.01),
+                                  (3, 0.2, 1.0), (1, 0.4, 1.0)])
+def test_a_cached_split_equals_a_cold_solve(args):
+    # the first call, with numpy arguments, fills the cache; the split is
+    # rebuilt from the normalised key, so every caller gets Python floats
+    levels._level_root.cache_clear()
+    ell, alpha, mu_c = args
+    cold = solve_levels(np.int64(ell), np.float64(alpha), np.float64(mu_c))
+    warm = solve_levels(*args)
+    assert levels._level_root.cache_info().hits == 1
+    assert len(warm) == len(cold) == ell
+    assert all(type(a) is float and type(b) is float and a == b for a, b in zip(cold, warm))
 
 
 def test_numpy_integer_level_count_is_accepted():
@@ -294,8 +320,10 @@ def test_many_levels_take_few_level_sums(monkeypatch):
         return chain_alphas(beta1, load, mu_c)
 
     monkeypatch.setattr(levels, "chain_alphas", counted)
+    # a root cached by an earlier call with this key would count no Newton step
+    levels._level_root.cache_clear()
     alphas = solve_levels(2000, 0.5, 0.01)
-    assert len(sums) <= 40
+    assert 0 < len(sums) <= 40
     assert abs(math.fsum(alphas) - 1000.0) <= 1e-10
     for r, bound in chain_residuals(alphas, 0.01):
         assert abs(r) <= bound
