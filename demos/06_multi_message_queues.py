@@ -17,7 +17,9 @@ from coded_aoi import (
 )
 
 # The level split in a small concrete case: 10 workers, queue of 3, and a
-# code that needs 7 results in a low-straggling regime.
+# code that needs 7 results in a low-straggling regime.  The integer split
+# starts at k1 = round(alpha_1 * n), the count the age uses, and spreads the
+# rest of k over the deeper levels.
 alphas = solve_levels(3, 7 / 30, 0.01)
 print("7 results from 10 workers with 3 queued pieces each (mild straggling):")
 print("  level fractions:", [f"{a:.4f}" for a in alphas])

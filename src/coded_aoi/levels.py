@@ -44,7 +44,7 @@ class NoConvergence(Exception):
 
 
 class InconsistentK(ValueError):
-    """No integer rounding of the level fractions sums to the requested k."""
+    """After the first count, no largest remainder of the level fractions sums to k."""
 
 
 def require_int(name: str, value) -> None:
@@ -132,21 +132,35 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> tuple[float, ...]:
     if not mu_c > 0:
         raise ValueError(f"mu_c must be > 0, got {mu_c}")
     ell, alpha, mu_c = int(ell), float(alpha), float(mu_c)
-    beta = _level_root(ell, alpha, mu_c)
+    beta = _level_root(ell, alpha, mu_c, math.log1p(-alpha))
     if beta is None:
         return (ell * alpha,) + (0.0,) * (ell - 1)
     return tuple(chain_alphas(beta, ell, mu_c))
+
+
+def _mm_split(n: int, ell: int, k: int, mu_c: float) -> tuple[float, ...]:
+    """solve_levels(ell, k / (n * ell), mu_c) for counts that MultiMDS.check
+    has passed.  Past n * ell = 2**53 that ratio can round to 1.0, where
+    solve_levels' bracket -log1p(-alpha) is infinite; the integer complement
+    (n * ell - k) / (n * ell) then closes it."""
+    total = n * ell
+    alpha = k / total
+    if alpha < 1.0:
+        return solve_levels(ell, alpha, mu_c)
+    return tuple(chain_alphas(_level_root(ell, alpha, mu_c, math.log((total - k) / total)),
+                              ell, mu_c))
 
 
 # An optimizer's search over k, a sweep and a k1 column solve the same split
 # again and again; an entry is one float at any ell, so 1024 of them stay
 # small where a cached --l 2000 split would hold 2000.
 @functools.lru_cache(maxsize=1024)
-def _level_root(ell: int, alpha: float, mu_c: float) -> Optional[float]:
+def _level_root(ell: int, alpha: float, mu_c: float, log_gap: float) -> Optional[float]:
     """The Newton root beta_1 of solve_levels' split on checked arguments, or
-    None where the first level alone holds the total."""
+    None where the first level alone holds the total; log_gap is log(1 - alpha),
+    which closes the bracket."""
     target = ell * alpha
-    hi = (ell - 1) * mu_c - ell * math.log1p(-alpha)
+    hi = (ell - 1) * mu_c - ell * log_gap
     if not math.isfinite(hi) and target >= 1.0:
         raise Infeasible(
             f"total fraction {target} not reachable with {ell} levels at mu_c={mu_c}")
@@ -169,21 +183,26 @@ def _level_root(ell: int, alpha: float, mu_c: float) -> Optional[float]:
 def level_counts(alphas: tuple[float, ...], n: int, k: int) -> list[int]:
     """Integer subtask counts per level, summing to k exactly.
 
-    Largest-remainder rounding of alpha_m * n; ties go to the earlier level
-    so the counts stay nonincreasing.
+    The first count is _first_count's k1, which the age uses; the rest of k
+    goes to levels 2 on by largest remainder of alpha_m * n, ties first.
 
     Raises:
-        InconsistentK: k is too far from sum(alpha_m * n) for any rounding.
+        InconsistentK: k - k1 is too far from the deeper levels' alpha_m * n.
     """
-    if n < 1 or k < 0:
-        raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
+    if n < 1 or k < 1 or not alphas:
+        raise ValueError(f"need n >= 1, k >= 1 and a level, got n={n}, k={k}, {alphas}")
     raw = [a * n for a in alphas]
-    counts = [math.floor(r) for r in raw]
+    counts = [_first_count(alphas[0], n)] + [math.floor(r) for r in raw[1:]]
     deficit = k - sum(counts)
-    if deficit < 0 or deficit > len(raw):
+    if deficit < 0 or deficit >= len(raw):
         raise InconsistentK(
             f"cannot round level fractions {raw} to integers summing to {k}")
-    by_remainder = sorted(range(len(raw)), key=lambda m: (counts[m] - raw[m], m))
+    by_remainder = sorted(range(1, len(raw)), key=lambda m: (counts[m] - raw[m], m))
     for m in by_remainder[:deficit]:
         counts[m] += 1
     return counts
+
+
+def _first_count(alpha1: float, n: int) -> int:
+    """k1 = round(alpha_1 * n) in [1, n]: any result at all brings a first-level one."""
+    return min(max(round(alpha1 * n), 1), n)

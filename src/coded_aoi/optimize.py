@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .age import age_of
-from .levels import chain_alphas, level_counts, newton_root, require_int, solve_levels
+from .levels import _mm_split, chain_alphas, level_counts, newton_root, require_int
 from .schemes import MDS, MultiMDS, Repetition, Scheme, SystemParams, service_moments
 
 _BRANCH_POINT = -math.exp(-1.0)
@@ -193,7 +193,7 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age") -> OptRe
     cont, alpha = min(map(scaled_es, roots), key=lambda pair: pair[0])
     result = _refined(params, lambda k: MultiMDS(k, load), objective, alpha * n * load,
                       1, n * load - 1, alpha, cont / (n * load))
-    alphas = solve_levels(load, result.k_star / (n * load), mu_c)
+    alphas = _mm_split(n, load, result.k_star, mu_c)
     return replace(result, levels=tuple(level_counts(alphas, n, result.k_star)))
 
 

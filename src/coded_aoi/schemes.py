@@ -56,7 +56,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .levels import newton_root, require_int, solve_levels
+from .levels import _first_count, _mm_split, newton_root, require_int
 from .order_stats import (
     ShiftedExp,
     os_mean,
@@ -566,13 +566,10 @@ def validate(scheme: Scheme, params: SystemParams) -> None:
 
 
 def mm_k1(params: SystemParams, k: int, load: int) -> int:
-    """First-level completion count k1 = round(alpha_1 * n), clamped to [1, n].
-
-    The k-th overall result arrives exactly when the first level delivers
-    its k1-th, so the analytic service time is the k1-th order statistic of
-    the per-subtask runtimes.  A worker's m-th result follows its first, so
-    any result at all brings a first-level one: k1 >= 1 even where the
-    large-pool fraction rounds to 0.
+    """First-level completion count k1 = round(alpha_1 * n), clamped to [1, n]:
+    the first of levels.level_counts' counts for k.  The k-th overall result
+    arrives exactly when the first level delivers its k1-th, so the analytic
+    service time is the k1-th order statistic of the per-subtask runtimes.
     """
     validate(MultiMDS(k, load), params)
     return _k1(params, k, load)
@@ -585,7 +582,7 @@ def _k1(params: SystemParams, k: int, load: int) -> int:
         # round back to k only while k/n is exact
         return k
     n = params.nworkers
-    return min(max(round(solve_levels(load, k / (n * load), params.mu_c)[0] * n), 1), n)
+    return _first_count(_mm_split(n, load, k, params.mu_c)[0], n)
 
 
 def service_moments(scheme: Scheme, params: SystemParams) -> ServiceMoments:

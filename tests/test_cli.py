@@ -75,6 +75,15 @@ def test_age_mm_mds_at_k_one_prints_the_mds_age(capsys):
         .splitlines()[-1] == out.splitlines()[-1]
 
 
+def test_age_mm_mds_where_k_over_n_load_rounds_to_one(capsys):
+    # k / (n * load) is 1.0 in doubles; the first level is full, k1 = n
+    code, out, err = run_cli(capsys, "age", "--scheme", "mm-mds", "--l", "2",
+                             "--n", str(2**60), "--k", str(2**61 - 1),
+                             "--lambda", "1", "--c", "1", "--mu", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "age=2 es=1.87202885565e-17 es2=3.50758581352e-34"
+
+
 def test_optimize_mm_mds_skips_k_with_an_empty_first_level(capsys):
     code, out, err = run_cli(capsys, "optimize", "--family", "mm-mds", "--n", "20", "--l", "4",
                              "--lambda", "1", "--c", "0.02", "--mu", "0.01")

@@ -169,6 +169,10 @@ def test_level_counts_inconsistent_k():
         level_counts((0.5,), 10, 9)
     with pytest.raises(InconsistentK):
         level_counts((0.5, 0.3), 10, 3)
+    # the first count is at least 1, so no split holds k = 0
+    for args in [((0.0,), 10, 0), ((), 10, 3)]:
+        with pytest.raises(ValueError):
+            level_counts(*args)
 
 
 def test_sandwich_ordering_at_rounded_counts():

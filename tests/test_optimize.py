@@ -397,20 +397,20 @@ def test_opt_mm_mds_accepts_a_numpy_integer_load():
     assert opt_mm_mds(params(), np.int64(2)) == opt_mm_mds(params(), 2)
 
 
-def test_reported_levels_sum_to_k_star_and_stay_near_k1():
-    # levels is a largest-remainder split of k_star; k1, which the age uses,
-    # rounds alpha_1 * n on its own, so the two first counts can differ by one
+def test_reported_levels_sum_to_k_star_and_start_at_k1():
+    # levels rounds alpha_1 * n by the rule of mm_k1, which the age uses, and
+    # splits the rest of k_star over the deeper levels
     rng = np.random.default_rng(116)
     for n, load, c, mu in zip(rng.integers(2, 301, 80), rng.integers(2, 6, 80),
                               np.exp(rng.uniform(-4.6, 3.4, 80)), np.exp(rng.uniform(-4.6, 3.4, 80))):
         p = SystemParams(1.0, float(c), float(mu), int(n))
         r = opt_mm_mds(p, int(load))
-        k1 = mm_k1(p, r.k_star, int(load))
         assert sum(r.levels) == r.k_star
-        assert abs(r.levels[0] - k1) <= 1
+        assert r.levels[0] == mm_k1(p, r.k_star, int(load))
+    # rounding all five levels by largest remainder would start this split at 159
     p = SystemParams(1.0, 0.827263658631598, 1.2711609403944863, 159)
     r = opt_mm_mds(p, 5)
-    assert (r.k_star, r.levels[0], mm_k1(p, r.k_star, 5)) == (533, 159, 158)
+    assert (r.k_star, r.levels[0], mm_k1(p, r.k_star, 5)) == (533, 158, 158)
 
 
 def test_age_and_service_argmins_agree_at_large_n():

@@ -23,8 +23,11 @@ from coded_aoi import (  # noqa: E402
     SystemParams,
     Uncoded,
     age_of,
+    level_counts,
     mm_k1,
+    opt_mds,
     opt_mm_mds,
+    opt_repetition,
     run_parallel,
     sample_service_batch,
     service_moments,
@@ -128,6 +131,26 @@ def test_first_level_count_is_between_one_and_n(point):
         assert 1 <= mm_k1(p, scheme.k, scheme.load) <= p.nworkers
 
 
+log_uniform = st.floats(math.log(1e-2), math.log(30.0)).map(math.exp)
+
+
+@FEW
+@given(st.integers(2, 6), st.integers(1, 300), log_uniform, log_uniform)
+@example(5, 159, 0.827263658631598, 1.2711609403944863)  # k_star 533, k1 158
+def test_level_counts_start_at_the_first_level_count_of_the_age(load, n, c, mu):
+    # one rounding rule: at every k the reported split starts at the k1 the
+    # age uses, and the rest of k fills the deeper levels
+    p = SystemParams(1.0, c, mu, n)
+    for k in range(1, n * load):
+        counts = level_counts(solve_levels(load, k / (n * load), p.mu_c), n, k)
+        assert sum(counts) == k
+        assert counts[0] == mm_k1(p, k, load)
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
+        assert all(0 <= x <= n for x in counts)
+    r = opt_mm_mds(p, load)
+    assert r.levels[0] == mm_k1(p, r.k_star, load)
+
+
 @FEW
 @given(st.integers(1, 6), st.floats(1e-2, 1e2), st.floats(1e-6, 1e2), st.integers(2, 10**6))
 @example(4, 0.02, 0.02 * 0.01, 20)
@@ -226,6 +249,19 @@ def test_power_of_two_time_scaling_is_exact_everywhere(point, j, mode):
         assert getattr(b, name) == math.ldexp(getattr(a, name), j), name
     assert b.empirical_es2 == math.ldexp(a.empirical_es2, 2 * j)
     assert (b.dropped_fraction, b.cycles, b.seed) == (a.dropped_fraction, a.cycles, a.seed)
+
+
+@FEW
+@given(systems(), st.integers(1, 5), st.sampled_from(["age", "service"]))
+def test_optimizers_under_power_of_two_time_scaling(p, load, objective):
+    # lambda/2, 2c, mu/2 doubles every time: the same codes, and ages and
+    # service times doubled with no change of rounding
+    q = SystemParams(p.arrival_rate / 2, 2 * p.shift, p.straggling / 2, p.nworkers)
+    for opt in (opt_repetition, opt_mds, lambda s, objective: opt_mm_mds(s, load, objective)):
+        a, b = opt(p, objective=objective), opt(q, objective=objective)
+        assert (b.k_star, b.levels, b.alpha_star) == (a.k_star, a.levels, a.alpha_star)
+        assert (b.delta_star, b.continuous_objective) == \
+            (2 * a.delta_star, 2 * a.continuous_objective)
 
 
 @pytest.mark.parametrize("label", list(cli._SCHEMES))

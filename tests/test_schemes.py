@@ -618,3 +618,14 @@ def test_mm_k1_counts():
     k1 = mm_k1(p, 600, 2)
     assert k1 == round(solve_levels(2, 600 / 2000, p.mu_c)[0] * 1000)
     assert k1 >= 1
+
+
+def test_mm_k1_where_k_over_n_load_rounds_to_one():
+    # at n * load = 2**61, k / (n * load) rounds to 1.0; the split is
+    # bracketed by the integer complement, and with one subtask missing every
+    # level but the last is full
+    n = 2**60
+    p = params(n=n)
+    assert (2 * n - 1) / (2 * n) == 1.0
+    assert mm_k1(p, 2 * n - 1, 2) == n
+    assert math.isfinite(service_moments(MultiMDS(2 * n - 1, 2), p).es)
