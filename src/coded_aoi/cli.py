@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 from dataclasses import fields
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .schemes import (
 )
 from .simulate import _root_seq, run_parallel
 
-_SCHEMES = {cls.label: cls for cls in (Uncoded, Repetition, MDS, MultiMDS)}
+_SCHEMES = {cls.label: cls for cls in get_args(Scheme)}
 
 CSV_COLUMNS = ["scheme", "n", "k", "l", "lambda", "c", "mu", "es", "es2",
                "age_analytic", "age_sim_mean", "age_sim_ci95", "k1"]
@@ -301,7 +301,7 @@ def _sweep_rows(args) -> tuple[list[tuple[Scheme, SystemParams]], dict]:
                              _need(args, "mu"), n)
             rows.append((_build_scheme(args), p))
     else:
-        if scheme_name != MultiMDS.label:
+        if "load" not in {f.name for f in fields(_SCHEMES[scheme_name])}:
             raise UsageError(f"--l-range only applies to --scheme {MultiMDS.label}")
         p = _params(args)
         for load in _parse_range(args.l_range, "l-range"):

@@ -47,7 +47,6 @@ at n = 1000 (MultiMDS(129, 2) and MultiMDS(1287, 2), medians of interleaved
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import numbers
@@ -201,9 +200,9 @@ class Repetition(_OrderStat):
 
     def check(self, params: SystemParams) -> None:
         n = params.nworkers
-        require_int("repetition: k", self.k)
+        require_int(f"{self.label}: k", self.k)
         if not 1 <= self.k <= n:
-            raise ValueError(f"repetition: k must satisfy 1 <= k <= n, got k={self.k}, n={n}")
+            raise ValueError(f"{self.label}: k must satisfy 1 <= k <= n, got k={self.k}, n={n}")
 
     def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
         # the paper's model: min over n/k replicas of a (shift/k, k*rate)
@@ -231,11 +230,11 @@ class MDS(_OrderStat):
     label: ClassVar[str] = "mds"
 
     def check(self, params: SystemParams) -> None:
-        require_int("mds: k", self.k)
+        require_int(f"{self.label}: k", self.k)
         if self.k < 1:
-            raise ValueError(f"mds: k must be >= 1, got k={self.k}")
+            raise ValueError(f"{self.label}: k must be >= 1, got k={self.k}")
         if self.k >= params.nworkers:
-            raise ValueError(f"mds: k must be < n, got k={self.k}, n={params.nworkers}")
+            raise ValueError(f"{self.label}: k must be < n, got k={self.k}, n={params.nworkers}")
 
     def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
         return params.whole_task().split(self.k), params.nworkers, self.k
@@ -251,13 +250,13 @@ class MultiMDS(_OrderStat):
 
     def check(self, params: SystemParams) -> None:
         n = params.nworkers
-        require_int("mm-mds: k", self.k)
-        require_int("mm-mds: load", self.load)
+        require_int(f"{self.label}: k", self.k)
+        require_int(f"{self.label}: load", self.load)
         if self.load < 1:
-            raise ValueError(f"mm-mds: load must be >= 1, got {self.load}")
+            raise ValueError(f"{self.label}: load must be >= 1, got {self.load}")
         if not 1 <= self.k < n * self.load:
             raise ValueError(
-                f"mm-mds: k must satisfy 1 <= k < n*load, got k={self.k}, "
+                f"{self.label}: k must satisfy 1 <= k < n*load, got k={self.k}, "
                 f"n={n}, load={self.load}")
 
     def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
@@ -294,8 +293,10 @@ def _windows(d: ShiftedExp, n: int, k: int, load: int) -> list[tuple[int, int]]:
     median of 8 evaluations over random systems; to first order S = t0 +
     (k - sum N_m(t0)) / sum rho, with rho_m = n f(t0/m) / m the rate of
     level m, so c_m = N_m(t0) + w_m (k - sum N_l(t0)), w_m = rho_m / sum
-    rho.  Its variance follows from Cov(N_m, N_l) = n (p_max(m,l) - p_m
-    p_l), and the window is n p_m +- (Z sd(c_m) + 1) for Z = WINDOW_Z, cut
+    rho.  p falls with m, so one worker's level count L has P(L >= m) =
+    p_m, and the variance of c_m follows from L's moments in O(load):
+    Var(sum N) = n Var(L) and Cov(N_m, sum N) = n (m p_m + sum_{j>m} p_j -
+    p_m E[L]).  The window is n p_m +- (Z sd(c_m) + 1) for Z = WINDOW_Z, cut
     to 1..n.  Any windows leave the sampler exact; these only make it fast.
     """
     levels = range(1, load + 1)
@@ -315,16 +316,16 @@ def _windows(d: ShiftedExp, n: int, k: int, load: int) -> list[tuple[int, int]]:
     # where rho underflows at every level, each window keeps its level's own spread
     rho = rates(t0)
     rate = math.fsum(rho) or 1.0
-    w = [r / rate for r in rho]
-    # p falls with m, so p_max(m,l) is p at the larger index
-    cov = [[n * (p[max(i, j)] - p[i] * p[j]) for j in range(load)] for i in range(load)]
-    sums = [math.fsum(c) for c in cov]
-    total = math.fsum(sums)
+    mean = math.fsum(p)
+    total = n * (math.fsum((2 * m - 1) * q for m, q in zip(levels, p)) - mean * mean)
+    # sum_{j>m} p_j at each level m
+    above = list(itertools.accumulate(reversed(p), initial=0.0))[-2::-1]
     out = []
-    for i in range(load):
-        var = cov[i][i] - 2 * w[i] * sums[i] + w[i] * w[i] * total
+    for m, q, r, rest in zip(levels, p, rho, above):
+        w, cov = r / rate, n * (m * q + rest - q * mean)  # cov = Cov(N_m, sum N)
+        var = n * (q - q * q) - 2 * w * cov + w * w * total
         half = WINDOW_Z * math.sqrt(max(var, 0.0)) + 1
-        out.append((max(1, math.floor(n * p[i] - half)), min(n, math.ceil(n * p[i] + half))))
+        out.append((max(1, math.floor(n * q - half)), min(n, math.ceil(n * q + half))))
     return out
 
 
@@ -334,8 +335,8 @@ class _WindowPlan:
 
     ``ranks`` is the union of the windows' worker ranks, ascending; a row
     holds X_(j) for j in ``ranks``.  The union falls into segments of
-    consecutive ranks; ``edges`` holds the positions in ``ranks`` of each
-    segment's first and last rank, interleaved.  The pooled elements are
+    consecutive ranks; ``starts`` and ``ends`` hold the positions in
+    ``ranks`` of each segment's first and last rank.  The pooled elements are
     m X_(j) for every rank j of level m's window: a pooled row holds each
     rank of ``ranks`` once, times ``scale``, the lowest level whose window
     holds it, then the ranks at the positions ``extra`` times
@@ -346,13 +347,19 @@ class _WindowPlan:
     """
 
     ranks: np.ndarray
-    edges: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
     scale: np.ndarray
     extra: np.ndarray
     extra_scale: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     col: int
+
+    def chunk_rows(self) -> int:
+        """Rows per chunk of at most SCRATCH_DOUBLES doubles: each row's
+        X_(j) at ``ranks`` and its pooled elements."""
+        return max(1, SCRATCH_DOUBLES // (2 * self.ranks.size + self.extra.size))
 
 
 def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
@@ -364,18 +371,13 @@ def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
             segments[-1][1] = max(segments[-1][1], b)
         else:
             segments.append([a, b])
-    firsts = [a for a, _ in segments]
-    offsets = list(itertools.accumulate((b - a + 1 for a, b in segments), initial=0))
-
-    def column(rank: int) -> int:
-        i = bisect.bisect_right(firsts, rank) - 1
-        return offsets[i] + rank - firsts[i]
-
     ranks = np.concatenate([np.arange(a, b + 1) for a, b in segments])
-    # each rank at the lowest level whose window holds it, so the windows
-    # are written from the top level down; then the ranks each window
-    # shares with a lower one, level by level
-    spans = [(column(a), column(b) + 1) for a, b in windows]
+    starts, ends = np.searchsorted(ranks, np.array(segments).T)
+    # each window's columns [c, e); each rank at the lowest level whose
+    # window holds it, so the windows are written from the top level down;
+    # then the ranks each window shares with a lower one, level by level
+    firsts, lasts = np.searchsorted(ranks, np.array(windows).T).tolist()
+    spans = [(c, e + 1) for c, e in zip(firsts, lasts)]
     scale = np.empty(ranks.size)
     for m in range(len(windows), 0, -1):
         scale[slice(*spans[m - 1])] = m
@@ -391,7 +393,8 @@ def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
         at += extra.size
     return _WindowPlan(
         ranks=ranks,
-        edges=np.array([[c, e - 1] for c, e in zip(offsets, offsets[1:])]).ravel(),
+        starts=starts,
+        ends=ends,
         scale=scale,
         extra=np.concatenate(shared),
         extra_scale=np.repeat(np.arange(1.0, len(windows) + 1), [e.size for e in shared]),
@@ -445,14 +448,14 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, windows: list[tuple[int, int
     k-th in law, for any windows.
     """
     plan = _window_plan(windows, n, k)
-    ranks, starts, ends = plan.ranks, plan.edges[0::2], plan.edges[1::2]
+    ranks, starts, ends = plan.ranks, plan.starts, plan.ends
     # the spacing scale 1/(n - j + 1) of each rank j; a segment's first rank
     # takes its gamma jump instead, which overwrites that column's draw
     gaps = 1.0 / (n + 1 - ranks)
     # the last rank j below each segment's first rank u (0 for the first)
     below = np.concatenate([[0], ranks[ends][:-1]])
     spacing = ShiftedExp(0.0, d.rate)
-    step = max(1, SCRATCH_DOUBLES // (2 * ranks.size + plan.extra.size))
+    step = plan.chunk_rows()
     wait = max(1, WIDEN_DOUBLES // ranks.size)
     out = np.empty(size)
     missed, known = [], []
@@ -500,7 +503,7 @@ def _settle(d: ShiftedExp, n: int, k: int, rng: np.random.Generator,
             windows = [(max(1, a - g), min(n, b + g)) for (a, b), g in zip(windows, grow)]
             rounds.append((windows, _window_plan(windows, n, k)))
         plan, wide = rounds[r - 1][1], rounds[r][1]
-        step = max(1, SCRATCH_DOUBLES // (2 * wide.ranks.size + wide.extra.size))
+        step = wide.chunk_rows()
         rows, x, missed, known = missed, np.concatenate(known), [], []
         for i in range(0, rows.size, step):
             wider = _widen(d, n, rng, plan, wide, x[i:i + step])
@@ -528,9 +531,9 @@ def _widen(d: ShiftedExp, n: int, rng: np.random.Generator, plan: _WindowPlan,
     out = np.empty((x.shape[0], ranks.size))
     out[:, 0], out[:, -1] = d.shift, np.inf
     # each known segment's columns: [start, stop) in out, first column in x
-    firsts = plan.edges[0::2].tolist()
-    starts = np.searchsorted(ranks, plan.ranks[plan.edges[0::2]]).tolist()
-    stops = [c + e - f + 1 for c, f, e in zip(starts, firsts, plan.edges[1::2].tolist())]
+    firsts = plan.starts.tolist()
+    starts = np.searchsorted(ranks, plan.ranks[plan.starts]).tolist()
+    stops = [c + e - f + 1 for c, f, e in zip(starts, firsts, plan.ends.tolist())]
     for c, e, f in zip(starts, stops, firsts):
         out[:, c:e] = x[:, f:f + e - c]
     # each gap's new columns [a, b); column b holds the known rank above them

@@ -40,7 +40,8 @@ Two modes:
 The alternative source policy "return-triggered" (send the next update when
 the processed result comes back, rather than on acceptance of the previous
 transmission) is available for empirical comparison; nothing is ever
-dropped under it, so both modes coincide there.
+dropped under it, so both modes coincide there.  ``_cycles`` is the one
+place of a replication's draw order, for every mode and policy.
 """
 from __future__ import annotations
 
@@ -98,33 +99,25 @@ class SimReport:
     dropped_fraction: Optional[float] = None
 
 
-@dataclass
-class _RepStats:
-    area_batches: np.ndarray
-    time_batches: np.ndarray
-    sum_s: float
-    sum_s2: float
-    sum_d: float
-    sum_z: float
-    arrivals: int = 0
+def _cycles(scheme: Scheme, params: SystemParams, rng: Generator, cycles: int,
+            mode: str, policy: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One replication's draws, in the draw order of every mode and policy.
 
-
-def _fast_cycles(scheme, params, rng, cycles, policy):
-    exp = ShiftedExp(0.0, params.arrival_rate)
-    s = sample_service_batch(scheme, params, rng, cycles + 1)
-    if policy == "return-triggered":
-        d = sample_batch(exp, rng, cycles + 1)
-        d_used, z = d[:-1], d[1:]
-    else:
-        d_used = sample_batch(exp, rng, cycles)
-        z = sample_batch(exp, rng, cycles)
-    return s, d_used, z
-
-
-def _stream_cycles(scheme, params, rng, cycles):
+    Returns the cycles + 1 service times s, the transit ages d_used and idle
+    waits z of the first ``cycles`` updates, and the arrivals the pool saw
+    (0 unless the full stream counts them).  s is drawn first; then
+    return-triggered sending draws cycles + 1 transit ages, each update's
+    idle wait being the next one's, fast mode d_used and then z, and the
+    full stream checks the cost cap, draws d_used and walks z.
+    """
     lam = params.arrival_rate
     exp = ShiftedExp(0.0, lam)
     s = sample_service_batch(scheme, params, rng, cycles + 1)
+    if policy == "return-triggered":
+        d = sample_batch(exp, rng, cycles + 1)
+        return s, d[:-1], d[1:], 0
+    if mode == "fast":
+        return s, sample_batch(exp, rng, cycles), sample_batch(exp, rng, cycles), 0
     # "not <=" refuses an infinite or NaN mean too
     if not lam * s.mean() <= MAX_DROPS_PER_CYCLE:
         raise ValueError(
@@ -170,31 +163,6 @@ def _stream_cycles(scheme, params, rng, cycles):
         wait = np.flatnonzero(early == w)
         idx, need, waited = idx.take(wait), need.take(wait), last.take(wait)
     return s, d_used, z, cycles + 1 + dropped
-
-
-def _simulate_rep(scheme: Scheme, params: SystemParams, rng: Generator,
-                  cycles: int, mode: str, policy: str) -> _RepStats:
-    if mode == "full_stream" and policy != "return-triggered":
-        s, d_used, z, arrivals = _stream_cycles(scheme, params, rng, cycles)
-    else:
-        s, d_used, z = _fast_cycles(scheme, params, rng, cycles, policy)
-        arrivals = 0
-    s_used = s[:-1]
-    # cycle i starts at the age v = d_i + s_i of update i and lasts until
-    # update i+1 returns, z_i + s_{i+1} later
-    v = d_used + s_used
-    length = z + s[1:]
-    areas = length * (v + 0.5 * length)
-    edges = (np.arange(BATCHES) * cycles) // BATCHES
-    return _RepStats(
-        area_batches=np.add.reduceat(areas, edges),
-        time_batches=np.add.reduceat(length, edges),
-        sum_s=float(s_used.sum()),
-        sum_s2=float((s_used * s_used).sum()),
-        sum_d=float(d_used.sum()),
-        sum_z=float(z.sum()),
-        arrivals=arrivals,
-    )
 
 
 # The batch-means interval needs one Student-t quantile,
@@ -293,7 +261,8 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     (InsufficientCycles otherwise).  A report whose age or moments a double
     cannot hold raises OverflowError, as age_of does for the analytic age.
 
-    Service times come from the scheme alone: each replication calls
+    Each replication's draws come from ``_cycles``, the one place of their
+    order.  Service times come from the scheme alone: each replication calls
     ``sample_service_batch`` once, for all of its cycles_per_rep + 1 of
     them, so a ``sample`` override must bound its own scratch memory, as
     MultiMDS at load >= 2 does: its window sampler holds its draws in row
@@ -315,14 +284,24 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     validate(scheme, params)
 
     root = _root_seq(seed)
-    stats = [
-        _simulate_rep(scheme, params, Generator(PCG64(child)), cycles_per_rep, mode, policy)
-        for child in root.spawn(reps)
-    ]
-    area = np.concatenate([r.area_batches for r in stats])
-    time = np.concatenate([r.time_batches for r in stats])
+    edges = (np.arange(BATCHES) * cycles_per_rep) // BATCHES
+    area, time, sums, arrivals = [], [], [0.0] * 4, 0
+    for child in root.spawn(reps):
+        s, d_used, z, seen = _cycles(scheme, params, Generator(PCG64(child)),
+                                     cycles_per_rep, mode, policy)
+        s_used = s[:-1]
+        # cycle i starts at the age v = d_i + s_i of update i and lasts until
+        # update i+1 returns, z_i + s_{i+1} later
+        length = z + s[1:]
+        area.append(np.add.reduceat(length * (d_used + s_used + 0.5 * length), edges))
+        time.append(np.add.reduceat(length, edges))
+        moments = (s_used.sum(), (s_used * s_used).sum(), d_used.sum(), z.sum())
+        sums = [total + float(m) for total, m in zip(sums, moments)]
+        arrivals += seen
+        del s, d_used, z, s_used, length  # freed before the next replication draws
+    area, time = np.concatenate(area), np.concatenate(time)
     cycles = reps * cycles_per_rep
-    arrivals = sum(r.arrivals for r in stats)
+    es, es2, ed, ez = (total / cycles for total in sums)
     # every replication accepts cycles_per_rep + 1 of its arrivals
     frac = (arrivals - reps * (cycles_per_rep + 1)) / arrivals if arrivals else None
     entropy = root.entropy
@@ -331,10 +310,7 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
         mean_age=float(area.sum() / time.sum()),
         ci95_halfwidth=batch_means_ci(area, time),
         cycles=cycles,
-        empirical_es=sum(r.sum_s for r in stats) / cycles,
-        empirical_es2=sum(r.sum_s2 for r in stats) / cycles,
-        empirical_ed=sum(r.sum_d for r in stats) / cycles,
-        empirical_ez=sum(r.sum_z for r in stats) / cycles,
+        empirical_es=es, empirical_es2=es2, empirical_ed=ed, empirical_ez=ez,
         seed=seed_out,
         dropped_fraction=frac,
     )

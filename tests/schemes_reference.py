@@ -11,13 +11,18 @@ every worker, where the library draws single-level service times from their
 order-statistic law (``law_sample``).  ``with_mechanism`` hands it to the
 simulator as a subclass of the scheme; ``ZeroService`` is a scheme whose
 service time is always 0.
+
+``windows`` is the MultiMDS sampler's window rule with the level counts'
+load x load covariance matrix written out.
 """
 import dataclasses
+import math
 
 import numpy as np
 
 from coded_aoi import MDS, MultiMDS, Repetition, ServiceMoments, ShiftedExp, Uncoded
-from coded_aoi.levels import solve_levels
+from coded_aoi.levels import newton_root, solve_levels
+from coded_aoi import schemes
 from coded_aoi.order_stats import os_mean, os_var, sample_batch
 
 # worker draws per row chunk of mechanism_sample
@@ -144,3 +149,40 @@ def law_sample(scheme, params, rng, size):
 def os_law(d, n, k, rng, size):
     g = rng.standard_gamma([k, n - k + 1], (size, 2))
     return d.shift + np.log1p(g[:, 0] / g[:, 1]) / d.rate
+
+
+def windows(d, n, k, load):
+    """Each level's window [a_m, b_m] of worker ranks, from the covariance matrix.
+
+    Level m holds N_m(t) ~ Bin(n, p_m) elements by time t, p_m = F(t/m),
+    with Cov(N_m, N_l) = n (p_max(m,l) - p_m p_l).  At the crossing time t0
+    of E[sum N_m] = k, c_m = N_m + w_m (k - sum N_l) for w_m = rho_m / sum
+    rho, rho_m the rate of level m, and the window is n p_m +- (Z sd(c_m) +
+    1) for Z = schemes.WINDOW_Z, cut to 1..n.  O(load^2) per call.
+    """
+    levels = range(1, load + 1)
+
+    def cdf(x):
+        return -math.expm1(-d.rate * (x - d.shift)) if x > d.shift else 0.0
+
+    def rates(t):
+        return [math.exp(-d.rate * (t / m - d.shift)) / m if t / m >= d.shift else 0.0
+                for m in levels]
+
+    def excess(t):
+        return n * sum(cdf(t / m) for m in levels) - k, n * d.rate * math.fsum(rates(t))
+
+    t0 = newton_root(excess, d.shift, load * (d.shift + 40 / d.rate))[0]
+    p = [cdf(t0 / m) for m in levels]
+    rho = rates(t0)
+    rate = math.fsum(rho) or 1.0
+    w = [r / rate for r in rho]
+    cov = [[n * (p[max(i, j)] - p[i] * p[j]) for j in range(load)] for i in range(load)]
+    sums = [math.fsum(c) for c in cov]
+    total = math.fsum(sums)
+    out = []
+    for i in range(load):
+        var = cov[i][i] - 2 * w[i] * sums[i] + w[i] * w[i] * total
+        half = schemes.WINDOW_Z * math.sqrt(max(var, 0.0)) + 1
+        out.append((max(1, math.floor(n * p[i] - half)), min(n, math.ceil(n * p[i] + half))))
+    return out

@@ -1,4 +1,4 @@
-"""Reference full-stream walk: the round rule of ``simulate._stream_cycles``.
+"""Reference full-stream walk: the round rule of ``simulate._cycles``.
 
 ``round_walk`` draws the same random stream as the library's walk and adds
 each cycle's gaps one at a time in Python floats, so the library's output
@@ -11,7 +11,7 @@ from coded_aoi.simulate import MAX_DROPS_PER_CYCLE
 
 
 def round_walk(scheme, params, rng, cycles):
-    """The round rule of _stream_cycles one gap at a time, in Python floats.
+    """The round rule of the full-stream _cycles one gap at a time, in Python floats.
 
     Each round draws one (waiting cycles, w) matrix of gaps, whatever the
     slice size, and adds each row's gaps in turn onto the cycle's wait.

@@ -334,6 +334,42 @@ def test_sweep_custom_range_validation(tmp_path, capsys):
     assert code == 2 and "range" in err
 
 
+class LabelledMultiMDS(schemes.MultiMDS):
+    """MultiMDS under a label of its own, as a subclass with another law would be."""
+
+    label = "mm-labelled"
+
+
+def test_scheme_subclass_runs_an_l_range_sweep_under_its_own_label(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the CLI reads a scheme's label and fields off its class: --l-range
+    # takes any class with a load field, and check errors name the label
+    monkeypatch.setitem(cli._SCHEMES, LabelledMultiMDS.label, LabelledMultiMDS)
+    cli._build_parser.cache_clear()  # --scheme takes its choices from _SCHEMES
+    try:
+        out = tmp_path / "l.csv"
+        code, _, err = run_cli(capsys, "sweep", "--scheme", "mm-labelled", "--k", "15",
+                               "--l-range", "1:3", "--n", "20", "--lambda", "1", "--c", "1",
+                               "--mu", "1", "--seed", "1", "--out", str(out))
+        assert code == 0, err
+        rows = read_rows(out)
+        assert [(r["scheme"], r["l"]) for r in rows] == [("mm-labelled", str(m)) for m in (1, 2, 3)]
+        code, _, err = run_cli(capsys, "age", "--scheme", "mm-labelled", "--k", "40", "--l", "2",
+                               "--n", "20", "--lambda", "1", "--c", "1", "--mu", "1")
+        assert code == 2
+        assert "mm-labelled: k must satisfy 1 <= k < n*load, got k=40" in err
+    finally:
+        cli._build_parser.cache_clear()
+
+
+def test_l_range_needs_a_scheme_with_a_load(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "sweep", "--scheme", "mds", "--k", "5", "--l-range", "1:2",
+                           "--n", "10", "--lambda", "1", "--c", "1", "--mu", "1", "--seed", "1",
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "--l-range only applies to --scheme mm-mds" in err
+
+
 def test_csv_number_format_is_twelve_significant_digits(tmp_path, capsys):
     out_path = tmp_path / "f.csv"
     run_cli(capsys, "sweep", "--scheme", "mds", "--k-range", "69:69", "--n", "100",

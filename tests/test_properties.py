@@ -33,7 +33,7 @@ from coded_aoi import (  # noqa: E402
     service_moments,
     solve_levels,
 )
-from coded_aoi import cli, simulate  # noqa: E402
+from coded_aoi import cli, schemes, simulate  # noqa: E402
 from coded_aoi.levels import CHAIN_TOL, Infeasible, NoConvergence  # noqa: E402
 from levels_reference import chain_alphas_grid, chain_residuals  # noqa: E402
 import schemes_reference  # noqa: E402
@@ -218,7 +218,8 @@ def test_stream_cycles_equal_the_round_walk(scheme, lam, cycles, seed, wait_slic
     # the walk's scan layout, slices and compaction leave its bits as they are
     p = SystemParams(lam, 1.0, 1.0, 10)
     with mock.patch.object(simulate, "WAIT_SLICE", wait_slice):
-        got = simulate._stream_cycles(scheme, p, Generator(PCG64(seed)), cycles)
+        got = simulate._cycles(scheme, p, Generator(PCG64(seed)), cycles,
+                               "full_stream", "zero-wait")
     want = simulate_reference.round_walk(scheme, p, Generator(PCG64(seed)), cycles)
     assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]
     assert got[3] == want[3]
@@ -262,6 +263,22 @@ def test_optimizers_under_power_of_two_time_scaling(p, load, objective):
         assert (b.k_star, b.levels, b.alpha_star) == (a.k_star, a.levels, a.alpha_star)
         assert (b.delta_star, b.continuous_objective) == \
             (2 * a.delta_star, 2 * a.continuous_objective)
+
+
+@FEW
+@given(st.integers(2, 8), st.integers(1, 10**6), st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(-3.0, 2.0), st.floats(-3.0, 2.0))
+def test_windows_within_one_rank_of_the_covariance_matrix_form(load, n, at, log_c, log_mu):
+    # the level-count moments round differently from the covariance matrix,
+    # which moves a window end by at most one rank; the sampler is exact for
+    # any windows
+    k = 1 + int(at * (n * load - 1))
+    d = SystemParams(1.0, 10**log_c, 10**log_mu, n).whole_task().split(k)
+    got = schemes._windows(d, n, k, load)
+    want = schemes_reference.windows(d, n, k, load)
+    assert len(got) == len(want) == load
+    for (a, b), (a_ref, b_ref) in zip(got, want):
+        assert abs(a - a_ref) <= 1 and abs(b - b_ref) <= 1, (got, want)
 
 
 @pytest.mark.parametrize("label", list(cli._SCHEMES))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from schemes_reference import (
     mechanism_sample,
     multiset_kth,
     order_stat,
+    windows as reference_windows,
     with_mechanism,
 )
 
@@ -180,6 +182,36 @@ def test_windows_sit_at_the_crossing_rank_where_the_count_slope_overflows():
     assert schemes._windows(d, p.nworkers, scheme.k, scheme.load) == [(999, 1000), (1, 1)]
 
 
+# (n, k, load, mu) of the mm-mds golden, benchmark and CI points
+WINDOW_POINTS = [
+    (20, 30, 2, 1.0), (100, 129, 2, 1.0), (1000, 1287, 2, 1.0), (10**6, 1287000, 2, 1.0),
+    (10**6, 3999999, 4, 2.0), (10**6, 2999990, 3, 1.0), (10**8, 128700000, 2, 1.0),
+    (100, 399, 4, 2.0), (100, 100000, 2000, 0.01),
+]
+
+
+@pytest.mark.parametrize("n, k, load, mu", WINDOW_POINTS)
+def test_windows_equal_the_covariance_matrix_form(n, k, load, mu):
+    # the level-count moments give the same windows as the load x load
+    # covariance matrix at every point the goldens, benchmark and CI sample
+    d = params(mu=mu, n=n).whole_task().split(k)
+    assert schemes._windows(d, n, k, load) == reference_windows(d, n, k, load)
+
+
+def test_window_setup_is_linear_in_the_load():
+    # MultiMDS(150000, 2000) at n = 100: a load x load covariance matrix
+    # took 1.3-2.1 s per sample call, the level-count moments about 15 ms
+    n, k, load = 100, 150_000, 2000
+    d = params(n=n).whole_task().split(k)
+
+    def setup():
+        start = time.perf_counter()
+        schemes._window_plan(schemes._windows(d, n, k, load), n, k)
+        return time.perf_counter() - start
+
+    assert min(setup() for _ in range(3)) < 0.25
+
+
 def fixed_worker_times(d, rows, n):
     """Worker times from d at fixed, distinct uniforms that vary from row to row.
 
@@ -242,19 +274,15 @@ def test_window_selection_is_the_multiset_kth(n, load, k, mu, windows):
 
 
 def plan_from_sets(windows):
-    """ranks and edges of a window plan, built from Python sets, and each
-    rank's levels, ascending."""
+    """ranks, segment starts and segment ends of a window plan, built from
+    Python sets, and each rank's levels, ascending."""
     ranks = sorted(set().union(*(range(a, b + 1) for a, b in windows)))
     column = {rank: i for i, rank in enumerate(ranks)}
-    edges = []
-    for i, rank in enumerate(ranks):
-        if rank - 1 not in column:
-            edges.append(i)
-        if rank + 1 not in column:
-            edges.append(i)
+    starts = [i for i, rank in enumerate(ranks) if rank - 1 not in column]
+    ends = [i for i, rank in enumerate(ranks) if rank + 1 not in column]
     levels = {rank: [m for m, (a, b) in enumerate(windows, 1) if a <= rank <= b]
               for rank in ranks}
-    return ranks, edges, levels
+    return ranks, starts, ends, levels
 
 
 def plan_windows():
@@ -273,9 +301,10 @@ def plan_windows():
 def test_window_plan_matches_a_set_construction():
     for windows, n, k in plan_windows():
         plan = schemes._window_plan(windows, n, k)
-        ranks, edges, levels = plan_from_sets(windows)
+        ranks, starts, ends, levels = plan_from_sets(windows)
         assert plan.ranks.tolist() == ranks, windows
-        assert plan.edges.tolist() == edges, windows
+        assert plan.starts.tolist() == starts, windows
+        assert plan.ends.tolist() == ends, windows
         # a pooled row: each rank at its lowest level, then one column per
         # further level that shares it
         pooled = list(zip(ranks, plan.scale.tolist()))

@@ -1,4 +1,5 @@
 """Simulator checks: exact limits, determinism, mode agreement, moment recovery."""
+import functools
 import math
 import os
 import subprocess
@@ -27,9 +28,9 @@ from coded_aoi import (
 import coded_aoi
 from coded_aoi import schemes, simulate
 from coded_aoi.simulate import (
+    BATCHES,
     MAX_DROPS_PER_CYCLE,
-    _simulate_rep,
-    _stream_cycles,
+    _cycles,
     _t_quantile,
     batch_means_ci,
 )
@@ -39,6 +40,10 @@ from simulate_reference import round_walk
 
 def params(lam=1.0, c=1.0, mu=1.0, n=100):
     return SystemParams(lam, c, mu, n)
+
+
+# the full-stream walk of zero-wait sending, as (scheme, params, rng, cycles)
+stream_cycles = functools.partial(_cycles, mode="full_stream", policy="zero-wait")
 
 
 def test_zero_service_gives_twice_inverse_rate():
@@ -180,9 +185,15 @@ def jackknife_ci(area_batches, time_batches):
 
 def test_jackknife_matches_batch_means_scale():
     rng = Generator(PCG64(SeedSequence(3)))
-    rep = _simulate_rep(MDS(69), params(), rng, 60_000, "fast", "zero-wait")
-    bm = batch_means_ci(rep.area_batches, rep.time_batches)
-    jk = jackknife_ci(rep.area_batches, rep.time_batches)
+    cycles = 60_000
+    s, d_used, z, _ = _cycles(MDS(69), params(), rng, cycles, "fast", "zero-wait")
+    # run_parallel's batches: cycle i lasts z_i + s_{i+1} from the age d_i + s_i
+    length = z + s[1:]
+    edges = (np.arange(BATCHES) * cycles) // BATCHES
+    area = np.add.reduceat(length * (d_used + s[:-1] + 0.5 * length), edges)
+    time = np.add.reduceat(length, edges)
+    bm = batch_means_ci(area, time)
+    jk = jackknife_ci(area, time)
     assert 0.5 < jk / bm < 2.0
 
 
@@ -260,7 +271,7 @@ WALK_BLOCK = 1 << 14  # arrivals per draw of the reference walk; any size draws 
 
 
 def _reference_stream_cycles(scheme, params, rng, cycles):
-    """The global per-arrival event walk whose law _stream_cycles must follow.
+    """The global per-arrival event walk whose law the full-stream _cycles must follow.
 
     One arrival stream for the whole run, every arrival carrying a drawn
     transit age, the dropped ones too.
@@ -335,7 +346,7 @@ STREAM_RATES = pytest.mark.parametrize("lam", [0.05, 1.0, 20.0, 200.0])
 def test_stream_cycles_bitwise_equal_to_event_walk(scheme, lam):
     p = params(lam=lam, n=10)
     for seed, cycles in ((51, 30), (52, 8192), (53, 1)):
-        got = _stream_cycles(scheme, p, Generator(PCG64(seed)), cycles)
+        got = stream_cycles(scheme, p, Generator(PCG64(seed)), cycles)
         want = round_walk(scheme, p, Generator(PCG64(seed)), cycles)
         assert len(got) == len(want)
         assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]
@@ -357,7 +368,7 @@ def _stream_law_sample(walk, scheme, p, seeds, cycles):
 
 def _assert_same_stream_law(scheme, p, seeds, cycles):
     stats = pytest.importorskip("scipy.stats")
-    z, d, dropped, expected = _stream_law_sample(_stream_cycles, scheme, p, seeds, cycles)
+    z, d, dropped, expected = _stream_law_sample(stream_cycles, scheme, p, seeds, cycles)
     z_ref, d_ref, dropped_ref, expected_ref = _stream_law_sample(
         _reference_stream_cycles, scheme, p, [seed + 100 for seed in seeds], cycles)
     assert stats.ks_2samp(z, z_ref).pvalue > 1e-4
@@ -410,7 +421,7 @@ def test_stream_cycles_scratch_is_bounded(monkeypatch):
     def peak():
         tracemalloc.start()
         try:
-            arrivals = _stream_cycles(Uncoded(), p, Generator(PCG64(5)), cycles)[3]
+            arrivals = stream_cycles(Uncoded(), p, Generator(PCG64(5)), cycles)[3]
             return tracemalloc.get_traced_memory()[1], arrivals
         finally:
             tracemalloc.stop()
