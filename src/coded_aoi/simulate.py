@@ -45,6 +45,7 @@ place of a replication's draw order, for every mode and policy.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -133,8 +134,10 @@ def _cycles(scheme: Scheme, params: SystemParams, rng: Generator, cycles: int,
     dropped = 0
     while idx.size:
         # about the arrivals the average waiting cycle still needs, so the
-        # rounds are about log-many; the cap bounds a row's memory
-        w = 1 + int(min(lam * (need - waited).mean(), MAX_DROPS_PER_CYCLE))
+        # rounds are about log-many; the cap bounds a row's memory.  The
+        # sum over the count is the double .mean() gives, without its
+        # Python-level wrapper
+        w = 1 + int(min(lam * ((need - waited).sum() / idx.size), MAX_DROPS_PER_CYCLE))
         rows = max(1, WAIT_SLICE // w)
         early = np.empty(idx.size, dtype=np.intp)
         last = np.empty(idx.size)
@@ -155,12 +158,12 @@ def _cycles(scheme: Scheme, params: SystemParams, rng: Generator, cycles: int,
             else:
                 np.cumsum(t, axis=1, out=t)
                 n_early[:] = np.count_nonzero(t < cut[:, None], axis=1)
-            hit = np.flatnonzero(n_early < w)
+            hit = (n_early < w).nonzero()[0]
             z[idx.take(a + hit)] = t.ravel().take(hit * w + n_early.take(hit)) - cut.take(hit)
             last[a:b] = t[:, -1]
             del t  # freed before the next slice is drawn, not after
         dropped += int(early.sum())
-        wait = np.flatnonzero(early == w)
+        wait = (early == w).nonzero()[0]
         idx, need, waited = idx.take(wait), need.take(wait), last.take(wait)
     return s, d_used, z, cycles + 1 + dropped
 
@@ -210,6 +213,8 @@ def _t_density(t: float, df: int) -> float:
                     - 0.5 * math.log(df * math.pi) - (df + 1) / 2 * math.log1p(t * t / df))
 
 
+# every run at the default BATCHES asks for the same df; an entry is one float
+@functools.lru_cache(maxsize=64)
 def _t_quantile(df: int) -> float:
     """Student-t quantile t_{0.975}(df) for an integer df >= 1.
 
