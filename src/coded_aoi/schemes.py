@@ -37,13 +37,15 @@ divides n; for MultiMDS it is the large-pool model: the k-th result overall
 arrives with the first level's k1-th (see ``mm_k1``), and at load 1 it is
 the MDS triple.  Samples come from order-statistic laws in O(1) per service
 time (see ``_os_sample``), not from N worker draws: Repetition takes the
-larger of two, one per group size.  MultiMDS at load >= 2 draws only the
-worker order statistics in a window of ranks around each level's share of
-the k-th result (see ``_multiset_sample``): two gammas per run of
-consecutive ranks and one exponential per rank, then a sort of the windows'
-elements.  That costs about 1.2 us per service time at n = 100 and 2.4 us
-at n = 1000 (MultiMDS(129, 2) and MultiMDS(1287, 2), medians of interleaved
-4097-sample calls, 2-core Intel Xeon VM, numpy 2.4).
+larger of two, one per group size.  That costs 55 to 85 ns per service time
+at any n, and about 115 ns for Repetition where k does not divide n.
+MultiMDS at load >= 2 draws only the worker order statistics in a window of
+ranks around each level's share of the k-th result (see
+``_multiset_sample``): two gammas per run of consecutive ranks and one
+exponential per rank, then a sort of the windows' elements.  That costs
+about 1.1 us per service time at n = 100 and 2.2 us at n = 1000
+(MultiMDS(129, 2) and MultiMDS(1287, 2)).  All are medians of interleaved
+4097-sample calls on a 2-core Intel Xeon VM, Python 3.11, numpy 2.4.
 """
 from __future__ import annotations
 
@@ -85,7 +87,8 @@ SCRATCH_DOUBLES = 1 << 16
 WINDOW_Z = 1.75
 WINDOW_GROWTH = 1.5
 # MultiMDS service times whose segment-start gammas are drawn together: the
-# sampler draws a block's gammas, then its in-window spacings.
+# sampler draws a block's jump to each segment's first rank, segment by
+# segment (see _os_sample), then its in-window spacings.
 ROW_BLOCK = 1 << 10
 # First-pass doubles of the MultiMDS sampler between widening rounds: the
 # rows the windows leave unsettled wait for theirs until the end, or the
@@ -148,22 +151,24 @@ class ServiceMoments:
     es2: float
 
 
-def _os_sample(d: ShiftedExp, n: "int | np.ndarray", k: "int | np.ndarray",
-               rng: np.random.Generator, size: int) -> np.ndarray:
+def _os_sample(d: ShiftedExp, n: int, k: int, rng: np.random.Generator,
+               size: int) -> np.ndarray:
     """``size`` draws of the k-th smallest of n i.i.d. draws from d, from its law.
 
     The k-th of n uniforms is B = G_k / (G_k + G_{n-k+1}) for independent
     standard gammas (David & Nagaraja, Order Statistics, 2003), and the
     inverse CDF maps it to d.shift - log(1 - B)/d.rate, which is d.shift +
     log1p(G_k / G_{n-k+1})/d.rate: no difference cancels at any n.  n and k
-    may be arrays of one shape s, which gives (size,) + s draws.  Each
-    sample's gammas are drawn together, row by row, so the values do not
-    depend on how a run is split into calls.  The shapes are converted to
-    doubles first, so Python integers past 2**63 work too.
+    are scalars: the call draws all ``size`` of its G_k at one scalar shape,
+    then all of its G_{n-k+1}, since numpy draws gammas at an array of
+    shapes through a slower per-element loop.  So a sample's values depend
+    on the size of the call that drew it; the MultiMDS segment jumps, drawn
+    ROW_BLOCK rows per call, do not depend on how a run is chunked.  The
+    shapes are converted to doubles first, so Python integers past 2**63
+    work too.
     """
-    shapes = np.stack([k, n - k + 1], axis=-1).astype(float)
-    g = rng.standard_gamma(shapes, (size,) + shapes.shape)
-    x = np.divide(g[..., 0], g[..., 1])
+    x = rng.standard_gamma(float(k), size)
+    x /= rng.standard_gamma(float(n - k + 1), size)
     np.log1p(x, out=x)
     x /= d.rate
     x += d.shift
@@ -462,6 +467,8 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, windows: list[tuple[int, int
     # the last rank j below each segment's first rank u (0 for the first)
     below = np.concatenate([[0], ranks[ends][:-1]])
     spacing = ShiftedExp(0.0, d.rate)
+    # each segment's jump, the (u - j)-th smallest of n - j
+    jump_stats = list(zip((n - below).tolist(), (ranks[starts] - below).tolist()))
     step = plan.chunk_rows()
     wait = max(1, WIDEN_DOUBLES // ranks.size)
     out = np.empty(size)
@@ -469,7 +476,8 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, windows: list[tuple[int, int
     rounds = [(windows, plan)]
     for a in range(0, size, ROW_BLOCK):
         block = out[a:a + ROW_BLOCK]
-        jumps = _os_sample(spacing, n - below, ranks[starts] - below, rng, block.size)
+        jumps = np.stack([_os_sample(spacing, m, u, rng, block.size) for m, u in jump_stats],
+                         axis=1)
         jumps[:, 0] += d.shift  # the cumulative sums carry it to every rank
         i = 0
         while i < block.size:
@@ -614,11 +622,11 @@ def sample_service_batch(scheme: Scheme, params: SystemParams,
 
     Every scheme but MultiMDS at load >= 2 draws from order-statistic laws:
     two gammas per service time (four for Repetition where k does not divide
-    n) at any n.  MultiMDS at load >= 2 draws the worker order statistics in
-    a window of ranks per level, and widens the windows of the rows they do
-    not settle (about 1.8% at n = 100 and 4.8% at n = 1000), about 1.2 us
-    per service time at n = 100 and 2.4 us at n = 1000.  Past its scratch
-    bound (see MAX_SAMPLE_DRAWS) it raises ValueError.
+    n) at any n, 55 to 115 ns.  MultiMDS at load >= 2 draws the worker order
+    statistics in a window of ranks per level, and widens the windows of the
+    rows they do not settle (about 1.8% at n = 100 and 4.8% at n = 1000),
+    about 1.1 us per service time at n = 100 and 2.2 us at n = 1000.  Past
+    its scratch bound (see MAX_SAMPLE_DRAWS) it raises ValueError.
     """
     validate(scheme, params)
     return scheme.sample(params, rng, size)

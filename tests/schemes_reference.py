@@ -132,10 +132,11 @@ def law_sample(scheme, params, rng, size):
 
     The k-th of n uniforms is G_k / (G_k + G_{n-k+1}) for independent
     standard gammas, which the inverse CDF maps to
-    shift + log1p(G_k / G_{n-k+1}) / rate; each sample's pair is one row.
-    Repetition takes the larger of one such draw per group size: the groups
-    of floor(n/k) replicas, then the n mod k of ceil(n/k), if any; where k
-    divides n that is the law of ``order_stat``.
+    shift + log1p(G_k / G_{n-k+1}) / rate; a call draws all of its G_k,
+    then all of its G_{n-k+1}.  Repetition takes the larger of one such
+    draw per group size: the groups of floor(n/k) replicas, then the n mod k
+    of ceil(n/k), if any; where k divides n that is the law of
+    ``order_stat``.
     """
     if isinstance(scheme, Repetition):
         k = scheme.k
@@ -147,8 +148,9 @@ def law_sample(scheme, params, rng, size):
 
 
 def os_law(d, n, k, rng, size):
-    g = rng.standard_gamma([k, n - k + 1], (size, 2))
-    return d.shift + np.log1p(g[:, 0] / g[:, 1]) / d.rate
+    g_k = rng.standard_gamma(float(k), size)
+    g_rest = rng.standard_gamma(float(n - k + 1), size)
+    return d.shift + np.log1p(g_k / g_rest) / d.rate
 
 
 def windows(d, n, k, load):

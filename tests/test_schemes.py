@@ -45,11 +45,24 @@ def params(lam=1.0, c=1.0, mu=1.0, n=100):
 
 
 class FixedGamma:
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
+    """Hands out the given gamma values, one array per standard_gamma call."""
+
+    def __init__(self, *values):
+        self.values = [np.asarray(v, dtype=float) for v in values]
 
     def standard_gamma(self, shape, size=None):
-        return self.values.reshape(size)
+        return self.values.pop(0).reshape(size)
+
+
+class GammaShapes:
+    """A generator that records the shape of every standard_gamma call."""
+
+    def __init__(self, rng, shapes):
+        self.rng, self.shapes = rng, shapes
+
+    def standard_gamma(self, shape, size=None):
+        self.shapes.append(shape)
+        return self.rng.standard_gamma(shape, size)
 
 
 @pytest.mark.parametrize("scheme, n", [
@@ -609,9 +622,28 @@ def test_uncoded_single_worker_sampling_law():
     # one worker, whole task: shift + log1p(G / G')/rate with the two
     # gammas in the ratio expm1(0.7) is the draw 1 + 0.7
     p = params(n=1)
-    g = np.array([[math.expm1(0.7), 1.0]])
-    out = sample_service_batch(Uncoded(), p, FixedGamma(g), 1)
+    out = sample_service_batch(Uncoded(), p, FixedGamma([math.expm1(0.7)], [1.0]), 1)
     assert out[0] == pytest.approx(1.7, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scheme, n", [
+    (Uncoded(), 100), (Repetition(60), 100), (MDS(69), 100), (MultiMDS(14, 1), 20),
+    (MultiMDS(129, 2), 100),
+])
+def test_order_statistic_draws_take_scalar_gamma_shapes(scheme, n, monkeypatch):
+    # numpy draws gammas at an array of shapes through a slower per-element
+    # loop, so each order-statistic draw, the MultiMDS segment jumps too,
+    # takes one scalar shape per call; recording the shapes moves no value
+    p, size = params(n=n), 3000
+    want = sample_service_batch(scheme, p, rng(41), size)
+    shapes, real = [], schemes._os_sample
+
+    def recorded(d, n, k, gen, size):
+        return real(d, n, k, GammaShapes(gen, shapes), size)
+
+    monkeypatch.setattr(schemes, "_os_sample", recorded)
+    assert (sample_service_batch(scheme, p, rng(41), size) == want).all()
+    assert shapes and all(np.ndim(s) == 0 for s in shapes)
 
 
 def test_scalar_sampler_matches_batch():
