@@ -103,7 +103,7 @@ WIDEN_DOUBLES = 1 << 20
 # row-wise cumsum.  Both add in the same order, to the same bits (measured:
 # 80 against 120 us at 1024 rows of 24 ranks, 157 against 147 us at 546
 # rows of 60; a column costs about 2 us of calls, whatever its rows).
-_COLUMN_SCAN_ROWS = 640
+_COLUMN_SUM_ROWS = 640
 
 
 @dataclass(frozen=True)
@@ -485,7 +485,7 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, windows: list[tuple[int, int
             x = sample_batch(spacing, rng, (rows, ranks.size))
             x *= gaps
             x[:, starts] = jumps[i:i + rows]
-            if rows >= _COLUMN_SCAN_ROWS:
+            if rows >= _COLUMN_SUM_ROWS:
                 prev = x[:, 0]
                 for c in range(1, ranks.size):
                     col = x[:, c]
