@@ -97,13 +97,6 @@ ROW_BLOCK = 1 << 10
 # With ROW_BLOCK, this fixes the order of the draws, so the values do not
 # depend on SCRATCH_DOUBLES.
 WIDEN_DOUBLES = 1 << 20
-# A row chunk of the MultiMDS sampler with at least this many rows sums its
-# spacings one column at a time, in place, since numpy runs a row-wise
-# cumsum's dependency chain one row at a time; smaller chunks keep the
-# row-wise cumsum.  Both add in the same order, to the same bits (measured:
-# 80 against 120 us at 1024 rows of 24 ranks, 157 against 147 us at 546
-# rows of 60; a column costs about 2 us of calls, whatever its rows).
-_COLUMN_SUM_ROWS = 640
 
 
 @dataclass(frozen=True)
@@ -485,14 +478,7 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, windows: list[tuple[int, int
             x = sample_batch(spacing, rng, (rows, ranks.size))
             x *= gaps
             x[:, starts] = jumps[i:i + rows]
-            if rows >= _COLUMN_SUM_ROWS:
-                prev = x[:, 0]
-                for c in range(1, ranks.size):
-                    col = x[:, c]
-                    np.add(col, prev, out=col)
-                    prev = col
-            else:
-                np.cumsum(x, axis=1, out=x)
+            np.cumsum(x, axis=1, out=x)
             block[i:i + rows], ok = _window_kth(x, plan)
             missed.append((~ok).nonzero()[0] + a + i)
             known.append(x[~ok])

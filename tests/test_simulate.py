@@ -249,7 +249,8 @@ def test_report_does_not_depend_on_chunk_size(monkeypatch, mode):
         return [repr(run_parallel(s, p, 2000, 2, seed=41, mode=mode)) for s in tested]
 
     # only the MultiMDS sampler at load >= 2 walks row chunks; the
-    # order-statistic law draws each sample's gammas together
+    # order-statistic laws draw a replication's service times in one call,
+    # with no row chunks, so SCRATCH_DOUBLES does not reach them
     default = reports()
     monkeypatch.setattr(schemes, "SCRATCH_DOUBLES", 1)  # one row per chunk
     few_rows = reports()
