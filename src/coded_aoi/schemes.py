@@ -342,21 +342,19 @@ class _WindowPlan:
     holds X_(j) for j in ``ranks``.  The union falls into segments of
     consecutive ranks; ``starts`` and ``ends`` hold the positions in
     ``ranks`` of each segment's first and last rank.  The pooled elements are
-    m X_(j) for every rank j of level m's window: a pooled row holds each
-    rank of ``ranks`` once, times ``scale``, the lowest level whose window
-    holds it, then the ranks at the positions ``extra`` times
-    ``extra_scale``, one column for each further window that shares a rank.
-    ``lower`` and ``upper`` are the pooled columns of m X_(a_m) for a_m > 1
-    and of m X_(b_m) for b_m < n, and ``col`` = k - sum(a_m - 1) - 1 is the
+    m X_(j) for every rank j of level m's window, window by window: a pooled
+    row holds the row's columns at ``cols`` times ``scale``, each window's
+    columns in turn times its level.  ``lower`` and ``upper`` are the pooled
+    columns of m X_(a_m) for a_m > 1 and of m X_(b_m) for b_m < n, each
+    window's first and last, and ``col`` = k - sum(a_m - 1) - 1 is the
     column of the k-th element among the pooled ones once they are sorted.
     """
 
     ranks: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
+    cols: np.ndarray
     scale: np.ndarray
-    extra: np.ndarray
-    extra_scale: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     col: int
@@ -364,7 +362,7 @@ class _WindowPlan:
     def chunk_rows(self) -> int:
         """Rows per chunk of at most SCRATCH_DOUBLES doubles: each row's
         X_(j) at ``ranks`` and its pooled elements."""
-        return max(1, SCRATCH_DOUBLES // (2 * self.ranks.size + self.extra.size))
+        return max(1, SCRATCH_DOUBLES // (self.ranks.size + self.cols.size))
 
 
 def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
@@ -378,33 +376,19 @@ def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
             segments.append([a, b])
     ranks = np.concatenate([np.arange(a, b + 1) for a, b in segments])
     starts, ends = np.searchsorted(ranks, np.array(segments).T)
-    # each window's columns [c, e); each rank at the lowest level whose
-    # window holds it, so the windows are written from the top level down;
-    # then the ranks each window shares with a lower one, level by level
-    firsts, lasts = np.searchsorted(ranks, np.array(windows).T).tolist()
-    spans = [(c, e + 1) for c, e in zip(firsts, lasts)]
-    scale = np.empty(ranks.size)
-    for m in range(len(windows), 0, -1):
-        scale[slice(*spans[m - 1])] = m
-    shared = [np.flatnonzero(scale[c:e] < m) + c for m, (c, e) in enumerate(spans, 1)]
-    lower, upper, at = [], [], ranks.size
-    for m, ((a, b), (c, e), extra) in enumerate(zip(windows, spans, shared), 1):
-        # a window's lowest and highest ranks, if shared, are its first and
-        # last extra columns
-        if a > 1:
-            lower.append(c if scale[c] == m else at)
-        if b < n:
-            upper.append(e - 1 if scale[e - 1] == m else at + extra.size - 1)
-        at += extra.size
+    # each window's columns of the row, and its pooled columns [stop - size, stop)
+    lows, highs = np.array(windows).T
+    firsts, lasts = np.searchsorted(ranks, (lows, highs))
+    sizes = lasts - firsts + 1
+    stops = np.cumsum(sizes)
     return _WindowPlan(
         ranks=ranks,
         starts=starts,
         ends=ends,
-        scale=scale,
-        extra=np.concatenate(shared),
-        extra_scale=np.repeat(np.arange(1.0, len(windows) + 1), [e.size for e in shared]),
-        lower=np.array(lower, dtype=np.intp),
-        upper=np.array(upper, dtype=np.intp),
+        cols=np.arange(stops[-1]) + np.repeat(firsts + sizes - stops, sizes),
+        scale=np.repeat(np.arange(1.0, len(windows) + 1), sizes),
+        lower=(stops - sizes)[lows > 1],
+        upper=(stops - 1)[highs < n],
         col=k - sum(a for a, _ in windows) + len(windows) - 1)
 
 
@@ -420,13 +404,10 @@ def _window_kth(x: np.ndarray, plan: _WindowPlan) -> tuple[np.ndarray, np.ndarra
     are at or below v.  Rows where that fails are not settled, and neither
     is any row when ``col`` falls outside the pooled columns.
     """
-    once = plan.ranks.size
-    pooled = np.empty((x.shape[0], once + plan.extra.size))
-    if not 0 <= plan.col < pooled.shape[1]:
+    if not 0 <= plan.col < plan.cols.size:
         return np.full(x.shape[0], np.nan), np.zeros(x.shape[0], dtype=bool)
-    np.multiply(x, plan.scale, out=pooled[:, :once])
-    if plan.extra.size:
-        np.multiply(np.take(x, plan.extra, axis=1), plan.extra_scale, out=pooled[:, once:])
+    pooled = np.take(x, plan.cols, axis=1)
+    pooled *= plan.scale
     lo = pooled[:, plan.lower].max(axis=1, initial=-np.inf)
     hi = pooled[:, plan.upper].min(axis=1, initial=np.inf)
     pooled.sort(axis=1)
@@ -538,12 +519,10 @@ def _widen(d: ShiftedExp, n: int, rng: np.random.Generator, plan: _WindowPlan,
     ranks = np.concatenate([[0], wide.ranks, [n + 1]])
     out = np.empty((x.shape[0], ranks.size))
     out[:, 0], out[:, -1] = d.shift, np.inf
-    # each known segment's columns: [start, stop) in out, first column in x
-    firsts = plan.starts.tolist()
-    starts = np.searchsorted(ranks, plan.ranks[plan.starts]).tolist()
-    stops = [c + e - f + 1 for c, f, e in zip(starts, firsts, plan.ends.tolist())]
-    for c, e, f in zip(starts, stops, firsts):
-        out[:, c:e] = x[:, f:f + e - c]
+    known = np.searchsorted(ranks, plan.ranks)
+    out[:, known] = x
+    # each known segment's columns [start, stop) in out
+    starts, stops = known[plan.starts].tolist(), (known[plan.ends] + 1).tolist()
     # each gap's new columns [a, b); column b holds the known rank above them
     gaps = [(a, b) for a, b in zip([1, *stops], [*starts, ranks.size - 1]) if a < b]
     # a gamma for each new rank and for the known rank that closes its gap,

@@ -50,7 +50,8 @@ def _commands() -> list[list[str]]:
 def _sim_commands() -> list[list[str]]:
     """Every scheme, both modes and both policies, at one and three replications.
 
-    The lambda = 20 runs make the full-stream pool drop arrivals.
+    The lambda = 20 runs make the full-stream pool drop arrivals.  The last
+    command samples mm-mds at load 2 from many more rows than the others.
     """
     schemes = [["--scheme", "uncoded"], ["--scheme", "repetition", "--k", "5"],
                ["--scheme", "mds", "--k", "14"], ["--scheme", "mm-mds", "--k", "14", "--l", "1"],
@@ -65,6 +66,10 @@ def _sim_commands() -> list[list[str]]:
             cmds.append(["simulate", *schemes[j], "--n", "20", "--lambda", lam, "--c", "1",
                          "--mu", "1", "--cycles", "300", "--seed", str(11 + len(cmds)),
                          "--reps", reps, "--mode", mode, "--policy", policy])
+    # 3001 window-sampler rows in one call, some of which widen their windows
+    cmds.append(["simulate", "--scheme", "mm-mds", "--k", "1287", "--l", "2", "--n", "1000",
+                 "--lambda", "1", "--c", "1", "--mu", "1", "--cycles", "3000", "--seed", "23",
+                 "--reps", "1", "--mode", "fast", "--policy", "zero-wait"])
     return cmds
 
 

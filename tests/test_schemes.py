@@ -1,4 +1,5 @@
 """Service-time moments and samplers for every distribution scheme."""
+import itertools
 import math
 import os
 import subprocess
@@ -288,14 +289,14 @@ def test_window_selection_is_the_multiset_kth(n, load, k, mu, windows):
 
 def plan_from_sets(windows):
     """ranks, segment starts and segment ends of a window plan, built from
-    Python sets, and each rank's levels, ascending."""
+    Python sets, and the (rank, level) pairs of a pooled row, window by
+    window."""
     ranks = sorted(set().union(*(range(a, b + 1) for a, b in windows)))
     column = {rank: i for i, rank in enumerate(ranks)}
     starts = [i for i, rank in enumerate(ranks) if rank - 1 not in column]
     ends = [i for i, rank in enumerate(ranks) if rank + 1 not in column]
-    levels = {rank: [m for m, (a, b) in enumerate(windows, 1) if a <= rank <= b]
-              for rank in ranks}
-    return ranks, starts, ends, levels
+    pooled = [(rank, m) for m, (a, b) in enumerate(windows, 1) for rank in range(a, b + 1)]
+    return ranks, starts, ends, pooled
 
 
 def plan_windows():
@@ -314,20 +315,18 @@ def plan_windows():
 def test_window_plan_matches_a_set_construction():
     for windows, n, k in plan_windows():
         plan = schemes._window_plan(windows, n, k)
-        ranks, starts, ends, levels = plan_from_sets(windows)
+        ranks, starts, ends, pooled = plan_from_sets(windows)
         assert plan.ranks.tolist() == ranks, windows
         assert plan.starts.tolist() == starts, windows
         assert plan.ends.tolist() == ends, windows
-        # a pooled row: each rank at its lowest level, then one column per
-        # further level that shares it
-        pooled = list(zip(ranks, plan.scale.tolist()))
-        pooled += zip(plan.ranks[plan.extra].tolist(), plan.extra_scale.tolist())
-        assert [m for _, m in pooled[:len(ranks)]] == [levels[r][0] for r in ranks], windows
-        assert sorted(pooled) == sorted((r, m) for r in ranks for m in levels[r]), windows
-        assert [pooled[c] for c in plan.lower] == [
-            (a, m) for m, (a, _) in enumerate(windows, 1) if a > 1], windows
-        assert [pooled[c] for c in plan.upper] == [
-            (b, m) for m, (_, b) in enumerate(windows, 1) if b < n], windows
+        # a pooled row: each window's ranks times its level, window by window,
+        # with each window's lowest and highest element first and last
+        assert list(zip(plan.ranks[plan.cols].tolist(), plan.scale.tolist())) == pooled, windows
+        stops = list(itertools.accumulate(b - a + 1 for a, b in windows))
+        assert plan.lower.tolist() == [
+            stop - (b - a + 1) for stop, (a, b) in zip(stops, windows) if a > 1], windows
+        assert plan.upper.tolist() == [
+            stop - 1 for stop, (_, b) in zip(stops, windows) if b < n], windows
 
 
 def test_multiset_sampler_draws_fewer_worker_order_statistics(monkeypatch):
