@@ -86,16 +86,12 @@ SCRATCH_DOUBLES = 1 << 16
 # n = 100, 1000 and 1e4 at loads 2 and 4.
 WINDOW_Z = 1.75
 WINDOW_GROWTH = 1.5
-# MultiMDS service times whose segment-start gammas are drawn together: the
-# sampler draws a block's jump to each segment's first rank, segment by
-# segment (see _os_sample), then its in-window spacings.
-ROW_BLOCK = 1 << 10
-# First-pass doubles of the MultiMDS sampler between widening rounds: the
-# rows the windows leave unsettled wait for theirs until the end, or the
-# next multiple of WIDEN_DOUBLES // (window ranks) rows, so 8 MiB of rows
-# wait at most, and 4097 service times at n <= 1e4 and load 2 widen once.
-# With ROW_BLOCK, this fixes the order of the draws, so the values do not
-# depend on SCRATCH_DOUBLES.
+# First-pass doubles of a block of the MultiMDS sampler: a block of
+# WIDEN_DOUBLES // (window ranks) service times draws its jump to each
+# segment's first rank, segment by segment (see _os_sample), then its
+# in-window spacings, and then widens the windows of the rows they leave
+# unsettled.  So 8 MiB of rows wait at most, 4097 service times at n <= 1e4
+# and load 2 widen once, and the values do not depend on SCRATCH_DOUBLES.
 WIDEN_DOUBLES = 1 << 20
 
 
@@ -156,7 +152,7 @@ def _os_sample(d: ShiftedExp, n: int, k: int, rng: np.random.Generator,
     then all of its G_{n-k+1}, since numpy draws gammas at an array of
     shapes through a slower per-element loop.  So a sample's values depend
     on the size of the call that drew it; the MultiMDS segment jumps, drawn
-    ROW_BLOCK rows per call, do not depend on how a run is chunked.  The
+    a block of rows per call, do not depend on how a run is chunked.  The
     shapes are converted to doubles first, so Python integers past 2**63
     work too.
     """
@@ -427,11 +423,12 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, windows: list[tuple[int, int
     order statistics are scaled exponentials summed up, and the first rank
     u of a segment lies above the last known rank j (or d.shift) by the
     (u - j)-th smallest of n - j exponentials, log1p(G / G')/d.rate for
-    gammas of shape u - j and n - u + 1 (see ``_os_sample``).  The windows
-    settle most rows (see ``_window_kth``); the others widen their windows
-    until they settle (see ``_settle``), after the last row or every
-    WIDEN_DOUBLES first-pass doubles.  Every row is the worker mechanism's
-    k-th in law, for any windows.
+    gammas of shape u - j and n - u + 1 (see ``_os_sample``).  A block of
+    WIDEN_DOUBLES first-pass doubles draws its jumps, then its rows chunk by
+    chunk.  The windows settle most rows (see ``_window_kth``); at the end of
+    the block the others widen their windows until they settle (see
+    ``_settle``).  Every row is the worker mechanism's k-th in law, for any
+    windows.
     """
     plan = _window_plan(windows, n, k)
     ranks, starts, ends = plan.ranks, plan.starts, plan.ends
@@ -443,30 +440,26 @@ def _multiset_sample(d: ShiftedExp, n: int, k: int, windows: list[tuple[int, int
     spacing = ShiftedExp(0.0, d.rate)
     # each segment's jump, the (u - j)-th smallest of n - j
     jump_stats = list(zip((n - below).tolist(), (ranks[starts] - below).tolist()))
-    step = plan.chunk_rows()
-    wait = max(1, WIDEN_DOUBLES // ranks.size)
+    step, wait = plan.chunk_rows(), max(1, WIDEN_DOUBLES // ranks.size)
     out = np.empty(size)
-    missed, known = [], []
     rounds = [(windows, plan)]
-    for a in range(0, size, ROW_BLOCK):
-        block = out[a:a + ROW_BLOCK]
-        jumps = np.stack([_os_sample(spacing, m, u, rng, block.size) for m, u in jump_stats],
-                         axis=1)
+    for a in range(0, size, wait):
+        block = out[a:a + wait]
+        jumps = np.empty((block.size, starts.size))
+        for c, (m, u) in enumerate(jump_stats):
+            jumps[:, c] = _os_sample(spacing, m, u, rng, block.size)
         jumps[:, 0] += d.shift  # the cumulative sums carry it to every rank
-        i = 0
-        while i < block.size:
-            rows = min(step, block.size - i, wait - (a + i) % wait)
-            x = sample_batch(spacing, rng, (rows, ranks.size))
+        missed, known = [], []
+        for i in range(0, block.size, step):
+            x = sample_batch(spacing, rng, (min(step, block.size - i), ranks.size))
             x *= gaps
-            x[:, starts] = jumps[i:i + rows]
+            x[:, starts] = jumps[i:i + step]
             np.cumsum(x, axis=1, out=x)
-            block[i:i + rows], ok = _window_kth(x, plan)
+            block[i:i + step], ok = _window_kth(x, plan)
             missed.append((~ok).nonzero()[0] + a + i)
             known.append(x[~ok])
-            i += rows
-            if (a + i) % wait == 0 or a + i == size:
-                _settle(d, n, k, rng, rounds, out, missed, known)
-                missed, known = [], []
+        del x, jumps
+        _settle(d, n, k, rng, rounds, out, missed, known)
     return out
 
 
