@@ -18,9 +18,9 @@ and 0 otherwise: empty levels trail, and exp(mu_c) is never formed.  The
 level sum rises from 0 to load as beta_1 grows, so every total below load
 has a split, also where 1 - alpha_1 is below double resolution.  Multi-
 message optima can therefore sit at k = n*load - 1, where the large-pool
-model is least accurate (see the README: at MultiMDS(399, 4), n=100, c=1,
-mu=2 the analytic age is 2.0090, simulation 2.0347 +- 0.0216 at 2 x 20k
-cycles).
+model is least accurate (the README's paragraph on ``optimize --family
+mm-mds`` sets the analytic age at MultiMDS(399, 4), n=100, c=1, mu=2
+against seeded simulations).
 """
 from __future__ import annotations
 

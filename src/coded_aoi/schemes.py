@@ -36,16 +36,13 @@ Repetition the triple gives every group n/k replicas, exact only where k
 divides n; for MultiMDS it is the large-pool model: the k-th result overall
 arrives with the first level's k1-th (see ``mm_k1``), and at load 1 it is
 the MDS triple.  Samples come from order-statistic laws in O(1) per service
-time (see ``_os_sample``), not from N worker draws: Repetition takes the
-larger of two, one per group size.  That costs 55 to 85 ns per service time
-at any n, and about 115 ns for Repetition where k does not divide n.
-MultiMDS at load >= 2 draws only the worker order statistics in a window of
-ranks around each level's share of the k-th result (see
-``_multiset_sample``): two gammas per run of consecutive ranks and one
-exponential per rank, then a sort of the windows' elements.  That costs
-about 1.1 us per service time at n = 100 and 2.2 us at n = 1000
-(MultiMDS(129, 2) and MultiMDS(1287, 2)).  All are medians of interleaved
-4097-sample calls on a 2-core Intel Xeon VM, Python 3.11, numpy 2.4.
+time (see ``_os_sample``), not from N worker draws: two gammas at any n, and
+four for Repetition where k does not divide n, which takes the larger of
+two, one per group size.  MultiMDS at load >= 2 draws only the worker order
+statistics in a window of ranks around each level's share of the k-th
+result (see ``_multiset_sample``): two gammas per run of consecutive ranks
+and one exponential per rank, then a sort of the windows' elements.  The
+README gives the measured time per service time of each.
 """
 from __future__ import annotations
 
@@ -580,11 +577,11 @@ def sample_service_batch(scheme: Scheme, params: SystemParams,
 
     Every scheme but MultiMDS at load >= 2 draws from order-statistic laws:
     two gammas per service time (four for Repetition where k does not divide
-    n) at any n, 55 to 115 ns.  MultiMDS at load >= 2 draws the worker order
-    statistics in a window of ranks per level, and widens the windows of the
-    rows they do not settle (about 1.8% at n = 100 and 4.8% at n = 1000),
-    about 1.1 us per service time at n = 100 and 2.2 us at n = 1000.  Past
-    its scratch bound (see MAX_SAMPLE_DRAWS) it raises ValueError.
+    n) at any n.  MultiMDS at load >= 2 draws the worker order statistics in
+    a window of ranks per level, and widens the windows of the rows they do
+    not settle (about 1.8% at n = 100 and 4.8% at n = 1000).  The README
+    gives the measured time per service time.  Past its scratch bound (see
+    MAX_SAMPLE_DRAWS) it raises ValueError.
     """
     validate(scheme, params)
     return scheme.sample(params, rng, size)

@@ -198,6 +198,19 @@ def test_config_bad_value_exits_2(tmp_path, capsys, key, value):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [(None, "error: cannot read config"),
+                                           ("{", "error: cannot read config"),
+                                           ("[1]", "must hold a JSON object")])
+def test_config_file_unreadable_or_not_an_object_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "run.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, "age", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_sweep_requires_seed(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--preset", "fig4a",
                            "--out", str(tmp_path / "x.csv"))
@@ -332,6 +345,12 @@ def test_sweep_custom_range_validation(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--scheme", "mds", "--n", "100",
                            "--lambda", "1", "--c", "1", "--mu", "1", "--seed", "1")
     assert code == 2 and "range" in err
+    for text, message in (("1:2:3:4", "must look like A:B"), ("a:b", "must hold integers")):
+        code, _, err = run_cli(capsys, "sweep", "--scheme", "mds", "--k-range", text,
+                               "--n", "100", "--lambda", "1", "--c", "1", "--mu", "1",
+                               "--seed", "1", "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and message in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 class LabelledMultiMDS(schemes.MultiMDS):
@@ -406,6 +425,23 @@ def test_reps_below_one_flag_exits_2(tmp_path, monkeypatch, capsys, argv, reps):
     assert exc.value.code == 2
     assert f"argument --reps: must be >= 1, got {reps}" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [SIM_ARGS, SWEEP_ARGS], ids=["simulate", "sweep"])
+def test_reps_not_an_integer_flag_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--reps", "x"])
+    assert exc.value.code == 2
+    assert "argument --reps: invalid int value: 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, *SWEEP_ARGS, "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write")
 
 
 @pytest.mark.parametrize("argv", [SIM_ARGS, SWEEP_ARGS], ids=["simulate", "sweep"])

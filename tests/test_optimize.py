@@ -393,6 +393,11 @@ def test_opt_mm_mds_rejects_a_non_integer_load(load):
         opt_mm_mds(params(), load)
 
 
+def test_unknown_objective_is_rejected():
+    with pytest.raises(ValueError, match="objective must be 'age' or 'service', got 'speed'"):
+        opt_mds(params(), "speed")
+
+
 def test_opt_mm_mds_accepts_a_numpy_integer_load():
     assert opt_mm_mds(params(), np.int64(2)) == opt_mm_mds(params(), 2)
 

@@ -538,6 +538,8 @@ def test_scheme_validation_errors():
         validate(MultiMDS(200, 2), p)
     with pytest.raises(ValueError):
         validate(MultiMDS(5, 0), p)
+    with pytest.raises(TypeError, match="unknown scheme"):
+        validate(object(), p)
     # any 1 <= k <= n is a repetition code, a divisor of n or not
     validate(Repetition(33), p)
 

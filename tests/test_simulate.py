@@ -238,6 +238,8 @@ def test_bad_mode_and_policy_rejected():
         run(MDS(69), params(), 1000, seed=1, mode="warp")
     with pytest.raises(ValueError):
         run(MDS(69), params(), 1000, seed=1, policy="psychic")
+    with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
+        run_parallel(MDS(69), params(), 1000, reps=0, seed=1)
 
 
 @pytest.mark.parametrize("mode", ["fast", "full_stream"])
