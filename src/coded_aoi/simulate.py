@@ -5,7 +5,9 @@ pool drops arrivals while busy and serves each accepted update with the
 configured scheme.  The destination's age is a sawtooth that resets to
 (delay + service time) of an update the moment its result is returned, and
 the long-run average is estimated cycle by cycle as total sawtooth area
-over total elapsed time.
+over total elapsed time.  Its 95% interval takes the batch means of
+BATCHES = 30 equal batches of the pooled cycles, whatever the number of
+replications, so its Student-t quantile is one constant.
 
 Two modes:
 
@@ -45,7 +47,6 @@ place of a replication's draw order, for every mode and policy.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -70,8 +71,11 @@ _COLUMN_SCAN_ROWS = 64
 # full-stream run accepts, and the widest row of gaps a waiting cycle draws
 # in one round; the walk draws every arrival, about lambda * E[S] per cycle
 MAX_DROPS_PER_CYCLE = 1 << 10
-# batch means per replication behind the 95% interval
+# batch means behind the 95% interval: a run's pooled cycles, in replication
+# order, cut into this many batches of equal size (one cycle more or less)
 BATCHES = 30
+# t_{0.975}(BATCHES - 1), the Student-t quantile of that interval
+_T_QUANTILE = 2.0452296421327043
 
 SeedLike = Union[int, SeedSequence]
 
@@ -168,78 +172,10 @@ def _cycles(scheme: Scheme, params: SystemParams, rng: Generator, cycles: int,
     return s, d_used, z, cycles + 1 + dropped
 
 
-# The batch-means interval needs one Student-t quantile,
-# t_{0.975}(df) for an integer df >= 1.
-_T_LEVEL = 0.975
-_T_NORMAL = 1.9599639845400536  # the standard normal quantile at _T_LEVEL
-# From this df on, the Cornish-Fisher series alone is within about 1e-15 of
-# the quantile; below it, Newton steps on the exact CDF cost O(df) each.
-_T_SERIES_DF = 1000
-_T_NEWTON_STEPS = 20
-
-
-def _t_series(df: int) -> float:
-    """Cornish-Fisher expansion of the t quantile in powers of 1/df (A&S 26.7.5)."""
-    x = _T_NORMAL
-    x2 = x * x
-    g1 = (x2 + 1) * x / 4
-    g2 = ((5 * x2 + 16) * x2 + 3) * x / 96
-    g3 = (((3 * x2 + 19) * x2 + 17) * x2 - 15) * x / 384
-    g4 = ((((79 * x2 + 776) * x2 + 1482) * x2 - 1920) * x2 - 945) * x / 92160
-    return x + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
-
-
-def _t_two_sided(t: float, df: int) -> float:
-    """P(|T| < t) for an integer df, by the finite sums of A&S 26.7.3/26.7.4.
-
-    The sums run over powers of cos(theta), where cos^2(theta) = df/(df + t^2).
-    Each power is taken as exp(p * log(cos^2)): rounding cos^2 once and
-    multiplying it up would scale that rounding error by up to df/2.
-    """
-    log_c2 = -math.log1p(t * t / df)
-    odd = df % 2
-    total, coef = 0.0, 1.0
-    for j in range(df // 2):
-        total += coef * math.exp((j + odd / 2) * log_c2)
-        coef *= (2 * j + 1 + odd) / (2 * j + 2 + odd)
-    sin = t / math.sqrt(df + t * t)
-    if odd:
-        return 2 / math.pi * (math.atan(t / math.sqrt(df)) + sin * total)
-    return sin * total
-
-
-def _t_density(t: float, df: int) -> float:
-    return math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
-                    - 0.5 * math.log(df * math.pi) - (df + 1) / 2 * math.log1p(t * t / df))
-
-
-# every run at the default BATCHES asks for the same df; an entry is one float
-@functools.lru_cache(maxsize=64)
-def _t_quantile(df: int) -> float:
-    """Student-t quantile t_{0.975}(df) for an integer df >= 1.
-
-    Starts from the Cornish-Fisher series.  Below _T_SERIES_DF it takes
-    Newton steps on the exact CDF; they converge quadratically, so the first
-    step under 1e-9 relative leaves only rounding error, about 1e-14.
-    """
-    if df < 1:
-        raise ValueError(f"Student-t quantile needs df >= 1, got {df}")
-    t = _t_series(df)
-    if df >= _T_SERIES_DF:
-        return t
-    for _ in range(_T_NEWTON_STEPS):
-        step = (_t_two_sided(t, df) - (2 * _T_LEVEL - 1)) / (2 * _t_density(t, df))
-        t -= step
-        if abs(step) < 1e-9 * t:
-            break
-    return t
-
-
 def batch_means_ci(area_batches: np.ndarray, time_batches: np.ndarray) -> float:
-    """95% half-width for the ratio estimator from batch means."""
-    nb = len(area_batches)
+    """95% half-width for the ratio estimator from BATCHES batch means."""
     ratios = area_batches / time_batches
-    return float(_t_quantile(nb - 1) * ratios.std(ddof=1) / math.sqrt(nb))
+    return float(_T_QUANTILE * ratios.std(ddof=1) / math.sqrt(BATCHES))
 
 
 def _root_seq(seed: SeedLike) -> SeedSequence:
@@ -261,10 +197,12 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     ``seed`` is a SeedSequence or an integer >= 0.  The replications draw
     from SeedSequence children of ``seed`` in replication order, so the
     pooled report depends only on (seed, reps, cycles_per_rep), not on
-    execution interleaving.  Each replication contributes BATCHES batch
-    means to the 95% interval, so it needs at least that many cycles
-    (InsufficientCycles otherwise).  A report whose age or moments a double
-    cannot hold raises OverflowError, as age_of does for the analytic age.
+    execution interleaving.  The 95% interval takes BATCHES batch means of
+    the pooled cycles, in replication order, so a run needs at least that
+    many cycles in all (InsufficientCycles otherwise); a batch may span two
+    replications, which are independent.  A report whose age or moments a
+    double cannot hold raises OverflowError, as age_of does for the analytic
+    age.
 
     Each replication's draws come from ``_cycles``, the one place of their
     order.  Service times come from the scheme alone: each replication calls
@@ -283,29 +221,39 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
         raise ValueError(f"mode must be 'fast' or 'full_stream', got {mode!r}")
     if policy not in ("zero-wait", "return-triggered"):
         raise ValueError(f"policy must be 'zero-wait' or 'return-triggered', got {policy!r}")
-    if cycles_per_rep < BATCHES:
+    cycles = reps * cycles_per_rep
+    if cycles < BATCHES:
         raise InsufficientCycles(
-            f"need at least {BATCHES} cycles per replication, got {cycles_per_rep}")
+            f"need at least {BATCHES} cycles in all, got {reps} x {cycles_per_rep}")
     validate(scheme, params)
 
     root = _root_seq(seed)
-    edges = (np.arange(BATCHES) * cycles_per_rep) // BATCHES
+    # the pooled cycles are cut at every batch edge and every replication
+    # start; each replication sums its pieces, and each batch the pieces
+    # from its edge on.  In Python ints: at some 30 cuts numpy calls cost
+    # more, and np.union1d's first call imports numpy.ma (13 ms)
+    edges = [b * cycles // BATCHES for b in range(BATCHES)]
+    cuts = sorted({*edges, *range(0, cycles, cycles_per_rep)})
+    pieces = [[] for _ in range(reps)]
+    for cut in cuts:
+        pieces[cut // cycles_per_rep].append(cut % cycles_per_rep)
     area, time, sums, arrivals = [], [], [0.0] * 4, 0
-    for child in root.spawn(reps):
+    for child, at in zip(root.spawn(reps), pieces):
         s, d_used, z, seen = _cycles(scheme, params, Generator(PCG64(child)),
                                      cycles_per_rep, mode, policy)
         s_used = s[:-1]
         # cycle i starts at the age v = d_i + s_i of update i and lasts until
         # update i+1 returns, z_i + s_{i+1} later
         length = z + s[1:]
-        area.append(np.add.reduceat(length * (d_used + s_used + 0.5 * length), edges))
-        time.append(np.add.reduceat(length, edges))
+        area.append(np.add.reduceat(length * (d_used + s_used + 0.5 * length), at))
+        time.append(np.add.reduceat(length, at))
         moments = (s_used.sum(), (s_used * s_used).sum(), d_used.sum(), z.sum())
         sums = [total + float(m) for total, m in zip(sums, moments)]
         arrivals += seen
         del s, d_used, z, s_used, length  # freed before the next replication draws
-    area, time = np.concatenate(area), np.concatenate(time)
-    cycles = reps * cycles_per_rep
+    first = np.searchsorted(cuts, edges)
+    area = np.add.reduceat(np.concatenate(area), first)
+    time = np.add.reduceat(np.concatenate(time), first)
     es, es2, ed, ez = (total / cycles for total in sums)
     # every replication accepts cycles_per_rep + 1 of its arrivals
     frac = (arrivals - reps * (cycles_per_rep + 1)) / arrivals if arrivals else None

@@ -30,8 +30,8 @@ from coded_aoi import schemes, simulate
 from coded_aoi.simulate import (
     BATCHES,
     MAX_DROPS_PER_CYCLE,
+    _T_QUANTILE,
     _cycles,
-    _t_quantile,
     batch_means_ci,
 )
 from schemes_reference import ZeroService
@@ -56,6 +56,11 @@ def test_zero_service_gives_twice_inverse_rate():
 def test_insufficient_cycles():
     with pytest.raises(InsufficientCycles):
         run(Uncoded(), params(n=1), 10, seed=1)
+    with pytest.raises(InsufficientCycles):
+        run_parallel(MDS(69), params(), 14, 2, seed=1)
+    # the batches span replications, so 3 x 10 cycles make 30 one-cycle batches
+    r = run_parallel(MDS(69), params(), 10, 3, seed=1)
+    assert r.cycles == 30 and math.isfinite(r.ci95_halfwidth)
 
 
 def test_nondivisor_repetition_simulates_the_real_split():
@@ -180,7 +185,7 @@ def jackknife_ci(area_batches, time_batches):
     a_tot, t_tot = area_batches.sum(), time_batches.sum()
     loo = (a_tot - area_batches) / (t_tot - time_batches)
     se = math.sqrt((nb - 1) / nb * ((loo - loo.mean()) ** 2).sum())
-    return float(_t_quantile(nb - 1) * se)
+    return float(_T_QUANTILE * se)
 
 
 def test_jackknife_matches_batch_means_scale():
@@ -197,29 +202,40 @@ def test_jackknife_matches_batch_means_scale():
     assert 0.5 < jk / bm < 2.0
 
 
-def test_t_quantile_closed_forms():
-    assert _t_quantile(1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-14, abs=0.0)
-    assert _t_quantile(2) == pytest.approx(0.95 / math.sqrt(0.04875), rel=1e-14, abs=0.0)
-    with pytest.raises(ValueError):
-        _t_quantile(0)
+def pooled_batches_ci(scheme, p, cycles_per_rep, reps, seed):
+    """(mean age, 95% half-width) of BATCHES batches over the concatenated replications.
+
+    A reference for run_parallel: it holds every replication's cycles at once
+    and cuts the pooled arrays at the global batch edges.
+    """
+    lengths, areas = [], []
+    for child in SeedSequence(seed).spawn(reps):
+        s, d_used, z, _ = _cycles(scheme, p, Generator(PCG64(child)), cycles_per_rep,
+                                  "fast", "zero-wait")
+        length = z + s[1:]
+        lengths.append(length)
+        areas.append(length * (d_used + s[:-1] + 0.5 * length))
+    length, area = np.concatenate(lengths), np.concatenate(areas)
+    edges = (np.arange(BATCHES) * length.size) // BATCHES
+    area, time = np.add.reduceat(area, edges), np.add.reduceat(length, edges)
+    return area.sum() / time.sum(), batch_means_ci(area, time)
 
 
-def test_normal_quantile_literal_is_the_statistics_value():
-    # simulate keeps the literal so that importing it loads no statistics module
-    from statistics import NormalDist
+@pytest.mark.parametrize("cycles_per_rep,reps", [(100, 1), (100, 7), (31, 3), (10, 3)])
+def test_run_parallel_cuts_the_pooled_cycles_into_batches(cycles_per_rep, reps):
+    # the edges fall inside replications, and batches span two of them
+    mean_age, ci95 = pooled_batches_ci(MDS(69), params(), cycles_per_rep, reps, 5)
+    r = run_parallel(MDS(69), params(), cycles_per_rep, reps, seed=5)
+    assert r.mean_age == pytest.approx(mean_age, rel=1e-12, abs=0.0)
+    assert r.ci95_halfwidth == pytest.approx(ci95, rel=1e-12, abs=0.0)
 
-    assert simulate._T_NORMAL == NormalDist().inv_cdf(simulate._T_LEVEL) == 1.9599639845400536
 
-
-def test_t_quantile_matches_scipy():
+def test_t_quantile_literal_matches_scipy():
     scipy = pytest.importorskip("scipy")
     from scipy import stats
 
-    dfs = list(range(1, 10_001)) + [10**5, 10**6, 10**9]
-    ref = stats.t.ppf(0.975, np.array(dfs, dtype=float))
-    ours = np.array([_t_quantile(df) for df in dfs])
-    rel = np.abs(ours - ref) / ref
-    assert rel.max() <= 1e-13, (scipy.__version__, dfs[int(rel.argmax())], rel.max())
+    ref = stats.t.ppf(0.975, BATCHES - 1)
+    assert _T_QUANTILE == pytest.approx(ref, rel=1e-13, abs=0.0), scipy.__version__
 
 
 def test_import_loads_no_scipy():
