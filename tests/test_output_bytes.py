@@ -11,6 +11,8 @@ that rounds these differently moves their last digits.  A change that moves
 any file on purpose regenerates the files and says why:
 
     PYTHONPATH=src python tests/test_output_bytes.py
+
+The table of seeded library calls in ``fingerprints.py`` is checked here too.
 """
 import contextlib
 import io
@@ -20,6 +22,7 @@ import sys
 import pytest
 
 from coded_aoi.cli import PRESETS, main
+from fingerprints import FILE as FINGERPRINT_FILE, fingerprints
 
 EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "expected_output")
 CLI_FILE = "analytic_cli.txt"
@@ -119,6 +122,15 @@ def test_preset_csv_is_byte_identical(tmp_path, preset):
     path = tmp_path / f"{preset}.csv"
     _write_preset(preset, str(path))
     assert path.read_bytes() == _read(f"{preset}.csv")
+
+
+def test_seeded_fingerprints_match_the_table():
+    # names every entry whose values moved, or that only one side holds
+    with open(FINGERPRINT_FILE) as fh:
+        want = dict(line.rsplit(" ", 1) for line in fh.read().splitlines())
+    got = dict(line.rsplit(" ", 1) for line in fingerprints())
+    moved = [name for name in {**want, **got} if got.get(name) != want.get(name)]
+    assert not moved, f"fingerprints moved: {moved}"
 
 
 if __name__ == "__main__":
