@@ -19,7 +19,6 @@ from .schemes import (
     ServiceMoments,
     SystemParams,
     Uncoded,
-    mm_k1,
     sample_service_batch,
     service_moments,
 )
@@ -33,7 +32,7 @@ __all__ = [
     "refine_discrete",
     "ShiftedExp", "gen_harmonic2", "harmonic", "os_mean", "os_var",
     "MDS", "MultiMDS", "Repetition", "Scheme",
-    "ServiceMoments", "SystemParams", "Uncoded", "mm_k1",
+    "ServiceMoments", "SystemParams", "Uncoded",
     "sample_service_batch", "service_moments",
     "InsufficientCycles", "SimReport", "run", "run_parallel",
 ]

@@ -27,7 +27,6 @@ from .schemes import (
     Scheme,
     SystemParams,
     Uncoded,
-    mm_k1,
 )
 from .simulate import _root_seq, run_parallel
 
@@ -255,7 +254,7 @@ def _row(scheme: Scheme, params: SystemParams) -> list:
     res = age_of(scheme, params)
     load, k1 = "", ""
     if isinstance(scheme, MultiMDS):
-        load, k1 = scheme.load, mm_k1(params, scheme.k, scheme.load)
+        load, k1 = scheme.load, scheme.order_stat(params)[2]
     return [scheme.label, params.nworkers, getattr(scheme, "k", ""), load,
             _fmt(params.arrival_rate), _fmt(params.shift), _fmt(params.straggling),
             _fmt(res.es), _fmt(res.es2), _fmt(res.delta), "", "", k1]

@@ -26,16 +26,16 @@ exact law.  The module functions below check and then call these methods,
 so no other code dispatches on the scheme type.  ``order_stat``,
 ``moments`` and ``sample`` check nothing themselves: they assume parameters
 that a public entry point (``service_moments``, ``sample_service_batch``,
-``mm_k1``, or ``age_of`` through ``service_moments``) has already checked,
-so each public call validates once.
+or ``age_of`` through ``service_moments``) has already checked, so each
+public call validates once.
 
 Every scheme states its modelled service time as one order statistic, the
 k-th smallest of N i.i.d. draws from a shifted exponential d, in an
 ``order_stat`` triple (d, N, k); its moments follow from that triple.  For
 Repetition the triple gives every group n/k replicas, exact only where k
 divides n; for MultiMDS it is the large-pool model: the k-th result overall
-arrives with the first level's k1-th (see ``mm_k1``), and at load 1 it is
-the MDS triple.  Samples come from order-statistic laws in O(1) per service
+arrives with the first level's k1-th (see ``levels._first_count``), and at
+load 1 it is the MDS triple.  Samples come from order-statistic laws in O(1) per service
 time (see ``_os_sample``), not from N worker draws: two gammas at any n, and
 four for Repetition where k does not divide n, which takes the larger of
 two, one per group size.  MultiMDS at load >= 2 draws only the worker order
@@ -54,7 +54,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .levels import _first_count, _mm_split, newton_root, require_int
+from .levels import Infeasible, NoConvergence, _first_count, _mm_split, require_int
 from .order_stats import (
     ShiftedExp,
     os_mean,
@@ -259,16 +259,19 @@ class MultiMDS(_OrderStat):
 
     def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
         # the large-pool model: the k-th result overall is the first
-        # level's k1-th; at load 1 that is k itself, which is MDS
-        k1 = _k1(params, self.k, self.load)
-        return params.whole_task().split(self.k), params.nworkers, k1
+        # level's k1-th.  At load 1 that is k itself, which is MDS; the
+        # split's alpha_1 = k/n would round back to k only while k/n is exact
+        n = params.nworkers
+        k1 = self.k if self.load == 1 else _first_count(
+            _mm_split(n, self.load, self.k, params.mu_c)[0], n)
+        return params.whole_task().split(self.k), n, k1
 
     def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.load == 1:
             return super().sample(params, rng, size)
         n, d = params.nworkers, params.whole_task().split(self.k)
         # the scratch bound, before any array is built; ranks reach n + 2
-        windows = _windows(d, n, self.k, self.load)
+        windows = _windows(n, self.k, self.load, params.mu_c)
         held = 2 * sum(b - a + 1 for a, b in windows)
         if held > MAX_SAMPLE_DRAWS or n + 2 > np.iinfo(np.int64).max:
             raise ValueError(f"{self.label} sampler: a row of its windows holds {held} doubles "
@@ -276,43 +279,34 @@ class MultiMDS(_OrderStat):
         return _multiset_sample(d, n, self.k, windows, rng, size)
 
 
-def _cdf(d: ShiftedExp, x: float) -> float:
-    return -math.expm1(-d.rate * (x - d.shift)) if x > d.shift else 0.0
-
-
-def _windows(d: ShiftedExp, n: int, k: int, load: int) -> list[tuple[int, int]]:
+def _windows(n: int, k: int, load: int, mu_c: float) -> list[tuple[int, int]]:
     """Each level's window [a_m, b_m] of worker ranks near its crossing rank.
 
-    The multiset is {m * X_i} over n workers i, with X_i ~ d, and queue
-    positions m = 1..load; its k-th element S takes c_m elements from level
-    m, the c_m smallest worker times times m, with sum c_m = k.  By time t
-    level m holds N_m(t) ~ Bin(n, p_m) elements, p_m = F(t/m).  newton_root
-    finds t0 with E[sum N_m(t0)] = k, with the slope n sum f(t/m) / m, in a
-    median of 8 evaluations over random systems; to first order S = t0 +
-    (k - sum N_m(t0)) / sum rho, with rho_m = n f(t0/m) / m the rate of
-    level m, so c_m = N_m(t0) + w_m (k - sum N_l(t0)), w_m = rho_m / sum
-    rho.  p falls with m, so one worker's level count L has P(L >= m) =
-    p_m, and the variance of c_m follows from L's moments in O(load):
-    Var(sum N) = n Var(L) and Cov(N_m, sum N) = n (m p_m + sum_{j>m} p_j -
-    p_m E[L]).  The window is n p_m +- (Z sd(c_m) + 1) for Z = WINDOW_Z, cut
-    to 1..n.  Any windows leave the sampler exact; these only make it fast.
+    The multiset is {m * X_i} over n workers i, with X_i ~ d = ShiftedExp(c/k,
+    k mu), and queue positions m = 1..load; its k-th element S takes c_m
+    elements from level m, the c_m smallest worker times times m, with sum
+    c_m = k.  By time t level m holds N_m(t) ~ Bin(n, p_m), p_m = F(t/m),
+    and -log(1 - p_m) = (k mu t - m mu c)/m is the chain's beta_m at beta_1
+    = k mu t - mu c: so at the time t0 with E[sum N_m(t0)] = k the p_m are
+    the large-pool level split (levels._mm_split), and level m's rate n
+    f(t0/m)/m is proportional to rho_m = (1 - p_m)/m over the open levels.
+    To first order S = t0 + (k - sum N_m(t0)) / sum rho, so c_m = N_m(t0) +
+    w_m (k - sum N_l(t0)), w_m = rho_m / sum rho.  p falls with m, so one
+    worker's level count L has P(L >= m) = p_m, and the variance of c_m
+    follows from L's moments in O(load): Var(sum N) = n Var(L) and
+    Cov(N_m, sum N) = n (m p_m + sum_{j>m} p_j - p_m E[L]).  The window is n
+    p_m +- (Z sd(c_m) + 1) for Z = WINDOW_Z, cut to 1..n.  Where the split
+    has no solution, only where (load - 1) mu c is above about 4e6 or
+    overflows, the levels fill in turn, its mu c -> inf limit.  Any windows
+    leave the sampler exact; these only make it fast.
     """
     levels = range(1, load + 1)
-
-    def rates(t: float) -> list[float]:
-        # rho_m over its common factor n * rate, which cannot overflow; from
-        # a level's start on, so the first step, at t = shift, has a slope
-        return [math.exp(-d.rate * (t / m - d.shift)) / m if t / m >= d.shift else 0.0
-                for m in levels]
-
-    def excess(t: float) -> tuple[float, float]:
-        return n * sum(_cdf(d, t / m) for m in levels) - k, n * d.rate * math.fsum(rates(t))
-
-    # the count is 0 at d.shift and n * load (in doubles) past load * (shift + 40/rate)
-    t0 = newton_root(excess, d.shift, load * (d.shift + 40 / d.rate))[0]
-    p = [_cdf(d, t0 / m) for m in levels]
-    # where rho underflows at every level, each window keeps its level's own spread
-    rho = rates(t0)
+    try:
+        p = _mm_split(n, load, k, mu_c)
+    except (Infeasible, NoConvergence):
+        p = [min(1.0, max(0.0, k / n - m + 1)) for m in levels]
+    rho = [(1.0 - q) / m if q > 0.0 else 0.0 for m, q in zip(levels, p)]
+    # where every open level is full, each window keeps its level's own spread
     rate = math.fsum(rho) or 1.0
     mean = math.fsum(p)
     total = n * (math.fsum((2 * m - 1) * q for m, q in zip(levels, p)) - mean * mean)
@@ -543,26 +537,6 @@ def validate(scheme: Scheme, params: SystemParams) -> None:
     if not isinstance(scheme, Scheme):
         raise TypeError(f"unknown scheme {scheme!r}")
     scheme.check(params)
-
-
-def mm_k1(params: SystemParams, k: int, load: int) -> int:
-    """First-level completion count k1 = round(alpha_1 * n), clamped to [1, n]:
-    the first of levels.level_counts' counts for k.  The k-th overall result
-    arrives exactly when the first level delivers its k1-th, so the analytic
-    service time is the k1-th order statistic of the per-subtask runtimes.
-    """
-    validate(MultiMDS(k, load), params)
-    return _k1(params, k, load)
-
-
-def _k1(params: SystemParams, k: int, load: int) -> int:
-    """mm_k1 on parameters that MultiMDS.check has passed."""
-    if load == 1:
-        # one level holds every result; the solver's alpha_1 = k/n would
-        # round back to k only while k/n is exact
-        return k
-    n = params.nworkers
-    return _first_count(_mm_split(n, load, k, params.mu_c)[0], n)
 
 
 def service_moments(scheme: Scheme, params: SystemParams) -> ServiceMoments:

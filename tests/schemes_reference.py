@@ -4,7 +4,8 @@ S is the k-th smallest of n i.i.d. draws from the shifted exponential d.
 This is how the moments were computed before each scheme owned its
 ``moments`` method; the library must keep giving the same floats.  The
 multi-message k1 comes straight from the level solver, not from
-``schemes.mm_k1``, clamped to [1, n] as there.
+``MultiMDS.order_stat``, clamped to [1, n] as there; ``model_k1`` reads the
+library's.
 
 ``reference_sample`` is the worker-level reference sampler: it simulates
 every worker, where the library draws single-level service times from their
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from coded_aoi import MDS, MultiMDS, Repetition, ServiceMoments, ShiftedExp, Uncoded
-from coded_aoi.levels import newton_root, solve_levels
+from coded_aoi.levels import solve_levels
 from coded_aoi import schemes
 from coded_aoi.order_stats import os_mean, os_var, sample_batch
 
@@ -50,6 +51,11 @@ def first_level_count(params, k, load):
     a first-level one."""
     n = params.nworkers
     return min(max(round(solve_levels(load, k / (n * load), params.mu_c)[0] * n), 1), n)
+
+
+def model_k1(params, k, load):
+    """The library's k1 of MultiMDS(k, load): its order statistic's rank."""
+    return MultiMDS(k, load).order_stat(params)[2]
 
 
 def moments(scheme, params):
@@ -153,30 +159,19 @@ def os_law(d, n, k, rng, size):
     return d.shift + np.log1p(g_k / g_rest) / d.rate
 
 
-def windows(d, n, k, load):
+def windows(n, k, load, mu_c):
     """Each level's window [a_m, b_m] of worker ranks, from the covariance matrix.
 
-    Level m holds N_m(t) ~ Bin(n, p_m) elements by time t, p_m = F(t/m),
-    with Cov(N_m, N_l) = n (p_max(m,l) - p_m p_l).  At the crossing time t0
-    of E[sum N_m] = k, c_m = N_m + w_m (k - sum N_l) for w_m = rho_m / sum
-    rho, rho_m the rate of level m, and the window is n p_m +- (Z sd(c_m) +
-    1) for Z = schemes.WINDOW_Z, cut to 1..n.  O(load^2) per call.
+    Level m holds N_m(t) ~ Bin(n, p_m) elements by time t, with Cov(N_m, N_l)
+    = n (p_max(m,l) - p_m p_l).  At the crossing time t0 of E[sum N_m] = k the
+    p_m are the level split solve_levels(load, k / (n load), mu_c), and level
+    m's rate is proportional to rho_m = (1 - p_m)/m where p_m > 0.  c_m = N_m
+    + w_m (k - sum N_l) for w_m = rho_m / sum rho, and the window is n p_m +-
+    (Z sd(c_m) + 1) for Z = schemes.WINDOW_Z, cut to 1..n.  O(load^2) per
+    call.
     """
-    levels = range(1, load + 1)
-
-    def cdf(x):
-        return -math.expm1(-d.rate * (x - d.shift)) if x > d.shift else 0.0
-
-    def rates(t):
-        return [math.exp(-d.rate * (t / m - d.shift)) / m if t / m >= d.shift else 0.0
-                for m in levels]
-
-    def excess(t):
-        return n * sum(cdf(t / m) for m in levels) - k, n * d.rate * math.fsum(rates(t))
-
-    t0 = newton_root(excess, d.shift, load * (d.shift + 40 / d.rate))[0]
-    p = [cdf(t0 / m) for m in levels]
-    rho = rates(t0)
+    p = solve_levels(load, k / (n * load), mu_c)
+    rho = [(1 - q) / m if q > 0 else 0.0 for m, q in enumerate(p, 1)]
     rate = math.fsum(rho) or 1.0
     w = [r / rate for r in rho]
     cov = [[n * (p[max(i, j)] - p[i] * p[j]) for j in range(load)] for i in range(load)]

@@ -13,9 +13,9 @@ from coded_aoi import (
     age_of,
     gen_harmonic2,
     harmonic,
-    mm_k1,
 )
 from coded_aoi.schemes import ServiceMoments
+from schemes_reference import model_k1
 
 
 def params(lam=1.0, c=1.0, mu=1.0, n=100):
@@ -97,7 +97,7 @@ def test_multi_message_agrees_with_direct_transcription():
             for k in (40, 90, 130):
                 if k >= 100 * load:
                     continue
-                k1 = mm_k1(p, k, load)
+                k1 = model_k1(p, k, load)
                 assert age_of(MultiMDS(k, load), p).delta == pytest.approx(
                     age_mm_mds_direct(1.0, 1.0, mu, 100, k, k1), rel=1e-12, abs=0.0)
 

@@ -560,8 +560,7 @@ def test_age_at_vanishing_arrival_rate_exits_3(capsys):
 
 def window_doubles(n, k, load):
     """The doubles a row of the mm-mds window sampler holds at c = mu = 1."""
-    d = SystemParams(1.0, 1.0, 1.0, n).whole_task().split(k)
-    return 2 * sum(b - a + 1 for a, b in schemes._windows(d, n, k, load))
+    return 2 * sum(b - a + 1 for a, b in schemes._windows(n, k, load, 1.0))
 
 
 def test_simulate_above_the_sampling_limit_exits_2(monkeypatch, capsys):
@@ -598,6 +597,19 @@ def test_simulate_past_the_window_bound_exits_2_at_once(capsys, n, k, load):
     assert code == 2 and out == ""
     assert err.startswith("error: mm-mds sampler: ") and err.count("\n") == 1
     assert peak < 1 << 20
+
+
+def test_simulate_samples_where_the_level_split_does_not_converge(capsys):
+    # (load - 1) mu c = 2e7: the analytic age has no split and exits 3, while
+    # the sampler's windows fall back to the levels filling in turn
+    point = ["--scheme", "mm-mds", "--l", "3", "--n", "100", "--k", "250",
+             "--lambda", "1", "--c", "1", "--mu", "1e7"]
+    code, out, err = run_cli(capsys, "simulate", *point, "--cycles", "300", "--seed", "1")
+    assert code == 0, err
+    assert math.isfinite(float(value_of(out, "mean_age")))
+    code, out, err = run_cli(capsys, "age", *point)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 def test_sweep_above_the_sampling_limit_exits_2_before_writing(tmp_path, monkeypatch, capsys):

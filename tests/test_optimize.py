@@ -9,7 +9,6 @@ from coded_aoi import (
     SystemParams,
     age_of,
     lambert_w_m1,
-    mm_k1,
     opt_mds,
     opt_mm_mds,
     opt_repetition,
@@ -19,6 +18,7 @@ from coded_aoi import (
 from coded_aoi.levels import solve_levels
 from levels_reference import chain_alphas_grid, chain_residuals
 from coded_aoi.schemes import MDS, MultiMDS, Repetition
+from schemes_reference import model_k1
 
 
 def params(lam=1.0, c=1.0, mu=1.0, n=100):
@@ -363,7 +363,7 @@ def test_mm_k1_is_clamped_to_one_through_n():
     for p, load in points:
         n = p.nworkers
         for k in {k for k in (1, 2, n * load // 2, n * load - 1) if 1 <= k < n * load}:
-            k1 = mm_k1(p, k, load)
+            k1 = model_k1(p, k, load)
             assert 1 <= k1 <= n
             if load > 1:
                 raw = round(solve_levels(load, k / (n * load), p.mu_c)[0] * n)
@@ -377,7 +377,7 @@ def test_opt_mm_mds_refines_only_over_a_non_empty_first_level():
     # the service time is X_(1), as for MDS(1), whose age is far above the
     # optimum's
     p = SystemParams(1.0, 0.02, 0.01, 20)
-    assert all(mm_k1(p, k, 4) >= 1 for k in range(1, 80))
+    assert all(model_k1(p, k, 4) >= 1 for k in range(1, 80))
     ages = [age_of(MultiMDS(k, 4), p).delta for k in range(1, 7)]
     assert ages == pytest.approx([11.1895, 6.2978, 4.7166, 5.9574, 5.0934, 5.9159], abs=1e-4)
     assert ages[0] == age_of(MDS(1), p).delta
@@ -403,7 +403,7 @@ def test_opt_mm_mds_accepts_a_numpy_integer_load():
 
 
 def test_reported_levels_sum_to_k_star_and_start_at_k1():
-    # levels rounds alpha_1 * n by the rule of mm_k1, which the age uses, and
+    # levels rounds alpha_1 * n by the k1 rule of the age, and
     # splits the rest of k_star over the deeper levels
     rng = np.random.default_rng(116)
     for n, load, c, mu in zip(rng.integers(2, 301, 80), rng.integers(2, 6, 80),
@@ -411,11 +411,11 @@ def test_reported_levels_sum_to_k_star_and_start_at_k1():
         p = SystemParams(1.0, float(c), float(mu), int(n))
         r = opt_mm_mds(p, int(load))
         assert sum(r.levels) == r.k_star
-        assert r.levels[0] == mm_k1(p, r.k_star, int(load))
+        assert r.levels[0] == model_k1(p, r.k_star, int(load))
     # rounding all five levels by largest remainder would start this split at 159
     p = SystemParams(1.0, 0.827263658631598, 1.2711609403944863, 159)
     r = opt_mm_mds(p, 5)
-    assert (r.k_star, r.levels[0], mm_k1(p, r.k_star, 5)) == (533, 158, 158)
+    assert (r.k_star, r.levels[0], model_k1(p, r.k_star, 5)) == (533, 158, 158)
 
 
 def test_age_and_service_argmins_agree_at_large_n():

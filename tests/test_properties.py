@@ -24,7 +24,6 @@ from coded_aoi import (  # noqa: E402
     Uncoded,
     age_of,
     level_counts,
-    mm_k1,
     opt_mds,
     opt_mm_mds,
     opt_repetition,
@@ -128,7 +127,7 @@ def test_service_moments_match_the_order_statistic_reference(point):
 def test_first_level_count_is_between_one_and_n(point):
     scheme, p = point
     if isinstance(scheme, MultiMDS):
-        assert 1 <= mm_k1(p, scheme.k, scheme.load) <= p.nworkers
+        assert 1 <= schemes_reference.model_k1(p, scheme.k, scheme.load) <= p.nworkers
 
 
 log_uniform = st.floats(math.log(1e-2), math.log(30.0)).map(math.exp)
@@ -144,11 +143,11 @@ def test_level_counts_start_at_the_first_level_count_of_the_age(load, n, c, mu):
     for k in range(1, n * load):
         counts = level_counts(solve_levels(load, k / (n * load), p.mu_c), n, k)
         assert sum(counts) == k
-        assert counts[0] == mm_k1(p, k, load)
+        assert counts[0] == schemes_reference.model_k1(p, k, load)
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert all(0 <= x <= n for x in counts)
     r = opt_mm_mds(p, load)
-    assert r.levels[0] == mm_k1(p, r.k_star, load)
+    assert r.levels[0] == schemes_reference.model_k1(p, r.k_star, load)
 
 
 @FEW
@@ -273,9 +272,9 @@ def test_windows_within_one_rank_of_the_covariance_matrix_form(load, n, at, log_
     # which moves a window end by at most one rank; the sampler is exact for
     # any windows
     k = 1 + int(at * (n * load - 1))
-    d = SystemParams(1.0, 10**log_c, 10**log_mu, n).whole_task().split(k)
-    got = schemes._windows(d, n, k, load)
-    want = schemes_reference.windows(d, n, k, load)
+    mu_c = SystemParams(1.0, 10**log_c, 10**log_mu, n).mu_c
+    got = schemes._windows(n, k, load, mu_c)
+    want = schemes_reference.windows(n, k, load, mu_c)
     assert len(got) == len(want) == load
     for (a, b), (a_ref, b_ref) in zip(got, want):
         assert abs(a - a_ref) <= 1 and abs(b - b_ref) <= 1, (got, want)

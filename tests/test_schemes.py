@@ -19,17 +19,17 @@ from coded_aoi import (
     SystemParams,
     Uncoded,
     harmonic,
-    mm_k1,
     os_var,
     sample_service_batch,
     service_moments,
 )
 from coded_aoi import schemes
-from coded_aoi.levels import solve_levels
+from coded_aoi.levels import NoConvergence, solve_levels
 from coded_aoi.schemes import MAX_SAMPLE_DRAWS, validate
 from schemes_reference import (
     law_sample,
     mechanism_sample,
+    model_k1,
     multiset_kth,
     order_stat,
     windows as reference_windows,
@@ -174,8 +174,7 @@ def test_widening_between_first_pass_rows_keeps_the_law_and_the_values(monkeypat
     # the values do not depend on the row chunks either
     monkeypatch.setattr(schemes, "WINDOW_Z", 0.5)
     scheme, p = MultiMDS(129, 2), params(n=100)
-    d = p.whole_task().split(scheme.k)
-    windows = schemes._windows(d, p.nworkers, scheme.k, scheme.load)
+    windows = schemes._windows(p.nworkers, scheme.k, scheme.load, p.mu_c)
     ranks = schemes._window_plan(windows, p.nworkers, scheme.k).ranks.size
     monkeypatch.setattr(schemes, "WIDEN_DOUBLES", 40 * ranks)
     x = sample_service_batch(scheme, p, rng(5), 3000)
@@ -188,12 +187,19 @@ def test_widening_between_first_pass_rows_keeps_the_law_and_the_values(monkeypat
 
 def test_windows_sit_at_the_crossing_rank_where_the_count_slope_overflows():
     # n * rate = 1000 * 1e306 overflows: the expected count jumps from 0 to
-    # n within 1e-306 of the shift, and the root solve bisects onto the jump
-    # instead of stopping at the shift, where every window would sit at rank 1
-    # and every row would widen
+    # n within 1e-306 of the shift, and the split puts every result on the
+    # first level, so its window sits at the top ranks, not at rank 1, where
+    # every row would widen
     scheme, p = MultiMDS(1000, 2), params(mu=1e303, n=1000)
-    d = p.whole_task().split(scheme.k)
-    assert schemes._windows(d, p.nworkers, scheme.k, scheme.load) == [(999, 1000), (1, 1)]
+    assert schemes._windows(p.nworkers, scheme.k, scheme.load, p.mu_c) == [(999, 1000), (1, 1)]
+
+
+def test_windows_fill_the_levels_in_turn_where_the_split_does_not_converge():
+    # (load - 1) mu c = 2e7: the split's residual stays above its tolerance,
+    # so the windows take its mu c -> inf limit, p = (1, 1, 1/2)
+    with pytest.raises(NoConvergence):
+        solve_levels(3, 250 / 300, 1e7)
+    assert schemes._windows(100, 250, 3, 1e7) == [(99, 100), (99, 100), (49, 51)]
 
 
 # (n, k, load, mu) of the mm-mds golden, benchmark and CI points
@@ -208,19 +214,18 @@ WINDOW_POINTS = [
 def test_windows_equal_the_covariance_matrix_form(n, k, load, mu):
     # the level-count moments give the same windows as the load x load
     # covariance matrix at every point the goldens, benchmark and CI sample
-    d = params(mu=mu, n=n).whole_task().split(k)
-    assert schemes._windows(d, n, k, load) == reference_windows(d, n, k, load)
+    mu_c = params(mu=mu, n=n).mu_c
+    assert schemes._windows(n, k, load, mu_c) == reference_windows(n, k, load, mu_c)
 
 
 def test_window_setup_is_linear_in_the_load():
     # MultiMDS(150000, 2000) at n = 100: a load x load covariance matrix
-    # took 1.3-2.1 s per sample call, the level-count moments about 15 ms
+    # took 1.3-2.1 s per sample call, the level-count moments about 16 ms
     n, k, load = 100, 150_000, 2000
-    d = params(n=n).whole_task().split(k)
 
     def setup():
         start = time.perf_counter()
-        schemes._window_plan(schemes._windows(d, n, k, load), n, k)
+        schemes._window_plan(schemes._windows(n, k, load, 1.0), n, k)
         return time.perf_counter() - start
 
     assert min(setup() for _ in range(3)) < 0.25
@@ -264,7 +269,7 @@ def test_window_selection_is_the_multiset_kth(n, load, k, mu, windows):
     # check accepts exactly when every level's crossing count lies in its
     # window, and then the pick is the k-th
     d = params(mu=mu, n=n).whole_task().split(k)
-    windows = windows or schemes._windows(d, n, k, load)
+    windows = windows or schemes._windows(n, k, load, params(mu=mu, n=n).mu_c)
     x = np.sort(fixed_worker_times(d, 2000, n), axis=1)
     plan = schemes._window_plan(windows, n, k)
     got, ok = schemes._window_kth(x[:, plan.ranks - 1], plan)
@@ -308,8 +313,7 @@ def plan_windows():
                                 (MultiMDS(1287000, 2), params(n=10**6))]
     for scheme, p in points:
         n = p.nworkers
-        d = p.whole_task().split(scheme.k)
-        yield schemes._windows(d, n, scheme.k, scheme.load), n, scheme.k
+        yield schemes._windows(n, scheme.k, scheme.load, p.mu_c), n, scheme.k
 
 
 def test_window_plan_matches_a_set_construction():
@@ -393,8 +397,7 @@ def test_multiset_sampler_scratch_stays_within_its_windows(monkeypatch):
     # sampler holds at most some doubles per window rank, also in the rows
     # whose windows it widens, plus O(size) for the output and the gammas
     scheme, p, size = MultiMDS(128_700_000, 2), params(n=10**8), 1000
-    d = p.whole_task().split(scheme.k)
-    ranks = sum(b - a + 1 for a, b in schemes._windows(d, p.nworkers, scheme.k, scheme.load))
+    ranks = sum(b - a + 1 for a, b in schemes._windows(p.nworkers, scheme.k, scheme.load, p.mu_c))
     widened = []
     original = schemes._widen
 
@@ -599,7 +602,7 @@ def test_multi_mds_k_one_equals_mds_one():
     # first-level one, so k1 is clamped to 1 and S is X_(1), as for MDS(1)
     p = params(mu=0.0001, n=100)
     assert round(solve_levels(4, 1 / 400, p.mu_c)[0] * 100) == 0
-    assert mm_k1(p, 1, 4) == 1
+    assert model_k1(p, 1, 4) == 1
     assert service_moments(MultiMDS(1, 4), p) == service_moments(MDS(1), p)
 
 
@@ -677,7 +680,7 @@ def test_multi_mds_sampler_matches_levels_at_large_n():
 
 def test_mm_k1_counts():
     p = params(mu=0.1, n=1000)
-    k1 = mm_k1(p, 600, 2)
+    k1 = model_k1(p, 600, 2)
     assert k1 == round(solve_levels(2, 600 / 2000, p.mu_c)[0] * 1000)
     assert k1 >= 1
 
@@ -689,5 +692,5 @@ def test_mm_k1_where_k_over_n_load_rounds_to_one():
     n = 2**60
     p = params(n=n)
     assert (2 * n - 1) / (2 * n) == 1.0
-    assert mm_k1(p, 2 * n - 1, 2) == n
+    assert model_k1(p, 2 * n - 1, 2) == n
     assert math.isfinite(service_moments(MultiMDS(2 * n - 1, 2), p).es)
