@@ -92,12 +92,13 @@ def _branch_excess(d: float) -> float:
 
 def refine_discrete(age_fn: Callable[[int], float], k_seed: int,
                     k_min: int, k_max: int) -> int:
-    """Integer argmin by hill descent from k_seed; ties move toward smaller k."""
+    """Integer argmin by hill descent from k_seed, one step at a time to a
+    strictly lower neighbour; a tie stops the walk."""
     if not k_min <= k_seed <= k_max:
         raise ValueError(f"need k_min <= k_seed <= k_max, got {k_min}, {k_seed}, {k_max}")
     f = functools.cache(age_fn)
     k = k_seed
-    while k > k_min and f(k - 1) <= f(k):
+    while k > k_min and f(k - 1) < f(k):
         k -= 1
     if k == k_seed:
         while k < k_max and f(k + 1) < f(k):

@@ -15,6 +15,7 @@ from coded_aoi import (
     refine_discrete,
     service_moments,
 )
+from coded_aoi import optimize
 from coded_aoi.levels import solve_levels
 from levels_reference import chain_alphas_grid, chain_residuals
 from coded_aoi.schemes import MDS, MultiMDS, Repetition
@@ -301,7 +302,7 @@ def test_opt_mm_mds_where_bisection_on_alpha1_failed():
 
 
 def dict_memo_refine(age_fn, k_seed, k_min, k_max):
-    """refine_discrete as it was written with a hand-kept memo dict."""
+    """refine_discrete with a hand-kept memo dict: strictly lower steps only."""
     if not k_min <= k_seed <= k_max:
         raise ValueError(f"need k_min <= k_seed <= k_max, got {k_min}, {k_seed}, {k_max}")
     cache = {}
@@ -312,8 +313,8 @@ def dict_memo_refine(age_fn, k_seed, k_min, k_max):
         return cache[k]
 
     k = k_seed
-    if k > k_min and f(k - 1) <= f(k):
-        while k > k_min and f(k - 1) <= f(k):
+    if k > k_min and f(k - 1) < f(k):
+        while k > k_min and f(k - 1) < f(k):
             k -= 1
     else:
         while k < k_max and f(k + 1) < f(k):
@@ -340,9 +341,26 @@ def test_refine_discrete_matches_the_dict_memo_loop():
 def test_refine_discrete_synthetic():
     assert refine_discrete(lambda k: (k - 69) ** 2, 68, 1, 99) == 69
     assert refine_discrete(lambda k: (k - 69) ** 2, 90, 1, 99) == 69
-    assert refine_discrete(lambda k: 1.0, 40, 10, 99) == 10  # ties go low
+    assert refine_discrete(lambda k: 1.0, 40, 10, 99) == 40  # a tie stops the walk
     with pytest.raises(ValueError):
         refine_discrete(lambda k: k, 5, 10, 20)
+
+
+@pytest.mark.parametrize("optimizer", [
+    optimize.opt_repetition, optimize.opt_mds, lambda p: optimize.opt_mm_mds(p, 2)],
+    ids=["rep", "mds", "mm-mds"])
+def test_integer_walk_stops_at_ties_at_a_billion_workers(monkeypatch, optimizer):
+    # neighbouring ages tie in doubles over long runs of k at n = 1e9; a walk
+    # that stepped on ties took about 3e5 age evaluations through them
+    calls, real = [], optimize.age_of
+
+    def counted(scheme, p):
+        calls.append(scheme)
+        assert len(calls) <= 10, "the integer walk does not stop"
+        return real(scheme, p)
+
+    monkeypatch.setattr(optimize, "age_of", counted)
+    optimizer(params(n=10**9))
 
 
 def test_refine_discrete_full_sweep_agreement_on_age():
