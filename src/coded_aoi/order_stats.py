@@ -91,21 +91,6 @@ class ShiftedExp:
             raise ValueError(f"cannot split into {m} pieces")
         return ShiftedExp(self.shift / m, self.rate * m)
 
-    def quantile(self, u: "float | np.ndarray",
-                 out: "np.ndarray | None" = None) -> "float | np.ndarray":
-        """Inverse CDF at u in [0, 1): shift - log(1 - u)/rate.
-
-        Nondecreasing in u, so an order statistic of draws can be selected
-        on the uniforms and transformed once; the log argument is never zero.
-        With ``out`` (which may be u itself) the steps run in place there.
-        """
-        x = np.log1p(np.negative(u, out=out), out=out)
-        if self.shift == 0:
-            # -(x/rate) in the divide's own pass: the bits of 0 - x/rate at
-            # every u but -0.0, where the sign of the zero flips
-            return np.divide(x, -self.rate, out=out)
-        return np.subtract(self.shift, np.divide(x, self.rate, out=out), out=out)
-
 
 def _check_order(n: int, k: int) -> None:
     if not 1 <= k <= n:
@@ -126,7 +111,11 @@ def os_var(d: ShiftedExp, n: int, k: int) -> float:
 
 def sample_batch(d: ShiftedExp, rng: np.random.Generator,
                  size: "int | tuple[int, ...]") -> np.ndarray:
-    """Draw ``size`` values from d: the inverse CDF (see ShiftedExp.quantile)
-    of standard uniforms, which lie below 1, so no draw is infinite."""
+    """Draw ``size`` values from d: the inverse CDF shift - log1p(-u)/rate of
+    standard uniforms u, in place; u lies below 1, so no draw is infinite."""
     u = rng.random(size)
-    return d.quantile(u, out=u)
+    np.log1p(np.negative(u, out=u), out=u)
+    u /= -d.rate
+    if d.shift:
+        u += d.shift
+    return u

@@ -54,7 +54,7 @@ def sample_kth_of_n(d, n, k, rng):
     _check_order(n, k)
     u = rng.random(n)
     u.partition(k - 1)
-    return float(d.quantile(u[k - 1]))
+    return float(d.shift - np.log1p(-u[k - 1]) / d.rate)
 
 
 def exact_sum(lo, hi, order):

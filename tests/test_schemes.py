@@ -241,7 +241,7 @@ def fixed_worker_times(d, rows, n):
     prime = 2**31 - 1
     i = np.arange(1, rows * n + 1, dtype=np.int64)
     u = ((i * i % prime) * 48271 % prime + 0.5) / prime
-    return d.quantile(u).reshape(rows, n)
+    return (d.shift - np.log1p(-u) / d.rate).reshape(rows, n)
 
 
 # (n, load, k, mu, windows): None takes the sampler's own windows; then
