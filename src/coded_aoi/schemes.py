@@ -35,10 +35,10 @@ k-th smallest of N i.i.d. draws from a shifted exponential d, in an
 Repetition the triple gives every group n/k replicas, exact only where k
 divides n; for MultiMDS it is the large-pool model: the k-th result overall
 arrives with the first level's k1-th (see ``levels._first_count``), and at
-load 1 it is the MDS triple.  Samples come from order-statistic laws in O(1) per service
-time (see ``_os_sample``), not from N worker draws: two gammas at any n, and
-four for Repetition where k does not divide n, which takes the larger of
-two, one per group size.  MultiMDS at load >= 2 draws only the worker order
+load 1 it is the MDS triple.  Samples come from order-statistic laws in
+O(1) per service time (see ``_os_sample``), not from N worker draws: two
+gammas at any n, and four for Repetition where k does not divide n, which
+takes the larger of two, one per group size.  MultiMDS at load >= 2 draws only the worker order
 statistics in a window of ranks around each level's share of the k-th
 result (see ``_multiset_sample``): two gammas per run of consecutive ranks
 and one exponential per rank, then a sort of the windows' elements.  The
@@ -296,9 +296,9 @@ def _windows(n: int, k: int, load: int, mu_c: float) -> list[tuple[int, int]]:
     follows from L's moments in O(load): Var(sum N) = n Var(L) and
     Cov(N_m, sum N) = n (m p_m + sum_{j>m} p_j - p_m E[L]).  The window is n
     p_m +- (Z sd(c_m) + 1) for Z = WINDOW_Z, cut to 1..n.  Where the split
-    has no solution, only where (load - 1) mu c is above about 4e6 or
-    overflows, the levels fill in turn, its mu c -> inf limit.  Any windows
-    leave the sampler exact; these only make it fast.
+    raises, only where (load - 1) mu c is above about 4e6 or overflows, p
+    takes its mu c -> inf limit, in which the levels fill in turn.  Any
+    windows leave the sampler exact; these only make it fast.
     """
     levels = range(1, load + 1)
     try:

@@ -7,8 +7,8 @@ not flip bits), hash to one ``name sha256`` line of
 it is; a change that moves values names the entries it moved, and says
 why.  The entries are ``run_parallel`` over every scheme, both modes, both
 policies and one and three replications, and ``sample_service_batch`` at
-the golden, benchmark and CI mm-mds points, each call one row past a
-widening block of the window sampler.  Regenerate with
+the golden, benchmark and CI mm-mds points, each call but one reaching one
+row past a widening block of the window sampler.  Regenerate with
 
     PYTHONPATH=src python tests/fingerprints.py
 """
@@ -19,8 +19,8 @@ import os
 
 import numpy as np
 
-from coded_aoi import MDS, MultiMDS, Repetition, SystemParams, Uncoded, sample_service_batch
-from coded_aoi.simulate import run_parallel
+from coded_aoi import (MDS, MultiMDS, Repetition, SystemParams, Uncoded, run_parallel,
+                       sample_service_batch)
 
 FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "expected_output",
                     "fingerprints.txt")
@@ -29,9 +29,9 @@ FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "expected_output
 RUN_SCHEMES = [Uncoded(), Repetition(5), Repetition(6), MDS(14), MultiMDS(14, 1),
                MultiMDS(30, 2)]
 # (n, k, load, mu, size) at the mm-mds golden, benchmark and CI points: one
-# row more than a widening block of the parent windows, WIDEN_DOUBLES // ranks,
-# except at load 2000, whose rows take about 0.5 ms each, so that a block
-# of 12483 would take 6 s; its 201 rows stay in one block
+# row more than a widening block, WIDEN_DOUBLES // (window ranks) rows,
+# except at load 2000, whose rows take about 0.5 ms each, so that its block
+# of 12483 rows would take 6 s; its 201 rows stay in one block
 SAMPLE_POINTS = [
     (20, 30, 2, 1.0, 87382), (100, 129, 2, 1.0, 43691), (1000, 1287, 2, 1.0, 17477),
     (10**6, 1287000, 2, 1.0, 642), (10**6, 3999999, 4, 2.0, 262145),
