@@ -37,15 +37,16 @@ divides n; for MultiMDS it is the large-pool model: the k-th result overall
 arrives with the first level's k1-th (see ``levels._first_count``), and at
 load 1 it is the MDS triple.  Samples come from order-statistic laws in
 O(1) per service time (see ``_os_sample``), not from N worker draws: two
-gammas at any n, and four for Repetition where k does not divide n, which
-takes the larger of two, one per group size.  MultiMDS at load >= 2 draws only the worker order
-statistics in a window of ranks around each level's share of the k-th
-result (see ``_multiset_sample``): two gammas per run of consecutive ranks
-and one exponential per rank, then a sort of the windows' elements.  The
-README gives the measured time per service time of each.
+gammas at any n, four for Repetition where k does not divide n (the larger
+of two).  MultiMDS at load >= 2 draws only the worker order statistics in
+a window of ranks around each level's share of the k-th result (see
+``_multiset_sample``): two gammas per run of consecutive ranks and one
+exponential per rank, then a sort, in a layout planned once per point (see
+``_layout``).  The README gives the measured time per service time of each.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -269,17 +270,20 @@ class MultiMDS(_OrderStat):
     def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.load == 1:
             return super().sample(params, rng, size)
-        n, d = params.nworkers, params.whole_task().split(self.k)
-        # the scratch bound, before any array is built; ranks reach n + 2
-        windows = _windows(n, self.k, self.load, params.mu_c)
-        held = 2 * sum(b - a + 1 for a, b in windows)
-        if held > MAX_SAMPLE_DRAWS or n + 2 > np.iinfo(np.int64).max:
-            raise ValueError(f"{self.label} sampler: a row of its windows holds {held} doubles "
-                             f"at n = {n}; the limits are {MAX_SAMPLE_DRAWS} and n < 2**63 - 2")
-        return _multiset_sample(d, n, self.k, windows, rng, size)
+        rounds = functools.partial(_layout, params.nworkers, self.k, self.load, params.mu_c,
+                                   WINDOW_Z, WINDOW_GROWTH)
+        _check_scratch(2 * rounds(0).cols.size, params.nworkers)  # checked at every call
+        return _multiset_sample(params.whole_task().split(self.k), rounds, rng, size)
 
 
-def _windows(n: int, k: int, load: int, mu_c: float) -> list[tuple[int, int]]:
+def _check_scratch(held: int, n: int) -> None:
+    """Refuse a row of ``held`` window doubles past the bound, or ranks past int64."""
+    if held > MAX_SAMPLE_DRAWS or n + 2 > np.iinfo(np.int64).max:
+        raise ValueError(f"{MultiMDS.label} sampler: a row of its windows holds {held} doubles "
+                         f"at n = {n}; the limits are {MAX_SAMPLE_DRAWS} and n < 2**63 - 2")
+
+
+def _windows(n: int, k: int, load: int, mu_c: float, z: float) -> list[tuple[int, int]]:
     """Each level's window [a_m, b_m] of worker ranks near its crossing rank.
 
     The multiset is {m * X_i} over n workers i, with X_i ~ d = ShiftedExp(c/k,
@@ -295,10 +299,10 @@ def _windows(n: int, k: int, load: int, mu_c: float) -> list[tuple[int, int]]:
     worker's level count L has P(L >= m) = p_m, and the variance of c_m
     follows from L's moments in O(load): Var(sum N) = n Var(L) and
     Cov(N_m, sum N) = n (m p_m + sum_{j>m} p_j - p_m E[L]).  The window is n
-    p_m +- (Z sd(c_m) + 1) for Z = WINDOW_Z, cut to 1..n.  Where the split
-    raises, only where (load - 1) mu c is above about 4e6 or overflows, p
-    takes its mu c -> inf limit, in which the levels fill in turn.  Any
-    windows leave the sampler exact; these only make it fast.
+    p_m +- (z sd(c_m) + 1), cut to 1..n.  Where the split raises, only where
+    (load - 1) mu c is above about 4e6 or overflows, p takes its mu c -> inf
+    limit, in which the levels fill in turn.  Any windows leave the sampler
+    exact; these only make it fast.
     """
     levels = range(1, load + 1)
     try:
@@ -316,27 +320,28 @@ def _windows(n: int, k: int, load: int, mu_c: float) -> list[tuple[int, int]]:
     for m, q, r, rest in zip(levels, p, rho, above):
         w, cov = r / rate, n * (m * q + rest - q * mean)  # cov = Cov(N_m, sum N)
         var = n * (q - q * q) - 2 * w * cov + w * w * total
-        half = WINDOW_Z * math.sqrt(max(var, 0.0)) + 1
+        half = z * math.sqrt(max(var, 0.0)) + 1
         out.append((max(1, math.floor(n * q - half)), min(n, math.ceil(n * q + half))))
     return out
 
 
 @dataclass(frozen=True)
 class _WindowPlan:
-    """Where a row's window order statistics sit, and how the k-th is read off them.
+    """Where a row's window order statistics sit, how they are drawn and read.
 
-    ``ranks`` is the union of the windows' worker ranks, ascending; a row
-    holds X_(j) for j in ``ranks``.  The union falls into segments of
-    consecutive ranks; ``starts`` and ``ends`` hold the positions in
-    ``ranks`` of each segment's first and last rank.  The pooled elements are
-    m X_(j) for every rank j of level m's window, window by window: a pooled
-    row holds the row's columns at ``cols`` times ``scale``, each window's
-    columns in turn times its level.  ``lower`` and ``upper`` are the pooled
-    columns of m X_(a_m) for a_m > 1 and of m X_(b_m) for b_m < n, each
-    window's first and last, and ``col`` = k - sum(a_m - 1) - 1 is the
-    column of the k-th element among the pooled ones once they are sorted.
+    ``ranks``, a row's X_(j) columns, is the union of the level ``windows``
+    [a_m, b_m], ascending, in segments of consecutive ranks whose first and
+    last positions are ``starts`` and ``ends``.  A pooled row holds m X_(j)
+    for every rank j of level m's window, window by window: the row's columns
+    at ``cols`` times ``scale``.  ``lower`` and ``upper`` are the pooled
+    columns of m X_(a_m) for a_m > 1 and of m X_(b_m) for b_m < n, and
+    ``col`` = k - sum(a_m - 1) - 1 is the k-th's once they are sorted.  A
+    first pass holds each rank's ``spacing_scale`` and each segment's
+    ``jumps`` (see ``_multiset_sample``), a widening round what ``_widen``
+    reads.  The arrays are read-only.
     """
 
+    windows: tuple[tuple[int, int], ...]
     ranks: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
@@ -345,6 +350,15 @@ class _WindowPlan:
     lower: np.ndarray
     upper: np.ndarray
     col: int
+    spacing_scale: np.ndarray | None = None
+    jumps: tuple[tuple[int, int], ...] | None = None
+    known: np.ndarray | None = None
+    gaps: tuple[tuple[int, int], ...] | None = None
+    shapes: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for array in (v for v in vars(self).values() if isinstance(v, np.ndarray)):
+            array.setflags(write=False)
 
     def chunk_rows(self) -> int:
         """Rows per chunk of at most SCRATCH_DOUBLES doubles: each row's
@@ -352,8 +366,9 @@ class _WindowPlan:
         return max(1, SCRATCH_DOUBLES // (self.ranks.size + self.cols.size))
 
 
-def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
-    """The plan of windows [a_m, b_m], level m = 1.. in order, at n workers."""
+def _window_plan(windows: list[tuple[int, int]], n: int, k: int,
+                 below: _WindowPlan | None = None) -> _WindowPlan:
+    """The plan of windows [a_m, b_m], m = 1.., at n workers; widening ``below``'s if given."""
     # the union's segments of consecutive ranks, ascending
     segments: list[list[int]] = []
     for a, b in sorted(windows):
@@ -368,15 +383,54 @@ def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
     firsts, lasts = np.searchsorted(ranks, (lows, highs))
     sizes = lasts - firsts + 1
     stops = np.cumsum(sizes)
+    if below is None:
+        # rank j's spacing scale 1/(n - j + 1); the last rank below each segment, or 0
+        prior = np.concatenate([[0], ranks[ends][:-1]])
+        drawn = dict(spacing_scale=1.0 / (n + 1 - ranks),
+                     jumps=tuple(zip((n - prior).tolist(), (ranks[starts] - prior).tolist())))
+    else:
+        # the ranks between X_(0) = d.shift and X_(n+1) = inf, and the known
+        # segments' columns [head, tail) among them
+        framed = np.concatenate([[0], ranks, [n + 1]])
+        known = np.searchsorted(framed, below.ranks)
+        heads, tails = known[below.starts].tolist(), (known[below.ends] + 1).tolist()
+        # each gap's new columns [a, b); column b holds the known rank above them
+        gaps = tuple((a, b) for a, b in zip([1, *tails], [*heads, framed.size - 1]) if a < b)
+        # a gamma for each new rank and the known rank that closes its gap, of
+        # shape the rank's offset from the column before it
+        drawn_at = np.concatenate([np.arange(0)] + [np.arange(a, b + 1) for a, b in gaps])
+        drawn = dict(known=known, gaps=gaps,
+                     shapes=(framed[drawn_at] - framed[drawn_at - 1]).astype(float))
     return _WindowPlan(
-        ranks=ranks,
-        starts=starts,
-        ends=ends,
+        windows=tuple(windows), ranks=ranks, starts=starts, ends=ends,
         cols=np.arange(stops[-1]) + np.repeat(firsts + sizes - stops, sizes),
         scale=np.repeat(np.arange(1.0, len(windows) + 1), sizes),
-        lower=(stops - sizes)[lows > 1],
-        upper=(stops - 1)[highs < n],
-        col=k - sum(a for a, _ in windows) + len(windows) - 1)
+        lower=(stops - sizes)[lows > 1], upper=(stops - 1)[highs < n],
+        col=k - sum(a for a, _ in windows) + len(windows) - 1, **drawn)
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(n: int, k: int, load: int, mu_c: float, z: float, growth: float,
+            r: int) -> _WindowPlan:
+    """Round r's plan of the window sampler at a point, built once and kept.
+
+    Round 0 is the first pass, over ``_windows`` at Z = z; past the scratch
+    bound it raises ValueError before it builds an array.  Round r >= 1 widens
+    each window of round r - 1 about its centre by ``growth``, by one rank at
+    least on each side, cut to [1, n].  A plan is a pure function of its key
+    that calls in any thread share read-only.  The cache keeps 256 plans, the
+    last 85 points at the 1 to 3 rounds of the benchmark points, 21 at the 12
+    of MultiMDS(30000, 300).  A plan keeps 16 bytes per rank and per pooled
+    column, up to 256 MiB at MAX_SAMPLE_DRAWS, and about 100 bytes per level.
+    """
+    if r == 0:
+        windows = _windows(n, k, load, mu_c, z)
+        _check_scratch(2 * sum(b - a + 1 for a, b in windows), n)
+        return _window_plan(windows, n, k)
+    below = _layout(n, k, load, mu_c, z, growth, r - 1)
+    grow = [max(1, math.ceil((growth - 1) * (b - a + 1) / 2)) for a, b in below.windows]
+    windows = [(max(1, a - g), min(n, b + g)) for (a, b), g in zip(below.windows, grow)]
+    return _window_plan(windows, n, k, below)
 
 
 def _window_kth(x: np.ndarray, plan: _WindowPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -402,92 +456,69 @@ def _window_kth(x: np.ndarray, plan: _WindowPlan) -> tuple[np.ndarray, np.ndarra
     return v, (lo <= v) & (v <= hi)
 
 
-def _multiset_sample(d: ShiftedExp, n: int, k: int, windows: list[tuple[int, int]],
-                     rng: np.random.Generator, size: int) -> np.ndarray:
+def _multiset_sample(d: ShiftedExp, rounds, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` draws of the k-th smallest of the multiset {m * X_i}, by windows.
 
-    The multiset is that of ``_windows``, at load = len(windows) >= 2.  A
-    row draws the worker order statistics X_(j) at the windows' ranks from
-    their joint law (Renyi 1953; David & Nagaraja, Order Statistics, 2003):
-    the spacing X_(j) - X_(j-1) is an exponential of rate (n - j + 1) d.rate,
-    independent across j.  So inside a segment of consecutive ranks the
-    order statistics are scaled exponentials summed up, and the first rank
-    u of a segment lies above the last known rank j (or d.shift) by the
-    (u - j)-th smallest of n - j exponentials, log1p(G / G')/d.rate for
-    gammas of shape u - j and n - u + 1 (see ``_os_sample``).  A block of
-    WIDEN_DOUBLES first-pass doubles draws its jumps, then its rows chunk by
-    chunk.  The windows settle most rows (see ``_window_kth``); at the end of
-    the block the others widen their windows until they settle (see
-    ``_settle``).  Every row is the worker mechanism's k-th in law, for any
-    windows.
+    The multiset is that of ``_windows``, at load >= 2; ``rounds(r)`` is the
+    cached plan of round r (see ``_layout``).  A row draws the worker order
+    statistics X_(j) at the windows' ranks from their joint law (Renyi 1953;
+    David & Nagaraja, Order Statistics, 2003): the spacing X_(j) - X_(j-1)
+    is an exponential of rate (n - j + 1) d.rate, independent across j.  So
+    inside a segment of consecutive ranks the order statistics are scaled
+    exponentials summed up, and the first rank u of a segment lies above the
+    last known rank j (or d.shift) by the (u - j)-th smallest of n - j
+    exponentials, log1p(G / G')/d.rate for gammas of shape u - j and
+    n - u + 1 (see ``_os_sample``).  A block of WIDEN_DOUBLES first-pass
+    doubles draws its jumps, then its rows chunk by chunk.  The windows
+    settle most rows (see ``_window_kth``); at the end of the block the
+    others widen their windows until they settle (see ``_settle``).  Every
+    row is the worker mechanism's k-th in law, for any windows.
     """
-    plan = _window_plan(windows, n, k)
-    ranks, starts, ends = plan.ranks, plan.starts, plan.ends
-    # the spacing scale 1/(n - j + 1) of each rank j; a segment's first rank
-    # takes its gamma jump instead, which overwrites that column's draw
-    gaps = 1.0 / (n + 1 - ranks)
-    # the last rank j below each segment's first rank u (0 for the first)
-    below = np.concatenate([[0], ranks[ends][:-1]])
-    spacing = ShiftedExp(0.0, d.rate)
-    # each segment's jump, the (u - j)-th smallest of n - j
-    jump_stats = list(zip((n - below).tolist(), (ranks[starts] - below).tolist()))
-    step, wait = plan.chunk_rows(), max(1, WIDEN_DOUBLES // ranks.size)
+    plan, spacing = rounds(0), ShiftedExp(0.0, d.rate)
+    step, wait = plan.chunk_rows(), max(1, WIDEN_DOUBLES // plan.ranks.size)
     out = np.empty(size)
-    rounds = [(windows, plan)]
     for a in range(0, size, wait):
         block = out[a:a + wait]
-        jumps = np.empty((block.size, starts.size))
-        for c, (m, u) in enumerate(jump_stats):
+        jumps = np.empty((block.size, plan.starts.size))
+        for c, (m, u) in enumerate(plan.jumps):
             jumps[:, c] = _os_sample(spacing, m, u, rng, block.size)
         jumps[:, 0] += d.shift  # the cumulative sums carry it to every rank
         missed, known = [], []
         for i in range(0, block.size, step):
-            x = sample_batch(spacing, rng, (min(step, block.size - i), ranks.size))
-            x *= gaps
-            x[:, starts] = jumps[i:i + step]
+            # a segment's first rank takes its jump, which overwrites its spacing
+            x = sample_batch(spacing, rng, (min(step, block.size - i), plan.ranks.size))
+            x *= plan.spacing_scale
+            x[:, plan.starts] = jumps[i:i + step]
             np.cumsum(x, axis=1, out=x)
             block[i:i + step], ok = _window_kth(x, plan)
             missed.append((~ok).nonzero()[0] + a + i)
             known.append(x[~ok])
         del x, jumps
-        _settle(d, n, k, rng, rounds, out, missed, known)
+        _settle(d, rng, rounds, out, missed, known)
     return out
 
 
-def _settle(d: ShiftedExp, n: int, k: int, rng: np.random.Generator,
-            rounds: list[tuple[list[tuple[int, int]], _WindowPlan]], out: np.ndarray,
+def _settle(d: ShiftedExp, rng: np.random.Generator, rounds, out: np.ndarray,
             missed: list[np.ndarray], known: list[np.ndarray]) -> None:
-    """Widen the windows of the rows at ``missed`` until each one settles.
-
-    ``rounds`` holds the windows and plan of the first pass, then those of
-    each round so far, and ``known`` the rows' X_(j) at the first plan's
-    ranks.  Each round widens every window about its centre by
-    WINDOW_GROWTH, and by one rank at least on each side, cut to [1, n]; a
-    round past the end of ``rounds`` appends its own, so a call plans each
-    round once.  A round draws the new ranks of the rows left (see
-    ``_widen``) and writes the ones it settles to ``out``.
-    """
+    """Widen the windows of the rows at ``missed``, whose X_(j) at the ranks of
+    ``rounds(0)`` are ``known``, until each settles: round r draws the ranks
+    ``rounds(r)`` adds (see ``_widen``) and writes the rows it settles to ``out``."""
     for r in itertools.count(1):
         if not (missed := np.concatenate(missed)).size:
             return
-        if r == len(rounds):
-            windows = rounds[-1][0]
-            grow = [max(1, math.ceil((WINDOW_GROWTH - 1) * (b - a + 1) / 2)) for a, b in windows]
-            windows = [(max(1, a - g), min(n, b + g)) for (a, b), g in zip(windows, grow)]
-            rounds.append((windows, _window_plan(windows, n, k)))
-        plan, wide = rounds[r - 1][1], rounds[r][1]
+        wide = rounds(r)
         step = wide.chunk_rows()
         rows, x, missed, known = missed, np.concatenate(known), [], []
         for i in range(0, rows.size, step):
-            wider = _widen(d, n, rng, plan, wide, x[i:i + step])
+            wider = _widen(d, rng, wide, x[i:i + step])
             out[rows[i:i + step]], ok = _window_kth(wider, wide)
             missed.append(rows[i:i + step][~ok])
             known.append(wider[~ok])
 
 
-def _widen(d: ShiftedExp, n: int, rng: np.random.Generator, plan: _WindowPlan,
-           wide: _WindowPlan, x: np.ndarray) -> np.ndarray:
-    """Each row's X_(j) at the ranks of ``wide``, given x at those of ``plan``.
+def _widen(d: ShiftedExp, rng: np.random.Generator, wide: _WindowPlan,
+           x: np.ndarray) -> np.ndarray:
+    """Each row's X_(j) at the ranks of round ``wide``, given x at the round before's.
 
     Given the known order statistics, the ranks in a gap between known
     X_(i) < X_(h) (X_(0) = d.shift, X_(n+1) = inf) are those of h - i - 1
@@ -496,27 +527,16 @@ def _widen(d: ShiftedExp, n: int, rng: np.random.Generator, plan: _WindowPlan,
     at q = G_t / G_(h-i), for G_t the sum of t standard exponentials (David &
     Nagaraja, Order Statistics, 2003): each new rank takes one gamma, of
     shape its offset from the rank before it, and each gap one more.  Each
-    segment of ``plan`` lies inside one of ``wide``, so the known ranks and
-    each gap's new ones are runs of consecutive columns.
+    segment of the round before lies inside one of ``wide``, so the known
+    ranks and each gap's new ones are runs of consecutive columns.
     """
-    # the widened ranks between 0 and n + 1, whose X_(0) and X_(n+1) are known
-    ranks = np.concatenate([[0], wide.ranks, [n + 1]])
-    out = np.empty((x.shape[0], ranks.size))
+    out = np.empty((x.shape[0], wide.ranks.size + 2))
     out[:, 0], out[:, -1] = d.shift, np.inf
-    known = np.searchsorted(ranks, plan.ranks)
-    out[:, known] = x
-    # each known segment's columns [start, stop) in out
-    starts, stops = known[plan.starts].tolist(), (known[plan.ends] + 1).tolist()
-    # each gap's new columns [a, b); column b holds the known rank above them
-    gaps = [(a, b) for a, b in zip([1, *stops], [*starts, ranks.size - 1]) if a < b]
-    # a gamma for each new rank and for the known rank that closes its gap,
-    # of shape the rank's offset from the column before it, drawn row by
-    # row, so the values do not depend on how the rows are split
-    cols = np.concatenate([np.arange(0)] + [np.arange(a, b + 1) for a, b in gaps])
-    g = rng.standard_gamma((ranks[cols] - ranks[cols - 1]).astype(float),
-                           (x.shape[0], cols.size))
+    out[:, wide.known] = x
+    # drawn row by row, so the values do not depend on how the rows are split
+    g = rng.standard_gamma(wide.shapes, (x.shape[0], wide.shapes.size))
     i = 0
-    for a, b in gaps:
+    for a, b in wide.gaps:
         # G_t at the new ranks, then q = G_t / G_(h-i)
         new = np.cumsum(g[:, i:i + b - a], axis=1, out=out[:, a:b])
         new /= new[:, -1:] + g[:, i + b - a:i + b - a + 1]

@@ -560,7 +560,7 @@ def test_age_at_vanishing_arrival_rate_exits_3(capsys):
 
 def window_doubles(n, k, load):
     """The doubles a row of the mm-mds window sampler holds at c = mu = 1."""
-    return 2 * sum(b - a + 1 for a, b in schemes._windows(n, k, load, 1.0))
+    return 2 * sum(b - a + 1 for a, b in schemes._windows(n, k, load, 1.0, schemes.WINDOW_Z))
 
 
 def test_simulate_above_the_sampling_limit_exits_2(monkeypatch, capsys):

@@ -273,7 +273,7 @@ def test_windows_within_one_rank_of_the_covariance_matrix_form(load, n, at, log_
     # any windows
     k = 1 + int(at * (n * load - 1))
     mu_c = SystemParams(1.0, 10**log_c, 10**log_mu, n).mu_c
-    got = schemes._windows(n, k, load, mu_c)
+    got = schemes._windows(n, k, load, mu_c, schemes.WINDOW_Z)
     want = schemes_reference.windows(n, k, load, mu_c)
     assert len(got) == len(want) == load
     for (a, b), (a_ref, b_ref) in zip(got, want):

@@ -45,6 +45,11 @@ def params(lam=1.0, c=1.0, mu=1.0, n=100):
     return SystemParams(lam, c, mu, n)
 
 
+def sampler_windows(scheme, p):
+    """The windows a sample call of MultiMDS ``scheme`` at ``p`` starts from."""
+    return schemes._windows(p.nworkers, scheme.k, scheme.load, p.mu_c, schemes.WINDOW_Z)
+
+
 class FixedGamma:
     """Hands out the given gamma values, one array per standard_gamma call."""
 
@@ -145,9 +150,9 @@ def test_multiset_sampler_is_exact_outside_its_windows(monkeypatch):
     widened = []
     original = schemes._widen
 
-    def counted(d, n, rng, plan, wide, x):
-        out = original(d, n, rng, plan, wide, x)
-        widened.append((plan.ranks.size, x.shape[0], out.shape[1]))
+    def counted(d, rng, wide, x):
+        out = original(d, rng, wide, x)
+        widened.append((x.shape[1], x.shape[0], out.shape[1]))
         return out
 
     monkeypatch.setattr(schemes, "_widen", counted)
@@ -174,7 +179,7 @@ def test_widening_between_first_pass_rows_keeps_the_law_and_the_values(monkeypat
     # the values do not depend on the row chunks either
     monkeypatch.setattr(schemes, "WINDOW_Z", 0.5)
     scheme, p = MultiMDS(129, 2), params(n=100)
-    windows = schemes._windows(p.nworkers, scheme.k, scheme.load, p.mu_c)
+    windows = sampler_windows(scheme, p)
     ranks = schemes._window_plan(windows, p.nworkers, scheme.k).ranks.size
     monkeypatch.setattr(schemes, "WIDEN_DOUBLES", 40 * ranks)
     x = sample_service_batch(scheme, p, rng(5), 3000)
@@ -191,7 +196,7 @@ def test_windows_sit_at_the_crossing_rank_where_the_count_slope_overflows():
     # first level, so its window sits at the top ranks, not at rank 1, where
     # every row would widen
     scheme, p = MultiMDS(1000, 2), params(mu=1e303, n=1000)
-    assert schemes._windows(p.nworkers, scheme.k, scheme.load, p.mu_c) == [(999, 1000), (1, 1)]
+    assert sampler_windows(scheme, p) == [(999, 1000), (1, 1)]
 
 
 def test_windows_fill_the_levels_in_turn_where_the_split_does_not_converge():
@@ -199,7 +204,7 @@ def test_windows_fill_the_levels_in_turn_where_the_split_does_not_converge():
     # so the windows take its mu c -> inf limit, p = (1, 1, 1/2)
     with pytest.raises(NoConvergence):
         solve_levels(3, 250 / 300, 1e7)
-    assert schemes._windows(100, 250, 3, 1e7) == [(99, 100), (99, 100), (49, 51)]
+    assert schemes._windows(100, 250, 3, 1e7, schemes.WINDOW_Z) == [(99, 100), (99, 100), (49, 51)]
 
 
 # (n, k, load, mu) of the mm-mds golden, benchmark and CI points
@@ -215,7 +220,8 @@ def test_windows_equal_the_covariance_matrix_form(n, k, load, mu):
     # the level-count moments give the same windows as the load x load
     # covariance matrix at every point the goldens, benchmark and CI sample
     mu_c = params(mu=mu, n=n).mu_c
-    assert schemes._windows(n, k, load, mu_c) == reference_windows(n, k, load, mu_c)
+    got = schemes._windows(n, k, load, mu_c, schemes.WINDOW_Z)
+    assert got == reference_windows(n, k, load, mu_c)
 
 
 def test_window_setup_is_linear_in_the_load():
@@ -225,7 +231,7 @@ def test_window_setup_is_linear_in_the_load():
 
     def setup():
         start = time.perf_counter()
-        schemes._window_plan(schemes._windows(n, k, load, 1.0), n, k)
+        schemes._window_plan(schemes._windows(n, k, load, 1.0, schemes.WINDOW_Z), n, k)
         return time.perf_counter() - start
 
     assert min(setup() for _ in range(3)) < 0.25
@@ -269,7 +275,8 @@ def test_window_selection_is_the_multiset_kth(n, load, k, mu, windows):
     # check accepts exactly when every level's crossing count lies in its
     # window, and then the pick is the k-th
     d = params(mu=mu, n=n).whole_task().split(k)
-    windows = windows or schemes._windows(n, k, load, params(mu=mu, n=n).mu_c)
+    windows = windows or schemes._windows(n, k, load, params(mu=mu, n=n).mu_c,
+                                           schemes.WINDOW_Z)
     x = np.sort(fixed_worker_times(d, 2000, n), axis=1)
     plan = schemes._window_plan(windows, n, k)
     got, ok = schemes._window_kth(x[:, plan.ranks - 1], plan)
@@ -313,7 +320,7 @@ def plan_windows():
                                 (MultiMDS(1287000, 2), params(n=10**6))]
     for scheme, p in points:
         n = p.nworkers
-        yield schemes._windows(n, scheme.k, scheme.load, p.mu_c), n, scheme.k
+        yield sampler_windows(scheme, p), n, scheme.k
 
 
 def test_window_plan_matches_a_set_construction():
@@ -345,9 +352,9 @@ def test_multiset_sampler_draws_fewer_worker_order_statistics(monkeypatch):
         first.append(shape[0] * shape[1])
         return draw(d, rng, shape)
 
-    def counted_widen(d, n, rng, plan, wide, x):
-        widened.append(x.shape[0] * (wide.ranks.size - plan.ranks.size))
-        return widen(d, n, rng, plan, wide, x)
+    def counted_widen(d, rng, wide, x):
+        widened.append(x.shape[0] * (wide.ranks.size - x.shape[1]))
+        return widen(d, rng, wide, x)
 
     monkeypatch.setattr(schemes, "sample_batch", counted_draw)
     monkeypatch.setattr(schemes, "_widen", counted_widen)
@@ -397,7 +404,7 @@ def test_multiset_sampler_scratch_stays_within_its_windows(monkeypatch):
     # sampler holds at most some doubles per window rank, also in the rows
     # whose windows it widens, plus O(size) for the output and the gammas
     scheme, p, size = MultiMDS(128_700_000, 2), params(n=10**8), 1000
-    ranks = sum(b - a + 1 for a, b in schemes._windows(p.nworkers, scheme.k, scheme.load, p.mu_c))
+    ranks = sum(b - a + 1 for a, b in sampler_windows(scheme, p))
     widened = []
     original = schemes._widen
 
@@ -415,6 +422,68 @@ def test_multiset_sampler_scratch_stays_within_its_windows(monkeypatch):
     assert np.isfinite(x).all()
     assert sum(widened) > 0
     assert peak <= 8 * 48 * ranks + 64 * size
+
+
+def cold_draw(scheme, p, seed, size):
+    """A seeded draw from an empty layout cache, which it leaves with its own plans."""
+    schemes._layout.cache_clear()
+    return sample_service_batch(scheme, p, rng(seed), size)
+
+
+# the benchmark and golden points, then points whose layout keys differ from
+# the first one's in n, k, load and mu c alone
+KEY_POINTS = [
+    (MultiMDS(129, 2), params(n=100)), (MultiMDS(1287, 2), params(n=1000)),
+    (MultiMDS(399, 4), params(mu=2.0, n=100)), (MultiMDS(129, 2), params(n=101)),
+    (MultiMDS(130, 2), params(n=100)), (MultiMDS(129, 3), params(n=100)),
+    (MultiMDS(129, 2), params(mu=1.5, n=100)),
+]
+
+
+def test_layout_cache_key_covers_every_input(monkeypatch):
+    # a draw from warm plans equals a cold-cache draw at its seed: with the
+    # points interleaved, after cache_clear, and with WINDOW_GROWTH and then
+    # WINDOW_Z changed while the plans of the old values are still cached
+    size = 4097
+    cold = [cold_draw(s, p, 30 + i, size) for i, (s, p) in enumerate(KEY_POINTS)]
+    for clear in (False, False, True):
+        if clear:
+            schemes._layout.cache_clear()
+        for i, (s, p) in enumerate(KEY_POINTS):
+            assert (sample_service_batch(s, p, rng(30 + i), size) == cold[i]).all(), i
+    for name, value in (("WINDOW_GROWTH", 2.0), ("WINDOW_Z", 1.0)):
+        for s, p in KEY_POINTS:  # the plans of the current values
+            sample_service_batch(s, p, rng(1), size)
+        monkeypatch.setattr(schemes, name, value)
+        warm = [sample_service_batch(s, p, rng(30 + i), size)
+                for i, (s, p) in enumerate(KEY_POINTS)]
+        moved = 0
+        for i, (s, p) in enumerate(KEY_POINTS):
+            assert (warm[i] == cold_draw(s, p, 30 + i, size)).all(), (name, i)
+            moved += not (warm[i] == cold[i]).all()
+        assert moved >= 3, name  # the setting reaches the values
+        cold = warm
+
+
+def test_layout_arrays_are_read_only_and_the_cache_is_bounded():
+    scheme, p = MultiMDS(1287, 2), params(n=1000)
+    cold_draw(scheme, p, 3, 4097)
+    planned = schemes._layout.cache_info().misses
+    key = (p.nworkers, scheme.k, scheme.load, p.mu_c, schemes.WINDOW_Z, schemes.WINDOW_GROWTH)
+    first, wide = schemes._layout(*key, 0), schemes._layout(*key, 1)
+    assert schemes._layout.cache_info().misses == planned  # the draw planned both
+    arrays = [v for plan in (first, wide) for v in vars(plan).values()
+              if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8 + 9  # each plan's arrays, with its first-pass or widening ones
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    # one point more than the cache holds, each with its own plans
+    maxsize = schemes._layout.cache_info().maxsize
+    for n in range(10, 11 + maxsize):
+        sample_service_batch(MultiMDS(n + 1, 2), params(n=n), rng(n), 3)
+    info = schemes._layout.cache_info()
+    assert info.misses > maxsize and info.currsize <= maxsize
 
 
 LAW_CASES = [(Uncoded(), 1), (Repetition(1), 1)] + [
