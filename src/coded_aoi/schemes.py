@@ -41,8 +41,8 @@ gammas at any n, four for Repetition where k does not divide n (the larger
 of two).  MultiMDS at load >= 2 draws only the worker order statistics in
 a window of ranks around each level's share of the k-th result (see
 ``_multiset_sample``): two gammas per run of consecutive ranks and one
-exponential per rank, then a sort, in a layout planned once per point (see
-``_layout``).  The README gives the measured time per service time of each.
+exponential per rank, then a sort, in a layout kept for calls at one point
+(see ``_Layout``).  The README gives the measured time per service time of each.
 """
 from __future__ import annotations
 
@@ -270,17 +270,9 @@ class MultiMDS(_OrderStat):
     def sample(self, params: SystemParams, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.load == 1:
             return super().sample(params, rng, size)
-        rounds = functools.partial(_layout, params.nworkers, self.k, self.load, params.mu_c,
-                                   WINDOW_Z, WINDOW_GROWTH)
-        _check_scratch(2 * rounds(0).cols.size, params.nworkers)  # checked at every call
-        return _multiset_sample(params.whole_task().split(self.k), rounds, rng, size)
-
-
-def _check_scratch(held: int, n: int) -> None:
-    """Refuse a row of ``held`` window doubles past the bound, or ranks past int64."""
-    if held > MAX_SAMPLE_DRAWS or n + 2 > np.iinfo(np.int64).max:
-        raise ValueError(f"{MultiMDS.label} sampler: a row of its windows holds {held} doubles "
-                         f"at n = {n}; the limits are {MAX_SAMPLE_DRAWS} and n < 2**63 - 2")
+        layout = _layout(params.nworkers, self.k, self.load, params.mu_c, WINDOW_Z,
+                         WINDOW_GROWTH, MAX_SAMPLE_DRAWS)
+        return _multiset_sample(params.whole_task().split(self.k), layout, rng, size)
 
 
 def _windows(n: int, k: int, load: int, mu_c: float, z: float) -> list[tuple[int, int]]:
@@ -327,7 +319,7 @@ def _windows(n: int, k: int, load: int, mu_c: float, z: float) -> list[tuple[int
 
 @dataclass(frozen=True)
 class _WindowPlan:
-    """Where a row's window order statistics sit, how they are drawn and read.
+    """Where a row's window order statistics sit, and how the k-th is read off them.
 
     ``ranks``, a row's X_(j) columns, is the union of the level ``windows``
     [a_m, b_m], ascending, in segments of consecutive ranks whose first and
@@ -335,10 +327,8 @@ class _WindowPlan:
     for every rank j of level m's window, window by window: the row's columns
     at ``cols`` times ``scale``.  ``lower`` and ``upper`` are the pooled
     columns of m X_(a_m) for a_m > 1 and of m X_(b_m) for b_m < n, and
-    ``col`` = k - sum(a_m - 1) - 1 is the k-th's once they are sorted.  A
-    first pass holds each rank's ``spacing_scale`` and each segment's
-    ``jumps`` (see ``_multiset_sample``), a widening round what ``_widen``
-    reads.  The arrays are read-only.
+    ``col`` = k - sum(a_m - 1) - 1 is the k-th's once they are sorted.  The
+    arrays are read-only.
     """
 
     windows: tuple[tuple[int, int], ...]
@@ -350,11 +340,6 @@ class _WindowPlan:
     lower: np.ndarray
     upper: np.ndarray
     col: int
-    spacing_scale: np.ndarray | None = None
-    jumps: tuple[tuple[int, int], ...] | None = None
-    known: np.ndarray | None = None
-    gaps: tuple[tuple[int, int], ...] | None = None
-    shapes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         for array in (v for v in vars(self).values() if isinstance(v, np.ndarray)):
@@ -366,9 +351,8 @@ class _WindowPlan:
         return max(1, SCRATCH_DOUBLES // (self.ranks.size + self.cols.size))
 
 
-def _window_plan(windows: list[tuple[int, int]], n: int, k: int,
-                 below: _WindowPlan | None = None) -> _WindowPlan:
-    """The plan of windows [a_m, b_m], m = 1.., at n workers; widening ``below``'s if given."""
+def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
+    """The plan of windows [a_m, b_m], level m = 1.. in order, at n workers."""
     # the union's segments of consecutive ranks, ascending
     segments: list[list[int]] = []
     for a, b in sorted(windows):
@@ -383,54 +367,70 @@ def _window_plan(windows: list[tuple[int, int]], n: int, k: int,
     firsts, lasts = np.searchsorted(ranks, (lows, highs))
     sizes = lasts - firsts + 1
     stops = np.cumsum(sizes)
-    if below is None:
-        # rank j's spacing scale 1/(n - j + 1); the last rank below each segment, or 0
-        prior = np.concatenate([[0], ranks[ends][:-1]])
-        drawn = dict(spacing_scale=1.0 / (n + 1 - ranks),
-                     jumps=tuple(zip((n - prior).tolist(), (ranks[starts] - prior).tolist())))
-    else:
-        # the ranks between X_(0) = d.shift and X_(n+1) = inf, and the known
-        # segments' columns [head, tail) among them
-        framed = np.concatenate([[0], ranks, [n + 1]])
-        known = np.searchsorted(framed, below.ranks)
-        heads, tails = known[below.starts].tolist(), (known[below.ends] + 1).tolist()
-        # each gap's new columns [a, b); column b holds the known rank above them
-        gaps = tuple((a, b) for a, b in zip([1, *tails], [*heads, framed.size - 1]) if a < b)
-        # a gamma for each new rank and the known rank that closes its gap, of
-        # shape the rank's offset from the column before it
-        drawn_at = np.concatenate([np.arange(0)] + [np.arange(a, b + 1) for a, b in gaps])
-        drawn = dict(known=known, gaps=gaps,
-                     shapes=(framed[drawn_at] - framed[drawn_at - 1]).astype(float))
     return _WindowPlan(
         windows=tuple(windows), ranks=ranks, starts=starts, ends=ends,
         cols=np.arange(stops[-1]) + np.repeat(firsts + sizes - stops, sizes),
         scale=np.repeat(np.arange(1.0, len(windows) + 1), sizes),
         lower=(stops - sizes)[lows > 1], upper=(stops - 1)[highs < n],
-        col=k - sum(a for a, _ in windows) + len(windows) - 1, **drawn)
+        col=k - sum(a for a, _ in windows) + len(windows) - 1)
 
 
-@functools.lru_cache(maxsize=256)
-def _layout(n: int, k: int, load: int, mu_c: float, z: float, growth: float,
-            r: int) -> _WindowPlan:
-    """Round r's plan of the window sampler at a point, built once and kept.
+@dataclass(frozen=True)
+class _Widening(_WindowPlan):
+    """A widening round's plan, and how ``_widen`` fills it: among its ranks framed by 0
+    and n + 1, the round before's are columns ``known`` and each gap's new ones [a, b) of
+    ``gaps``; ``shapes``, each new rank's and closing known rank's offset from the last."""
 
-    Round 0 is the first pass, over ``_windows`` at Z = z; past the scratch
-    bound it raises ValueError before it builds an array.  Round r >= 1 widens
-    each window of round r - 1 about its centre by ``growth``, by one rank at
-    least on each side, cut to [1, n].  A plan is a pure function of its key
-    that calls in any thread share read-only.  The cache keeps 256 plans, the
-    last 85 points at the 1 to 3 rounds of the benchmark points, 21 at the 12
-    of MultiMDS(30000, 300).  A plan keeps 16 bytes per rank and per pooled
-    column, up to 256 MiB at MAX_SAMPLE_DRAWS, and about 100 bytes per level.
-    """
-    if r == 0:
+    known: np.ndarray
+    gaps: tuple[tuple[int, int], ...]
+    shapes: np.ndarray
+
+
+class _Layout:
+    """The window sampler's read-only plans at a point, a pure function of it:
+    ``first``, over ``_windows`` at Z, with each rank j's ``spacing_scale``
+    1/(n - j + 1) and each segment's ``jumps`` (see ``_multiset_sample``), and
+    ``widening(r)``, built once, round r - 1's windows widened about their
+    centres by ``growth``, a rank at least each side, cut to [1, n].  Past
+    ``limit`` doubles a row it raises before it builds an array.  ``_layout``
+    keeps two points': callers sample one many times in a row, sim-validate
+    passes cycle through two, and a layout can hold 256 MiB and more."""
+
+    def __init__(self, n: int, k: int, load: int, mu_c: float, z: float, growth: float,
+                 limit: int):
         windows = _windows(n, k, load, mu_c, z)
-        _check_scratch(2 * sum(b - a + 1 for a, b in windows), n)
-        return _window_plan(windows, n, k)
-    below = _layout(n, k, load, mu_c, z, growth, r - 1)
-    grow = [max(1, math.ceil((growth - 1) * (b - a + 1) / 2)) for a, b in below.windows]
-    windows = [(max(1, a - g), min(n, b + g)) for (a, b), g in zip(below.windows, grow)]
-    return _window_plan(windows, n, k, below)
+        if (held := 2 * sum(b - a + 1 for a, b in windows)) > limit or n + 2 > 2**63 - 1:
+            raise ValueError(f"{MultiMDS.label} sampler: a row of its windows holds {held} doubles "
+                             f"at n = {n}; the limits are {limit} and n < 2**63 - 2")
+        self.n, self.k, self.growth = n, k, growth
+        self.first = plan = _window_plan(windows, n, k)
+        self.spacing_scale = 1.0 / (n + 1 - plan.ranks)
+        self.spacing_scale.setflags(write=False)
+        # the last rank j below each segment's first rank u, or 0
+        prior = np.concatenate([[0], plan.ranks[plan.ends][:-1]])
+        self.jumps = tuple(zip((n - prior).tolist(), (plan.ranks[plan.starts] - prior).tolist()))
+        self._widenings: dict[int, _Widening] = {}
+
+    def widening(self, r: int) -> _Widening:
+        if (got := self._widenings.get(r)) is not None:
+            return got
+        n, below = self.n, self.first if r == 1 else self.widening(r - 1)
+        grow = [max(1, math.ceil((self.growth - 1) * (b - a + 1) / 2)) for a, b in below.windows]
+        plan = _window_plan([(max(1, a - g), min(n, b + g))
+                             for (a, b), g in zip(below.windows, grow)], n, self.k)
+        framed = np.concatenate([[0], plan.ranks, [n + 1]])
+        known = np.searchsorted(framed, below.ranks)
+        # the known segments' columns [head, tail); column b of gap [a, b) is known
+        heads, tails = known[below.starts].tolist(), (known[below.ends] + 1).tolist()
+        gaps = tuple((a, b) for a, b in zip([1, *tails], [*heads, framed.size - 1]) if a < b)
+        drawn = np.concatenate([np.arange(0)] + [np.arange(a, b + 1) for a, b in gaps])
+        shapes = (framed[drawn] - framed[drawn - 1]).astype(float)
+        # setdefault keeps one plan per round where threads race to build it
+        return self._widenings.setdefault(r, _Widening(**vars(plan), known=known, gaps=gaps,
+                                                       shapes=shapes))
+
+
+_layout = functools.lru_cache(maxsize=2)(_Layout)
 
 
 def _window_kth(x: np.ndarray, plan: _WindowPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -456,11 +456,12 @@ def _window_kth(x: np.ndarray, plan: _WindowPlan) -> tuple[np.ndarray, np.ndarra
     return v, (lo <= v) & (v <= hi)
 
 
-def _multiset_sample(d: ShiftedExp, rounds, rng: np.random.Generator, size: int) -> np.ndarray:
+def _multiset_sample(d: ShiftedExp, layout: _Layout, rng: np.random.Generator,
+                     size: int) -> np.ndarray:
     """``size`` draws of the k-th smallest of the multiset {m * X_i}, by windows.
 
-    The multiset is that of ``_windows``, at load >= 2; ``rounds(r)`` is the
-    cached plan of round r (see ``_layout``).  A row draws the worker order
+    The multiset is that of ``_windows``, at load >= 2, and ``layout`` its
+    point's plans (see ``_Layout``).  A row draws the worker order
     statistics X_(j) at the windows' ranks from their joint law (Renyi 1953;
     David & Nagaraja, Order Statistics, 2003): the spacing X_(j) - X_(j-1)
     is an exponential of rate (n - j + 1) d.rate, independent across j.  So
@@ -474,39 +475,39 @@ def _multiset_sample(d: ShiftedExp, rounds, rng: np.random.Generator, size: int)
     others widen their windows until they settle (see ``_settle``).  Every
     row is the worker mechanism's k-th in law, for any windows.
     """
-    plan, spacing = rounds(0), ShiftedExp(0.0, d.rate)
+    plan, spacing = layout.first, ShiftedExp(0.0, d.rate)
     step, wait = plan.chunk_rows(), max(1, WIDEN_DOUBLES // plan.ranks.size)
     out = np.empty(size)
     for a in range(0, size, wait):
         block = out[a:a + wait]
         jumps = np.empty((block.size, plan.starts.size))
-        for c, (m, u) in enumerate(plan.jumps):
+        for c, (m, u) in enumerate(layout.jumps):
             jumps[:, c] = _os_sample(spacing, m, u, rng, block.size)
         jumps[:, 0] += d.shift  # the cumulative sums carry it to every rank
         missed, known = [], []
         for i in range(0, block.size, step):
             # a segment's first rank takes its jump, which overwrites its spacing
             x = sample_batch(spacing, rng, (min(step, block.size - i), plan.ranks.size))
-            x *= plan.spacing_scale
+            x *= layout.spacing_scale
             x[:, plan.starts] = jumps[i:i + step]
             np.cumsum(x, axis=1, out=x)
             block[i:i + step], ok = _window_kth(x, plan)
             missed.append((~ok).nonzero()[0] + a + i)
             known.append(x[~ok])
         del x, jumps
-        _settle(d, rng, rounds, out, missed, known)
+        _settle(d, rng, layout, out, missed, known)
     return out
 
 
-def _settle(d: ShiftedExp, rng: np.random.Generator, rounds, out: np.ndarray,
+def _settle(d: ShiftedExp, rng: np.random.Generator, layout: _Layout, out: np.ndarray,
             missed: list[np.ndarray], known: list[np.ndarray]) -> None:
     """Widen the windows of the rows at ``missed``, whose X_(j) at the ranks of
-    ``rounds(0)`` are ``known``, until each settles: round r draws the ranks
-    ``rounds(r)`` adds (see ``_widen``) and writes the rows it settles to ``out``."""
+    ``layout.first`` are ``known``, until each settles: round r draws the new
+    ranks of ``layout.widening(r)`` (see ``_widen``) and writes the rows it settles to ``out``."""
     for r in itertools.count(1):
         if not (missed := np.concatenate(missed)).size:
             return
-        wide = rounds(r)
+        wide = layout.widening(r)
         step = wide.chunk_rows()
         rows, x, missed, known = missed, np.concatenate(known), [], []
         for i in range(0, rows.size, step):
@@ -516,8 +517,7 @@ def _settle(d: ShiftedExp, rng: np.random.Generator, rounds, out: np.ndarray,
             known.append(wider[~ok])
 
 
-def _widen(d: ShiftedExp, rng: np.random.Generator, wide: _WindowPlan,
-           x: np.ndarray) -> np.ndarray:
+def _widen(d: ShiftedExp, rng: np.random.Generator, wide: _Widening, x: np.ndarray) -> np.ndarray:
     """Each row's X_(j) at the ranks of round ``wide``, given x at the round before's.
 
     Given the known order statistics, the ranks in a gap between known

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -430,51 +431,52 @@ def cold_draw(scheme, p, seed, size):
     return sample_service_batch(scheme, p, rng(seed), size)
 
 
-# the benchmark and golden points, then points whose layout keys differ from
-# the first one's in n, k, load and mu c alone
+# the benchmark and golden points, then a chain in which each point's layout
+# key differs from the one before's in n, k, load or mu c alone, so a key
+# without that input would reuse the plans of the point before
 KEY_POINTS = [
-    (MultiMDS(129, 2), params(n=100)), (MultiMDS(1287, 2), params(n=1000)),
-    (MultiMDS(399, 4), params(mu=2.0, n=100)), (MultiMDS(129, 2), params(n=101)),
-    (MultiMDS(130, 2), params(n=100)), (MultiMDS(129, 3), params(n=100)),
-    (MultiMDS(129, 2), params(mu=1.5, n=100)),
+    (MultiMDS(1287, 2), params(n=1000)), (MultiMDS(399, 4), params(mu=2.0, n=100)),
+    (MultiMDS(129, 2), params(n=100)), (MultiMDS(129, 2), params(n=101)),
+    (MultiMDS(130, 2), params(n=101)), (MultiMDS(130, 3), params(n=101)),
+    (MultiMDS(130, 3), params(mu=1.5, n=101)),
 ]
 
 
 def test_layout_cache_key_covers_every_input(monkeypatch):
     # a draw from warm plans equals a cold-cache draw at its seed: with the
-    # points interleaved, after cache_clear, and with WINDOW_GROWTH and then
-    # WINDOW_Z changed while the plans of the old values are still cached
+    # points interleaved, after cache_clear, and with WINDOW_GROWTH, WINDOW_Z
+    # and then MAX_SAMPLE_DRAWS changed while the plans of the old values are
+    # cached
     size = 4097
     cold = [cold_draw(s, p, 30 + i, size) for i, (s, p) in enumerate(KEY_POINTS)]
-    for clear in (False, False, True):
+    for clear in (False, True):
         if clear:
             schemes._layout.cache_clear()
         for i, (s, p) in enumerate(KEY_POINTS):
             assert (sample_service_batch(s, p, rng(30 + i), size) == cold[i]).all(), i
+    scheme, p = KEY_POINTS[2]
     for name, value in (("WINDOW_GROWTH", 2.0), ("WINDOW_Z", 1.0)):
-        for s, p in KEY_POINTS:  # the plans of the current values
-            sample_service_batch(s, p, rng(1), size)
+        before = sample_service_batch(scheme, p, rng(7), size)  # the plans of the old value
         monkeypatch.setattr(schemes, name, value)
-        warm = [sample_service_batch(s, p, rng(30 + i), size)
-                for i, (s, p) in enumerate(KEY_POINTS)]
-        moved = 0
-        for i, (s, p) in enumerate(KEY_POINTS):
-            assert (warm[i] == cold_draw(s, p, 30 + i, size)).all(), (name, i)
-            moved += not (warm[i] == cold[i]).all()
-        assert moved >= 3, name  # the setting reaches the values
-        cold = warm
+        warm = sample_service_batch(scheme, p, rng(7), size)
+        assert (warm == cold_draw(scheme, p, 7, size)).all(), name
+        assert not (warm == before).all(), name  # the setting reaches the values
+    held = 2 * sum(b - a + 1 for a, b in sampler_windows(scheme, p))
+    monkeypatch.setattr(schemes, "MAX_SAMPLE_DRAWS", held - 1)
+    with pytest.raises(ValueError, match=f"holds {held} doubles"):
+        sample_service_batch(scheme, p, rng(7), size)
 
 
 def test_layout_arrays_are_read_only_and_the_cache_is_bounded():
     scheme, p = MultiMDS(1287, 2), params(n=1000)
     cold_draw(scheme, p, 3, 4097)
-    planned = schemes._layout.cache_info().misses
-    key = (p.nworkers, scheme.k, scheme.load, p.mu_c, schemes.WINDOW_Z, schemes.WINDOW_GROWTH)
-    first, wide = schemes._layout(*key, 0), schemes._layout(*key, 1)
-    assert schemes._layout.cache_info().misses == planned  # the draw planned both
-    arrays = [v for plan in (first, wide) for v in vars(plan).values()
-              if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8 + 9  # each plan's arrays, with its first-pass or widening ones
+    layout = schemes._layout(p.nworkers, scheme.k, scheme.load, p.mu_c, schemes.WINDOW_Z,
+                             schemes.WINDOW_GROWTH, schemes.MAX_SAMPLE_DRAWS)
+    # the draw planned the first pass and a widening round
+    assert schemes._layout.cache_info().misses == 1 and 1 in layout._widenings
+    arrays = [layout.spacing_scale] + [v for plan in (layout.first, layout.widening(1))
+                                       for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 + 7 + 9  # a widening round adds its known columns and shapes
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -485,6 +487,55 @@ def test_layout_arrays_are_read_only_and_the_cache_is_bounded():
     info = schemes._layout.cache_info()
     assert info.misses > maxsize and info.currsize <= maxsize
 
+
+def test_layout_cache_memory_stays_flat_over_a_sweep():
+    # a sweep keeps the plans of its last two points only, so the memory held
+    # past each call stays flat rather than growing by a layout a point
+    schemes._layout.cache_clear()
+    tracemalloc.start()
+    try:
+        base, held = tracemalloc.get_traced_memory()[0], []
+        for k in range(1_287_000, 1_293_000, 1000):
+            sample_service_batch(MultiMDS(k, 2), params(n=10**6), rng(k), 3)
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    ranks = sum(b - a + 1 for a, b in sampler_windows(MultiMDS(1_287_000, 2), params(n=10**6)))
+    assert held[0] > 8 * 2 * ranks  # a layout, of at least 16 bytes a rank
+    assert max(held) < 2.5 * held[0], held  # two layouts at most
+
+
+def test_layout_cache_is_shared_safely_by_threads():
+    # four threads sample two points in turn under a short switch interval,
+    # so they replace each other's layouts and race to build widening rounds;
+    # each draw is still the cold-cache draw at its seed
+    points, size = KEY_POINTS[2:4], 4097
+    want = [cold_draw(s, p, 40 + i, size) for i, (s, p) in enumerate(points)]
+    got, errors = [], []
+
+    def work(t):
+        try:
+            for j in range(3):
+                s, p = points[i := (t + j) % 2]
+                got.append((i, sample_service_batch(s, p, rng(40 + i), size)))
+        except Exception as e:  # reported by the assertions below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        schemes._layout.cache_clear()
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors, errors
+    assert len(got) == 12
+    for i, x in got:
+        assert (x == want[i]).all(), i
 
 LAW_CASES = [(Uncoded(), 1), (Repetition(1), 1)] + [
     (scheme, n) for n in (100, 1000)
