@@ -7,9 +7,10 @@ directly.  full_stream mode draws every transmission, dropping the ones
 that find the pool busy: each accepted update starts a fresh arrival
 stream, so every cycle walks its own arrivals, all cycles together in
 numpy rounds, until a gap sum reaches its service time.  That costs the
-arrivals drawn, about lambda*E[S] per cycle, in about log-many rounds.
-Narrow rounds, with many more cycles than gaps per row, sum the gaps one
-column at a time; wide ones sum row by row, to the same bits.  The cycles
+gaps drawn, about lambda*E[S] + 1 per cycle, in a few rounds: a round that
+would draw fewer than 2048 gaps widens its rows to cover the longest
+remaining wait.  Rounds of many cycles add their gaps one contiguous gap
+column at a time, small ones by one cumsum, to the same bits.  The cycles
 still waiting after a round are gathered by index.
 Only accepted updates carry a drawn transit delay, since a dropped
 update's age is never read.

@@ -70,7 +70,11 @@ from .order_stats import (
 # it near n = 2.7e13.  The order-statistic laws have no such bound.
 MAX_SAMPLE_DRAWS = 1 << 24
 # Doubles of scratch per row chunk of the MultiMDS sampler at load >= 2:
-# 512 KiB, so the scratch stays in a core's L2 cache.
+# 512 KiB, so the scratch stays in a core's L2 cache.  numpy adds one 64 KiB
+# ufunc buffer for each strided or broadcast 2-D operand it buffers, on top
+# of these doubles: under numpy 2.4.6, 64 KiB for a strided input and
+# output, 128 KiB for two broadcast inputs, so a chunk's ufunc calls such as
+# ``x *= layout.spacing_scale`` hold 64 to 128 KiB more.
 SCRATCH_DOUBLES = 1 << 16
 # Half-width of each level's window of worker ranks in the MultiMDS sampler,
 # in standard deviations of the level's crossing rank, plus one rank (see

@@ -26,10 +26,14 @@ Two modes:
                  round each cycle still waiting draws a row of gaps, about
                  as many as the average waiting cycle still needs; the
                  first partial sum at or after its service time ends the
-                 cycle, the gaps before it are dropped arrivals, and the
-                 rounds are about log-many.  Narrow rounds (at least 64
-                 rows per gap) sum their gaps one column at a time, wider
-                 ones row-wise, in the same order and to the same bits.
+                 cycle, and the gaps before it are dropped arrivals.  A
+                 round that would draw fewer than 2048 gaps widens its rows
+                 to cover the longest remaining wait, so the last few
+                 waiting cycles end in one round, not in one each.  A
+                 round's gaps are drawn gap column by gap column, each
+                 column contiguous; rounds of at least 128 waiting cycles
+                 add them one column at a time, smaller ones by one cumsum
+                 along each row, in the same order and to the same bits.
                  After each round the cycles still waiting are gathered
                  through one index array.  Only the accepted arrivals'
                  transit ages D are drawn: a dropped update's age is never
@@ -58,15 +62,20 @@ from .levels import require_int
 from .order_stats import ShiftedExp, sample_batch
 from .schemes import Scheme, SystemParams, sample_service_batch, validate
 
-# most arrival gaps the full-stream walk holds at once, or one round's row
-# if that is wider; the results do not depend on it
+# most arrival gaps the full-stream walk holds at once, or one gap column (a
+# gap of every waiting cycle) if that is more; the results do not depend on it
 WAIT_SLICE = 1 << 16
-# a slice with at least this many rows per gap in a row sums its gaps one
-# column at a time, since numpy runs each short row of a row-wise cumsum as
-# its own inner loop; other slices scan row-wise (measured: 2.4 against
-# 11 ns per gap at 8192 rows of 8, 48 against 6 ns at 73 rows of 890).
-# Both give the same bits
-_COLUMN_SCAN_ROWS = 64
+# a round with at least this many waiting cycles, the rows of its gap matrix,
+# adds its gaps one contiguous gap column at a time; a smaller round sums them
+# with one cumsum along each cycle's gaps, which costs more per gap but makes
+# no Python iteration per column (measured, scan and count together: 8.3
+# against 9.3 us at 128 cycles of 8 gaps, 16 against 46 us at 1024 of 8, 71
+# against 16 us at 32 of 64).  Both give the same bits
+_COLUMN_SCAN_ROWS = 128
+# a round that would draw fewer gaps than this widens its rows to cover the
+# longest remaining wait in one draw: a round costs about 20 us in numpy
+# calls, as much as drawing a few thousand gaps
+_ROUND_GAPS = 2048
 # largest lambda * E[S], the expected dropped arrivals per cycle, that a
 # full-stream run accepts, and the widest row of gaps a waiting cycle draws
 # in one round; the walk draws every arrival, about lambda * E[S] per cycle
@@ -104,6 +113,28 @@ class SimReport:
     dropped_fraction: Optional[float] = None
 
 
+def _round_width(lam: float, rest: np.ndarray) -> int:
+    """Gaps each of the full-stream walk's waiting cycles draws in a round.
+
+    ``rest`` holds the cycles' service times less the gaps they have summed.
+    A row holds about the arrivals the average waiting cycle still needs, so
+    a large round draws little past them; the cap bounds a row's memory.  A
+    round that would draw fewer than _ROUND_GAPS gaps widens its rows, within
+    that budget, to the longest wait's mean arrival count plus four standard
+    deviations and four, so the last waiting cycles end in one draw, not in
+    a round each.
+    """
+    m = rest.size
+    # the sum over the count is the double .mean() gives, without its
+    # Python-level wrapper
+    w = 1 + int(min(lam * (rest.sum() / m), MAX_DROPS_PER_CYCLE))
+    if m * w < _ROUND_GAPS:
+        x = lam * float(rest.max())
+        w = max(w, int(min(x + 4.0 * math.sqrt(x) + 5.0, MAX_DROPS_PER_CYCLE,
+                           _ROUND_GAPS // m)))
+    return w
+
+
 def _cycles(scheme: Scheme, params: SystemParams, rng: Generator, cycles: int,
             mode: str, policy: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """One replication's draws, in the draw order of every mode and policy.
@@ -137,38 +168,35 @@ def _cycles(scheme: Scheme, params: SystemParams, rng: Generator, cycles: int,
     idx, need, waited = np.arange(cycles), s[:-1], np.zeros(cycles)
     dropped = 0
     while idx.size:
-        # about the arrivals the average waiting cycle still needs, so the
-        # rounds are about log-many; the cap bounds a row's memory.  The
-        # sum over the count is the double .mean() gives, without its
-        # Python-level wrapper
-        w = 1 + int(min(lam * ((need - waited).sum() / idx.size), MAX_DROPS_PER_CYCLE))
-        rows = max(1, WAIT_SLICE // w)
-        early = np.empty(idx.size, dtype=np.intp)
-        last = np.empty(idx.size)
-        for a in range(0, idx.size, rows):
-            b = min(a + rows, idx.size)
-            t = sample_batch(exp, rng, (b - a, w))
-            t[:, 0] += waited[a:b]
-            cut, n_early = need[a:b], early[a:b]
-            # gap sums in order, as t += gap would; arrivals before the
-            # service completes find the pool busy, and the first one at or
-            # after it ends the cycle
-            if w * _COLUMN_SCAN_ROWS <= b - a:
-                np.less(t[:, 0], cut, out=n_early)
-                for i in range(1, w):
-                    col = t[:, i]
-                    col += t[:, i - 1]
-                    n_early += col < cut
+        m = idx.size
+        w = _round_width(lam, need - waited)
+        # the round's m rows of w gaps, drawn gap column by gap column, each
+        # column contiguous, in slices of whole columns; a slice goes on
+        # from the sums the last one ended on, so the slice size moves no draw
+        cols = max(1, WAIT_SLICE // m)
+        early = np.zeros(m, dtype=np.intp)
+        for a in range(0, w, cols):
+            t = sample_batch(exp, rng, (min(cols, w - a), m))
+            t[0] += waited
+            # gap sums in order, as t += gap would
+            if m >= _COLUMN_SCAN_ROWS:
+                for i in range(1, len(t)):
+                    t[i] += t[i - 1]
             else:
-                np.cumsum(t, axis=1, out=t)
-                n_early[:] = np.count_nonzero(t < cut[:, None], axis=1)
-            hit = (n_early < w).nonzero()[0]
-            z[idx.take(a + hit)] = t.ravel().take(hit * w + n_early.take(hit)) - cut.take(hit)
-            last[a:b] = t[:, -1]
+                np.cumsum(t, axis=0, out=t)
+            # arrivals before the service completes find the pool busy, and
+            # the first one at or after it ends the cycle; the sums never
+            # fall, so a cycle's count stops there.  A row holds at most
+            # MAX_DROPS_PER_CYCLE + 1 gaps, so the count fits a uint16 sum,
+            # which is 2.2 times as fast as an intp one at 8192 cycles of 8
+            early += (t < need).sum(axis=0, dtype=np.uint16)
+            hit = ((early >= a) & (early < a + len(t))).nonzero()[0]
+            z[idx.take(hit)] = t.ravel().take((early.take(hit) - a) * m + hit) - need.take(hit)
+            waited = t[-1].copy()
             del t  # freed before the next slice is drawn, not after
         dropped += int(early.sum())
         wait = (early == w).nonzero()[0]
-        idx, need, waited = idx.take(wait), need.take(wait), last.take(wait)
+        idx, need, waited = idx.take(wait), need.take(wait), waited.take(wait)
     return s, d_used, z, cycles + 1 + dropped
 
 
@@ -209,7 +237,9 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     ``sample_service_batch`` once, for all of its cycles_per_rep + 1 of
     them, so a ``sample`` override must bound its own scratch memory, as
     MultiMDS at load >= 2 does: its window sampler holds its draws in row
-    chunks of at most SCRATCH_DOUBLES doubles, at widened windows too.
+    chunks of at most SCRATCH_DOUBLES doubles, at widened windows too, plus
+    the 64 KiB buffer numpy adds for each strided or broadcast 2-D operand
+    of a ufunc call.
     """
     require_int("cycles_per_rep", cycles_per_rep)
     require_int("reps", reps)

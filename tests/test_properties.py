@@ -206,13 +206,13 @@ def test_mm_continuous_optimum_is_below_a_dense_scan(load, log_mu_c, c):
 @FEW
 @given(st.sampled_from([Uncoded(), MDS(7)]), st.floats(0.05, 200.0), st.integers(1, 5000),
        st.integers(0, 2**32), st.just(simulate.WAIT_SLICE))
-# the first round at seed 9 is 8 gaps wide for both schemes: 512 rows scan
-# by column, 511 row-wise
-@example(Uncoded(), 19.2, 512, 9, simulate.WAIT_SLICE)
-@example(Uncoded(), 19.2, 511, 9, simulate.WAIT_SLICE)
-@example(MDS(7), 24.8, 512, 9, simulate.WAIT_SLICE)
-@example(MDS(7), 24.8, 511, 9, simulate.WAIT_SLICE)
-@example(MDS(7), 24.8, 512, 9, 1)  # one row per slice
+# a first round of _COLUMN_SCAN_ROWS waiting cycles adds its gaps a column
+# at a time, and one of a cycle fewer takes one cumsum
+@example(Uncoded(), 19.2, simulate._COLUMN_SCAN_ROWS, 9, simulate.WAIT_SLICE)
+@example(Uncoded(), 19.2, simulate._COLUMN_SCAN_ROWS - 1, 9, simulate.WAIT_SLICE)
+@example(MDS(7), 24.8, simulate._COLUMN_SCAN_ROWS, 9, simulate.WAIT_SLICE)
+@example(MDS(7), 24.8, simulate._COLUMN_SCAN_ROWS - 1, 9, simulate.WAIT_SLICE)
+@example(MDS(7), 24.8, 512, 9, 1)  # one gap column per slice
 def test_stream_cycles_equal_the_round_walk(scheme, lam, cycles, seed, wait_slice):
     # the walk's scan layout, slices and compaction leave its bits as they are
     p = SystemParams(lam, 1.0, 1.0, 10)

@@ -418,9 +418,8 @@ def test_full_stream_report_does_not_depend_on_arrival_block(monkeypatch):
                 for s, p in points]
 
     default = reports()
-    # one cycle's row per slice: every slice then scans row-wise, where the
-    # default slices of narrow rounds scan by column, so this also pins the
-    # reports' independence of the scan layout
+    # one gap column per slice: each slice goes on from the sums the last one
+    # ended on
     monkeypatch.setattr(simulate, "WAIT_SLICE", 1)
     one_row = reports()
     monkeypatch.setattr(simulate, "WAIT_SLICE", 1 << 30)  # one slice per round
@@ -449,6 +448,35 @@ def test_stream_cycles_scratch_is_bounded(monkeypatch):
     assert scratch <= bound < 8 * arrivals
     monkeypatch.setattr(simulate, "WAIT_SLICE", 1 << 30)
     assert peak()[0] > bound
+
+
+# the benchmark's stream-drops points (n = 10, 8192 cycles a replication) and
+# the most rounds their walks may take at seeds 0-19 (measured: 5 or 6 at
+# lambda = 20, 3 or 4 at lambda = 1); a walk that gives each small round a
+# draw of its own takes up to 13 and 7
+@pytest.mark.parametrize("scheme, lam, most_rounds", [
+    (MDS(7), 1.0, 4), (Uncoded(), 1.0, 4), (MDS(7), 20.0, 6), (Uncoded(), 20.0, 6)])
+def test_stream_walk_rounds_and_gaps_are_bounded(monkeypatch, scheme, lam, most_rounds):
+    draw, rounds = simulate.sample_batch, []
+
+    def counted(d, rng, size):
+        # the walk's gap draws are 2-D, d_used's is not
+        if isinstance(size, tuple):
+            rounds.append(math.prod(size))
+        return draw(d, rng, size)
+
+    monkeypatch.setattr(simulate, "sample_batch", counted)
+    # one slice per round, so each 2-D draw is a round; the slice size moves
+    # no value
+    monkeypatch.setattr(simulate, "WAIT_SLICE", 1 << 30)
+    p = params(lam=lam, n=10)
+    for seed in range(20):
+        rounds.clear()
+        arrivals = stream_cycles(scheme, p, Generator(PCG64(seed)), 8192)[3]
+        assert len(rounds) <= most_rounds
+        # the gaps a row holds past its cycle's ending arrival go unused: at
+        # most a quarter more gaps than arrivals (measured: up to 1.22 times)
+        assert sum(rounds) <= 1.25 * arrivals
 
 
 def test_full_stream_refuses_more_than_the_drop_cap():
