@@ -1,5 +1,9 @@
 """Command-line front end: point evaluations, optimization, simulation, sweeps.
 
+Each flag is its own dest, with "-" read as "_", and a ``--config`` key is a
+flag name.  A sweep preset builds its own (scheme, params) rows; a custom sweep
+ranges over one axis, ``n`` or a field of the chosen scheme.
+
 Exit codes: 0 success, 2 usage error (a named invariant is violated),
 3 numerical failure from the solvers, a result that overflows a double, or
 a simulation whose arrays do not fit in memory.
@@ -14,20 +18,11 @@ import sys
 from dataclasses import fields
 from typing import Optional, get_args
 
-import numpy as np
-
 from . import __version__
 from .age import age_of
 from .levels import Infeasible, NoConvergence
 from .optimize import opt_mds, opt_mm_mds, opt_repetition
-from .schemes import (
-    MDS,
-    MultiMDS,
-    Repetition,
-    Scheme,
-    SystemParams,
-    Uncoded,
-)
+from .schemes import MDS, MultiMDS, Repetition, Scheme, SystemParams, Uncoded
 from .simulate import _root_seq, run_parallel
 
 _SCHEMES = {cls.label: cls for cls in get_args(Scheme)}
@@ -35,13 +30,30 @@ _SCHEMES = {cls.label: cls for cls in get_args(Scheme)}
 CSV_COLUMNS = ["scheme", "n", "k", "l", "lambda", "c", "mu", "es", "es2",
                "age_analytic", "age_sim_mean", "age_sim_ci95", "k1"]
 
+# a custom sweep's range flag -> the SystemParams or scheme field it sets
+_AXES = {"k-range": "k", "n-range": "nworkers", "l-range": "load"}
+
+
+def _fig4(mu: float) -> list[tuple[Scheme, SystemParams]]:
+    """Age against k at n = 100: uncoded, repetition at each k, MDS at each k < n."""
+    p = SystemParams(1.0, 1.0, mu, 100)
+    return [(Uncoded(), p), *((Repetition(k), p) for k in range(1, p.nworkers + 1)),
+            *((MDS(k), p) for k in range(1, p.nworkers))]
+
+
+def _fig5(points: list[tuple[SystemParams, int]]) -> list[tuple[Scheme, SystemParams]]:
+    """The age-optimal multi-message code at each (params, load) point; opt_mm_mds
+    is looked up at call time, so a patched module attribute is seen."""
+    return [(MultiMDS(opt_mm_mds(p, load).k_star, load), p) for p, load in points]
+
+
 PRESETS = {
-    "fig4a": {"kind": "k", "n": 100, "lambda": 1.0, "c": 1.0, "mu": 1.0},
-    "fig4b": {"kind": "k", "n": 100, "lambda": 1.0, "c": 1.0, "mu": 0.5},
-    "fig5a": {"kind": "n", "l": 2, "lambda": 1.0, "c": 1.0, "mu": 1.0,
-              "n_values": list(range(100, 1001, 100))},
-    "fig5b": {"kind": "l", "n": 100, "lambda": 1.0, "c": 1.0, "mu": 0.01,
-              "l_values": [1, 2, 3, 4, 5]},
+    "fig4a": functools.partial(_fig4, 1.0),
+    "fig4b": functools.partial(_fig4, 0.5),
+    "fig5a": functools.partial(_fig5, [(SystemParams(1.0, 1.0, 1.0, n), 2)
+                                       for n in range(100, 1001, 100)]),
+    "fig5b": functools.partial(_fig5, [(SystemParams(1.0, 1.0, 0.01, 100), load)
+                                       for load in range(1, 6)]),
 }
 
 
@@ -71,52 +83,45 @@ def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_params(p):
-        p.add_argument("--lambda", dest="lambd", type=float, help="update transmission rate")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, exit_on_error=exit_on_error)
+        p.add_argument("--lambda", type=float, help="update transmission rate")
         p.add_argument("--c", type=float, help="whole-task runtime shift")
         p.add_argument("--mu", type=float, help="whole-task straggling rate")
         p.add_argument("--n", type=int, help="number of workers")
+        p.add_argument("--l", type=int, help="subtasks per worker (mm-mds)")
         p.add_argument("--config", help="JSON file with defaults for any flag")
+        return p
 
     def add_scheme(p):
         p.add_argument("--scheme", choices=list(_SCHEMES))
         p.add_argument("--k", type=int)
-        p.add_argument("--l", type=int, dest="load", help="subtasks per worker (mm-mds)")
 
-    p_age = sub.add_parser("age", help="analytic age of one scheme",
-                           exit_on_error=exit_on_error)
-    add_params(p_age)
-    add_scheme(p_age)
+    def add_runs(p):
+        p.add_argument("--cycles", type=int, help="cycles per replication; a sweep "
+                       "simulates every row")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--reps", type=_positive_int, help="replications, default 1")
 
-    p_opt = sub.add_parser("optimize", help="age-optimal code parameter",
-                           exit_on_error=exit_on_error)
-    add_params(p_opt)
+    add_scheme(command("age", "analytic age of one scheme"))
+
+    p_opt = command("optimize", "age-optimal code parameter")
     p_opt.add_argument("--family", choices=list(_OPTIMIZERS))
-    p_opt.add_argument("--l", type=int, dest="load")
     p_opt.add_argument("--objective", choices=["age", "service"])
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of the age",
-                           exit_on_error=exit_on_error)
-    add_params(p_sim)
+    p_sim = command("simulate", "Monte Carlo estimate of the age")
     add_scheme(p_sim)
-    p_sim.add_argument("--cycles", type=int)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--reps", type=_positive_int)
+    add_runs(p_sim)
     p_sim.add_argument("--mode", choices=["fast", "full-stream"])
     p_sim.add_argument("--policy", choices=["zero-wait", "return-triggered"])
 
-    p_sw = sub.add_parser("sweep", help="parameter sweep written as CSV",
-                          exit_on_error=exit_on_error)
-    add_params(p_sw)
+    p_sw = command("sweep", "parameter sweep written as CSV")
     p_sw.add_argument("--preset", choices=sorted(PRESETS))
     add_scheme(p_sw)
-    p_sw.add_argument("--k-range", dest="k_range", help="A:B[:STEP], inclusive")
-    p_sw.add_argument("--n-range", dest="n_range", help="A:B[:STEP], inclusive")
-    p_sw.add_argument("--l-range", dest="l_range", help="A:B[:STEP], inclusive")
+    for flag in _AXES:
+        p_sw.add_argument(f"--{flag}", help="A:B[:STEP], inclusive")
     p_sw.add_argument("--out", help="output CSV path")
-    p_sw.add_argument("--seed", type=int)
-    p_sw.add_argument("--cycles", type=int, help="add a simulation overlay")
-    p_sw.add_argument("--reps", type=_positive_int)
+    add_runs(p_sw)
     return top
 
 
@@ -136,12 +141,9 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
         raise UsageError(f"cannot read config {path}: {e}")
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object")
-    aliases = {"lambda": "lambd", "l": "load", "k-range": "k_range",
-               "n-range": "n_range", "l-range": "l_range"}
-    flags = {dest: key for key, dest in aliases.items()}
     dests, argv = [], [args.command]
     for key, value in cfg.items():
-        dest = aliases.get(key, key.replace("-", "_"))
+        dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise UsageError(f"config key {key!r} is not a flag of this command")
         if getattr(args, dest) is None:
@@ -149,7 +151,7 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
                 raise UsageError(f"config key {key!r} must be a string or a number, "
                                  f"got {value!r}")
             dests.append(dest)
-            argv.append(f"--{flags.get(dest, dest)}={value}")
+            argv.append(f"--{dest.replace('_', '-')}={value}")
     try:
         typed = _build_parser(exit_on_error=False).parse_args(argv)
     except argparse.ArgumentError as e:
@@ -159,19 +161,20 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _need(args, name: str, flag: Optional[str] = None):
+def _need(args, name: str):
     value = getattr(args, name)
     if value is None:
-        raise UsageError(f"missing required flag --{flag or name}")
+        raise UsageError(f"missing required flag --{name.replace('_', '-')}")
     return value
 
 
-def _params(args) -> SystemParams:
+def _params(args, **given) -> SystemParams:
+    """SystemParams from the flags, with ``nworkers`` from ``given`` if it is there."""
     return SystemParams(
-        arrival_rate=_need(args, "lambd", "lambda"),
+        arrival_rate=_need(args, "lambda"),
         shift=_need(args, "c"),
         straggling=_need(args, "mu"),
-        nworkers=_need(args, "n"),
+        nworkers=given["nworkers"] if "nworkers" in given else _need(args, "n"),
     )
 
 
@@ -179,7 +182,7 @@ def _build_scheme(args, **given) -> Scheme:
     """The --scheme class, each field taken from ``given`` or else from its flag."""
     cls = _SCHEMES[_need(args, "scheme")]
     return cls(**{f.name: given[f.name] if f.name in given
-                  else _need(args, f.name, "l" if f.name == "load" else None)
+                  else _need(args, "l" if f.name == "load" else f.name)
                   for f in fields(cls)})
 
 
@@ -198,8 +201,7 @@ def cmd_age(args) -> int:
 _OPTIMIZERS = {
     "rep": lambda params, args, objective: opt_repetition(params, objective),
     "mds": lambda params, args, objective: opt_mds(params, objective),
-    "mm-mds": lambda params, args, objective: opt_mm_mds(
-        params, _need(args, "load", "l"), objective),
+    "mm-mds": lambda params, args, objective: opt_mm_mds(params, _need(args, "l"), objective),
 }
 
 
@@ -252,60 +254,33 @@ def _parse_range(text: str, flag: str) -> list[int]:
 def _row(scheme: Scheme, params: SystemParams) -> list:
     """One CSV row in CSV_COLUMNS order, with the simulation columns empty."""
     res = age_of(scheme, params)
-    load, k1 = "", ""
-    if isinstance(scheme, MultiMDS):
-        load, k1 = scheme.load, scheme.order_stat(params)[2]
-    return [scheme.label, params.nworkers, getattr(scheme, "k", ""), load,
+    values = vars(scheme)  # its fields, so not the class constant load = 1
+    k1 = scheme.order_stat(params)[2] if "load" in values else ""
+    return [scheme.label, params.nworkers, values.get("k", ""), values.get("load", ""),
             _fmt(params.arrival_rate), _fmt(params.shift), _fmt(params.straggling),
             _fmt(res.es), _fmt(res.es2), _fmt(res.delta), "", "", k1]
 
 
 def _sweep_rows(args) -> tuple[list[tuple[Scheme, SystemParams]], dict]:
-    """Expand a preset or a custom range into (scheme, params) grid points."""
+    """A preset's (scheme, params) rows, or those of the one custom range."""
     if args.preset:
-        preset = PRESETS[args.preset]
-        meta = {"preset": args.preset}
-        rows = []
-        if preset["kind"] == "k":
-            p = SystemParams(preset["lambda"], preset["c"], preset["mu"], preset["n"])
-            rows.append((Uncoded(), p))
-            rows.extend((Repetition(k), p) for k in range(1, p.nworkers + 1))
-            rows.extend((MDS(k), p) for k in range(1, p.nworkers))
-        elif preset["kind"] == "n":
-            for n in preset["n_values"]:
-                p = SystemParams(preset["lambda"], preset["c"], preset["mu"], n)
-                res = opt_mm_mds(p, preset["l"])
-                rows.append((MultiMDS(res.k_star, preset["l"]), p))
-        else:
-            p = SystemParams(preset["lambda"], preset["c"], preset["mu"], preset["n"])
-            for load in preset["l_values"]:
-                res = opt_mm_mds(p, load)
-                rows.append((MultiMDS(res.k_star, load), p))
-        return rows, meta
-
-    ranges = [r for r in (args.k_range, args.n_range, args.l_range) if r]
-    if len(ranges) != 1:
-        raise UsageError("custom sweep needs exactly one of --k-range/--n-range/--l-range "
-                         "(or use --preset)")
-    scheme_name = _need(args, "scheme")
-    meta = {"scheme": scheme_name}
+        return PRESETS[args.preset](), {"preset": args.preset}
+    axes = [(flag, field, text) for flag, field in _AXES.items()
+            if (text := getattr(args, flag.replace("-", "_")))]
+    if len(axes) != 1:
+        raise UsageError(f"custom sweep needs exactly one of "
+                         f"{'/'.join('--' + flag for flag in _AXES)} (or use --preset)")
+    (flag, field, text), = axes
+    name = _need(args, "scheme")
+    takers = [label for label, cls in _SCHEMES.items()
+              if field in {f.name for f in fields(SystemParams) + fields(cls)}]
+    if name not in takers:
+        raise UsageError(f"--{flag} only applies to --scheme {'/'.join(takers)}")
     rows = []
-    if args.k_range:
-        p = _params(args)
-        for k in _parse_range(args.k_range, "k-range"):
-            rows.append((_build_scheme(args, k=k), p))
-    elif args.n_range:
-        for n in _parse_range(args.n_range, "n-range"):
-            p = SystemParams(_need(args, "lambd", "lambda"), _need(args, "c"),
-                             _need(args, "mu"), n)
-            rows.append((_build_scheme(args), p))
-    else:
-        if "load" not in {f.name for f in fields(_SCHEMES[scheme_name])}:
-            raise UsageError(f"--l-range only applies to --scheme {MultiMDS.label}")
-        p = _params(args)
-        for load in _parse_range(args.l_range, "l-range"):
-            rows.append((_build_scheme(args, load=load), p))
-    return rows, meta
+    for value in _parse_range(text, flag):
+        params = _params(args, **{field: value})
+        rows.append((_build_scheme(args, **{field: value}), params))
+    return rows, {"scheme": name}
 
 
 def cmd_sweep(args) -> int:
@@ -320,7 +295,7 @@ def cmd_sweep(args) -> int:
     reps = 1 if args.reps is None else args.reps
     if args.cycles is not None:
         sim = CSV_COLUMNS.index("age_sim_mean")
-        row_seeds = root.generate_state(len(points), np.uint64)
+        row_seeds = root.generate_state(len(points), "uint64")
         for (scheme, params), row, row_seed in zip(points, rows, row_seeds):
             rep = run_parallel(scheme, params, args.cycles, reps, int(row_seed))
             row[sim:sim + 2] = _fmt(rep.mean_age), _fmt(rep.ci95_halfwidth)

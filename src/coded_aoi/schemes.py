@@ -397,8 +397,8 @@ class _Layout:
     ``widening(r)``, built once, round r - 1's windows widened about their
     centres by ``growth``, a rank at least each side, cut to [1, n].  Past
     ``limit`` doubles a row it raises before it builds an array.  ``_layout``
-    keeps two points': callers sample one many times in a row, sim-validate
-    passes cycle through two, and a layout can hold 256 MiB and more."""
+    keeps the last point's: callers sample one point many times in a row,
+    and a layout can hold 256 MiB and more."""
 
     def __init__(self, n: int, k: int, load: int, mu_c: float, z: float, growth: float,
                  limit: int):
@@ -434,7 +434,7 @@ class _Layout:
                                                        shapes=shapes))
 
 
-_layout = functools.lru_cache(maxsize=2)(_Layout)
+_layout = functools.lru_cache(maxsize=1)(_Layout)
 
 
 def _window_kth(x: np.ndarray, plan: _WindowPlan) -> tuple[np.ndarray, np.ndarray]:

@@ -389,6 +389,48 @@ def test_l_range_needs_a_scheme_with_a_load(tmp_path, capsys):
     assert "--l-range only applies to --scheme mm-mds" in err
 
 
+def test_k_range_needs_a_scheme_with_a_k(tmp_path, capsys):
+    # uncoded has no k to range over: refused before any row, not three
+    # identical rows with an empty k column
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "sweep", "--scheme", "uncoded", "--k-range", "1:3",
+                                "--n", "10", *UNIT, "--seed", "1", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: --k-range only applies to --scheme repetition/mds/mm-mds\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["lambd", "load"])
+def test_config_takes_flag_names_not_internal_spellings(tmp_path, capsys, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scheme": "mm-mds", "n": 10, "k": 5, "lambda": 1, "l": 2,
+                               "c": 1, "mu": 1, key: 2}))
+    code, out, err = run_cli(capsys, "age", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: config key {key!r} is not a flag of this command\n"
+
+
+@pytest.mark.parametrize("axis, scheme, dropped", [
+    (["--k-range", "1:3"], ["--scheme", "mm-mds", "--l", "2"], "--n"),
+    (["--k-range", "1:3"], ["--scheme", "mm-mds", "--n", "10"], "--l"),
+    (["--n-range", "5:7"], ["--scheme", "mds", "--k", "3"], "--lambda"),
+    (["--n-range", "5:7"], ["--scheme", "mm-mds", "--k", "3"], "--l"),
+    (["--l-range", "1:3"], ["--scheme", "mm-mds", "--n", "10"], "--k"),
+    (["--l-range", "1:3"], ["--scheme", "mm-mds", "--k", "3"], "--n"),
+], ids=["k-n", "k-l", "n-lambda", "n-l", "l-k", "l-n"])
+def test_custom_sweep_names_its_missing_flag(tmp_path, capsys, axis, scheme, dropped):
+    # each axis takes its own value from the range and every other field
+    # from its flag, so a missing flag is named as it is spelled
+    rates = [t for flag, value in zip(UNIT[::2], UNIT[1::2]) if flag != dropped
+             for t in (flag, value)]
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, "sweep", *axis, *scheme, *rates, "--seed", "1",
+                                "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: missing required flag {dropped}\n"
+    assert not out.exists()
+
+
 def test_csv_number_format_is_twelve_significant_digits(tmp_path, capsys):
     out_path = tmp_path / "f.csv"
     run_cli(capsys, "sweep", "--scheme", "mds", "--k-range", "69:69", "--n", "100",

@@ -286,7 +286,7 @@ def test_cli_labels_round_trip(label):
     scheme = cli._build_scheme(args)
     assert type(scheme) is cli._SCHEMES[label]
     assert scheme.label == label
-    assert cli._build_scheme(argparse.Namespace(scheme=scheme.label, k=3, load=2)) == scheme
+    assert cli._build_scheme(argparse.Namespace(scheme=scheme.label, k=3, l=2)) == scheme
 
 
 # The CLI's exit-code contract: 0, 2 (usage) or 3 (numerical failure), never
@@ -446,6 +446,12 @@ def test_simulation_keeps_exit_code_contract_at_extreme_rates(argv):
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(sweep_argv())
 def test_sweep_cli_keeps_exit_code_contract(argv):
+    assert_sweep_contract(argv)
+
+
+def assert_sweep_contract(argv):
+    """A sweep into a temporary --out fails in one line and writes no file, or
+    reports the rows it wrote, each with finite numbers."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "sweep.csv")
         code, out, err = exit_code_and_output(argv + ["--out", path])
@@ -481,6 +487,13 @@ CONFIG_FLAGS = {
     "optimize": {"lambda": RATE, "c": RATE, "mu": RATE, "n": st.integers(1, 200),
                  "family": st.sampled_from(sorted(cli._OPTIMIZERS)), "l": st.integers(1, 5),
                  "objective": st.sampled_from(["age", "service"])},
+    # one custom axis of at most four rows; the test adds --out in a
+    # temporary directory
+    "sweep": {"lambda": RATE, "c": RATE, "mu": RATE, "n": st.integers(1, 200),
+              "scheme": st.sampled_from(sorted(cli._SCHEMES)), "k": st.integers(1, 50),
+              "l": st.integers(1, 4), "seed": st.integers(0, 2**32),
+              "k-range": st.builds(lambda a, w: f"{a}:{a + w}", st.integers(1, 20),
+                                   st.integers(0, 3))},
 }
 
 
@@ -504,6 +517,9 @@ def test_config_values_keep_exit_code_contract(config):
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(values, fh)  # inf and nan are written as Infinity and NaN
+        if command == "sweep":
+            assert_sweep_contract([command, "--config", path])
+            return
         code, out, err = exit_code_and_output([command, "--config", path])
     finally:
         os.unlink(path)
