@@ -4,9 +4,10 @@ The same update can be spread over the pool in different ways; what the
 destination feels is the service time S until enough results are back.
 This script tabulates E[S] for each scheme and confirms the analytic
 moments against the samplers.  The single-level schemes sample the law of
-their order statistic (two gamma draws per service time); MultiMDS at
-load 2 samples the exact law of the workers' queues, drawing only the
-results near the k-th.
+their order statistic: one uniform per service time for the largest of n
+(uncoded, and repetition's slowest group), two gamma draws for MDS's k-th
+of n; MultiMDS at load 2 samples the exact law of the workers' queues,
+drawing only the results near the k-th.
 """
 import numpy as np
 from numpy.random import Generator, PCG64

@@ -1,8 +1,9 @@
 """Command-line front end: point evaluations, optimization, simulation, sweeps.
 
 Each flag is its own dest, with "-" read as "_", and a ``--config`` key is a
-flag name.  A sweep preset builds its own (scheme, params) rows; a custom sweep
-ranges over one axis, ``n`` or a field of the chosen scheme.
+flag name.  A sweep preset builds its own (scheme, params) rows and refuses
+every custom-sweep flag; a custom sweep ranges over one axis, ``n`` or a
+field of the chosen scheme.
 
 Exit codes: 0 success, 2 usage error (a named invariant is violated),
 3 numerical failure from the solvers, a result that overflows a double, or
@@ -141,10 +142,13 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
         raise UsageError(f"cannot read config {path}: {e}")
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object")
+    # the command's own flags, but not --config: the namespace also holds
+    # the subcommand's name
+    flags = vars(args).keys() - {"command", "config"}
     dests, argv = [], [args.command]
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in flags:
             raise UsageError(f"config key {key!r} is not a flag of this command")
         if getattr(args, dest) is None:
             if isinstance(value, bool) or not isinstance(value, (str, int, float)):
@@ -264,6 +268,11 @@ def _row(scheme: Scheme, params: SystemParams) -> list:
 def _sweep_rows(args) -> tuple[list[tuple[Scheme, SystemParams]], dict]:
     """A preset's (scheme, params) rows, or those of the one custom range."""
     if args.preset:
+        # a preset builds every row itself, so a custom-sweep flag would be dropped
+        given = [f"--{flag}" for flag in ("scheme", "k", "l", *_AXES, "lambda", "c", "mu", "n")
+                 if getattr(args, flag.replace("-", "_")) is not None]
+        if given:
+            raise UsageError(f"--preset builds its own rows and takes no {', '.join(given)}")
         return PRESETS[args.preset](), {"preset": args.preset}
     axes = [(flag, field, text) for flag, field in _AXES.items()
             if (text := getattr(args, flag.replace("-", "_")))]

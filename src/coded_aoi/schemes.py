@@ -36,13 +36,15 @@ Repetition the triple gives every group n/k replicas, exact only where k
 divides n; for MultiMDS it is the large-pool model: the k-th result overall
 arrives with the first level's k1-th (see ``levels._first_count``), and at
 load 1 it is the MDS triple.  Samples come from order-statistic laws in
-O(1) per service time (see ``_os_sample``), not from N worker draws: two
-gammas at any n, four for Repetition where k does not divide n (the larger
-of two).  MultiMDS at load >= 2 draws only the worker order statistics in
-a window of ranks around each level's share of the k-th result (see
-``_multiset_sample``): two gammas per run of consecutive ranks and one
-exponential per rank, then a sort, in a layout kept for calls at one point
-(see ``_Layout``).  The README gives the measured time per service time of each.
+O(1) per service time (see ``_os_sample``), not from N worker draws: one
+uniform for the largest of N, Uncoded's, at any n; two for Repetition
+where k does not divide n (the larger of two group maxima); two gammas
+below the largest, MDS's.  MultiMDS at load >= 2 draws only the worker
+order statistics in a window of ranks around each level's share of the
+k-th result (see ``_multiset_sample``): two gammas per run of consecutive
+ranks and one exponential per rank, then a sort, in a layout kept for calls
+at one point (see ``_Layout``).  The README gives the measured time per
+service time of each.
 """
 from __future__ import annotations
 
@@ -146,18 +148,32 @@ def _os_sample(d: ShiftedExp, n: int, k: int, rng: np.random.Generator,
                size: int) -> np.ndarray:
     """``size`` draws of the k-th smallest of n i.i.d. draws from d, from its law.
 
-    The k-th of n uniforms is B = G_k / (G_k + G_{n-k+1}) for independent
-    standard gammas (David & Nagaraja, Order Statistics, 2003), and the
-    inverse CDF maps it to d.shift - log(1 - B)/d.rate, which is d.shift +
+    The largest, k = n, has CDF F(x)^n, which inverts in closed form: one
+    uniform u in [0, 1) gives d.shift - log(-expm1(log(u)/n))/d.rate, and
+    u = 0 gives d.shift itself, so no draw is infinite.  Otherwise the k-th
+    of n uniforms is B = G_k / (G_k + G_{n-k+1}) for independent standard
+    gammas (David & Nagaraja, Order Statistics, 2003), and the inverse CDF
+    maps it to d.shift - log(1 - B)/d.rate, which is d.shift +
     log1p(G_k / G_{n-k+1})/d.rate: no difference cancels at any n.  n and k
     are scalars: the call draws all ``size`` of its G_k at one scalar shape,
     then all of its G_{n-k+1}, since numpy draws gammas at an array of
     shapes through a slower per-element loop.  So a sample's values depend
     on the size of the call that drew it; the MultiMDS segment jumps, drawn
-    a block of rows per call, do not depend on how a run is chunked.  The
-    shapes are converted to doubles first, so Python integers past 2**63
+    a block of rows per call, do not depend on how a run is chunked.  n and
+    the shapes are converted to doubles first, so Python integers past 2**63
     work too.
     """
+    if k == n:
+        x = rng.random(size)
+        with np.errstate(divide="ignore"):  # log(0) = -inf, which maps to d.shift
+            np.log(x, out=x)
+        x /= float(n)
+        np.expm1(x, out=x)
+        np.negative(x, out=x)
+        np.log(x, out=x)
+        x /= -d.rate
+        x += d.shift
+        return x
     x = rng.standard_gamma(float(k), size)
     x /= rng.standard_gamma(float(n - k + 1), size)
     np.log1p(x, out=x)
@@ -573,12 +589,13 @@ def sample_service_batch(scheme: Scheme, params: SystemParams,
                          rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` i.i.d. service times from the mechanism's exact law.
 
-    Every scheme but MultiMDS at load >= 2 draws from order-statistic laws:
-    two gammas per service time (four for Repetition where k does not divide
-    n) at any n.  MultiMDS at load >= 2 draws the worker order statistics in
-    a window of ranks per level, and widens the windows of the rows they do
-    not settle (about 1.8% at n = 100 and 4.8% at n = 1000).  The README
-    gives the measured time per service time.  Past its scratch bound (see
+    Every scheme but MultiMDS at load >= 2 draws from order-statistic laws
+    at any n: one uniform per service time for Uncoded and Repetition (two
+    where k does not divide n), two gammas for MDS and MultiMDS at load 1.
+    MultiMDS at load >= 2 draws the worker order statistics in a window of
+    ranks per level, and widens the windows of the rows they do not settle
+    (about 1.8% at n = 100 and 4.8% at n = 1000).  The README gives the
+    measured time per service time.  Past its scratch bound (see
     MAX_SAMPLE_DRAWS) it raises ValueError.
     """
     validate(scheme, params)

@@ -6,9 +6,11 @@ not flip bits), hash to one ``name sha256`` line of
 ``tests/expected_output/fingerprints.txt``.  A refactor leaves that file as
 it is; a change that moves values names the entries it moved, and says
 why.  The entries are ``run_parallel`` over every scheme, both modes, both
-policies and one and three replications, and ``sample_service_batch`` at
-the golden, benchmark and CI mm-mds points, each call but one reaching one
-row past a widening block of the window sampler.  Regenerate with
+policies and one and three replications, ``sample_service_batch`` of the
+largest-of-n draws, uncoded and repetition where k does not divide n, and
+``sample_service_batch`` at the golden, benchmark and CI mm-mds points, each
+call but one reaching one row past a widening block of the window sampler.
+Regenerate with
 
     PYTHONPATH=src python tests/fingerprints.py
 """
@@ -28,6 +30,9 @@ FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "expected_output
 # n = 20: Repetition at k | n and at k not dividing n, MultiMDS at load 1 and 2
 RUN_SCHEMES = [Uncoded(), Repetition(5), Repetition(6), MDS(14), MultiMDS(14, 1),
                MultiMDS(30, 2)]
+# the largest of n at n = 20, whose draws take one uniform each: uncoded, and
+# repetition with two group sizes, 2 groups of 4 replicas and 4 of 3
+LARGEST_SCHEMES = [Uncoded(), Repetition(6)]
 # (n, k, load, mu, size) at the mm-mds golden, benchmark and CI points: one
 # row more than a widening block, WIDEN_DOUBLES // (window ranks) rows,
 # except at load 2000, whose rows take about 0.5 ms each, so that its block
@@ -56,6 +61,10 @@ def _entries():
         yield name, (r.mean_age, r.ci95_halfwidth, r.cycles, r.empirical_es, r.empirical_es2,
                      r.empirical_ed, r.empirical_ez,
                      math.nan if r.dropped_fraction is None else r.dropped_fraction)
+    for scheme in LARGEST_SCHEMES:
+        x = sample_service_batch(scheme, SystemParams(1.0, 1.0, 1.0, 20),
+                                 np.random.default_rng(1), 4097)
+        yield f"sample_service_batch/{repr(scheme).replace(' ', '')}/n=20/size=4097", x
     for n, k, load, mu, size in SAMPLE_POINTS:
         x = sample_service_batch(MultiMDS(k, load), SystemParams(1.0, 1.0, mu, n),
                                  np.random.default_rng(1), size)

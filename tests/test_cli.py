@@ -410,6 +410,38 @@ def test_config_takes_flag_names_not_internal_spellings(tmp_path, capsys, key):
     assert err == f"error: config key {key!r} is not a flag of this command\n"
 
 
+@pytest.mark.parametrize("key, value", [("command", "optimize"), ("config", "other.json")])
+def test_config_takes_only_the_commands_own_flags(tmp_path, capsys, key, value):
+    # the namespace's own command and config attributes are not flags a
+    # config file may set
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scheme": "mds", "n": 10, "k": 3, key: value}))
+    code, out, err = run_cli(capsys, "age", "--config", str(cfg), *UNIT)
+    assert (code, out) == (2, "")
+    assert err == f"error: config key {key!r} is not a flag of this command\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("scheme", "mds"), ("k", "3"), ("l", "2"), ("k-range", "1:3"), ("n-range", "5:7"),
+    ("l-range", "1:2"), ("lambda", "5"), ("c", "1"), ("mu", "1"), ("n", "10")])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_preset_refuses_custom_sweep_flags(tmp_path, capsys, flag, value, via_config):
+    # a preset builds its own rows: a custom-sweep flag would be dropped
+    # without a word, so it is refused before any file is written
+    out = tmp_path / "p.csv"
+    argv = ["sweep", "--preset", "fig4a", "--seed", "1", "--out", str(out)]
+    if via_config:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({flag: value}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [f"--{flag}", value]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --preset builds its own rows and takes no --{flag}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("axis, scheme, dropped", [
     (["--k-range", "1:3"], ["--scheme", "mm-mds", "--l", "2"], "--n"),
     (["--k-range", "1:3"], ["--scheme", "mm-mds", "--n", "10"], "--l"),

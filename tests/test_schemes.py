@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +52,14 @@ def sampler_windows(scheme, p):
     return schemes._windows(p.nworkers, scheme.k, scheme.load, p.mu_c, schemes.WINDOW_Z)
 
 
-class FixedGamma:
-    """Hands out the given gamma values, one array per standard_gamma call."""
+class FixedUniform:
+    """Hands out the given uniform value for every draw of a random call."""
 
-    def __init__(self, *values):
-        self.values = [np.asarray(v, dtype=float) for v in values]
+    def __init__(self, value):
+        self.value = value
 
-    def standard_gamma(self, shape, size=None):
-        return self.values.pop(0).reshape(size)
+    def random(self, size=None):
+        return np.full(size, self.value)
 
 
 class GammaShapes:
@@ -66,6 +67,9 @@ class GammaShapes:
 
     def __init__(self, rng, shapes):
         self.rng, self.shapes = rng, shapes
+
+    def random(self, size=None):
+        return self.rng.random(size)
 
     def standard_gamma(self, shape, size=None):
         self.shapes.append(shape)
@@ -743,11 +747,37 @@ def test_multiset_enumeration_fixed_draws():
 
 
 def test_uncoded_single_worker_sampling_law():
-    # one worker, whole task: shift + log1p(G / G')/rate with the two
-    # gammas in the ratio expm1(0.7) is the draw 1 + 0.7
+    # one worker, whole task: the largest of one draw is the inverse CDF,
+    # shift - log(1 - u)/rate, and u = 1 - exp(-0.7) is the draw 1 + 0.7
     p = params(n=1)
-    out = sample_service_batch(Uncoded(), p, FixedGamma([math.expm1(0.7)], [1.0]), 1)
+    out = sample_service_batch(Uncoded(), p, FixedUniform(-math.expm1(-0.7)), 1)
     assert out[0] == pytest.approx(1.7, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scheme", [Uncoded(), Repetition(6)])
+def test_largest_order_statistic_maps_a_zero_uniform_to_the_shift(scheme):
+    # log(0) = -inf is the one infinity on the way, and it maps to the
+    # shift exactly, with no warning from the public entry point
+    p = params(n=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sample_service_batch(scheme, p, FixedUniform(0.0), 5)
+    assert (out == order_stat(scheme, p)[0].shift).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 2**62, 10**20])
+def test_largest_order_statistic_is_finite_past_int64_workers(n):
+    p = params(n=n)
+    x = sample_service_batch(Uncoded(), p, rng(65), 5000)
+    assert np.isfinite(x).all() and (x >= order_stat(Uncoded(), p)[0].shift).all()
+
+
+def test_uncoded_sampler_matches_the_written_out_max_law():
+    # two workers each take c/2 + Exp(2 mu): S - c/2 has CDF (1 - exp(-2 mu x))^2
+    stats = pytest.importorskip("scipy.stats")
+    p = params(c=1.0, mu=0.5, n=2)
+    x = sample_service_batch(Uncoded(), p, rng(66), 20_000) - 0.5
+    assert stats.kstest(x, lambda t: (-np.expm1(-np.maximum(t, 0.0)))**2).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("scheme, n", [
@@ -757,7 +787,9 @@ def test_uncoded_single_worker_sampling_law():
 def test_order_statistic_draws_take_scalar_gamma_shapes(scheme, n, monkeypatch):
     # numpy draws gammas at an array of shapes through a slower per-element
     # loop, so each order-statistic draw, the MultiMDS segment jumps too,
-    # takes one scalar shape per call; recording the shapes moves no value
+    # takes one scalar shape per call; the largest of n, every uncoded and
+    # repetition draw, takes a uniform and no gamma at all.  Recording the
+    # shapes moves no value
     p, size = params(n=n), 3000
     want = sample_service_batch(scheme, p, rng(41), size)
     shapes, real = [], schemes._os_sample
@@ -767,7 +799,10 @@ def test_order_statistic_draws_take_scalar_gamma_shapes(scheme, n, monkeypatch):
 
     monkeypatch.setattr(schemes, "_os_sample", recorded)
     assert (sample_service_batch(scheme, p, rng(41), size) == want).all()
-    assert shapes and all(np.ndim(s) == 0 for s in shapes)
+    if isinstance(scheme, (Uncoded, Repetition)):
+        assert shapes == []
+    else:
+        assert shapes and all(np.ndim(s) == 0 for s in shapes)
 
 
 def test_scalar_sampler_matches_batch():
