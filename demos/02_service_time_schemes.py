@@ -5,8 +5,9 @@ destination feels is the service time S until enough results are back.
 This script tabulates E[S] for each scheme and confirms the analytic
 moments against the samplers.  The single-level schemes sample the law of
 their order statistic: one uniform per service time for the largest of n
-(uncoded, and repetition's slowest group), two gamma draws for MDS's k-th
-of n; MultiMDS at load 2 samples the exact law of the workers' queues,
+(uncoded, and repetition's slowest group), n - k + 1 uniforms for MDS's
+k-th of n near the top, where that is at most 8, and two gamma draws
+below; MultiMDS at load 2 samples the exact law of the workers' queues,
 drawing only the results near the k-th.
 """
 import numpy as np

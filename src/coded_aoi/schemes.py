@@ -38,8 +38,9 @@ arrives with the first level's k1-th (see ``levels._first_count``), and at
 load 1 it is the MDS triple.  Samples come from order-statistic laws in
 O(1) per service time (see ``_os_sample``), not from N worker draws: one
 uniform for the largest of N, Uncoded's, at any n; two for Repetition
-where k does not divide n (the larger of two group maxima); two gammas
-below the largest, MDS's.  MultiMDS at load >= 2 draws only the worker
+where k does not divide n (the larger of two group maxima); j uniforms for
+the j-th largest up to j = _TOP_RANKS, MDS's at k > N - _TOP_RANKS; two
+gammas further down.  MultiMDS at load >= 2 draws only the worker
 order statistics in a window of ranks around each level's share of the
 k-th result (see ``_multiset_sample``): two gammas per run of consecutive
 ranks and one exponential per rank, then a sort, in a layout kept for calls
@@ -98,6 +99,13 @@ WINDOW_GROWTH = 1.5
 # and load 2 widen once, and the values do not depend on SCRATCH_DOUBLES.
 WIDEN_DOUBLES = 1 << 20
 
+# Most ranks from the top, j = n - k + 1, at which _os_sample draws the k-th
+# of n from j uniforms rather than two gammas.  Each uniform costs about 5 to
+# 8 ns per service time and the two gammas 45 to 70 ns, whatever the ranks:
+# at n = 10, 100 and 1000, j uniforms took 0.91 to 0.95 times as long as two
+# gammas at j = 8 and 1.02 to 1.06 times at j = 9 (see the README's table)
+_TOP_RANKS = 8
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -148,26 +156,35 @@ def _os_sample(d: ShiftedExp, n: int, k: int, rng: np.random.Generator,
                size: int) -> np.ndarray:
     """``size`` draws of the k-th smallest of n i.i.d. draws from d, from its law.
 
-    The largest, k = n, has CDF F(x)^n, which inverts in closed form: one
-    uniform u in [0, 1) gives d.shift - log(-expm1(log(u)/n))/d.rate, and
-    u = 0 gives d.shift itself, so no draw is infinite.  Otherwise the k-th
-    of n uniforms is B = G_k / (G_k + G_{n-k+1}) for independent standard
-    gammas (David & Nagaraja, Order Statistics, 2003), and the inverse CDF
-    maps it to d.shift - log(1 - B)/d.rate, which is d.shift +
-    log1p(G_k / G_{n-k+1})/d.rate: no difference cancels at any n.  n and k
-    are scalars: the call draws all ``size`` of its G_k at one scalar shape,
-    then all of its G_{n-k+1}, since numpy draws gammas at an array of
-    shapes through a slower per-element loop.  So a sample's values depend
-    on the size of the call that drew it; the MultiMDS segment jumps, drawn
-    a block of rows per call, do not depend on how a run is chunked.  n and
-    the shapes are converted to doubles first, so Python integers past 2**63
-    work too.
+    Near the top, at j = n - k + 1 <= _TOP_RANKS, the k-th of n uniforms is
+    U_(k) = prod_{i<j} V_i^(1/(n-i)) for j independent uniforms V_i (David &
+    Nagaraja, Order Statistics, 2003), so the inverse CDF maps it to d.shift
+    - log(-expm1(sum_{i<j} log(V_i)/(n-i)))/d.rate.  The call draws its V_i
+    a ``size`` row at a time into one scratch row, and a V_i = 0 gives
+    d.shift itself, so no draw is infinite.  At j = 1, the largest, that is
+    the inverse of F(x)^n at one uniform.  Further down, the k-th of n
+    uniforms is B = G_k / (G_k + G_{n-k+1}) for independent standard gammas,
+    and the inverse CDF maps it to d.shift - log(1 - B)/d.rate, which is
+    d.shift + log1p(G_k / G_{n-k+1})/d.rate: no difference cancels at any
+    n.  n and k are scalars: the call draws all ``size`` of its G_k at one
+    scalar shape, then all of its G_{n-k+1}, since numpy draws gammas at an
+    array of shapes through a slower per-element loop.  So a sample's values
+    depend on the size of the call that drew it; the MultiMDS segment jumps,
+    drawn a block of rows per call, do not depend on how a run is chunked.
+    n, n - i and the shapes are converted to doubles first, so Python
+    integers past 2**63 work too.
     """
-    if k == n:
+    if n - k < _TOP_RANKS:
         x = rng.random(size)
         with np.errstate(divide="ignore"):  # log(0) = -inf, which maps to d.shift
             np.log(x, out=x)
-        x /= float(n)
+            x /= float(n)
+            if n > k:
+                v = np.empty(size)
+                for i in range(1, n - k + 1):
+                    np.log(rng.random(out=v), out=v)
+                    v /= float(n - i)
+                    x += v
         np.expm1(x, out=x)
         np.negative(x, out=x)
         np.log(x, out=x)
@@ -489,7 +506,8 @@ def _multiset_sample(d: ShiftedExp, layout: _Layout, rng: np.random.Generator,
     exponentials summed up, and the first rank u of a segment lies above the
     last known rank j (or d.shift) by the (u - j)-th smallest of n - j
     exponentials, log1p(G / G')/d.rate for gammas of shape u - j and
-    n - u + 1 (see ``_os_sample``).  A block of WIDEN_DOUBLES first-pass
+    n - u + 1, or from n - u + 1 uniforms where that is at most _TOP_RANKS
+    (see ``_os_sample``).  A block of WIDEN_DOUBLES first-pass
     doubles draws its jumps, then its rows chunk by chunk.  The windows
     settle most rows (see ``_window_kth``); at the end of the block the
     others widen their windows until they settle (see ``_settle``).  Every
@@ -591,7 +609,8 @@ def sample_service_batch(scheme: Scheme, params: SystemParams,
 
     Every scheme but MultiMDS at load >= 2 draws from order-statistic laws
     at any n: one uniform per service time for Uncoded and Repetition (two
-    where k does not divide n), two gammas for MDS and MultiMDS at load 1.
+    where k does not divide n); for MDS and MultiMDS at load 1, n - k + 1
+    uniforms where that is at most 8 (see ``_os_sample``), two gammas below.
     MultiMDS at load >= 2 draws the worker order statistics in a window of
     ranks per level, and widens the windows of the rows they do not settle
     (about 1.8% at n = 100 and 4.8% at n = 1000).  The README gives the

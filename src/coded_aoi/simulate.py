@@ -189,11 +189,29 @@ def _cycles(scheme: Scheme, params: SystemParams, rng: Generator, cycles: int,
             # fall, so a cycle's count stops there.  A row holds at most
             # MAX_DROPS_PER_CYCLE + 1 gaps, so the count fits a uint16 sum,
             # which is 2.2 times as fast as an intp one at 8192 cycles of 8
-            early += (t < need).sum(axis=0, dtype=np.uint16)
-            hit = ((early >= a) & (early < a + len(t))).nonzero()[0]
-            z[idx.take(hit)] = t.ravel().take((early.take(hit) - a) * m + hit) - need.take(hit)
+            count = (t < need).sum(axis=0, dtype=np.uint16)
+            # each cycle's sum at its ending arrival, or at the slice's last
+            # gap if it waits on, a stand-in that a later slice or round
+            # overwrites.  Only the cycles still waiting when a slice begins,
+            # early == a, can end in it: all of them in the first slice
+            if a == 0:
+                early += count
+                at = np.minimum(early, len(t) - 1)
+                at *= m
+                at += np.arange(m)
+                ends = t.ravel().take(at)
+            else:
+                on = (early == a).nonzero()[0]
+                early += count
+                at = np.minimum(early.take(on) - a, len(t) - 1)
+                at *= m
+                at += on
+                ends[on] = t.ravel().take(at)
+            del at  # freed before waited is copied, the slice's peak
             waited = t[-1].copy()
             del t  # freed before the next slice is drawn, not after
+        ends -= need
+        z[idx] = ends
         dropped += int(early.sum())
         wait = (early == w).nonzero()[0]
         idx, need, waited = idx.take(wait), need.take(wait), waited.take(wait)

@@ -136,11 +136,14 @@ class ZeroService(Uncoded):
 def law_sample(scheme, params, rng, size):
     """``size`` draws from the law of the scheme's order statistic.
 
-    The largest of n, k = n, has CDF F(x)^n, whose inverse maps one
-    uniform u to shift - log(-expm1(log(u)/n)) / rate.  Below it, the k-th
-    of n uniforms is G_k / (G_k + G_{n-k+1}) for independent standard
-    gammas, which the inverse CDF maps to shift + log1p(G_k / G_{n-k+1}) /
-    rate; a call draws all of its G_k, then all of its G_{n-k+1}.
+    At most ``schemes._TOP_RANKS`` ranks from the top, j = n - k + 1, the
+    k-th of n uniforms is the product of V_i^(1/(n-i)) over j independent
+    uniforms, whose log the inverse CDF maps to shift - log(-expm1(sum of
+    log(V_i)/(n-i))) / rate; at j = 1, the largest, that inverts F(x)^n at
+    one uniform.  Further down, the k-th of n uniforms is G_k / (G_k +
+    G_{n-k+1}) for independent standard gammas, which the inverse CDF maps
+    to shift + log1p(G_k / G_{n-k+1}) / rate; a call draws all of its G_k,
+    then all of its G_{n-k+1}.
     Repetition takes the larger of one such draw per group size: the groups
     of floor(n/k) replicas, then the n mod k of ceil(n/k), if any; where k
     divides n that is the law of ``order_stat``.
@@ -155,11 +158,15 @@ def law_sample(scheme, params, rng, size):
 
 
 def os_law(d, n, k, rng, size):
-    if k == n:
-        # the largest: invert F(x)^n at one uniform u per draw; u = 0 is d.shift
+    j = n - k + 1
+    if j <= schemes._TOP_RANKS:
+        # the top j ranks: U_(k) is the product of V_i^(1/(n-i)) over j
+        # uniforms, a row of each in turn; a zero uniform is d.shift
         with np.errstate(divide="ignore"):
-            log_u = np.log(rng.random(size))
-        return d.shift - np.log(-np.expm1(log_u / float(n))) / d.rate
+            log_u = np.log(rng.random(size)) / float(n)
+            for i in range(1, j):
+                log_u += np.log(rng.random(size)) / float(n - i)
+        return d.shift - np.log(-np.expm1(log_u)) / d.rate
     g_k = rng.standard_gamma(float(k), size)
     g_rest = rng.standard_gamma(float(n - k + 1), size)
     return d.shift + np.log1p(g_k / g_rest) / d.rate

@@ -39,6 +39,11 @@ from schemes_reference import (
 )
 
 
+# most ranks from the top, j = n - k + 1, that the order-statistic law draws
+# from j uniforms
+TOP_RANKS = schemes._TOP_RANKS
+
+
 def rng(seed):
     return Generator(PCG64(seed))
 
@@ -58,8 +63,11 @@ class FixedUniform:
     def __init__(self, value):
         self.value = value
 
-    def random(self, size=None):
-        return np.full(size, self.value)
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.full(size, self.value)
+        out.fill(self.value)
+        return out
 
 
 class GammaShapes:
@@ -68,8 +76,8 @@ class GammaShapes:
     def __init__(self, rng, shapes):
         self.rng, self.shapes = rng, shapes
 
-    def random(self, size=None):
-        return self.rng.random(size)
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
 
     def standard_gamma(self, shape, size=None):
         self.shapes.append(shape)
@@ -576,14 +584,35 @@ def test_law_sampler_matches_the_worker_mechanism(scheme, n):
     assert abs(law.mean() - service_moments(scheme, p).es) < 4 * se
 
 
-@pytest.mark.parametrize("scheme", [Uncoded(), MDS(10**20 - 1), Repetition(3)])
-def test_law_sampler_runs_past_int64_workers(scheme):
-    # n = 10**20 exceeds every numpy integer type; the law's gamma shapes
-    # must still reach the generator as doubles
-    p = params(n=10**20)
+@pytest.mark.parametrize("scheme, mu", [
+    (Uncoded(), 1.0), (MDS(10**20 - 1), 1.0), (Repetition(3), 1e-20),
+], ids=["scheme0", "scheme1", "scheme2"])
+def test_law_sampler_runs_past_int64_workers(scheme, mu):
+    # n = 10**20 exceeds every numpy integer type; the law's n - i and gamma
+    # shapes must still reach the generator as doubles.  Repetition(3)'s
+    # groups take rate n mu, so mu = 1e-20 keeps it near 1: at mu = 1 every
+    # draw rounds to the shift 1/3 and the comparison would hold for any
+    # sampler
+    p = params(mu=mu, n=10**20)
     got = sample_service_batch(scheme, p, rng(64), 1000)
     assert np.isfinite(got).all()
+    assert (got != got[0]).any()
     assert got.tobytes() == law_sample(scheme, p, rng(64), 1000).tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 20, 100])
+@pytest.mark.parametrize("j", [2, 4, TOP_RANKS, TOP_RANKS + 1])
+def test_top_rank_sampler_matches_the_worker_mechanism(j, n):
+    # the k-th of n at j = n - k + 1 ranks from the top: j uniforms per
+    # service time up to TOP_RANKS, two gammas past it, both against every
+    # worker simulated
+    stats = pytest.importorskip("scipy.stats")
+    scheme, p, size = MDS(n - j + 1), params(mu=0.5, n=n), 20_000
+    law = sample_service_batch(scheme, p, rng(81), size)
+    mechanism = mechanism_sample(scheme, p, rng(82), size)
+    assert stats.ks_2samp(law, mechanism).pvalue > 1e-3
+    se = math.sqrt(os_var(*order_stat(scheme, p)) / size)
+    assert abs(law.mean() - service_moments(scheme, p).es) < 4 * se
 
 
 @pytest.mark.parametrize("scheme", [Uncoded(), Repetition(50), MDS(69)])
@@ -754,15 +783,24 @@ def test_uncoded_single_worker_sampling_law():
     assert out[0] == pytest.approx(1.7, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("scheme", [Uncoded(), Repetition(6)])
+@pytest.mark.parametrize("scheme", [Uncoded(), Repetition(6), MDS(18)])
 def test_largest_order_statistic_maps_a_zero_uniform_to_the_shift(scheme):
     # log(0) = -inf is the one infinity on the way, and it maps to the
-    # shift exactly, with no warning from the public entry point
+    # shift exactly, with no warning from the public entry point; MDS(18),
+    # three ranks from the top, sums three of them
     p = params(n=20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = sample_service_batch(scheme, p, FixedUniform(0.0), 5)
     assert (out == order_stat(scheme, p)[0].shift).all()
+
+
+@pytest.mark.parametrize("n", [TOP_RANKS, 2**62, 10**20])
+@pytest.mark.parametrize("j", [2, TOP_RANKS])
+def test_top_rank_draws_are_finite_past_int64_workers(j, n):
+    scheme, p = MDS(n - j + 1), params(n=n)
+    x = sample_service_batch(scheme, p, rng(67), 5000)
+    assert np.isfinite(x).all() and (x >= order_stat(scheme, p)[0].shift).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 2**62, 10**20])
@@ -782,14 +820,15 @@ def test_uncoded_sampler_matches_the_written_out_max_law():
 
 @pytest.mark.parametrize("scheme, n", [
     (Uncoded(), 100), (Repetition(60), 100), (MDS(69), 100), (MultiMDS(14, 1), 20),
-    (MultiMDS(129, 2), 100),
+    (MultiMDS(129, 2), 100), (MDS(101 - TOP_RANKS), 100), (MDS(100 - TOP_RANKS), 100),
 ])
 def test_order_statistic_draws_take_scalar_gamma_shapes(scheme, n, monkeypatch):
     # numpy draws gammas at an array of shapes through a slower per-element
     # loop, so each order-statistic draw, the MultiMDS segment jumps too,
-    # takes one scalar shape per call; the largest of n, every uncoded and
-    # repetition draw, takes a uniform and no gamma at all.  Recording the
-    # shapes moves no value
+    # takes one scalar shape per call.  The top j = n - k + 1 <= TOP_RANKS
+    # ranks, every uncoded and repetition draw among them, take uniforms and
+    # no gamma at all; MDS further down takes G_k, then G_{n-k+1}.
+    # Recording the shapes moves no value
     p, size = params(n=n), 3000
     want = sample_service_batch(scheme, p, rng(41), size)
     shapes, real = [], schemes._os_sample
@@ -799,10 +838,13 @@ def test_order_statistic_draws_take_scalar_gamma_shapes(scheme, n, monkeypatch):
 
     monkeypatch.setattr(schemes, "_os_sample", recorded)
     assert (sample_service_batch(scheme, p, rng(41), size) == want).all()
-    if isinstance(scheme, (Uncoded, Repetition)):
+    assert all(np.ndim(s) == 0 for s in shapes)
+    if scheme.load > 1:
+        assert shapes
+    elif isinstance(scheme, (Uncoded, Repetition)) or n - scheme.k < TOP_RANKS:
         assert shapes == []
     else:
-        assert shapes and all(np.ndim(s) == 0 for s in shapes)
+        assert shapes == [float(scheme.k), float(n - scheme.k + 1)]
 
 
 def test_scalar_sampler_matches_batch():
