@@ -109,12 +109,18 @@ def os_var(d: ShiftedExp, n: int, k: int) -> float:
     return gen_harmonic2(n, n - k) / d.rate / d.rate
 
 
+def _log1m(u: np.ndarray) -> np.ndarray:
+    """log1p(-u) of standard uniforms u, in place: minus standard exponentials,
+    the exponential inverse CDF at unit rate.  u lies below 1, so none is
+    infinite."""
+    return np.log1p(np.negative(u, out=u), out=u)
+
+
 def sample_batch(d: ShiftedExp, rng: np.random.Generator,
                  size: "int | tuple[int, ...]") -> np.ndarray:
     """Draw ``size`` values from d: the inverse CDF shift - log1p(-u)/rate of
-    standard uniforms u, in place; u lies below 1, so no draw is infinite."""
-    u = rng.random(size)
-    np.log1p(np.negative(u, out=u), out=u)
+    standard uniforms u (see ``_log1m``), in place."""
+    u = _log1m(rng.random(size))
     u /= -d.rate
     if d.shift:
         u += d.shift

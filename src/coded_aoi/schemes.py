@@ -42,10 +42,11 @@ where k does not divide n (the larger of two group maxima); j uniforms for
 the j-th largest up to j = _TOP_RANKS, MDS's at k > N - _TOP_RANKS; two
 gammas further down.  MultiMDS at load >= 2 draws only the worker
 order statistics in a window of ranks around each level's share of the
-k-th result (see ``_multiset_sample``): two gammas per run of consecutive
-ranks and one exponential per rank, then a sort, in a layout kept for calls
-at one point (see ``_Layout``).  The README gives the measured time per
-service time of each.
+k-th result (see ``_multiset_sample``): one jump per run of consecutive
+ranks, by the law above, and one exponential per rank, then a sort; a row
+the windows leave unsettled draws one uniform per rank it adds (see
+``_widen``).  The plans are kept for calls at one point (see ``_Layout``).
+The README gives the measured time per service time of each.
 """
 from __future__ import annotations
 
@@ -59,12 +60,7 @@ from typing import ClassVar
 import numpy as np
 
 from .levels import Infeasible, NoConvergence, _first_count, _mm_split, require_int
-from .order_stats import (
-    ShiftedExp,
-    os_mean,
-    os_var,
-    sample_batch,
-)
+from .order_stats import ShiftedExp, _log1m, os_mean, os_var
 
 
 # Most doubles a row of the MultiMDS sampler at load >= 2 may hold: X_(j) at
@@ -77,14 +73,14 @@ MAX_SAMPLE_DRAWS = 1 << 24
 # ufunc buffer for each strided or broadcast 2-D operand it buffers, on top
 # of these doubles: under numpy 2.4.6, 64 KiB for a strided input and
 # output, 128 KiB for two broadcast inputs, so a chunk's ufunc calls such as
-# ``x *= layout.spacing_scale`` hold 64 to 128 KiB more.
+# ``x *= coef`` hold 64 to 128 KiB more.
 SCRATCH_DOUBLES = 1 << 16
 # Half-width of each level's window of worker ranks in the MultiMDS sampler,
 # in standard deviations of the level's crossing rank, plus one rank (see
 # _windows), and the factor by which each round widens the windows of the
 # rows they leave unsettled (see _multiset_sample).  A first-pass rank costs
-# about 25 ns and a widened row about 3 us at n = 1000, plus about 0.2 ms
-# per round, so narrow windows win: these leave about 1.8% of rows
+# about 15 to 20 ns and a widened row about 1.5 us at n = 1000, plus about
+# 0.1 ms per round, so narrow windows win: these leave about 1.8% of rows
 # unsettled at n = 100 and 4.8% at n = 1000 (MultiMDS(129, 2) and
 # MultiMDS(1287, 2)).  Of the pairs tried, Z from 1 to 3 and growth from
 # 1.25 to 3, they gave the least geometric mean time per service time over
@@ -361,11 +357,14 @@ class _WindowPlan:
     ``ranks``, a row's X_(j) columns, is the union of the level ``windows``
     [a_m, b_m], ascending, in segments of consecutive ranks whose first and
     last positions are ``starts`` and ``ends``.  A pooled row holds m X_(j)
-    for every rank j of level m's window, window by window: the row's columns
-    at ``cols`` times ``scale``.  ``lower`` and ``upper`` are the pooled
-    columns of m X_(a_m) for a_m > 1 and of m X_(b_m) for b_m < n, and
-    ``col`` = k - sum(a_m - 1) - 1 is the k-th's once they are sorted.  The
-    arrays are read-only.
+    for every rank j of level m's window, times ``scale``: each rank once,
+    at its lowest level, then a rank again for each further window that
+    holds it, window by window.  ``cols`` are the row's columns of these,
+    and empty where no two windows share a rank: the pooled row is then the
+    row itself.  ``lower`` and ``upper`` are the pooled columns of
+    m X_(a_m) for a_m > 1 and of m X_(b_m) for b_m < n, and ``col`` =
+    k - sum(a_m - 1) - 1 is the k-th's once they are sorted.  The arrays are
+    read-only.
     """
 
     windows: tuple[tuple[int, int], ...]
@@ -385,7 +384,7 @@ class _WindowPlan:
     def chunk_rows(self) -> int:
         """Rows per chunk of at most SCRATCH_DOUBLES doubles: each row's
         X_(j) at ``ranks`` and its pooled elements."""
-        return max(1, SCRATCH_DOUBLES // (self.ranks.size + self.cols.size))
+        return max(1, SCRATCH_DOUBLES // (self.ranks.size + self.scale.size))
 
 
 def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
@@ -399,39 +398,96 @@ def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
             segments.append([a, b])
     ranks = np.concatenate([np.arange(a, b + 1) for a, b in segments])
     starts, ends = np.searchsorted(ranks, np.array(segments).T)
-    # each window's columns of the row, and its pooled columns [stop - size, stop)
+    # each window's columns of the row and its level, window by window
     lows, highs = np.array(windows).T
     firsts, lasts = np.searchsorted(ranks, (lows, highs))
     sizes = lasts - firsts + 1
     stops = np.cumsum(sizes)
+    cols = np.arange(stops[-1]) + np.repeat(firsts + sizes - stops, sizes)
+    level = np.repeat(np.arange(1.0, len(windows) + 1), sizes)
+    # each rank at its lowest level: the windows written from the top level down
+    scale = np.empty(ranks.size)
+    for m, (c, e) in reversed(list(enumerate(zip(firsts.tolist(), lasts.tolist()), 1))):
+        scale[c:e + 1] = m
+    # a window element is its rank's pooled column, or a shared one past the row
+    again = (scale[cols] < level).nonzero()[0]
+    pooled = cols.copy()
+    pooled[again] = np.arange(ranks.size, ranks.size + again.size)
     return _WindowPlan(
         windows=tuple(windows), ranks=ranks, starts=starts, ends=ends,
-        cols=np.arange(stops[-1]) + np.repeat(firsts + sizes - stops, sizes),
-        scale=np.repeat(np.arange(1.0, len(windows) + 1), sizes),
-        lower=(stops - sizes)[lows > 1], upper=(stops - 1)[highs < n],
+        cols=np.concatenate([np.arange(ranks.size), cols[again]]) if again.size else again,
+        scale=np.concatenate([scale, level[again]]),
+        lower=pooled[stops - sizes][lows > 1], upper=pooled[stops - 1][highs < n],
         col=k - sum(a for a, _ in windows) + len(windows) - 1)
 
 
 @dataclass(frozen=True)
 class _Widening(_WindowPlan):
     """A widening round's plan, and how ``_widen`` fills it: among its ranks framed by 0
-    and n + 1, the round before's are columns ``known`` and each gap's new ones [a, b) of
-    ``gaps``; ``shapes``, each new rank's and closing known rank's offset from the last."""
+    and n + 1, the round before's are columns ``known``.  ``gaps`` holds (c, i, h, m, s1,
+    s2) for each gap between known ranks i < h that holds new ones: c is the column of
+    X_(i), and of its m = h - i - 1 ranks the round draws the bottom run i + 1..i + s1
+    and the top run h - s2..h - 1.  ``scales`` holds the spacing scales of the bottom
+    runs, 1/(m - t) for t = 0..s1 - 1, gap by gap, then of the top runs, 1/(m - s1 - q)
+    for q = 0..s2 - 1 from rank h - 1 down, in the order ``_widen`` draws them."""
 
     known: np.ndarray
-    gaps: tuple[tuple[int, int], ...]
-    shapes: np.ndarray
+    gaps: tuple[tuple[int, int, int, int, int, int], ...]
+    scales: np.ndarray
+
+
+def _widening(below: _WindowPlan, windows: list[tuple[int, int]], n: int,
+              k: int) -> _Widening:
+    """The plan of a round whose ``windows`` widen those of ``below``.
+
+    Each window contains its old one, so the new ranks of a gap are a run
+    from its lower known rank up and a run from its upper one down; a gap
+    of any other shape, or a round that drops a known rank, raises
+    ValueError.  Where the runs meet, the gap is one bottom run.
+    """
+    plan = _window_plan(windows, n, k)
+    framed = np.concatenate([[0], plan.ranks, [n + 1]])
+    known = np.searchsorted(framed, below.ranks)
+    if framed[known].tolist() != below.ranks.tolist():
+        raise ValueError("a widening round must keep the ranks of the round before")
+    # the known columns c < e around each gap: the frame, then the segments'
+    heads, tails = known[below.starts].tolist(), known[below.ends].tolist()
+    ranks, gaps, bottoms, tops = framed.tolist(), [], [], []
+    for c, e in zip([0, *tails], [*heads, framed.size - 1]):
+        i, h, new = ranks[c], ranks[e], ranks[c + 1:e]
+        if not new:
+            continue
+        # the ranks are ascending and distinct: the bottom run is the longest
+        # prefix i + 1, i + 2, ..., and the rest a top run if it ends at h - 1
+        s1 = next((t for t, j in enumerate(new) if j != i + 1 + t), len(new))
+        s2 = len(new) - s1
+        if s2 and new[s1] != h - s2:
+            raise ValueError(f"the new ranks {new} between known ranks {i} and {h} "
+                             "are not a bottom run and a top run")
+        m = h - i - 1
+        gaps.append((c, i, h, m, s1, s2))
+        bottoms.append(1.0 / (m - np.arange(s1, dtype=float)))
+        tops.append(1.0 / (m - s1 - np.arange(s2, dtype=float)))
+    return _Widening(**vars(plan), known=known, gaps=tuple(gaps),
+                     scales=np.concatenate([np.empty(0), *bottoms, *tops]))
+
+
+def _grown(windows: "tuple[tuple[int, int], ...]", n: int,
+           growth: float) -> list[tuple[int, int]]:
+    """``windows`` widened about their centres by ``growth``, a rank at least
+    each side, cut to [1, n]."""
+    grow = [max(1, math.ceil((growth - 1) * (b - a + 1) / 2)) for a, b in windows]
+    return [(max(1, a - g), min(n, b + g)) for (a, b), g in zip(windows, grow)]
 
 
 class _Layout:
     """The window sampler's read-only plans at a point, a pure function of it:
     ``first``, over ``_windows`` at Z, with each rank j's ``spacing_scale``
     1/(n - j + 1) and each segment's ``jumps`` (see ``_multiset_sample``), and
-    ``widening(r)``, built once, round r - 1's windows widened about their
-    centres by ``growth``, a rank at least each side, cut to [1, n].  Past
-    ``limit`` doubles a row it raises before it builds an array.  ``_layout``
-    keeps the last point's: callers sample one point many times in a row,
-    and a layout can hold 256 MiB and more."""
+    ``widening(r)``, built once, round r - 1's windows widened by ``growth``
+    (see ``_grown``).  Past ``limit`` doubles a row it raises before it
+    builds an array.  ``_layout`` keeps the last point's: callers sample one
+    point many times in a row, and a layout can hold 256 MiB and more."""
 
     def __init__(self, n: int, k: int, load: int, mu_c: float, z: float, growth: float,
                  limit: int):
@@ -451,20 +507,10 @@ class _Layout:
     def widening(self, r: int) -> _Widening:
         if (got := self._widenings.get(r)) is not None:
             return got
-        n, below = self.n, self.first if r == 1 else self.widening(r - 1)
-        grow = [max(1, math.ceil((self.growth - 1) * (b - a + 1) / 2)) for a, b in below.windows]
-        plan = _window_plan([(max(1, a - g), min(n, b + g))
-                             for (a, b), g in zip(below.windows, grow)], n, self.k)
-        framed = np.concatenate([[0], plan.ranks, [n + 1]])
-        known = np.searchsorted(framed, below.ranks)
-        # the known segments' columns [head, tail); column b of gap [a, b) is known
-        heads, tails = known[below.starts].tolist(), (known[below.ends] + 1).tolist()
-        gaps = tuple((a, b) for a, b in zip([1, *tails], [*heads, framed.size - 1]) if a < b)
-        drawn = np.concatenate([np.arange(0)] + [np.arange(a, b + 1) for a, b in gaps])
-        shapes = (framed[drawn] - framed[drawn - 1]).astype(float)
+        below = self.first if r == 1 else self.widening(r - 1)
+        windows = _grown(below.windows, self.n, self.growth)
         # setdefault keeps one plan per round where threads race to build it
-        return self._widenings.setdefault(r, _Widening(**vars(plan), known=known, gaps=gaps,
-                                                       shapes=shapes))
+        return self._widenings.setdefault(r, _widening(below, windows, self.n, self.k))
 
 
 _layout = functools.lru_cache(maxsize=1)(_Layout)
@@ -482,10 +528,13 @@ def _window_kth(x: np.ndarray, plan: _WindowPlan) -> tuple[np.ndarray, np.ndarra
     are at or below v.  Rows where that fails are not settled, and neither
     is any row when ``col`` falls outside the pooled columns.
     """
-    if not 0 <= plan.col < plan.cols.size:
+    if not 0 <= plan.col < plan.scale.size:
         return np.full(x.shape[0], np.nan), np.zeros(x.shape[0], dtype=bool)
-    pooled = np.take(x, plan.cols, axis=1)
-    pooled *= plan.scale
+    if plan.cols.size:
+        pooled = np.take(x, plan.cols, axis=1)
+        pooled *= plan.scale
+    else:
+        pooled = x * plan.scale
     lo = pooled[:, plan.lower].max(axis=1, initial=-np.inf)
     hi = pooled[:, plan.upper].min(axis=1, initial=np.inf)
     pooled.sort(axis=1)
@@ -502,19 +551,21 @@ def _multiset_sample(d: ShiftedExp, layout: _Layout, rng: np.random.Generator,
     statistics X_(j) at the windows' ranks from their joint law (Renyi 1953;
     David & Nagaraja, Order Statistics, 2003): the spacing X_(j) - X_(j-1)
     is an exponential of rate (n - j + 1) d.rate, independent across j.  So
-    inside a segment of consecutive ranks the order statistics are scaled
-    exponentials summed up, and the first rank u of a segment lies above the
-    last known rank j (or d.shift) by the (u - j)-th smallest of n - j
-    exponentials, log1p(G / G')/d.rate for gammas of shape u - j and
-    n - u + 1, or from n - u + 1 uniforms where that is at most _TOP_RANKS
-    (see ``_os_sample``).  A block of WIDEN_DOUBLES first-pass
-    doubles draws its jumps, then its rows chunk by chunk.  The windows
+    inside a segment of consecutive ranks the order statistics are unit
+    exponentials -log1p(-u), each times spacing_scale/d.rate, summed up,
+    and the first rank u of a segment lies above the last known rank j (or
+    d.shift) by the (u - j)-th smallest of n - j exponentials,
+    log1p(G / G')/d.rate for gammas of shape u - j and n - u + 1, or from
+    n - u + 1 uniforms where that is at most _TOP_RANKS (see
+    ``_os_sample``).  A block of WIDEN_DOUBLES first-pass doubles draws its
+    jumps, then its rows chunk by chunk.  The windows
     settle most rows (see ``_window_kth``); at the end of the block the
     others widen their windows until they settle (see ``_settle``).  Every
     row is the worker mechanism's k-th in law, for any windows.
     """
     plan, spacing = layout.first, ShiftedExp(0.0, d.rate)
     step, wait = plan.chunk_rows(), max(1, WIDEN_DOUBLES // plan.ranks.size)
+    coef = layout.spacing_scale / -d.rate
     out = np.empty(size)
     for a in range(0, size, wait):
         block = out[a:a + wait]
@@ -525,8 +576,8 @@ def _multiset_sample(d: ShiftedExp, layout: _Layout, rng: np.random.Generator,
         missed, known = [], []
         for i in range(0, block.size, step):
             # a segment's first rank takes its jump, which overwrites its spacing
-            x = sample_batch(spacing, rng, (min(step, block.size - i), plan.ranks.size))
-            x *= layout.spacing_scale
+            x = _log1m(rng.random((min(step, block.size - i), plan.ranks.size)))
+            x *= coef
             x[:, plan.starts] = jumps[i:i + step]
             np.cumsum(x, axis=1, out=x)
             block[i:i + step], ok = _window_kth(x, plan)
@@ -558,31 +609,57 @@ def _settle(d: ShiftedExp, rng: np.random.Generator, layout: _Layout, out: np.nd
 def _widen(d: ShiftedExp, rng: np.random.Generator, wide: _Widening, x: np.ndarray) -> np.ndarray:
     """Each row's X_(j) at the ranks of round ``wide``, given x at the round before's.
 
-    Given the known order statistics, the ranks in a gap between known
-    X_(i) < X_(h) (X_(0) = d.shift, X_(n+1) = inf) are those of h - i - 1
-    i.i.d. draws from d truncated to (X_(i), X_(h)).  The t-th of them is the
-    truncated inverse CDF X_(i) - log1p(q expm1(-rate (X_(h) - X_(i))))/rate
-    at q = G_t / G_(h-i), for G_t the sum of t standard exponentials (David &
-    Nagaraja, Order Statistics, 2003): each new rank takes one gamma, of
-    shape its offset from the rank before it, and each gap one more.  Each
-    segment of the round before lies inside one of ``wide``, so the known
-    ranks and each gap's new ones are runs of consecutive columns.
+    Given the known order statistics, the m = h - i - 1 ranks in a gap
+    between known X_(i) < X_(h) (X_(0) = d.shift, X_(n+1) = inf) are those
+    of m i.i.d. draws from d truncated to (X_(i), X_(h)): the truncated
+    inverse CDF X_(i) - log((1 - P) + (1 - U) P)/d.rate, at P =
+    -expm1(-d.rate (X_(h) - X_(i))), of the order statistics U of m
+    uniforms.  A gap's bottom run takes Renyi's spacings upward: 1 - U at
+    rank i + t + 1 is exp(-Y), Y the sum of E_q/(m - q) over q <= t for
+    standard exponentials E_q.  Its top run takes the top-rank product form
+    downward over the m - s1 uniforms the bottom run leaves above its U =
+    u0 (or 0): 1 - U at rank h - p - 1 is (1 - u0)(-expm1(log W)), log W
+    the sum of log(W_q)/(m - s1 - q) over q <= p for uniforms W_q (David &
+    Nagaraja, Order Statistics, 2003).  At h = n + 1, P = 1, and a bottom
+    rank is X_(i) + Y/d.rate, so no difference cancels at the top ranks.
+    Each row draws its uniforms in turn, so the values do not depend on how
+    the rows are split; the arithmetic runs in place in the returned rows.
     """
+    rate = d.rate
     out = np.empty((x.shape[0], wide.ranks.size + 2))
     out[:, 0], out[:, -1] = d.shift, np.inf
     out[:, wide.known] = x
-    # drawn row by row, so the values do not depend on how the rows are split
-    g = rng.standard_gamma(wide.shapes, (x.shape[0], wide.shapes.size))
-    i = 0
-    for a, b in wide.gaps:
-        # G_t at the new ranks, then q = G_t / G_(h-i)
-        new = np.cumsum(g[:, i:i + b - a], axis=1, out=out[:, a:b])
-        new /= new[:, -1:] + g[:, i + b - a:i + b - a + 1]
-        i += b - a + 1
-        low = out[:, a - 1:a]
-        new *= np.expm1(-d.rate * (out[:, b:b + 1] - low))
-        np.log1p(new, out=new)
-        new /= -d.rate
+    # minus exponentials for the bottom runs, then log W for the top runs,
+    # each times its scale
+    u = rng.random((x.shape[0], wide.scales.size))
+    bottom, top = 0, sum(s1 for *_, s1, _ in wide.gaps)
+    _log1m(u[:, :top])
+    with np.errstate(divide="ignore"):  # log(0) = -inf puts a top rank at u0
+        np.log(u[:, top:], out=u[:, top:])
+    u *= wide.scales
+    for c, _, _, _, s1, s2 in wide.gaps:
+        e = c + s1 + s2 + 1
+        low = out[:, c:c + 1]
+        p = out[:, e:e + 1] - low
+        p *= -rate
+        q = np.exp(p)  # 1 - P
+        np.expm1(p, out=p)  # -P
+        if s1:
+            y = np.cumsum(u[:, bottom:bottom + s1], axis=1, out=out[:, c + 1:c + 1 + s1])
+            np.exp(y, out=y)  # 1 - U
+            bottom += s1
+        if s2:
+            # log W, from rank h - 1 down
+            w = np.cumsum(u[:, top:top + s2], axis=1, out=out[:, e - s2:e][:, ::-1])
+            np.expm1(w, out=w)
+            w *= p * y[:, -1:] if s1 else p  # (1 - U) P
+            top += s2
+        if s1:
+            y *= -p  # (1 - U) P
+        new = out[:, c + 1:e]
+        new += q
+        np.log(new, out=new)
+        new /= -rate
         new += low
     return out[:, 1:-1]
 
@@ -612,9 +689,10 @@ def sample_service_batch(scheme: Scheme, params: SystemParams,
     where k does not divide n); for MDS and MultiMDS at load 1, n - k + 1
     uniforms where that is at most 8 (see ``_os_sample``), two gammas below.
     MultiMDS at load >= 2 draws the worker order statistics in a window of
-    ranks per level, and widens the windows of the rows they do not settle
-    (about 1.8% at n = 100 and 4.8% at n = 1000).  The README gives the
-    measured time per service time.  Past its scratch bound (see
+    ranks per level, one exponential spacing per rank, and widens the
+    windows of the rows they do not settle (about 1.8% at n = 100 and 4.8%
+    at n = 1000) by one uniform per new rank, with no gamma.  The README
+    gives the measured time per service time.  Past its scratch bound (see
     MAX_SAMPLE_DRAWS) it raises ValueError.
     """
     validate(scheme, params)

@@ -1,5 +1,4 @@
 """Service-time moments and samplers for every distribution scheme."""
-import itertools
 import math
 import os
 import subprocess
@@ -169,9 +168,9 @@ def test_multiset_sampler_is_exact_outside_its_windows(monkeypatch):
         return out
 
     monkeypatch.setattr(schemes, "_widen", counted)
-    against_mechanism(scheme, p, seeds=4)
+    against_mechanism(scheme, p)
     first = [rows for known, rows, _ in widened if known == widened[0][0]]
-    assert sum(first) > 0.5 * 4 * 20_000
+    assert sum(first) > 0.5 * 8 * 20_000
     assert max(cols for _, _, cols in widened) < p.nworkers * scheme.load
 
 
@@ -314,13 +313,18 @@ def test_window_selection_is_the_multiset_kth(n, load, k, mu, windows):
 
 def plan_from_sets(windows):
     """ranks, segment starts and segment ends of a window plan, built from
-    Python sets, and the (rank, level) pairs of a pooled row, window by
-    window."""
+    Python sets, and the (rank, level) pairs of a pooled row: each rank once
+    at its lowest level, then each shared rank again at each further level,
+    window by window."""
     ranks = sorted(set().union(*(range(a, b + 1) for a, b in windows)))
     column = {rank: i for i, rank in enumerate(ranks)}
     starts = [i for i, rank in enumerate(ranks) if rank - 1 not in column]
     ends = [i for i, rank in enumerate(ranks) if rank + 1 not in column]
-    pooled = [(rank, m) for m, (a, b) in enumerate(windows, 1) for rank in range(a, b + 1)]
+    lowest = {rank: min(m for m, (a, b) in enumerate(windows, 1) if a <= rank <= b)
+              for rank in ranks}
+    pooled = [(rank, lowest[rank]) for rank in ranks] + [
+        (rank, m) for m, (a, b) in enumerate(windows, 1)
+        for rank in range(a, b + 1) if lowest[rank] < m]
     return ranks, starts, ends, pooled
 
 
@@ -343,37 +347,113 @@ def test_window_plan_matches_a_set_construction():
         assert plan.ranks.tolist() == ranks, windows
         assert plan.starts.tolist() == starts, windows
         assert plan.ends.tolist() == ends, windows
-        # a pooled row: each window's ranks times its level, window by window,
-        # with each window's lowest and highest element first and last
-        assert list(zip(plan.ranks[plan.cols].tolist(), plan.scale.tolist())) == pooled, windows
-        stops = list(itertools.accumulate(b - a + 1 for a, b in windows))
-        assert plan.lower.tolist() == [
-            stop - (b - a + 1) for stop, (a, b) in zip(stops, windows) if a > 1], windows
-        assert plan.upper.tolist() == [
-            stop - 1 for stop, (_, b) in zip(stops, windows) if b < n], windows
+        cols = plan.cols if plan.cols.size else np.arange(plan.ranks.size)
+        got = list(zip(plan.ranks[cols].tolist(), plan.scale.tolist()))
+        assert got == pooled, windows
+        # each window's lowest and highest element
+        assert [got[c] for c in plan.lower] == [
+            (a, m) for m, (a, _) in enumerate(windows, 1) if a > 1], windows
+        assert [got[c] for c in plan.upper] == [
+            (b, m) for m, (_, b) in enumerate(windows, 1) if b < n], windows
 
 
 def test_multiset_sampler_draws_fewer_worker_order_statistics(monkeypatch):
     # a seeded MultiMDS(1287, 2) call at n = 1000 draws the window ranks of
-    # every row (one spacing each in sample_batch) and the new ranks of the
-    # rows it widens; windows of +-(3 sd + 1) ranks drew 96 per row
+    # every row (one spacing each through _log1m in the first pass) and the
+    # new ranks of the rows it widens; windows of +-(3 sd + 1) ranks drew 96
+    # per row
     scheme, p, size = MultiMDS(1287, 2), params(n=1000), 4097
-    first, widened = [], []
-    draw, widen = schemes.sample_batch, schemes._widen
+    first, widened, widening = [], [], []
+    spacings, widen = schemes._log1m, schemes._widen
 
-    def counted_draw(d, rng, shape):
-        first.append(shape[0] * shape[1])
-        return draw(d, rng, shape)
+    def counted_spacings(u):
+        if not widening:
+            first.append(u.size)
+        return spacings(u)
 
     def counted_widen(d, rng, wide, x):
         widened.append(x.shape[0] * (wide.ranks.size - x.shape[1]))
-        return widen(d, rng, wide, x)
+        widening.append(True)
+        try:
+            return widen(d, rng, wide, x)
+        finally:
+            widening.pop()
 
-    monkeypatch.setattr(schemes, "sample_batch", counted_draw)
+    monkeypatch.setattr(schemes, "_log1m", counted_spacings)
     monkeypatch.setattr(schemes, "_widen", counted_widen)
     sample_service_batch(scheme, p, rng(12), size)
     assert sum(widened) > 0
+    ranks = schemes._window_plan(sampler_windows(scheme, p), p.nworkers, scheme.k).ranks.size
+    assert sum(first) == size * ranks
     assert (sum(first) + sum(widened)) / size < 96
+
+
+def test_widening_draws_no_gamma(monkeypatch):
+    # the widening rounds draw only uniforms: exponential spacings for the
+    # bottom runs and the top-rank product form for the top runs
+    shapes, widened, widen = [], [], schemes._widen
+
+    def recorded(d, gen, wide, x):
+        widened.append(x.shape[0])
+        return widen(d, GammaShapes(gen, shapes), wide, x)
+
+    monkeypatch.setattr(schemes, "_widen", recorded)
+    monkeypatch.setattr(schemes, "WINDOW_Z", 0.0)
+    sample_service_batch(MultiMDS(129, 2), params(n=100), rng(3), 2000)
+    assert sum(widened) > 1000
+    assert shapes == []
+
+
+def test_widening_fills_each_gap_with_its_order_statistics():
+    # one random row of sorted worker times at the first plan's ranks of each
+    # plan_windows() list, repeated, widened once.  Each row stays sorted with
+    # its known ranks kept, every new rank lies between its known neighbours,
+    # and in its gap's uniform scale, (1 - exp(-rate (X - X_(i)))) / P, rank
+    # i + t is the t-th of m uniforms, Beta(t, m + 1 - t)
+    stats = pytest.importorskip("scipy.stats")
+    d = schemes.ShiftedExp(0.5, 2.0)
+    kinds, pvalues = set(), []
+    for case, (windows, n, k) in enumerate(plan_windows()):
+        first = schemes._window_plan(windows, n, k)
+        wide = schemes._widening(first, schemes._grown(first.windows, n, schemes.WINDOW_GROWTH),
+                                 n, k)
+        gen = rng(500 + case)
+        worker = np.sort(d.shift - np.log1p(-gen.random(n)) / d.rate)
+        rows = 4000 if n <= 1000 else 200
+        x = np.repeat(worker[first.ranks - 1][None, :], rows, axis=0)
+        got = schemes._widen(d, gen, wide, x)
+        assert (got[:, wide.known - 1] == x).all()
+        assert (np.diff(got, axis=1) >= 0).all()
+        framed = np.concatenate([[d.shift], worker, [np.inf]])
+        for c, i, h, m, s1, s2 in wide.gaps:
+            kinds.update({"bottom frame"} if i == 0 else set())
+            kinds.update({"top frame"} if h == n + 1 else set())
+            kinds.update({"both runs"} if s1 and s2 else set())
+            new = got[:, c:c + s1 + s2]
+            assert (framed[i] <= new).all() and (new <= framed[h]).all()
+            gap = -math.expm1(-d.rate * (framed[h] - framed[i]))
+            u = -np.expm1(-d.rate * (new - framed[i])) / gap
+            # the ends of each run, and the middle of the gap's new ranks
+            for col in sorted({0, s1 - 1, s1, s1 + s2 - 1, (s1 + s2) // 2} & set(range(s1 + s2))):
+                t = col + 1 if col < s1 else m - (s1 + s2) + col + 1
+                pvalues.append(stats.kstest(u[:, col], stats.beta(t, m + 1 - t).cdf).pvalue)
+    assert kinds == {"bottom frame", "top frame", "both runs"}
+    assert min(pvalues) > 1e-6, (len(pvalues), sorted(pvalues)[:5])
+    assert stats.kstest(pvalues, "uniform").pvalue > 1e-3
+
+
+def test_widening_round_of_another_gap_shape_raises():
+    # new ranks inside a gap that touch neither known neighbour, or a round
+    # that drops a known rank, cannot come from widening the windows
+    below = schemes._window_plan([(10, 12), (30, 32)], 50, 40)
+    with pytest.raises(ValueError, match="not a bottom run and a top run"):
+        schemes._widening(below, [(10, 12), (30, 32), (20, 22)], 50, 40)
+    with pytest.raises(ValueError, match="keep the ranks"):
+        schemes._widening(below, [(10, 11), (30, 32)], 50, 40)
+    # (column of X_(i), i, h, m, s1, s2): ranks 8-9 below 10, 13-14 above 12
+    # with 27-29 below 30, and none above 32
+    assert schemes._widening(below, [(8, 14), (27, 32)], 50, 40).gaps == (
+        (0, 0, 10, 9, 0, 2), (5, 12, 30, 17, 2, 3))
 
 
 def test_multiset_sampler_leaves_numpy_ma_unloaded():
@@ -488,7 +568,7 @@ def test_layout_arrays_are_read_only_and_the_cache_is_bounded():
     assert schemes._layout.cache_info().misses == 1 and 1 in layout._widenings
     arrays = [layout.spacing_scale] + [v for plan in (layout.first, layout.widening(1))
                                        for v in vars(plan).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 1 + 7 + 9  # a widening round adds its known columns and shapes
+    assert len(arrays) == 1 + 7 + 9  # a widening round adds its known columns and scales
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
