@@ -43,9 +43,12 @@ the j-th largest up to j = _TOP_RANKS, MDS's at k > N - _TOP_RANKS; two
 gammas further down.  MultiMDS at load >= 2 draws only the worker
 order statistics in a window of ranks around each level's share of the
 k-th result (see ``_multiset_sample``): one jump per run of consecutive
-ranks, by the law above, and one exponential per rank, then a sort; a row
-the windows leave unsettled draws one uniform per rank it adds (see
-``_widen``).  The plans are kept for calls at one point (see ``_Layout``).
+ranks, by the law above, and one exponential per rank, summed a rank at a
+time over a rank-major chunk; the k-th is read off the ascending windows
+by a min of maxima, with a sort only of the windows above level 1 at load
+>= 3 (see ``_window_kth``).  A row the windows leave unsettled draws one
+uniform per rank it adds (see ``_widen``).  The plans are kept for calls
+at one point (see ``_Layout``).
 The README gives the measured time per service time of each.
 """
 from __future__ import annotations
@@ -69,19 +72,23 @@ from .order_stats import ShiftedExp, _log1m, os_mean, os_var
 # it near n = 2.7e13.  The order-statistic laws have no such bound.
 MAX_SAMPLE_DRAWS = 1 << 24
 # Doubles of scratch per row chunk of the MultiMDS sampler at load >= 2:
-# 512 KiB, so the scratch stays in a core's L2 cache.  numpy adds one 64 KiB
-# ufunc buffer for each strided or broadcast 2-D operand it buffers, on top
-# of these doubles: under numpy 2.4.6, 64 KiB for a strided input and
-# output, 128 KiB for two broadcast inputs, so a chunk's ufunc calls such as
-# ``x *= coef`` hold 64 to 128 KiB more.
+# 512 KiB, so the scratch stays in a core's L2 cache.  numpy holds more on
+# top of these doubles.  Under numpy 2.4.6 a ufunc call buffers 64 KiB for
+# each broadcast or reversed 2-D operand, so ``u *= coef`` on a chunk's
+# draws holds 64 KiB more; a ufunc with a transposed operand, such as
+# writing ``u.T * coef`` into the rank-major chunk, held 128 KiB, while the
+# copy ``x[...] = u.T`` holds none, so the chunk takes its draws by a copy
+# once they are scaled.  At load >= 3, np.take gathers the other windows
+# from a row-major copy of the chunk that it makes first: at most half as
+# many doubles again.
 SCRATCH_DOUBLES = 1 << 16
 # Half-width of each level's window of worker ranks in the MultiMDS sampler,
 # in standard deviations of the level's crossing rank, plus one rank (see
 # _windows), and the factor by which each round widens the windows of the
 # rows they leave unsettled (see _multiset_sample).  A first-pass rank costs
-# about 15 to 20 ns and a widened row about 1.5 us at n = 1000, plus about
-# 0.1 ms per round, so narrow windows win: these leave about 1.8% of rows
-# unsettled at n = 100 and 4.8% at n = 1000 (MultiMDS(129, 2) and
+# about 11 ns at n = 1000 (15 ns at n = 100) and a widened row about 0.7 us,
+# plus about 65 us per round, so narrow windows win: these leave about 1.8%
+# of rows unsettled at n = 100 and 4.8% at n = 1000 (MultiMDS(129, 2) and
 # MultiMDS(1287, 2)).  Of the pairs tried, Z from 1 to 3 and growth from
 # 1.25 to 3, they gave the least geometric mean time per service time over
 # n = 100, 1000 and 1e4 at loads 2 and 4.
@@ -94,6 +101,9 @@ WINDOW_GROWTH = 1.5
 # unsettled.  So 8 MiB of rows wait at most, 4097 service times at n <= 1e4
 # and load 2 widen once, and the values do not depend on SCRATCH_DOUBLES.
 WIDEN_DOUBLES = 1 << 20
+# Columns of a rank-major chunk from which _sum_ranks adds its rows one numpy
+# call each rather than in one np.cumsum down axis 0 (see _sum_ranks)
+_ROW_ADDS = 256
 
 # Most ranks from the top, j = n - k + 1, at which _os_sample draws the k-th
 # of n from j uniforms rather than two gammas.  Each uniform costs about 5 to
@@ -352,29 +362,31 @@ def _windows(n: int, k: int, load: int, mu_c: float, z: float) -> list[tuple[int
 
 @dataclass(frozen=True)
 class _WindowPlan:
-    """Where a row's window order statistics sit, and how the k-th is read off them.
+    """Where a chunk's window order statistics sit, and how the k-th is read off them.
 
-    ``ranks``, a row's X_(j) columns, is the union of the level ``windows``
-    [a_m, b_m], ascending, in segments of consecutive ranks whose first and
-    last positions are ``starts`` and ``ends``.  A pooled row holds m X_(j)
-    for every rank j of level m's window, times ``scale``: each rank once,
-    at its lowest level, then a rank again for each further window that
-    holds it, window by window.  ``cols`` are the row's columns of these,
-    and empty where no two windows share a rank: the pooled row is then the
-    row itself.  ``lower`` and ``upper`` are the pooled columns of
-    m X_(a_m) for a_m > 1 and of m X_(b_m) for b_m < n, and ``col`` =
-    k - sum(a_m - 1) - 1 is the k-th's once they are sorted.  The arrays are
-    read-only.
+    A chunk is rank-major: its row c holds X_(j) at rank j = ``ranks[c]``
+    for each of its service times.  ``ranks`` is the union of the level
+    ``windows`` [a_m, b_m], ascending, in segments of consecutive ranks
+    whose first and last rows are ``starts`` and ``ends``.  Level 1's
+    window is rows ``head``; ``rest`` are the rows of the other windows,
+    window by window, and ``rest_scale`` their levels m, so a rank that
+    two windows share appears once per window.  ``edges`` are the rows of
+    X_(a_m) for a_m > 1, the first ``lows`` of them, then of X_(b_m) for
+    b_m < n, and ``edge_scale`` their levels, a column.  ``col`` = k -
+    sum(a_m - 1) - 1 is the k-th's position among the windows' pooled
+    elements m X_(j).  The arrays are read-only.
     """
 
     windows: tuple[tuple[int, int], ...]
     ranks: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
-    cols: np.ndarray
-    scale: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    head: tuple[int, int]
+    rest: np.ndarray
+    rest_scale: np.ndarray
+    edges: np.ndarray
+    edge_scale: np.ndarray
+    lows: int
     col: int
 
     def __post_init__(self) -> None:
@@ -383,8 +395,12 @@ class _WindowPlan:
 
     def chunk_rows(self) -> int:
         """Rows per chunk of at most SCRATCH_DOUBLES doubles: each row's
-        X_(j) at ``ranks`` and its pooled elements."""
-        return max(1, SCRATCH_DOUBLES // (self.ranks.size + self.scale.size))
+        X_(j) at ``ranks``, and with them its uniforms while the chunk is
+        drawn, then what ``_window_kth`` holds while the k-th is read off:
+        its window ends, and its other windows' elements at load >= 3 or at
+        most one element per rank at load 2."""
+        ranks = self.ranks.size
+        return max(1, SCRATCH_DOUBLES // (ranks + max(ranks, self.rest.size, self.edges.size)))
 
 
 def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
@@ -398,42 +414,38 @@ def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:
             segments.append([a, b])
     ranks = np.concatenate([np.arange(a, b + 1) for a, b in segments])
     starts, ends = np.searchsorted(ranks, np.array(segments).T)
-    # each window's columns of the row and its level, window by window
+    # each window's first and last rows; the rows and levels of windows 2..
     lows, highs = np.array(windows).T
     firsts, lasts = np.searchsorted(ranks, (lows, highs))
-    sizes = lasts - firsts + 1
+    sizes = (lasts - firsts + 1)[1:]
     stops = np.cumsum(sizes)
-    cols = np.arange(stops[-1]) + np.repeat(firsts + sizes - stops, sizes)
-    level = np.repeat(np.arange(1.0, len(windows) + 1), sizes)
-    # each rank at its lowest level: the windows written from the top level down
-    scale = np.empty(ranks.size)
-    for m, (c, e) in reversed(list(enumerate(zip(firsts.tolist(), lasts.tolist()), 1))):
-        scale[c:e + 1] = m
-    # a window element is its rank's pooled column, or a shared one past the row
-    again = (scale[cols] < level).nonzero()[0]
-    pooled = cols.copy()
-    pooled[again] = np.arange(ranks.size, ranks.size + again.size)
+    levels = np.arange(1.0, len(windows) + 1)
+    lower, upper = lows > 1, highs < n
     return _WindowPlan(
         windows=tuple(windows), ranks=ranks, starts=starts, ends=ends,
-        cols=np.concatenate([np.arange(ranks.size), cols[again]]) if again.size else again,
-        scale=np.concatenate([scale, level[again]]),
-        lower=pooled[stops - sizes][lows > 1], upper=pooled[stops - 1][highs < n],
-        col=k - sum(a for a, _ in windows) + len(windows) - 1)
+        head=(int(firsts[0]), int(lasts[0]) + 1),
+        rest=np.arange(sizes.sum()) + np.repeat(firsts[1:] + sizes - stops, sizes),
+        rest_scale=np.repeat(levels[1:], sizes),
+        edges=np.concatenate([firsts[lower], lasts[upper]]),
+        edge_scale=np.concatenate([levels[lower], levels[upper]])[:, None],
+        lows=int(lower.sum()), col=k - sum(a for a, _ in windows) + len(windows) - 1)
 
 
 @dataclass(frozen=True)
 class _Widening(_WindowPlan):
     """A widening round's plan, and how ``_widen`` fills it: among its ranks framed by 0
-    and n + 1, the round before's are columns ``known``.  ``gaps`` holds (c, i, h, m, s1,
-    s2) for each gap between known ranks i < h that holds new ones: c is the column of
-    X_(i), and of its m = h - i - 1 ranks the round draws the bottom run i + 1..i + s1
-    and the top run h - s2..h - 1.  ``scales`` holds the spacing scales of the bottom
-    runs, 1/(m - t) for t = 0..s1 - 1, gap by gap, then of the top runs, 1/(m - s1 - q)
-    for q = 0..s2 - 1 from rank h - 1 down, in the order ``_widen`` draws them."""
+    and n + 1, the round before's are rows ``known``.  ``gaps`` holds (c, i, h, m, s1, s2)
+    for each gap between known ranks i < h that holds new ones: c is the row of X_(i),
+    and of its m = h - i - 1 ranks the round draws the bottom run i + 1..i + s1 and the
+    top run h - s2..h - 1.  ``scales`` holds the spacing scales of the bottom runs,
+    1/(m - t) for t = 0..s1 - 1, gap by gap, then of the top runs, 1/(m - s1 - q) for
+    q = 0..s2 - 1 from rank h - 1 down, in the order ``_widen`` draws them, and
+    ``drawn`` the framed row of each."""
 
     known: np.ndarray
     gaps: tuple[tuple[int, int, int, int, int, int], ...]
     scales: np.ndarray
+    drawn: np.ndarray
 
 
 def _widening(below: _WindowPlan, windows: list[tuple[int, int]], n: int,
@@ -450,9 +462,9 @@ def _widening(below: _WindowPlan, windows: list[tuple[int, int]], n: int,
     known = np.searchsorted(framed, below.ranks)
     if framed[known].tolist() != below.ranks.tolist():
         raise ValueError("a widening round must keep the ranks of the round before")
-    # the known columns c < e around each gap: the frame, then the segments'
+    # the known rows c < e around each gap: the frame, then the segments'
     heads, tails = known[below.starts].tolist(), known[below.ends].tolist()
-    ranks, gaps, bottoms, tops = framed.tolist(), [], [], []
+    ranks, gaps, bottoms, tops, ups, downs = framed.tolist(), [], [], [], [], []
     for c, e in zip([0, *tails], [*heads, framed.size - 1]):
         i, h, new = ranks[c], ranks[e], ranks[c + 1:e]
         if not new:
@@ -468,8 +480,11 @@ def _widening(below: _WindowPlan, windows: list[tuple[int, int]], n: int,
         gaps.append((c, i, h, m, s1, s2))
         bottoms.append(1.0 / (m - np.arange(s1, dtype=float)))
         tops.append(1.0 / (m - s1 - np.arange(s2, dtype=float)))
+        ups.append(np.arange(c + 1, c + 1 + s1))
+        downs.append(np.arange(e - 1, e - 1 - s2, -1))
     return _Widening(**vars(plan), known=known, gaps=tuple(gaps),
-                     scales=np.concatenate([np.empty(0), *bottoms, *tops]))
+                     scales=np.concatenate([np.empty(0), *bottoms, *tops]),
+                     drawn=np.concatenate([np.empty(0, dtype=np.intp), *ups, *downs]))
 
 
 def _grown(windows: "tuple[tuple[int, int], ...]", n: int,
@@ -516,29 +531,67 @@ class _Layout:
 _layout = functools.lru_cache(maxsize=1)(_Layout)
 
 
-def _window_kth(x: np.ndarray, plan: _WindowPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's k-th multiset element from its window order statistics, and
-    whether the windows settle it.
+def _sum_ranks(x: np.ndarray) -> np.ndarray:
+    """x[j] += x[j - 1] down the rows of a rank-major chunk, in place: each
+    rank's spacing sum.  A row add costs about 0.6 us a call and 0.3 ns a
+    value, np.cumsum down axis 0 about 3 ns a value, so a chunk of fewer
+    than _ROW_ADDS columns takes the cumsum; both make the same additions in
+    the same order, so the values do not depend on the chunk's width."""
+    if x.shape[1] < _ROW_ADDS:
+        return np.cumsum(x, axis=0, out=x)
+    for j in range(1, x.shape[0]):
+        x[j] += x[j - 1]
+    return x
 
-    x holds a row's X_(j) at the plan's ranks.  The pooled elements m X_(j)
-    are sorted and v is the one at ``col``.  v is the k-th of the whole
-    multiset if it lies between every m X_(a_m) with a_m > 1 and every
-    m X_(b_m) with b_m < n: then each level's elements below its window are
-    at or below v and those above it at or above v, so exactly k elements
-    are at or below v.  Rows where that fails are not settled, and neither
-    is any row when ``col`` falls outside the pooled columns.
+
+def _window_kth(x: np.ndarray, plan: _WindowPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's k-th multiset element from its window order statistics,
+    and whether the windows settle it.
+
+    x is a rank-major chunk at the plan's ranks: a column per service time.
+    Each window's elements m X_(j) are ascending, so the K-th of the pooled
+    elements, K = ``col`` + 1, is the K-th of the union of level 1's window
+    A and the rest B, min over i of max(A_i, B_{K-i}) with A_0 = B_0 = -inf,
+    for 0 <= i <= |A| and 0 <= K - i <= |B|.  At load 2, B is level 2's
+    window times 2, ascending as drawn; at load >= 3 it pools the other
+    windows and is sorted first.  v is the k-th of the whole multiset if it
+    lies between every m X_(a_m) with a_m > 1 and every m X_(b_m) with
+    b_m < n: then each level's elements below its window are at or below v
+    and those above it at or above v, so exactly k elements are at or below
+    v.  Columns where that fails are not settled, and neither is any column
+    when ``col`` falls outside the pooled elements.
     """
-    if not 0 <= plan.col < plan.scale.size:
-        return np.full(x.shape[0], np.nan), np.zeros(x.shape[0], dtype=bool)
-    if plan.cols.size:
-        pooled = np.take(x, plan.cols, axis=1)
-        pooled *= plan.scale
+    a = x[plan.head[0]:plan.head[1]]
+    p, q, k = a.shape[0], plan.rest.size, plan.col + 1
+    if not 0 < k <= p + q:
+        return np.full(x.shape[1], np.nan), np.zeros(x.shape[1], dtype=bool)
+    ends = np.take(x, plan.edges, axis=0)
+    ends *= plan.edge_scale
+    lo = ends[:plan.lows].max(axis=0, initial=-np.inf)
+    hi = ends[plan.lows:].min(axis=0, initial=np.inf)
+    del ends
+    if len(plan.windows) == 2:  # B_i is b[i - 1] times 2
+        b, scale = x[plan.rest[0]:plan.rest[-1] + 1], 2.0
     else:
-        pooled = x * plan.scale
-    lo = pooled[:, plan.lower].max(axis=1, initial=-np.inf)
-    hi = pooled[:, plan.upper].min(axis=1, initial=np.inf)
-    pooled.sort(axis=1)
-    v = pooled[:, plan.col]
+        b = np.take(x.T, plan.rest, axis=1)
+        b *= plan.rest_scale
+        b.sort(axis=1)
+        b, scale = b.T, 1.0
+    # the terms max(A_i, B_{K-i}) a row each from i = i0 to min(|A|, K - 1):
+    # B_K alone first where i0 = 0, then one pair a row; A_K last.  numpy
+    # runs its inner loops along the last axis, and a loop costs more than a
+    # strided read, so a chunk narrower than its terms transposes them
+    i0, j, first = max(0, k - q), min(p, k - 1), int(k <= q)
+    bk, ai = b[k - j - 1:k - i0][::-1], a[i0 - 1 + first:j]  # B_{K-i} and A_i
+    axis = int(x.shape[1] < bk.shape[0])
+    if axis:
+        bk, ai = bk.T, ai.T
+    terms = np.multiply(bk, scale, out=np.empty(bk.shape))
+    pairs = terms[:, first:] if axis else terms[first:]
+    np.maximum(pairs, ai, out=pairs)
+    v = terms.min(axis=axis)
+    if k <= p:
+        np.minimum(v, a[k - 1], out=v)
     return v, (lo <= v) & (v <= hi)
 
 
@@ -558,10 +611,14 @@ def _multiset_sample(d: ShiftedExp, layout: _Layout, rng: np.random.Generator,
     log1p(G / G')/d.rate for gammas of shape u - j and n - u + 1, or from
     n - u + 1 uniforms where that is at most _TOP_RANKS (see
     ``_os_sample``).  A block of WIDEN_DOUBLES first-pass doubles draws its
-    jumps, then its rows chunk by chunk.  The windows
-    settle most rows (see ``_window_kth``); at the end of the block the
-    others widen their windows until they settle (see ``_settle``).  Every
-    row is the worker mechanism's k-th in law, for any windows.
+    jumps, a row per segment, then its rows chunk by chunk into one
+    rank-major buffer, a row per rank and a column per service time: a
+    chunk's uniforms are drawn a row per service time, scaled, and copied in
+    transposed, so each rank's spacing sum is one contiguous row add (see
+    ``_sum_ranks``).  The windows settle most rows (see ``_window_kth``); at
+    the end of the block the others widen their windows until they settle
+    (see ``_settle``).  Every row is the worker mechanism's k-th in law, for
+    any windows.
     """
     plan, spacing = layout.first, ShiftedExp(0.0, d.rate)
     step, wait = plan.chunk_rows(), max(1, WIDEN_DOUBLES // plan.ranks.size)
@@ -569,21 +626,25 @@ def _multiset_sample(d: ShiftedExp, layout: _Layout, rng: np.random.Generator,
     out = np.empty(size)
     for a in range(0, size, wait):
         block = out[a:a + wait]
-        jumps = np.empty((block.size, plan.starts.size))
+        jumps = np.empty((plan.starts.size, block.size))
         for c, (m, u) in enumerate(layout.jumps):
-            jumps[:, c] = _os_sample(spacing, m, u, rng, block.size)
-        jumps[:, 0] += d.shift  # the cumulative sums carry it to every rank
+            jumps[c] = _os_sample(spacing, m, u, rng, block.size)
+        jumps[0] += d.shift  # the spacing sums carry it to every rank
         missed, known = [], []
+        chunk = np.empty((plan.ranks.size, min(step, block.size)))
         for i in range(0, block.size, step):
+            u = _log1m(rng.random((min(step, block.size - i), plan.ranks.size)))
+            u *= coef
+            x = chunk[:, :u.shape[0]]
+            x[...] = u.T
+            del u
             # a segment's first rank takes its jump, which overwrites its spacing
-            x = _log1m(rng.random((min(step, block.size - i), plan.ranks.size)))
-            x *= coef
-            x[:, plan.starts] = jumps[i:i + step]
-            np.cumsum(x, axis=1, out=x)
-            block[i:i + step], ok = _window_kth(x, plan)
-            missed.append((~ok).nonzero()[0] + a + i)
-            known.append(x[~ok])
-        del x, jumps
+            x[plan.starts] = jumps[:, i:i + step]
+            block[i:i + step], ok = _window_kth(_sum_ranks(x), plan)
+            miss = (~ok).nonzero()[0]
+            missed.append(miss + a + i)
+            known.append(x[:, miss])
+        del jumps, chunk, x
         _settle(d, rng, layout, out, missed, known)
     return out
 
@@ -591,77 +652,83 @@ def _multiset_sample(d: ShiftedExp, layout: _Layout, rng: np.random.Generator,
 def _settle(d: ShiftedExp, rng: np.random.Generator, layout: _Layout, out: np.ndarray,
             missed: list[np.ndarray], known: list[np.ndarray]) -> None:
     """Widen the windows of the rows at ``missed``, whose X_(j) at the ranks of
-    ``layout.first`` are ``known``, until each settles: round r draws the new
-    ranks of ``layout.widening(r)`` (see ``_widen``) and writes the rows it settles to ``out``."""
+    ``layout.first`` are the rank-major columns ``known``, until each settles: round r
+    draws the new ranks of ``layout.widening(r)`` (see ``_widen``) and writes the rows it
+    settles to ``out``."""
     for r in itertools.count(1):
         if not (missed := np.concatenate(missed)).size:
             return
         wide = layout.widening(r)
         step = wide.chunk_rows()
-        rows, x, missed, known = missed, np.concatenate(known), [], []
+        rows, x, missed, known = missed, np.concatenate(known, axis=1), [], []
         for i in range(0, rows.size, step):
-            wider = _widen(d, rng, wide, x[i:i + step])
+            wider = _widen(d, rng, wide, x[:, i:i + step])
             out[rows[i:i + step]], ok = _window_kth(wider, wide)
-            missed.append(rows[i:i + step][~ok])
-            known.append(wider[~ok])
+            miss = (~ok).nonzero()[0]
+            missed.append(rows[i:i + step][miss])
+            known.append(wider[:, miss])
 
 
 def _widen(d: ShiftedExp, rng: np.random.Generator, wide: _Widening, x: np.ndarray) -> np.ndarray:
-    """Each row's X_(j) at the ranks of round ``wide``, given x at the round before's.
+    """Each column's X_(j) at the ranks of round ``wide``, given x at the round before's.
 
-    Given the known order statistics, the m = h - i - 1 ranks in a gap
-    between known X_(i) < X_(h) (X_(0) = d.shift, X_(n+1) = inf) are those
-    of m i.i.d. draws from d truncated to (X_(i), X_(h)): the truncated
-    inverse CDF X_(i) - log((1 - P) + (1 - U) P)/d.rate, at P =
-    -expm1(-d.rate (X_(h) - X_(i))), of the order statistics U of m
-    uniforms.  A gap's bottom run takes Renyi's spacings upward: 1 - U at
-    rank i + t + 1 is exp(-Y), Y the sum of E_q/(m - q) over q <= t for
-    standard exponentials E_q.  Its top run takes the top-rank product form
-    downward over the m - s1 uniforms the bottom run leaves above its U =
-    u0 (or 0): 1 - U at rank h - p - 1 is (1 - u0)(-expm1(log W)), log W
-    the sum of log(W_q)/(m - s1 - q) over q <= p for uniforms W_q (David &
-    Nagaraja, Order Statistics, 2003).  At h = n + 1, P = 1, and a bottom
-    rank is X_(i) + Y/d.rate, so no difference cancels at the top ranks.
-    Each row draws its uniforms in turn, so the values do not depend on how
-    the rows are split; the arithmetic runs in place in the returned rows.
+    x and the result are rank-major, a column per row of the sample.  Given
+    the known order statistics, the m = h - i - 1 ranks in a gap between
+    known X_(i) < X_(h) (X_(0) = d.shift, X_(n+1) = inf) are those of m
+    i.i.d. draws from d truncated to (X_(i), X_(h)): the truncated inverse
+    CDF X_(i) - log((1 - P) + (1 - U) P)/d.rate, at P = -expm1(-d.rate
+    (X_(h) - X_(i))), of the order statistics U of m uniforms.  A gap's
+    bottom run takes Renyi's spacings upward: 1 - U at rank i + t + 1 is
+    exp(-Y), Y the sum of E_q/(m - q) over q <= t for standard exponentials
+    E_q.  Its top run takes the top-rank product form downward over the
+    m - s1 uniforms the bottom run leaves above its U = u0 (or 0): 1 - U at
+    rank h - p - 1 is (1 - u0)(-expm1(log W)), log W the sum of
+    log(W_q)/(m - s1 - q) over q <= p for uniforms W_q (David & Nagaraja,
+    Order Statistics, 2003).  At h = n + 1, P = 1, and a bottom rank is
+    X_(i) + Y/d.rate, so no difference cancels at the top ranks.  Each
+    column draws its uniforms in turn, a row of them, and each scaled draw
+    moves to its rank's row, so the values do not depend on how the columns
+    are split, and every run's sum is contiguous row adds (see
+    ``_sum_ranks``); the arithmetic runs in place in the returned rows.
     """
+    if not wide.gaps:  # a round that adds no rank draws nothing
+        return x
     rate = d.rate
-    out = np.empty((x.shape[0], wide.ranks.size + 2))
-    out[:, 0], out[:, -1] = d.shift, np.inf
-    out[:, wide.known] = x
+    out = np.empty((wide.ranks.size + 2, x.shape[1]))
+    out[0], out[-1] = d.shift, np.inf
+    out[wide.known] = x
     # minus exponentials for the bottom runs, then log W for the top runs,
-    # each times its scale
-    u = rng.random((x.shape[0], wide.scales.size))
-    bottom, top = 0, sum(s1 for *_, s1, _ in wide.gaps)
+    # each times its scale, at its rank's row: top runs from rank h - 1 down
+    u = rng.random((x.shape[1], wide.scales.size))
+    top = sum(s1 for *_, s1, _ in wide.gaps)
     _log1m(u[:, :top])
     with np.errstate(divide="ignore"):  # log(0) = -inf puts a top rank at u0
         np.log(u[:, top:], out=u[:, top:])
     u *= wide.scales
+    out[wide.drawn] = u.T
+    del u
     for c, _, _, _, s1, s2 in wide.gaps:
         e = c + s1 + s2 + 1
-        low = out[:, c:c + 1]
-        p = out[:, e:e + 1] - low
+        low = out[c]
+        p = out[e] - low
         p *= -rate
         q = np.exp(p)  # 1 - P
         np.expm1(p, out=p)  # -P
         if s1:
-            y = np.cumsum(u[:, bottom:bottom + s1], axis=1, out=out[:, c + 1:c + 1 + s1])
+            y = _sum_ranks(out[c + 1:c + 1 + s1])
             np.exp(y, out=y)  # 1 - U
-            bottom += s1
         if s2:
-            # log W, from rank h - 1 down
-            w = np.cumsum(u[:, top:top + s2], axis=1, out=out[:, e - s2:e][:, ::-1])
+            w = _sum_ranks(out[e - s2:e][::-1])  # log W, from rank h - 1 down
             np.expm1(w, out=w)
-            w *= p * y[:, -1:] if s1 else p  # (1 - U) P
-            top += s2
+            w *= p * y[-1] if s1 else p  # (1 - U) P
         if s1:
             y *= -p  # (1 - U) P
-        new = out[:, c + 1:e]
+        new = out[c + 1:e]
         new += q
         np.log(new, out=new)
         new /= -rate
         new += low
-    return out[:, 1:-1]
+    return out[1:-1]
 
 
 Scheme = Uncoded | Repetition | MDS | MultiMDS

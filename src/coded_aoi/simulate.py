@@ -256,8 +256,8 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     them, so a ``sample`` override must bound its own scratch memory, as
     MultiMDS at load >= 2 does: its window sampler holds its draws in row
     chunks of at most SCRATCH_DOUBLES doubles, at widened windows too, plus
-    the 64 KiB buffer numpy adds for each strided or broadcast 2-D operand
-    of a ufunc call.
+    the ufunc buffers and gather copies numpy adds (see
+    ``schemes.SCRATCH_DOUBLES``).
     """
     require_int("cycles_per_rep", cycles_per_rep)
     require_int("reps", reps)

@@ -14,7 +14,8 @@ simulator as a subclass of the scheme; ``ZeroService`` is a scheme whose
 service time is always 0.
 
 ``windows`` is the MultiMDS sampler's window rule with the level counts'
-load x load covariance matrix written out.
+load x load covariance matrix written out, and ``pooled_kth`` its
+selection by a sort of every window's elements.
 """
 import dataclasses
 import math
@@ -196,3 +197,28 @@ def windows(n, k, load, mu_c):
         half = schemes.WINDOW_Z * math.sqrt(max(var, 0.0)) + 1
         out.append((max(1, math.floor(n * p[i] - half)), min(n, math.ceil(n * p[i] + half))))
     return out
+
+
+def pooled_kth(x, windows, k):
+    """Each row's k-th multiset element from its window order statistics, by a
+    sort of the pooled window elements, and whether the windows settle it.
+
+    x holds a row's worker order statistics X_(1..n), ascending.  The pooled
+    row holds m X_(j) for every rank j of level m's window [a_m, b_m], and
+    v is its element at col = k - sum(a_m - 1) - 1 once sorted; the windows
+    settle v where it lies between every m X_(a_m) with a_m > 1 and every
+    m X_(b_m) with b_m < n.  Where col falls outside the pooled row, v is
+    NaN and no row is settled.
+    """
+    rows, n = x.shape
+    pooled = np.concatenate([x[:, a - 1:b] * m for m, (a, b) in enumerate(windows, 1)], axis=1)
+    col = k - sum(a - 1 for a, _ in windows) - 1
+    if not 0 <= col < pooled.shape[1]:
+        return np.full(rows, np.nan), np.zeros(rows, dtype=bool)
+    lo = np.max([x[:, a - 1] * m for m, (a, _) in enumerate(windows, 1) if a > 1]
+                + [np.full(rows, -np.inf)], axis=0)
+    hi = np.min([x[:, b - 1] * m for m, (_, b) in enumerate(windows, 1) if b < n]
+                + [np.full(rows, np.inf)], axis=0)
+    pooled.sort(axis=1)
+    v = pooled[:, col]
+    return v, (lo <= v) & (v <= hi)

@@ -33,6 +33,7 @@ from schemes_reference import (
     model_k1,
     multiset_kth,
     order_stat,
+    pooled_kth,
     windows as reference_windows,
     with_mechanism,
 )
@@ -164,7 +165,7 @@ def test_multiset_sampler_is_exact_outside_its_windows(monkeypatch):
 
     def counted(d, rng, wide, x):
         out = original(d, rng, wide, x)
-        widened.append((x.shape[1], x.shape[0], out.shape[1]))
+        widened.append((x.shape[0], x.shape[1], out.shape[0]))
         return out
 
     monkeypatch.setattr(schemes, "_widen", counted)
@@ -291,7 +292,7 @@ def test_window_selection_is_the_multiset_kth(n, load, k, mu, windows):
                                            schemes.WINDOW_Z)
     x = np.sort(fixed_worker_times(d, 2000, n), axis=1)
     plan = schemes._window_plan(windows, n, k)
-    got, ok = schemes._window_kth(x[:, plan.ranks - 1], plan)
+    got, ok = schemes._window_kth(x[:, plan.ranks - 1].T.copy(), plan)
     want = multiset_kth(x, k, load)
     settled = np.ones(x.shape[0], dtype=bool)
     inside = np.zeros(x.shape[0], dtype=bool)
@@ -311,21 +312,60 @@ def test_window_selection_is_the_multiset_kth(n, load, k, mu, windows):
         assert ok.sum() > 100
 
 
+def test_window_selection_equals_a_pooled_sort_bit_for_bit():
+    # random windows at loads 2-6, sharing ranks and touching rank 1 and rank
+    # n, with col at both ends of the pooled elements, one past each end
+    # (NaN, unsettled) and inside.  The worker times lie on a grid of
+    # quarters above the shift, half the spacings zero as from zero uniforms,
+    # so elements tie at the shift, within a level and across levels.  The
+    # min over i of max(A_i, B_{K-i}) gives the pooled sort's values and
+    # settled mask, bit for bit, in a chunk wider than its terms and in one
+    # narrower, which holds them transposed
+    gen = rng(77)
+    kinds = set()
+    for load in range(2, 7):
+        for case in range(40):
+            n = int(gen.integers(2, 30))
+            windows = [tuple(sorted(gen.integers(1, n + 1, 2).tolist())) for _ in range(load)]
+            w = int(gen.integers(load))
+            windows[w] = (1, windows[w][1]) if case % 2 else (windows[w][0], n)
+            spacings = gen.choice([0.0, 0.25, 0.5], size=(300, n), p=[0.5, 0.3, 0.2])
+            x = 0.5 + np.cumsum(spacings, axis=1)
+            below = sum(a - 1 for a, _ in windows)
+            pooled = sum(b - a + 1 for a, b in windows)
+            for col in sorted({-1, 0, int(gen.integers(pooled)), pooled - 1, pooled}):
+                k = col + 1 + below
+                plan = schemes._window_plan(windows, n, k)
+                want, settled = pooled_kth(x, windows, k)
+                for rows in (300, 2):
+                    got, ok = schemes._window_kth(x[:rows, plan.ranks - 1].T.copy(), plan)
+                    bits = want[:rows].view(np.uint64).tolist()
+                    assert got.view(np.uint64).tolist() == bits, (windows, col, rows)
+                    assert ok.tolist() == settled[:rows].tolist(), (windows, col, rows)
+                terms = min(k - 1, plan.head[1] - plan.head[0]) - max(0, k - plan.rest.size) + 1
+                kinds |= {"nan"} if np.isnan(want).all() else {"settled"} if settled.any() else set()
+                kinds |= {"unsettled"} if 0 <= col < pooled and not settled.all() else set()
+                kinds |= {"transposed"} if 0 <= col < pooled and terms > 2 else set()
+            kinds |= {f"load {load}", "rank 1" if case % 2 else "rank n"}
+            held = plan.rest.size + plan.head[1] - plan.head[0]
+            kinds |= {"shared"} if held > plan.ranks.size else set()
+            elements = np.concatenate(
+                [x[:, a - 1:b] * m for m, (a, b) in enumerate(windows, 1)], axis=1)
+            kinds |= {"tie"} if (np.diff(np.sort(elements), axis=1) == 0).any() else set()
+    assert kinds == {"nan", "settled", "unsettled", "transposed", "rank 1", "rank n", "shared",
+                     "tie", *(f"load {load}" for load in range(2, 7))}
+
+
 def plan_from_sets(windows):
     """ranks, segment starts and segment ends of a window plan, built from
-    Python sets, and the (rank, level) pairs of a pooled row: each rank once
-    at its lowest level, then each shared rank again at each further level,
+    Python sets, and the (rank, level) pairs of each window's elements,
     window by window."""
     ranks = sorted(set().union(*(range(a, b + 1) for a, b in windows)))
     column = {rank: i for i, rank in enumerate(ranks)}
     starts = [i for i, rank in enumerate(ranks) if rank - 1 not in column]
     ends = [i for i, rank in enumerate(ranks) if rank + 1 not in column]
-    lowest = {rank: min(m for m, (a, b) in enumerate(windows, 1) if a <= rank <= b)
-              for rank in ranks}
-    pooled = [(rank, lowest[rank]) for rank in ranks] + [
-        (rank, m) for m, (a, b) in enumerate(windows, 1)
-        for rank in range(a, b + 1) if lowest[rank] < m]
-    return ranks, starts, ends, pooled
+    elements = [[(rank, m) for rank in range(a, b + 1)] for m, (a, b) in enumerate(windows, 1)]
+    return ranks, starts, ends, elements
 
 
 def plan_windows():
@@ -343,18 +383,21 @@ def plan_windows():
 def test_window_plan_matches_a_set_construction():
     for windows, n, k in plan_windows():
         plan = schemes._window_plan(windows, n, k)
-        ranks, starts, ends, pooled = plan_from_sets(windows)
+        ranks, starts, ends, elements = plan_from_sets(windows)
         assert plan.ranks.tolist() == ranks, windows
         assert plan.starts.tolist() == starts, windows
         assert plan.ends.tolist() == ends, windows
-        cols = plan.cols if plan.cols.size else np.arange(plan.ranks.size)
-        got = list(zip(plan.ranks[cols].tolist(), plan.scale.tolist()))
-        assert got == pooled, windows
-        # each window's lowest and highest element
-        assert [got[c] for c in plan.lower] == [
-            (a, m) for m, (a, _) in enumerate(windows, 1) if a > 1], windows
-        assert [got[c] for c in plan.upper] == [
-            (b, m) for m, (_, b) in enumerate(windows, 1) if b < n], windows
+        # level 1's window is a slice of rows; the others are gathered
+        head = plan.ranks[plan.head[0]:plan.head[1]].tolist()
+        assert list(zip(head, [1.0] * len(head))) == elements[0], windows
+        rest = list(zip(plan.ranks[plan.rest].tolist(), plan.rest_scale.tolist()))
+        assert rest == [e for window in elements[1:] for e in window], windows
+        # each window's lowest element above rank 1, then highest below rank n
+        got = list(zip(plan.ranks[plan.edges].tolist(), plan.edge_scale.ravel().tolist()))
+        lower = [window[0] for window in elements if window[0][0] > 1]
+        assert got == lower + [window[-1] for window in elements if window[-1][0] < n], windows
+        assert plan.lows == len(lower), windows
+        assert plan.col == k - sum(a - 1 for a, _ in windows) - 1, windows
 
 
 def test_multiset_sampler_draws_fewer_worker_order_statistics(monkeypatch):
@@ -372,7 +415,7 @@ def test_multiset_sampler_draws_fewer_worker_order_statistics(monkeypatch):
         return spacings(u)
 
     def counted_widen(d, rng, wide, x):
-        widened.append(x.shape[0] * (wide.ranks.size - x.shape[1]))
+        widened.append(x.shape[1] * (wide.ranks.size - x.shape[0]))
         widening.append(True)
         try:
             return widen(d, rng, wide, x)
@@ -394,7 +437,7 @@ def test_widening_draws_no_gamma(monkeypatch):
     shapes, widened, widen = [], [], schemes._widen
 
     def recorded(d, gen, wide, x):
-        widened.append(x.shape[0])
+        widened.append(x.shape[1])
         return widen(d, GammaShapes(gen, shapes), wide, x)
 
     monkeypatch.setattr(schemes, "_widen", recorded)
@@ -405,11 +448,11 @@ def test_widening_draws_no_gamma(monkeypatch):
 
 
 def test_widening_fills_each_gap_with_its_order_statistics():
-    # one random row of sorted worker times at the first plan's ranks of each
-    # plan_windows() list, repeated, widened once.  Each row stays sorted with
-    # its known ranks kept, every new rank lies between its known neighbours,
-    # and in its gap's uniform scale, (1 - exp(-rate (X - X_(i)))) / P, rank
-    # i + t is the t-th of m uniforms, Beta(t, m + 1 - t)
+    # one random column of sorted worker times at the first plan's ranks of
+    # each plan_windows() list, repeated, widened once.  Each column stays
+    # sorted with its known ranks kept, every new rank lies between its known
+    # neighbours, and in its gap's uniform scale, (1 - exp(-rate (X -
+    # X_(i)))) / P, rank i + t is the t-th of m uniforms, Beta(t, m + 1 - t)
     stats = pytest.importorskip("scipy.stats")
     d = schemes.ShiftedExp(0.5, 2.0)
     kinds, pvalues = set(), []
@@ -420,23 +463,23 @@ def test_widening_fills_each_gap_with_its_order_statistics():
         gen = rng(500 + case)
         worker = np.sort(d.shift - np.log1p(-gen.random(n)) / d.rate)
         rows = 4000 if n <= 1000 else 200
-        x = np.repeat(worker[first.ranks - 1][None, :], rows, axis=0)
+        x = np.repeat(worker[first.ranks - 1][:, None], rows, axis=1)
         got = schemes._widen(d, gen, wide, x)
-        assert (got[:, wide.known - 1] == x).all()
-        assert (np.diff(got, axis=1) >= 0).all()
+        assert (got[wide.known - 1] == x).all()
+        assert (np.diff(got, axis=0) >= 0).all()
         framed = np.concatenate([[d.shift], worker, [np.inf]])
         for c, i, h, m, s1, s2 in wide.gaps:
             kinds.update({"bottom frame"} if i == 0 else set())
             kinds.update({"top frame"} if h == n + 1 else set())
             kinds.update({"both runs"} if s1 and s2 else set())
-            new = got[:, c:c + s1 + s2]
+            new = got[c:c + s1 + s2]
             assert (framed[i] <= new).all() and (new <= framed[h]).all()
             gap = -math.expm1(-d.rate * (framed[h] - framed[i]))
             u = -np.expm1(-d.rate * (new - framed[i])) / gap
             # the ends of each run, and the middle of the gap's new ranks
             for col in sorted({0, s1 - 1, s1, s1 + s2 - 1, (s1 + s2) // 2} & set(range(s1 + s2))):
                 t = col + 1 if col < s1 else m - (s1 + s2) + col + 1
-                pvalues.append(stats.kstest(u[:, col], stats.beta(t, m + 1 - t).cdf).pvalue)
+                pvalues.append(stats.kstest(u[col], stats.beta(t, m + 1 - t).cdf).pvalue)
     assert kinds == {"bottom frame", "top frame", "both runs"}
     assert min(pvalues) > 1e-6, (len(pvalues), sorted(pvalues)[:5])
     assert stats.kstest(pvalues, "uniform").pvalue > 1e-3
@@ -502,7 +545,7 @@ def test_multiset_sampler_scratch_stays_within_its_windows(monkeypatch):
     original = schemes._widen
 
     def counted(*args):
-        widened.append(args[-1].shape[0])
+        widened.append(args[-1].shape[1])
         return original(*args)
 
     monkeypatch.setattr(schemes, "_widen", counted)
@@ -568,7 +611,7 @@ def test_layout_arrays_are_read_only_and_the_cache_is_bounded():
     assert schemes._layout.cache_info().misses == 1 and 1 in layout._widenings
     arrays = [layout.spacing_scale] + [v for plan in (layout.first, layout.widening(1))
                                        for v in vars(plan).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 1 + 7 + 9  # a widening round adds its known columns and scales
+    assert len(arrays) == 1 + 7 + 10  # a widening round adds its known rows, scales and rows drawn
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
