@@ -168,9 +168,21 @@ def _level_root(ell: int, alpha: float, mu_c: float, log_gap: float) -> Optional
     if ell == 1 or -math.expm1(-mu_c) >= target:
         return None
 
+    # chain_alphas' level offsets: beta - 0.0 is beta, so level 1 takes 0.0
+    starts = [(1, 0.0)] + [(m, (m - 1) * mu_c) for m in range(2, ell + 1)]
+
     def residual(beta: float) -> tuple[float, float]:
-        a = chain_alphas(beta, ell, mu_c)
-        return math.fsum(a) - target, sum((1.0 - x) / m for m, x in enumerate(a, 1) if x > 0.0)
+        # chain_alphas' open levels, and the slope's terms over those above 0
+        a, slopes = [], []
+        for m, start in starts:
+            excess = beta - start
+            if not excess > 0.0:
+                break
+            x = -math.expm1(-excess / m)
+            a.append(x)
+            if x > 0.0:
+                slopes.append((1.0 - x) / m)
+        return math.fsum(a) - target, sum(slopes)
 
     beta, resid = newton_root(residual, 0.0, hi)
     if not abs(resid) <= CHAIN_TOL:

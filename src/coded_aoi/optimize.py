@@ -115,14 +115,17 @@ def _refined(params: SystemParams, make: Callable[[int], Scheme], objective: str
     if objective not in ("age", "service"):
         raise ValueError(f"objective must be 'age' or 'service', got {objective!r}")
 
-    def fn(k: int) -> float:
-        if objective == "age":
-            return age_of(make(k), params).delta
+    # the search's ages are kept, so an age-objective k_star reads its own
+    @functools.cache
+    def age(k: int) -> float:
+        return age_of(make(k), params).delta
+
+    def service(k: int) -> float:
         return service_moments(make(k), params).es
 
     seed = min(max(round(k_cont), k_min), k_max)
-    k_star = refine_discrete(fn, seed, k_min, k_max)
-    return OptResult(k_star, alpha, age_of(make(k_star), params).delta, continuous_objective)
+    k_star = refine_discrete(age if objective == "age" else service, seed, k_min, k_max)
+    return OptResult(k_star, alpha, age(k_star), continuous_objective)
 
 
 def opt_repetition(params: SystemParams, objective: str = "age") -> OptResult:

@@ -8,14 +8,20 @@ statistic whose mean and variance are sums of 1/j and 1/j^2 over
 j = n-k+1..n.  These take O(1) time and memory at any n, within a few 1e-16
 relative error: the Euler-Maclaurin expansions of the digamma and trigamma
 functions (Abramowitz & Stegun 6.3.18, 6.4.12) give all but the first terms.
+Those, j <= _DIRECT, enter as the exact two-double sum of their reciprocals,
+and fsum rounds the whole correctly (Shewchuk 1997), so a sum is the double
+that fsum over every direct term and the tail gives.  A sum is kept per
+(order, n, m) in a bounded LRU once its arguments are checked.
 """
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .levels import require_int
 
 # Terms 1/j**order with j <= _DIRECT are summed directly; above it the
 # expansion's first omitted term is below 1e-17 of the sum.
@@ -47,12 +53,40 @@ def _tail(n: int, m: int, order: int) -> float:
 
 
 def _power_sum(name: str, order: int, n: int, m: int) -> float:
-    n, m = operator.index(n), operator.index(m)
+    if type(n) is not int or type(m) is not int:  # the common case skips two calls
+        require_int("n", n)
+        require_int("m", m)
+        n, m = int(n), int(m)
     if not 0 <= m <= n:
         raise ValueError(f"{name} requires 0 <= m <= n, got n={n}, m={m}")
-    direct = _RECIPROCALS[order][m:n]  # j = m+1..min(n, _DIRECT)
-    tail = (_tail(n, max(m, _DIRECT), order),) if n > max(m, _DIRECT) else ()
-    return math.fsum(direct + tail)
+    return _checked_sum(order, n, m)
+
+
+# An age and a sweep row ask for the same sums again: fig4b repeats fig4a's
+# (n, m), since mu enters only through the rate.  An entry is one float.
+@functools.lru_cache(maxsize=1024)
+def _checked_sum(order: int, n: int, m: int) -> float:
+    """_power_sum on checked integers: the direct part j = m+1..min(n, _DIRECT)
+    as its exact two-double value hi + lo, then the tail.  fsum rounds the
+    exact sum of its inputs correctly, so this is the double that fsum over
+    the direct terms and the tail gives."""
+    hi, lo = _direct(order, min(m, _DIRECT), min(n, _DIRECT))
+    if n <= max(m, _DIRECT):
+        return hi
+    return math.fsum((hi, lo, _tail(n, max(m, _DIRECT), order)))
+
+
+@functools.cache
+def _direct(order: int, m: int, top: int) -> tuple[float, float]:
+    """(hi, lo) with hi = fsum of 1/j**order over m < j <= top and hi + lo
+    that sum exactly (0.0, 0.0 when empty).  Each term is a multiple of the
+    last term's ulp, so their exact sum minus hi is too; that remainder is
+    at most half an ulp of hi, and hi is below 2**11 times the last term,
+    so it fits in a double and fsum returns it exactly.  At most
+    2 (_DIRECT + 1)**2 entries."""
+    terms = _RECIPROCALS[order][m:top]
+    hi = math.fsum(terms)
+    return hi, math.fsum(terms + (-hi,))
 
 
 def harmonic(n: int, m: int = 0) -> float:
@@ -92,20 +126,26 @@ class ShiftedExp:
         return ShiftedExp(self.shift / m, self.rate * m)
 
 
-def _check_order(n: int, k: int) -> None:
+def _check_order(n: int, k: int) -> tuple[int, int]:
+    """n and k as Python ints, so that n - k is exact for numpy integers too."""
+    if type(n) is not int or type(k) is not int:
+        require_int("n", n)
+        require_int("k", k)
+        n, k = int(n), int(k)
     if not 1 <= k <= n:
         raise ValueError(f"order statistic requires 1 <= k <= n, got k={k}, n={n}")
+    return n, k
 
 
 def os_mean(d: ShiftedExp, n: int, k: int) -> float:
     """Mean of the k-th smallest of n i.i.d. draws from d."""
-    _check_order(n, k)
+    n, k = _check_order(n, k)
     return d.shift + harmonic(n, n - k) / d.rate
 
 
 def os_var(d: ShiftedExp, n: int, k: int) -> float:
     """Variance of the k-th smallest of n i.i.d. draws from d (shift drops out)."""
-    _check_order(n, k)
+    n, k = _check_order(n, k)
     return gen_harmonic2(n, n - k) / d.rate / d.rate
 
 

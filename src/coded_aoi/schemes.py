@@ -79,8 +79,8 @@ MAX_SAMPLE_DRAWS = 1 << 24
 # writing ``u.T * coef`` into the rank-major chunk, held 128 KiB, while the
 # copy ``x[...] = u.T`` holds none, so the chunk takes its draws by a copy
 # once they are scaled.  At load >= 3, np.take gathers the other windows
-# from a row-major copy of the chunk that it makes first: at most half as
-# many doubles again.
+# from a row-major copy of the chunk that it makes first, and
+# ``chunk_rows`` counts that copy.
 SCRATCH_DOUBLES = 1 << 16
 # Half-width of each level's window of worker ranks in the MultiMDS sampler,
 # in standard deviations of the level's crossing rank, plus one rank (see
@@ -397,10 +397,13 @@ class _WindowPlan:
         """Rows per chunk of at most SCRATCH_DOUBLES doubles: each row's
         X_(j) at ``ranks``, and with them its uniforms while the chunk is
         drawn, then what ``_window_kth`` holds while the k-th is read off:
-        its window ends, and its other windows' elements at load >= 3 or at
-        most one element per rank at load 2."""
-        ranks = self.ranks.size
-        return max(1, SCRATCH_DOUBLES // (ranks + max(ranks, self.rest.size, self.edges.size)))
+        its window ends, and its other windows' elements at load >= 3 with
+        the row-major copy of the chunk that np.take gathers them from, or
+        at most one element per rank at load 2."""
+        ranks, rest = self.ranks.size, self.rest.size
+        if len(self.windows) > 2:
+            rest += ranks
+        return max(1, SCRATCH_DOUBLES // (ranks + max(ranks, rest, self.edges.size)))
 
 
 def _window_plan(windows: list[tuple[int, int]], n: int, k: int) -> _WindowPlan:

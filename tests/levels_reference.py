@@ -4,11 +4,15 @@ With beta_m = -log1p(-alpha_m), a split solves the chain exactly when
 m * beta_m - (m - 1) * beta_{m-1} + mu_c = 0 for every consecutive pair of
 non-empty levels.  This module recomputes those residuals from the returned
 fractions alone, with no reference to how the solver found them.  An array
-form of the closed form serves the dense scans over beta_1.
+form of the closed form serves the dense scans over beta_1, and the level
+residual as chain_alphas, fsum and a generator sum gives the solver's roots
+bit for bit.
 """
 import math
 
 import numpy as np
+
+from coded_aoi.levels import chain_alphas, newton_root
 
 EPS = 2.0 ** -52
 
@@ -44,3 +48,21 @@ def chain_alphas_grid(beta1, load, mu_c):
     starts[1:] = np.arange(1, load) * mu_c  # level 1 starts at 0, also at mu_c = inf
     excess = np.maximum(np.asarray(beta1, dtype=float)[..., None] - starts, 0.0)
     return -np.expm1(-excess / np.arange(1, load + 1))
+
+
+def level_residual(beta, ell, mu_c, target):
+    """(value, slope) of levels._level_root's residual at beta: the level
+    sum's excess over target by fsum, and sum((1 - alpha_m) / m) over the
+    levels above 0, each from the fractions that chain_alphas returns."""
+    a = chain_alphas(beta, ell, mu_c)
+    return math.fsum(a) - target, sum((1.0 - x) / m for m, x in enumerate(a, 1) if x > 0.0)
+
+
+def level_root(ell, alpha, mu_c):
+    """levels._level_root's (beta_1, residual) from newton_root on
+    level_residual, or None where the first level alone holds the total."""
+    target = ell * alpha
+    if ell == 1 or -math.expm1(-mu_c) >= target:
+        return None
+    hi = (ell - 1) * mu_c - ell * math.log1p(-alpha)
+    return newton_root(lambda beta: level_residual(beta, ell, mu_c, target), 0.0, hi)

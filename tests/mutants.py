@@ -30,8 +30,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMES = "src/coded_aoi/schemes.py"
+ORDER_STATS = "src/coded_aoi/order_stats.py"
+LEVELS = "src/coded_aoi/levels.py"
 SELECTION = "tests/test_schemes.py::test_window_selection_equals_a_pooled_sort_bit_for_bit"
 TOP_RANKS = "tests/test_schemes.py::test_top_rank_sampler_matches_the_worker_mechanism"
+SCRATCH_BOUND = "tests/test_schemes.py::test_multiset_sampler_scratch_is_bounded"
+PAST_INT64 = "tests/test_schemes.py::test_law_sampler_runs_past_int64_workers"
+POWER_SUMS = "tests/test_order_stats.py::test_power_sums_equal_the_direct_fsum_bit_for_bit"
+LEVEL_ROOTS = "tests/test_levels.py::test_level_roots_equal_the_reference_residual_bit_for_bit"
+# a memo of _checked_sum keyed on (n, m) alone, which hands one order's sum to the other
+ORDERLESS_MEMO = """def _orderless(fn):
+    memo = {}
+
+    def cached(order, n, m):
+        if (n, m) not in memo:
+            memo[n, m] = fn(order, n, m)
+        return memo[n, m]
+    return cached
+
+
+@_orderless
+def _checked_sum("""
 
 
 @dataclass(frozen=True)
@@ -56,6 +75,17 @@ MUTANTS = [
            "        b.sort(axis=1)\n", "", (SELECTION,)),
     Mutant("top ranks: each uniform's divisor n - i + 1, not n - i", SCHEMES,
            "v /= float(n - i)", "v /= float(n - i + 1)", (TOP_RANKS,)),
+    Mutant("window selection: np.take's row-major copy of the chunk left out of its count",
+           SCHEMES, "rest += ranks", "rest += 0", (SCRATCH_BOUND,)),
+    Mutant("repetition: every group taken as one of floor(n/k) replicas", SCHEMES,
+           "k - r, k - r, rng, size)", "k, k, rng, size)", (f"{PAST_INT64}[scheme2]",)),
+    Mutant("harmonic sums: the direct part's remainder lo dropped", ORDER_STATS,
+           "math.fsum((hi, lo, _tail(", "math.fsum((hi, _tail(", (POWER_SUMS,)),
+    Mutant("harmonic sums: the memo keyed without the order", ORDER_STATS,
+           "@functools.lru_cache(maxsize=1024)\ndef _checked_sum(", ORDERLESS_MEMO,
+           (POWER_SUMS,)),
+    Mutant("level residual: each slope term's divisor m + 1, not m", LEVELS,
+           "slopes.append((1.0 - x) / m)", "slopes.append((1.0 - x) / (m + 1))", (LEVEL_ROOTS,)),
 ]
 
 

@@ -277,8 +277,9 @@ def test_sweep_preset_fig5a_k_grows(tmp_path, capsys):
 
 
 def test_sweep_preset_fig5a_solves_each_split_once(tmp_path, capsys, monkeypatch):
-    # its ten optima and rows ask 76 times for 23 distinct level splits, and
-    # ten times for the piece roots of one (load, mu_c)
+    # its ten optima and rows ask 66 times for 23 distinct level splits (an
+    # optimum's own age is read from its search), and ten times for the
+    # piece roots of one (load, mu_c)
     newton_runs, newton_root = [], levels.newton_root
 
     def counted(*args):
@@ -292,7 +293,7 @@ def test_sweep_preset_fig5a_solves_each_split_once(tmp_path, capsys, monkeypatch
                    "--out", str(tmp_path / "fig5a.csv"))[0] == 0
     splits = levels._level_root.cache_info()
     assert len(newton_runs) == splits.misses == 23
-    assert splits.hits + splits.misses == 76
+    assert splits.hits + splits.misses == 66
     assert optimize._piece_roots.cache_info().misses == 1
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from coded_aoi import Infeasible, InconsistentK, NoConvergence, level_counts, levels, solve_levels
 from coded_aoi.levels import chain_alphas
-from levels_reference import chain_residuals
+from levels_reference import chain_residuals, level_residual, level_root
 from coded_aoi.order_stats import ShiftedExp, os_mean
 
 
@@ -64,6 +64,42 @@ def test_chain_and_sum_residuals_on_grid():
                         seen_zero = True
                     else:
                         assert not seen_zero
+
+
+def test_level_roots_equal_the_reference_residual_bit_for_bit(monkeypatch):
+    # one loop forms the fractions, their fsum and the slope, with the same
+    # additions in the same order as chain_alphas, fsum and a generator sum
+    rng = np.random.default_rng(17)
+    residuals = []
+    original = levels.newton_root
+
+    def recorded(fn, lo, hi):
+        residuals.append((fn, hi))
+        return original(fn, lo, hi)
+
+    monkeypatch.setattr(levels, "newton_root", recorded)
+    solved = 0
+    for _ in range(1500):
+        ell = int(rng.choice([1, 2, 3, 4, 5, 8, 20, 300, rng.integers(1, 1000)]))
+        alpha, mu_c = float(rng.uniform(0.001, 0.999)), float(10.0 ** rng.uniform(-6, 3))
+        want = level_root(ell, alpha, mu_c)
+        residuals.clear()
+        try:
+            got = levels._level_root.__wrapped__(ell, alpha, mu_c, math.log1p(-alpha))
+        except NoConvergence:
+            assert want is not None and not abs(want[1]) <= levels.CHAIN_TOL
+            continue
+        if want is None:
+            assert got is None and not residuals
+            continue
+        solved += 1
+        assert got.hex() == want[0].hex(), (ell, alpha, mu_c)
+        (fn, hi), = residuals
+        target = ell * alpha
+        for beta in [0.0, got, hi, *rng.uniform(0.0, hi, 4).tolist()]:
+            # repr tells every double apart, and the int 0 of an empty slope
+            assert repr(fn(beta)) == repr(level_residual(beta, ell, mu_c, target)), (ell, beta)
+    assert solved > 500
 
 
 def test_alpha1_strictly_increasing_in_alpha():
@@ -318,12 +354,15 @@ def test_many_levels_take_few_level_sums(monkeypatch):
     # each level sum costs O(load); walking the piece starts in order took
     # about 1000 of them here, and the Newton steps take 8
     sums = []
+    original = levels.newton_root
 
-    def counted(beta1, load, mu_c):
-        sums.append(beta1)
-        return chain_alphas(beta1, load, mu_c)
+    def counted(fn, lo, hi):
+        def residual(beta1):
+            sums.append(beta1)
+            return fn(beta1)
+        return original(residual, lo, hi)
 
-    monkeypatch.setattr(levels, "chain_alphas", counted)
+    monkeypatch.setattr(levels, "newton_root", counted)
     # a root cached by an earlier call with this key would count no Newton step
     levels._level_root.cache_clear()
     alphas = solve_levels(2000, 0.5, 0.01)

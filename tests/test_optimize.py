@@ -363,6 +363,31 @@ def test_integer_walk_stops_at_ties_at_a_billion_workers(monkeypatch, optimizer)
     optimizer(params(n=10**9))
 
 
+@pytest.mark.parametrize("objective", ["age", "service"])
+@pytest.mark.parametrize("optimizer, make", [
+    (optimize.opt_repetition, Repetition), (optimize.opt_mds, MDS),
+    (lambda p, objective: optimize.opt_mm_mds(p, 3, objective), lambda k: MultiMDS(k, 3))],
+    ids=["rep", "mds", "mm-mds"])
+def test_optimum_reads_its_age_from_the_search(monkeypatch, optimizer, make, objective):
+    # an age search evaluates each k once, k_star among them, and returns
+    # that age; a service search evaluates one age, k_star's
+    for n in (1, 2, 7, 100, 1000):
+        p = params(mu=0.3, n=n)
+        calls, real = [], optimize.age_of
+        monkeypatch.setattr(optimize, "age_of",
+                            lambda scheme, q: calls.append(scheme) or real(scheme, q))
+        try:
+            r = optimizer(p, objective=objective)
+        except ValueError:  # one worker has no mds or mm-mds optimum
+            continue
+        finally:
+            monkeypatch.setattr(optimize, "age_of", real)
+        assert r.delta_star == age_of(make(r.k_star), p).delta
+        assert len(calls) == len(set(calls)) and make(r.k_star) in calls
+        if objective == "service":
+            assert calls == [make(r.k_star)]
+
+
 def test_refine_discrete_full_sweep_agreement_on_age():
     p = params(mu=1.0)
     fn = lambda k: age_of(MDS(k), p).delta

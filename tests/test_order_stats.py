@@ -18,7 +18,8 @@ from coded_aoi import (
     os_var,
 )
 from coded_aoi import MDS, MultiMDS, Repetition, SystemParams, Uncoded, age_of
-from coded_aoi.order_stats import _DIRECT, _check_order, sample_batch
+from coded_aoi import order_stats
+from coded_aoi.order_stats import _DIRECT, _check_order, _tail, sample_batch
 
 PI2_OVER_6 = math.pi**2 / 6
 
@@ -171,6 +172,92 @@ def test_harmonic_rejects_negative():
         harmonic(3, 4)
     with pytest.raises(ValueError):
         gen_harmonic2(5, -1)
+
+
+def reference_power_sum(order, n, m):
+    """The sum of 1/j**order over m < j <= n as fsum over every direct term
+    1/j**order, j <= _DIRECT, and the expansion's tail: order_stats'
+    arithmetic before the direct part became a two-double (hi, lo) and the
+    sums were kept."""
+    direct = tuple(1 / j**order for j in range(m + 1, min(n, _DIRECT) + 1))
+    tail = (_tail(n, max(m, _DIRECT), order),) if n > max(m, _DIRECT) else ()
+    return math.fsum(direct + tail)
+
+
+def power_sum_grid(seed):
+    """(n, m) pairs: every n <= 2 _DIRECT, then random ranges with m >= _DIRECT,
+    m = n, m just below n, n past 2**53 and numpy integers."""
+    rng = random.Random(seed)
+    pairs = [(n, m) for n in range(2 * _DIRECT + 1) for m in range(n + 1)]
+    for _ in range(3000):
+        n = rng.randrange(1, 2 ** rng.randrange(1, 64))
+        pairs += [(n, rng.randrange(n + 1)), (n, rng.randrange(min(n, _DIRECT) + 1)), (n, n),
+                  (n, max(0, n - rng.randrange(1, 50)))]
+        if n > _DIRECT:
+            pairs.append((n, rng.randrange(_DIRECT, n + 1)))
+    for _ in range(300):
+        n = rng.randrange(2**53, 2**62)
+        pairs += [(n, rng.randrange(_DIRECT)), (n, n - rng.randrange(1, 100))]
+    pairs += [(np.int64(n), np.int64(m)) for n, m in pairs[-200:]]
+    pairs += [(np.uint64(2**63 + 7), np.int32(5)), (np.int64(40), np.uint8(3))]
+    return pairs
+
+
+def test_power_sums_equal_the_direct_fsum_bit_for_bit():
+    # fsum rounds correctly, so fsum((hi, lo, tail)) is fsum over the direct
+    # terms and the tail whenever hi + lo is the direct part exactly
+    for n, m in power_sum_grid(11):
+        for fn, order in SUMS:
+            got, want = fn(n, m), reference_power_sum(order, int(n), int(m))
+            assert type(got) is float and got.hex() == want.hex(), (fn.__name__, n, m)
+            # a repeat is a memo hit and returns the same bits
+            assert fn(n, m).hex() == want.hex(), (fn.__name__, n, m)
+
+
+def test_direct_part_is_exact_in_two_doubles():
+    for order in (1, 2):
+        for m in range(_DIRECT + 1):
+            for top in range(m, _DIRECT + 1):
+                hi, lo = order_stats._direct(order, m, top)
+                # the sum of the doubles 1/j**order, not of the exact 1/j**order
+                terms = sum(Fraction(1 / j**order) for j in range(m + 1, top + 1))
+                assert Fraction(hi) + Fraction(lo) == terms, (order, m, top)
+                assert abs(lo) <= math.ulp(hi) / 2
+
+
+def test_power_sum_memo_is_bounded():
+    maxsize = order_stats._checked_sum.cache_info().maxsize
+    assert maxsize == 1024
+    for n in range(10**5):
+        harmonic(10**6 + n, 7)
+    info = order_stats._checked_sum.cache_info()
+    assert info.currsize == maxsize and info.maxsize == maxsize
+    # the direct parts are kept per (order, m, top) with m and top at most _DIRECT
+    for m in range(10**4):
+        gen_harmonic2(10**9, m)
+    assert order_stats._direct.cache_info().currsize <= 2 * (_DIRECT + 1) ** 2
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 7.5, "3", None, Fraction(3), np.float64(4)])
+def test_counts_must_be_integers(bad):
+    # bool is refused before the memo, where True would hit the entry of 1
+    harmonic(1), gen_harmonic2(1), harmonic(5, 0)
+    d = ShiftedExp(0, 1)
+    calls = [lambda: harmonic(bad), lambda: harmonic(5, bad), lambda: gen_harmonic2(bad),
+             lambda: gen_harmonic2(5, bad), lambda: os_mean(d, bad, 1),
+             lambda: os_mean(d, 5, bad), lambda: os_var(d, bad, 1), lambda: os_var(d, 5, bad)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_numpy_integer_orders_are_python_ints_inside():
+    # numpy takes uint64 - int64 to float64 and int64 products past 2**63
+    # wrap; as Python ints, n - k is an integer and n * m exact
+    d, n = ShiftedExp(0, 1), 2**40 + 3
+    assert os_mean(d, np.uint64(9), np.int64(4)) == os_mean(d, 9, 4)
+    assert os_var(d, np.uint64(9), np.int64(4)) == os_var(d, 9, 4)
+    assert os_mean(d, np.int64(n), np.int64(n // 2)) == os_mean(d, n, n // 2)
 
 
 def test_gen_harmonic2_values_and_bound():

@@ -518,11 +518,14 @@ def test_multiset_sampler_leaves_numpy_ma_unloaded():
 def test_multiset_sampler_scratch_is_bounded(monkeypatch):
     # a 4097-sample call holds at most SCRATCH_DOUBLES doubles of row-chunk
     # scratch, plus O(size) for the output and a block's gamma draws; without
-    # row chunks its window draws alone would exceed that bound
-    scheme, p, size = MultiMDS(1287, 2), params(n=1000), 4097
+    # row chunks its window draws alone would exceed that bound.  At loads 3
+    # and 4 np.take gathers the other windows from a row-major copy of the
+    # chunk, which the chunks count too; windows at Z = 4 settle every row,
+    # so no row waits for a widening round
+    p, size = params(n=1000), 4097
     bound = 8 * schemes.SCRATCH_DOUBLES + 64 * size
 
-    def peak():
+    def peak(scheme):
         tracemalloc.start()
         try:
             sample_service_batch(scheme, p, rng(8), size)
@@ -530,9 +533,15 @@ def test_multiset_sampler_scratch_is_bounded(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    assert peak() <= bound
+    points = [(MultiMDS(1287, 2), schemes.WINDOW_Z), (MultiMDS(1800, 3), 4.0),
+              (MultiMDS(2400, 4), 4.0)]
+    for scheme, z in points:
+        monkeypatch.setattr(schemes, "WINDOW_Z", z)
+        assert peak(scheme) <= bound, scheme
     monkeypatch.setattr(schemes, "SCRATCH_DOUBLES", 1 << 30)
-    assert peak() > bound
+    for scheme, z in points:
+        monkeypatch.setattr(schemes, "WINDOW_Z", z)
+        assert peak(scheme) > bound, scheme
 
 
 def test_multiset_sampler_scratch_stays_within_its_windows(monkeypatch):
