@@ -9,9 +9,10 @@ stream, so every cycle walks its own arrivals, all cycles together in
 numpy rounds, until a gap sum reaches its service time.  That costs the
 gaps drawn, about lambda*E[S] + 1 per cycle, in a few rounds: a round that
 would draw fewer than 2048 gaps widens its rows to cover the longest
-remaining wait.  Rounds of many cycles add their gaps one contiguous gap
-column at a time, small ones by one cumsum, to the same bits.  The cycles
-still waiting after a round are gathered by index.
+remaining wait, and none draws more than WAIT_SLICE gaps.  Each round is
+one draw; rounds of many cycles add their gaps one contiguous gap column
+at a time, small ones by one cumsum, to the same bits.  The cycles still
+waiting after a round are gathered by index.
 Only accepted updates carry a drawn transit delay, since a dropped
 update's age is never read.
 """

@@ -201,6 +201,8 @@ def level_counts(alphas: tuple[float, ...], n: int, k: int) -> list[int]:
     Raises:
         InconsistentK: k - k1 is too far from the deeper levels' alpha_m * n.
     """
+    require_int("n", n)
+    require_int("k", k)
     if n < 1 or k < 1 or not alphas:
         raise ValueError(f"need n >= 1, k >= 1 and a level, got n={n}, k={k}, {alphas}")
     raw = [a * n for a in alphas]

@@ -94,6 +94,9 @@ def refine_discrete(age_fn: Callable[[int], float], k_seed: int,
                     k_min: int, k_max: int) -> int:
     """Integer argmin by hill descent from k_seed, one step at a time to a
     strictly lower neighbour; a tie stops the walk."""
+    require_int("k_seed", k_seed)
+    require_int("k_min", k_min)
+    require_int("k_max", k_max)
     if not k_min <= k_seed <= k_max:
         raise ValueError(f"need k_min <= k_seed <= k_max, got {k_min}, {k_seed}, {k_max}")
     f = functools.cache(age_fn)

@@ -156,6 +156,25 @@ def _log1m(u: np.ndarray) -> np.ndarray:
     return np.log1p(np.negative(u, out=u), out=u)
 
 
+# Columns of a 2-D array from which _sum_ranks adds its rows one numpy call
+# each rather than in one np.cumsum down axis 0 (see _sum_ranks)
+_ROW_ADDS = 256
+
+
+def _sum_ranks(x: np.ndarray) -> np.ndarray:
+    """x[j] += x[j - 1] down the rows of x, in place: each column's running
+    sums, such as a rank-major chunk's spacing sums or a full-stream round's
+    gap sums.  A row add costs about 0.6 us a call and 0.3 ns a value,
+    np.cumsum down axis 0 about 3 ns a value, so an array of fewer than
+    _ROW_ADDS columns takes the cumsum; both make the same additions in the
+    same order, so the values do not depend on the array's width."""
+    if x.shape[1] < _ROW_ADDS:
+        return np.cumsum(x, axis=0, out=x)
+    for j in range(1, x.shape[0]):
+        x[j] += x[j - 1]
+    return x
+
+
 def sample_batch(d: ShiftedExp, rng: np.random.Generator,
                  size: "int | tuple[int, ...]") -> np.ndarray:
     """Draw ``size`` values from d: the inverse CDF shift - log1p(-u)/rate of

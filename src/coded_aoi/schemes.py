@@ -63,7 +63,7 @@ from typing import ClassVar
 import numpy as np
 
 from .levels import Infeasible, NoConvergence, _first_count, _mm_split, require_int
-from .order_stats import ShiftedExp, _log1m, os_mean, os_var
+from .order_stats import ShiftedExp, _log1m, _sum_ranks, os_mean, os_var
 
 
 # Most doubles a row of the MultiMDS sampler at load >= 2 may hold: X_(j) at
@@ -101,9 +101,6 @@ WINDOW_GROWTH = 1.5
 # unsettled.  So 8 MiB of rows wait at most, 4097 service times at n <= 1e4
 # and load 2 widen once, and the values do not depend on SCRATCH_DOUBLES.
 WIDEN_DOUBLES = 1 << 20
-# Columns of a rank-major chunk from which _sum_ranks adds its rows one numpy
-# call each rather than in one np.cumsum down axis 0 (see _sum_ranks)
-_ROW_ADDS = 256
 
 # Most ranks from the top, j = n - k + 1, at which _os_sample draws the k-th
 # of n from j uniforms rather than two gammas.  Each uniform costs about 5 to
@@ -534,19 +531,6 @@ class _Layout:
 _layout = functools.lru_cache(maxsize=1)(_Layout)
 
 
-def _sum_ranks(x: np.ndarray) -> np.ndarray:
-    """x[j] += x[j - 1] down the rows of a rank-major chunk, in place: each
-    rank's spacing sum.  A row add costs about 0.6 us a call and 0.3 ns a
-    value, np.cumsum down axis 0 about 3 ns a value, so a chunk of fewer
-    than _ROW_ADDS columns takes the cumsum; both make the same additions in
-    the same order, so the values do not depend on the chunk's width."""
-    if x.shape[1] < _ROW_ADDS:
-        return np.cumsum(x, axis=0, out=x)
-    for j in range(1, x.shape[0]):
-        x[j] += x[j - 1]
-    return x
-
-
 def _window_kth(x: np.ndarray, plan: _WindowPlan) -> tuple[np.ndarray, np.ndarray]:
     """Each column's k-th multiset element from its window order statistics,
     and whether the windows settle it.
@@ -763,7 +747,11 @@ def sample_service_batch(scheme: Scheme, params: SystemParams,
     windows of the rows they do not settle (about 1.8% at n = 100 and 4.8%
     at n = 1000) by one uniform per new rank, with no gamma.  The README
     gives the measured time per service time.  Past its scratch bound (see
-    MAX_SAMPLE_DRAWS) it raises ValueError.
+    MAX_SAMPLE_DRAWS) it raises ValueError, as it does for a size that is
+    not an integer >= 0.
     """
+    require_int("size", size)
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
     validate(scheme, params)
     return scheme.sample(params, rng, size)

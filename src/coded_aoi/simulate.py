@@ -24,16 +24,16 @@ Two modes:
                  it are fresh draws, so every cycle walks its own arrivals
                  and all cycles advance together, a round at a time.  In a
                  round each cycle still waiting draws a row of gaps, about
-                 as many as the average waiting cycle still needs; the
-                 first partial sum at or after its service time ends the
-                 cycle, and the gaps before it are dropped arrivals.  A
-                 round that would draw fewer than 2048 gaps widens its rows
-                 to cover the longest remaining wait, so the last few
-                 waiting cycles end in one round, not in one each.  A
-                 round's gaps are drawn gap column by gap column, each
-                 column contiguous; rounds of at least 128 waiting cycles
-                 add them one column at a time, smaller ones by one cumsum
-                 along each row, in the same order and to the same bits.
+                 as many as the average waiting cycle still needs, and at
+                 most WAIT_SLICE gaps in all; the first partial sum at or
+                 after its service time ends the cycle, and the gaps before
+                 it are dropped arrivals.  A round that would draw fewer
+                 than 2048 gaps widens its rows to cover the longest
+                 remaining wait, so the last few waiting cycles end in one
+                 round, not in one each.  A round is one draw, gap column
+                 by gap column, each column contiguous, and each cycle's
+                 gaps are summed in order (``order_stats._sum_ranks``), to
+                 the same bits whatever the scan's layout.
                  After each round the cycles still waiting are gathered
                  through one index array.  Only the accepted arrivals'
                  transit ages D are drawn: a dropped update's age is never
@@ -59,19 +59,14 @@ import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 from .levels import require_int
-from .order_stats import ShiftedExp, sample_batch
+from .order_stats import ShiftedExp, _sum_ranks, sample_batch
 from .schemes import Scheme, SystemParams, sample_service_batch, validate
 
-# most arrival gaps the full-stream walk holds at once, or one gap column (a
-# gap of every waiting cycle) if that is more; the results do not depend on it
+# most arrival gaps a full-stream round draws, or one gap column (a gap of
+# every waiting cycle) if that is more: it bounds the walk's scratch memory,
+# and since it caps a round's rows it is part of the draw order, moving the
+# results of any round it caps
 WAIT_SLICE = 1 << 16
-# a round with at least this many waiting cycles, the rows of its gap matrix,
-# adds its gaps one contiguous gap column at a time; a smaller round sums them
-# with one cumsum along each cycle's gaps, which costs more per gap but makes
-# no Python iteration per column (measured, scan and count together: 8.3
-# against 9.3 us at 128 cycles of 8 gaps, 16 against 46 us at 1024 of 8, 71
-# against 16 us at 32 of 64).  Both give the same bits
-_COLUMN_SCAN_ROWS = 128
 # a round that would draw fewer gaps than this widens its rows to cover the
 # longest remaining wait in one draw: a round costs about 20 us in numpy
 # calls, as much as drawing a few thousand gaps
@@ -118,11 +113,13 @@ def _round_width(lam: float, rest: np.ndarray) -> int:
 
     ``rest`` holds the cycles' service times less the gaps they have summed.
     A row holds about the arrivals the average waiting cycle still needs, so
-    a large round draws little past them; the cap bounds a row's memory.  A
-    round that would draw fewer than _ROUND_GAPS gaps widens its rows, within
-    that budget, to the longest wait's mean arrival count plus four standard
-    deviations and four, so the last waiting cycles end in one draw, not in
-    a round each.
+    a large round draws little past them.  A round that would draw fewer than
+    _ROUND_GAPS gaps widens its rows, within that budget, to the longest
+    wait's mean arrival count plus four standard deviations and four, so the
+    last waiting cycles end in one draw, not in a round each.  A row holds at
+    most MAX_DROPS_PER_CYCLE + 1 gaps, and a round at most WAIT_SLICE, or
+    one gap a row where the cycles are more: a cycle whose row ends first
+    waits on into the next round, which draws its gaps only.
     """
     m = rest.size
     # the sum over the count is the double .mean() gives, without its
@@ -132,7 +129,7 @@ def _round_width(lam: float, rest: np.ndarray) -> int:
         x = lam * float(rest.max())
         w = max(w, int(min(x + 4.0 * math.sqrt(x) + 5.0, MAX_DROPS_PER_CYCLE,
                            _ROUND_GAPS // m)))
-    return w
+    return min(w, max(1, WAIT_SLICE // m))
 
 
 def _cycles(scheme: Scheme, params: SystemParams, rng: Generator, cycles: int,
@@ -171,50 +168,30 @@ def _cycles(scheme: Scheme, params: SystemParams, rng: Generator, cycles: int,
         m = idx.size
         w = _round_width(lam, need - waited)
         # the round's m rows of w gaps, drawn gap column by gap column, each
-        # column contiguous, in slices of whole columns; a slice goes on
-        # from the sums the last one ended on, so the slice size moves no draw
-        cols = max(1, WAIT_SLICE // m)
-        early = np.zeros(m, dtype=np.intp)
-        for a in range(0, w, cols):
-            t = sample_batch(exp, rng, (min(cols, w - a), m))
-            t[0] += waited
-            # gap sums in order, as t += gap would
-            if m >= _COLUMN_SCAN_ROWS:
-                for i in range(1, len(t)):
-                    t[i] += t[i - 1]
-            else:
-                np.cumsum(t, axis=0, out=t)
-            # arrivals before the service completes find the pool busy, and
-            # the first one at or after it ends the cycle; the sums never
-            # fall, so a cycle's count stops there.  A row holds at most
-            # MAX_DROPS_PER_CYCLE + 1 gaps, so the count fits a uint16 sum,
-            # which is 2.2 times as fast as an intp one at 8192 cycles of 8
-            count = (t < need).sum(axis=0, dtype=np.uint16)
-            # each cycle's sum at its ending arrival, or at the slice's last
-            # gap if it waits on, a stand-in that a later slice or round
-            # overwrites.  Only the cycles still waiting when a slice begins,
-            # early == a, can end in it: all of them in the first slice
-            if a == 0:
-                early += count
-                at = np.minimum(early, len(t) - 1)
-                at *= m
-                at += np.arange(m)
-                ends = t.ravel().take(at)
-            else:
-                on = (early == a).nonzero()[0]
-                early += count
-                at = np.minimum(early.take(on) - a, len(t) - 1)
-                at *= m
-                at += on
-                ends[on] = t.ravel().take(at)
-            del at  # freed before waited is copied, the slice's peak
-            waited = t[-1].copy()
-            del t  # freed before the next slice is drawn, not after
+        # column contiguous, and each cycle's gap sums in order, as t += gap
+        # would
+        t = sample_batch(exp, rng, (w, m))
+        t[0] += waited
+        _sum_ranks(t)
+        # arrivals before the service completes find the pool busy, and the
+        # first one at or after it ends the cycle; the sums never fall, so a
+        # cycle's count stops there.  A row holds at most MAX_DROPS_PER_CYCLE
+        # + 1 gaps, so the count fits a uint16 sum, which is 2.2 times as
+        # fast as an intp one at 8192 cycles of 8
+        early = (t < need).sum(axis=0, dtype=np.uint16)
+        # each cycle's sum at its ending arrival, or at its row's last gap if
+        # it waits on, a stand-in that a later round overwrites
+        at = np.minimum(early, w - 1, dtype=np.intp)
+        at *= m
+        at += np.arange(m)
+        ends = t.ravel().take(at)
+        del at  # freed before the round's gathers below, which it would outlast
         ends -= need
         z[idx] = ends
         dropped += int(early.sum())
         wait = (early == w).nonzero()[0]
-        idx, need, waited = idx.take(wait), need.take(wait), waited.take(wait)
+        idx, need, waited = idx.take(wait), need.take(wait), t[-1].take(wait)
+        del t  # freed before the next round draws
     return s, d_used, z, cycles + 1 + dropped
 
 

@@ -32,12 +32,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SCHEMES = "src/coded_aoi/schemes.py"
 ORDER_STATS = "src/coded_aoi/order_stats.py"
 LEVELS = "src/coded_aoi/levels.py"
+SIMULATE = "src/coded_aoi/simulate.py"
 SELECTION = "tests/test_schemes.py::test_window_selection_equals_a_pooled_sort_bit_for_bit"
 TOP_RANKS = "tests/test_schemes.py::test_top_rank_sampler_matches_the_worker_mechanism"
 SCRATCH_BOUND = "tests/test_schemes.py::test_multiset_sampler_scratch_is_bounded"
 PAST_INT64 = "tests/test_schemes.py::test_law_sampler_runs_past_int64_workers"
 POWER_SUMS = "tests/test_order_stats.py::test_power_sums_equal_the_direct_fsum_bit_for_bit"
 LEVEL_ROOTS = "tests/test_levels.py::test_level_roots_equal_the_reference_residual_bit_for_bit"
+ROUND_WALK = "tests/test_properties.py::test_stream_cycles_equal_the_round_walk"
+WALK_SCRATCH = "tests/test_simulate.py::test_stream_cycles_scratch_is_bounded"
 # a memo of _checked_sum keyed on (n, m) alone, which hands one order's sum to the other
 ORDERLESS_MEMO = """def _orderless(fn):
     memo = {}
@@ -86,6 +89,12 @@ MUTANTS = [
            (POWER_SUMS,)),
     Mutant("level residual: each slope term's divisor m + 1, not m", LEVELS,
            "slopes.append((1.0 - x) / m)", "slopes.append((1.0 - x) / (m + 1))", (LEVEL_ROOTS,)),
+    Mutant("full-stream walk: a round's rows left uncapped by WAIT_SLICE", SIMULATE,
+           "return min(w, max(1, WAIT_SLICE // m))", "return w", (WALK_SCRATCH,)),
+    Mutant("full-stream walk: a round's gaps kept alive while the next round draws", SIMULATE,
+           "        del t  # freed before the next round draws\n", "", (WALK_SCRATCH,)),
+    Mutant("full-stream walk: a waiting cycle's sum carried from its row's second-last gap",
+           SIMULATE, "t[-1].take(wait)", "t[-2].take(wait)", (ROUND_WALK,)),
 ]
 
 

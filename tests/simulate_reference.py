@@ -8,18 +8,20 @@ import math
 
 import numpy as np
 
-from coded_aoi import sample_service_batch
+from coded_aoi import sample_service_batch, simulate
 from coded_aoi.simulate import _ROUND_GAPS, MAX_DROPS_PER_CYCLE
 
 
 def round_walk(scheme, params, rng, cycles):
     """The round rule of the full-stream _cycles one gap at a time, in Python floats.
 
-    Each round draws one matrix of gaps, whatever the slice size: w rows of
-    one gap per waiting cycle, in the cycles' order.  Each cycle adds its w
-    gaps in turn onto its wait.  A round that would draw fewer than
-    _ROUND_GAPS gaps widens w to the longest remaining wait's arrival count
-    plus four standard deviations and four, within that budget.
+    Each round draws one matrix of gaps: w rows of one gap per waiting
+    cycle, in the cycles' order.  Each cycle adds its w gaps in turn onto its
+    wait.  A round that would draw fewer than _ROUND_GAPS gaps widens w to
+    the longest remaining wait's arrival count plus four standard deviations
+    and four, within that budget; w is then capped at simulate.WAIT_SLICE
+    gaps a round, or one a row where the cycles are more, read at call time
+    so that a patched value holds here too.
     """
     lam = params.arrival_rate
     s = sample_service_batch(scheme, params, rng, cycles + 1)
@@ -35,6 +37,7 @@ def round_walk(scheme, params, rng, cycles):
             x = lam * rest.max()
             w = max(w, int(min(x + 4 * math.sqrt(x) + 5, MAX_DROPS_PER_CYCLE,
                                _ROUND_GAPS // len(waiting))))
+        w = min(w, max(1, simulate.WAIT_SLICE // len(waiting)))
         gaps = (-np.log1p(-rng.random((w, len(waiting)))) / lam).T.tolist()
         still = []
         for (j, need, t), row in zip(waiting, gaps):

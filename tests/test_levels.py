@@ -181,6 +181,15 @@ def test_level_counts_trivial_and_exact():
     assert level_counts((0.35, 0.25), 100, 60) == [35, 25]
 
 
+@pytest.mark.parametrize("alphas, n, k", [((0.5,), True, 1), ((0.5, 0.2), 10, 7.0),
+                                           ((0.5, 0.2), 10.0, 7)])
+def test_level_counts_reject_non_integer_counts(alphas, n, k):
+    # True ran as n = 1, and a float k failed in a slice with a TypeError
+    with pytest.raises(ValueError, match="must be an integer"):
+        level_counts(alphas, n, k)
+    assert level_counts((0.35, 0.25), np.int64(100), np.int64(60)) == [35, 25]
+
+
 def test_level_counts_seven_of_ten_three_levels():
     # low-straggling regime (shift*rate = 0.01): 7 subtasks over 10 workers,
     # 3 per queue, split 4/2/1

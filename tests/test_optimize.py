@@ -346,6 +346,13 @@ def test_refine_discrete_synthetic():
         refine_discrete(lambda k: k, 5, 10, 20)
 
 
+@pytest.mark.parametrize("bounds", [(True, 1, 3), (2.0, 1, 3), (2, 1.0, 3), (2, 1, 3.0)])
+def test_refine_discrete_rejects_non_integer_bounds(bounds):
+    # a True seed was returned as the argmin
+    with pytest.raises(ValueError, match="must be an integer"):
+        refine_discrete(lambda k: k, *bounds)
+
+
 @pytest.mark.parametrize("optimizer", [
     optimize.opt_repetition, optimize.opt_mds, lambda p: optimize.opt_mm_mds(p, 2)],
     ids=["rep", "mds", "mm-mds"])

@@ -32,7 +32,7 @@ from coded_aoi import (  # noqa: E402
     service_moments,
     solve_levels,
 )
-from coded_aoi import cli, schemes, simulate  # noqa: E402
+from coded_aoi import cli, order_stats, schemes, simulate  # noqa: E402
 from coded_aoi.levels import CHAIN_TOL, Infeasible, NoConvergence  # noqa: E402
 from levels_reference import chain_alphas_grid, chain_residuals  # noqa: E402
 import schemes_reference  # noqa: E402
@@ -205,21 +205,28 @@ def test_mm_continuous_optimum_is_below_a_dense_scan(load, log_mu_c, c):
 
 @FEW
 @given(st.sampled_from([Uncoded(), MDS(7)]), st.floats(0.05, 200.0), st.integers(1, 5000),
-       st.integers(0, 2**32), st.just(simulate.WAIT_SLICE))
-# a first round of _COLUMN_SCAN_ROWS waiting cycles adds its gaps a column
-# at a time, and one of a cycle fewer takes one cumsum
-@example(Uncoded(), 19.2, simulate._COLUMN_SCAN_ROWS, 9, simulate.WAIT_SLICE)
-@example(Uncoded(), 19.2, simulate._COLUMN_SCAN_ROWS - 1, 9, simulate.WAIT_SLICE)
-@example(MDS(7), 24.8, simulate._COLUMN_SCAN_ROWS, 9, simulate.WAIT_SLICE)
-@example(MDS(7), 24.8, simulate._COLUMN_SCAN_ROWS - 1, 9, simulate.WAIT_SLICE)
-@example(MDS(7), 24.8, 512, 9, 1)  # one gap column per slice
+       st.integers(0, 2**32), st.sampled_from([1, 7, simulate.WAIT_SLICE, 1 << 30]))
+# a first round of _ROW_ADDS waiting cycles adds its gaps a column at a
+# time, and one of a cycle fewer takes one cumsum
+@example(Uncoded(), 19.2, order_stats._ROW_ADDS, 9, simulate.WAIT_SLICE)
+@example(Uncoded(), 19.2, order_stats._ROW_ADDS - 1, 9, simulate.WAIT_SLICE)
+@example(MDS(7), 24.8, order_stats._ROW_ADDS, 9, simulate.WAIT_SLICE)
+@example(MDS(7), 24.8, order_stats._ROW_ADDS - 1, 9, simulate.WAIT_SLICE)
+@example(MDS(7), 24.8, 512, 9, 1)  # one gap a round per waiting cycle
+# one gap a round while more than 7 cycles wait, then up to 7 // m a row
+@example(MDS(7), 24.8, 512, 9, 7)
+# the CI's point: WAIT_SLICE caps its first rounds at 16 gaps a cycle, and
+# lifting the cap draws a first round of 60
+@example(MDS(7), 200.0, 4000, 1, simulate.WAIT_SLICE)
+@example(MDS(7), 200.0, 4000, 1, 1 << 30)
 def test_stream_cycles_equal_the_round_walk(scheme, lam, cycles, seed, wait_slice):
-    # the walk's scan layout, slices and compaction leave its bits as they are
+    # the walk's scan layout, round cap and compaction leave its bits as
+    # the reference's, which reads the same WAIT_SLICE
     p = SystemParams(lam, 1.0, 1.0, 10)
     with mock.patch.object(simulate, "WAIT_SLICE", wait_slice):
         got = simulate._cycles(scheme, p, Generator(PCG64(seed)), cycles,
                                "full_stream", "zero-wait")
-    want = simulate_reference.round_walk(scheme, p, Generator(PCG64(seed)), cycles)
+        want = simulate_reference.round_walk(scheme, p, Generator(PCG64(seed)), cycles)
     assert [a.tobytes() for a in got[:3]] == [a.tobytes() for a in want[:3]]
     assert got[3] == want[3]
 

@@ -853,6 +853,22 @@ def test_integer_parameters_accept_numpy_integers():
     assert service_moments(MDS(np.int64(7)), p) == service_moments(MDS(7), params(n=10))
 
 
+@pytest.mark.parametrize("size, match", [
+    (True, "must be an integer"), (2.0, "must be an integer"), ((2, 3), "must be an integer"),
+    (-1, "must be >= 0")])
+def test_sample_size_must_be_an_integer_at_least_zero(size, match):
+    # numpy raised its own TypeError for True and 2.0 and a "negative
+    # dimensions" ValueError for -1, and a shape drew an array of that shape
+    # for every scheme but MultiMDS at load >= 2
+    with pytest.raises(ValueError, match=f"size {match}"):
+        sample_service_batch(MDS(7), params(n=10), rng(1), size)
+
+
+def test_sample_size_accepts_a_numpy_integer():
+    got = sample_service_batch(MDS(7), params(n=10), rng(1), np.int64(3))
+    assert got.tobytes() == sample_service_batch(MDS(7), params(n=10), rng(1), 3).tobytes()
+
+
 def test_system_params_validation():
     for bad in [dict(arrival_rate=0), dict(shift=0), dict(straggling=-1), dict(nworkers=0)]:
         kwargs = dict(arrival_rate=1.0, shift=1.0, straggling=1.0, nworkers=10)
