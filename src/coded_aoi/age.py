@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .levels import require_real
 from .schemes import Scheme, ServiceMoments, SystemParams, service_moments
 
 
@@ -29,7 +30,10 @@ class AgeResult:
 
 def age_from_moments(arrival_rate: float, m: ServiceMoments) -> float:
     """Average age for a service time with moments m under the given arrival rate."""
-    lam = arrival_rate
+    lam = arrival_rate if type(arrival_rate) is float else require_real(
+        "arrival_rate", arrival_rate)
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"arrival_rate must be finite and > 0, got {lam}")
     ey = m.es + 1.0 / lam
     ey2 = m.es2 + 2.0 * m.es / lam + 2.0 / lam / lam
     return 1.0 / lam + m.es + ey2 / (2.0 * ey)

@@ -47,16 +47,30 @@ class InconsistentK(ValueError):
     """After the first count, no largest remainder of the level fractions sums to k."""
 
 
-def require_int(name: str, value) -> None:
-    """Raise ValueError unless value is an integer (numpy integers too).
+def require_int(name: str, value, low: Optional[int] = None) -> int:
+    """value as a Python int, which no product wraps at 2**63; ValueError unless
+    it is an integer (numpy integers too, but not bool: True as a worker count
+    is a caller's mistake, not a 1) at least ``low``."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
-    bool is an Integral, but True as a worker count or a load is a caller's
-    mistake, not a 1.
-    """
-    if type(value) is int:
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+def require_real(name: str, value) -> float:
+    """value as a Python float, an int past the double range as an infinity;
+    ValueError unless it is a real number (numpy reals too, but not bool)."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def chain_alphas(beta1: float, load: int, mu_c: float) -> list[float]:
@@ -124,14 +138,13 @@ def solve_levels(ell: int, alpha: float, mu_c: float) -> tuple[float, ...]:
         mu_c: product of straggling rate and shift of the whole-task
             runtime; the chain offset between consecutive levels.
     """
-    require_int("ell", ell)
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    ell = require_int("ell", ell, 1)
+    if type(alpha) is not float or type(mu_c) is not float:  # the common case skips two calls
+        alpha, mu_c = require_real("alpha", alpha), require_real("mu_c", mu_c)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not mu_c > 0:
         raise ValueError(f"mu_c must be > 0, got {mu_c}")
-    ell, alpha, mu_c = int(ell), float(alpha), float(mu_c)
     beta = _level_root(ell, alpha, mu_c, math.log1p(-alpha))
     if beta is None:
         return (ell * alpha,) + (0.0,) * (ell - 1)
@@ -201,10 +214,9 @@ def level_counts(alphas: tuple[float, ...], n: int, k: int) -> list[int]:
     Raises:
         InconsistentK: k - k1 is too far from the deeper levels' alpha_m * n.
     """
-    require_int("n", n)
-    require_int("k", k)
-    if n < 1 or k < 1 or not alphas:
-        raise ValueError(f"need n >= 1, k >= 1 and a level, got n={n}, k={k}, {alphas}")
+    n, k = require_int("n", n, 1), require_int("k", k, 1)
+    if not alphas or not all(0.0 <= require_real("level fraction", a) <= 1.0 for a in alphas):
+        raise ValueError(f"need level fractions in [0, 1], got {alphas}")
     raw = [a * n for a in alphas]
     counts = [_first_count(alphas[0], n)] + [math.floor(r) for r in raw[1:]]
     deficit = k - sum(counts)

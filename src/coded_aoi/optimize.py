@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .age import age_of
-from .levels import _mm_split, chain_alphas, level_counts, newton_root, require_int
+from .levels import _mm_split, chain_alphas, level_counts, newton_root, require_int, require_real
 from .schemes import MDS, MultiMDS, Repetition, Scheme, SystemParams, service_moments
 
 _BRANCH_POINT = -math.exp(-1.0)
@@ -44,6 +44,7 @@ def lambert_w_m1(x: float) -> float:
     Defined for x in [-1/e, 0); solved in log form (see _branch_excess), so
     the error is relative to x however close x is to 0.
     """
+    x = require_real("x", x)
     if not _BRANCH_POINT <= x < 0.0:
         raise ValueError(f"lambert_w_m1 requires -1/e <= x < 0, got {x}")
     # d = -log(-x) - 1 is off by about EPS, and w by about sqrt(2 EPS) next
@@ -93,13 +94,19 @@ def _branch_excess(d: float) -> float:
 def refine_discrete(age_fn: Callable[[int], float], k_seed: int,
                     k_min: int, k_max: int) -> int:
     """Integer argmin by hill descent from k_seed, one step at a time to a
-    strictly lower neighbour; a tie stops the walk."""
-    require_int("k_seed", k_seed)
-    require_int("k_min", k_min)
-    require_int("k_max", k_max)
+    strictly lower neighbour; a tie stops the walk, and a NaN age, which
+    would compare as one, raises ValueError."""
+    k_seed = require_int("k_seed", k_seed)
+    k_min = require_int("k_min", k_min)
+    k_max = require_int("k_max", k_max)
     if not k_min <= k_seed <= k_max:
         raise ValueError(f"need k_min <= k_seed <= k_max, got {k_min}, {k_seed}, {k_max}")
-    f = functools.cache(age_fn)
+    @functools.cache
+    def f(k: int) -> float:
+        if math.isnan(age := age_fn(k)):
+            raise ValueError(f"refine_discrete: the age at k={k} is NaN")
+        return age
+
     k = k_seed
     while k > k_min and f(k - 1) < f(k):
         k -= 1
@@ -181,14 +188,12 @@ def opt_mm_mds(params: SystemParams, load: int, objective: str = "age") -> OptRe
     against the exact age (or mean service time) over integers
     1..n*load-1.  OverflowError: no piece has a finite root.
     """
-    require_int("load", load)
-    if load < 1:
-        raise ValueError(f"load must be >= 1, got {load}")
+    load = require_int("load", load, 1)
     n = params.nworkers
     if n * load < 2:
         raise ValueError(f"mm-mds optimization needs n*load >= 2, got n={n}, load={load}")
     mu_c = params.mu_c
-    roots = _piece_roots(int(load), float(mu_c))
+    roots = _piece_roots(load, mu_c)
     if not roots:
         raise OverflowError(f"mm-mds optimization: no finite optimum at shift*straggling = "
                             f"{params.shift:g}*{params.straggling:g}")

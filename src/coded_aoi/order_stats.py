@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levels import require_int
+from .levels import require_int, require_real
 
 # Terms 1/j**order with j <= _DIRECT are summed directly; above it the
 # expansion's first omitted term is below 1e-17 of the sum.
@@ -54,9 +54,7 @@ def _tail(n: int, m: int, order: int) -> float:
 
 def _power_sum(name: str, order: int, n: int, m: int) -> float:
     if type(n) is not int or type(m) is not int:  # the common case skips two calls
-        require_int("n", n)
-        require_int("m", m)
-        n, m = int(n), int(m)
+        n, m = require_int("n", n), require_int("m", m)
     if not 0 <= m <= n:
         raise ValueError(f"{name} requires 0 <= m <= n, got n={n}, m={m}")
     return _checked_sum(order, n, m)
@@ -113,9 +111,12 @@ class ShiftedExp:
     rate: float
 
     def __post_init__(self) -> None:
-        # "not >=" refuses NaN too; an infinite rate is allowed
-        if not self.shift >= 0:
-            raise ValueError(f"shift must be >= 0, got {self.shift}")
+        # floats skip the type check; "not <" refuses NaN, and the rate may be inf
+        if type(self.shift) is not float or type(self.rate) is not float:
+            for name in ("shift", "rate"):
+                object.__setattr__(self, name, require_real(name, getattr(self, name)))
+        if not 0.0 <= self.shift < math.inf:
+            raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
         if not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
@@ -129,9 +130,7 @@ class ShiftedExp:
 def _check_order(n: int, k: int) -> tuple[int, int]:
     """n and k as Python ints, so that n - k is exact for numpy integers too."""
     if type(n) is not int or type(k) is not int:
-        require_int("n", n)
-        require_int("k", k)
-        n, k = int(n), int(k)
+        n, k = require_int("n", n), require_int("k", k)
     if not 1 <= k <= n:
         raise ValueError(f"order statistic requires 1 <= k <= n, got k={k}, n={n}")
     return n, k

@@ -17,17 +17,16 @@ on how the master distributes work:
                  results while stragglers contribute none.
 
 Each scheme class carries its CLI ``label``, its ``load`` (subtasks queued
-per worker) and three methods.  ``check(params)`` raises ValueError for
-parameters the scheme cannot take; on checked parameters,
-``moments(params)`` gives the E[S] and E[S^2] of the paper's model, the
-only properties of S that the average age depends on, and
-``sample(params, rng, size)`` draws service times from the mechanism's
-exact law.  The module functions below check and then call these methods,
-so no other code dispatches on the scheme type.  ``order_stat``,
-``moments`` and ``sample`` check nothing themselves: they assume parameters
-that a public entry point (``service_moments``, ``sample_service_batch``,
-or ``age_of`` through ``service_moments``) has already checked, so each
-public call validates once.
+per worker) and three methods.  ``check(params)`` returns the scheme with
+its counts as Python ints, or raises ValueError for parameters it cannot
+take; on the checked scheme, ``moments(params)`` gives the E[S] and E[S^2]
+of the paper's model, the only properties of S that the average age
+depends on, and ``sample(params, rng, size)`` draws service times from the
+mechanism's exact law.  The module functions below check and then call
+these methods, so no other code dispatches on the scheme type.
+``order_stat``, ``moments`` and ``sample`` do not check the scheme again;
+the order-statistic and level functions they call check their own
+arguments, at a type test each where those are Python numbers.
 
 Every scheme states its modelled service time as one order statistic, the
 k-th smallest of N i.i.d. draws from a shifted exponential d, in an
@@ -56,13 +55,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .levels import Infeasible, NoConvergence, _first_count, _mm_split, require_int
+from .levels import Infeasible, NoConvergence, _first_count, _mm_split, require_int, require_real
 from .order_stats import ShiftedExp, _log1m, _sum_ranks, os_mean, os_var
 
 
@@ -120,21 +118,13 @@ class SystemParams:
     nworkers: int
 
     def __post_init__(self) -> None:
+        # the fields keep the checked Python numbers: no numpy scalar leaks
         for name in ("arrival_rate", "shift", "straggling"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.arrival_rate <= 0:
-            raise ValueError(f"arrival_rate must be > 0, got {self.arrival_rate}")
-        if self.shift <= 0:
-            raise ValueError(f"shift must be > 0, got {self.shift}")
-        if self.straggling <= 0:
-            raise ValueError(f"straggling must be > 0, got {self.straggling}")
-        require_int("nworkers", self.nworkers)
-        if self.nworkers < 1:
-            raise ValueError(f"nworkers must be >= 1, got {self.nworkers}")
+            value = require_real(name, getattr(self, name))
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "nworkers", require_int("nworkers", self.nworkers, 1))
 
     @property
     def mu_c(self) -> float:
@@ -224,8 +214,8 @@ class _OrderStat:
 class Uncoded(_OrderStat):
     label: ClassVar[str] = "uncoded"
 
-    def check(self, params: SystemParams) -> None:
-        pass
+    def check(self, params: SystemParams) -> "Uncoded":
+        return self
 
     def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
         n = params.nworkers
@@ -237,11 +227,11 @@ class Repetition(_OrderStat):
     k: int
     label: ClassVar[str] = "repetition"
 
-    def check(self, params: SystemParams) -> None:
-        n = params.nworkers
-        require_int(f"{self.label}: k", self.k)
-        if not 1 <= self.k <= n:
-            raise ValueError(f"{self.label}: k must satisfy 1 <= k <= n, got k={self.k}, n={n}")
+    def check(self, params: SystemParams) -> "Repetition":
+        k = require_int(f"{self.label}: k", self.k, 1)
+        if k > params.nworkers:
+            raise ValueError(f"{self.label}: k must be <= n, got k={k}, n={params.nworkers}")
+        return self if k is self.k else replace(self, k=k)
 
     def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
         # the paper's model: min over n/k replicas of a (shift/k, k*rate)
@@ -268,12 +258,11 @@ class MDS(_OrderStat):
     k: int
     label: ClassVar[str] = "mds"
 
-    def check(self, params: SystemParams) -> None:
-        require_int(f"{self.label}: k", self.k)
-        if self.k < 1:
-            raise ValueError(f"{self.label}: k must be >= 1, got k={self.k}")
-        if self.k >= params.nworkers:
-            raise ValueError(f"{self.label}: k must be < n, got k={self.k}, n={params.nworkers}")
+    def check(self, params: SystemParams) -> "MDS":
+        k = require_int(f"{self.label}: k", self.k, 1)
+        if k >= params.nworkers:
+            raise ValueError(f"{self.label}: k must be < n, got k={k}, n={params.nworkers}")
+        return self if k is self.k else replace(self, k=k)
 
     def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
         return params.whole_task().split(self.k), params.nworkers, self.k
@@ -287,16 +276,14 @@ class MultiMDS(_OrderStat):
     load: int = field()
     label: ClassVar[str] = "mm-mds"
 
-    def check(self, params: SystemParams) -> None:
+    def check(self, params: SystemParams) -> "MultiMDS":
         n = params.nworkers
-        require_int(f"{self.label}: k", self.k)
-        require_int(f"{self.label}: load", self.load)
-        if self.load < 1:
-            raise ValueError(f"{self.label}: load must be >= 1, got {self.load}")
-        if not 1 <= self.k < n * self.load:
+        k = require_int(f"{self.label}: k", self.k)
+        load = require_int(f"{self.label}: load", self.load, 1)
+        if not 1 <= k < n * load:
             raise ValueError(
-                f"{self.label}: k must satisfy 1 <= k < n*load, got k={self.k}, "
-                f"n={n}, load={self.load}")
+                f"{self.label}: k must satisfy 1 <= k < n*load, got k={k}, n={n}, load={load}")
+        return self if k is self.k and load is self.load else replace(self, k=k, load=load)
 
     def order_stat(self, params: SystemParams) -> tuple[ShiftedExp, int, int]:
         # the large-pool model: the k-th result overall is the first
@@ -721,17 +708,16 @@ def _widen(d: ShiftedExp, rng: np.random.Generator, wide: _Widening, x: np.ndarr
 Scheme = Uncoded | Repetition | MDS | MultiMDS
 
 
-def validate(scheme: Scheme, params: SystemParams) -> None:
-    """Check scheme parameters against the worker pool; raise ValueError if bad."""
+def validate(scheme: Scheme, params: SystemParams) -> Scheme:
+    """The scheme with its counts as Python ints, once they fit the pool; ValueError if not."""
     if not isinstance(scheme, Scheme):
         raise TypeError(f"unknown scheme {scheme!r}")
-    scheme.check(params)
+    return scheme.check(params)
 
 
 def service_moments(scheme: Scheme, params: SystemParams) -> ServiceMoments:
     """Exact (E[S], E[S^2]) of the scheme's service time."""
-    validate(scheme, params)
-    return scheme.moments(params)
+    return validate(scheme, params).moments(params)
 
 
 def sample_service_batch(scheme: Scheme, params: SystemParams,
@@ -750,8 +736,5 @@ def sample_service_batch(scheme: Scheme, params: SystemParams,
     MAX_SAMPLE_DRAWS) it raises ValueError, as it does for a size that is
     not an integer >= 0.
     """
-    require_int("size", size)
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
-    validate(scheme, params)
-    return scheme.sample(params, rng, size)
+    size = require_int("size", size, 0)
+    return validate(scheme, params).sample(params, rng, size)

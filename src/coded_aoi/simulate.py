@@ -236,12 +236,8 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     the ufunc buffers and gather copies numpy adds (see
     ``schemes.SCRATCH_DOUBLES``).
     """
-    require_int("cycles_per_rep", cycles_per_rep)
-    require_int("reps", reps)
-    # numpy integers would otherwise leak numpy scalars into the report
-    cycles_per_rep, reps = int(cycles_per_rep), int(reps)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    cycles_per_rep = require_int("cycles_per_rep", cycles_per_rep)
+    reps = require_int("reps", reps, 1)
     if mode not in ("fast", "full_stream"):
         raise ValueError(f"mode must be 'fast' or 'full_stream', got {mode!r}")
     if policy not in ("zero-wait", "return-triggered"):
@@ -250,7 +246,7 @@ def run_parallel(scheme: Scheme, params: SystemParams, cycles_per_rep: int,
     if cycles < BATCHES:
         raise InsufficientCycles(
             f"need at least {BATCHES} cycles in all, got {reps} x {cycles_per_rep}")
-    validate(scheme, params)
+    scheme = validate(scheme, params)
 
     root = _root_seq(seed)
     # the pooled cycles are cut at every batch edge and every replication

@@ -41,6 +41,9 @@ POWER_SUMS = "tests/test_order_stats.py::test_power_sums_equal_the_direct_fsum_b
 LEVEL_ROOTS = "tests/test_levels.py::test_level_roots_equal_the_reference_residual_bit_for_bit"
 ROUND_WALK = "tests/test_properties.py::test_stream_cycles_equal_the_round_walk"
 WALK_SCRATCH = "tests/test_simulate.py::test_stream_cycles_scratch_is_bounded"
+REQUIRE_INT = "tests/test_levels.py::test_require_int_returns_a_python_int_at_least_its_bound"
+PYTHON_PARAMS = "tests/test_schemes.py::test_system_params_store_python_numbers"
+WIDEN_LAW = "tests/test_schemes.py::test_widening_fills_each_gap_with_its_order_statistics"
 # a memo of _checked_sum keyed on (n, m) alone, which hands one order's sum to the other
 ORDERLESS_MEMO = """def _orderless(fn):
     memo = {}
@@ -95,6 +98,22 @@ MUTANTS = [
            "        del t  # freed before the next round draws\n", "", (WALK_SCRATCH,)),
     Mutant("full-stream walk: a waiting cycle's sum carried from its row's second-last gap",
            SIMULATE, "t[-1].take(wait)", "t[-2].take(wait)", (ROUND_WALK,)),
+    Mutant("require_int: a numpy integer returned unconverted", LEVELS,
+           "        value = int(value)\n", "", (REQUIRE_INT,)),
+    Mutant("require_int: the lower bound itself refused", LEVELS,
+           "if low is not None and value < low:", "if low is not None and value <= low:",
+           (REQUIRE_INT,)),
+    Mutant("SystemParams: nworkers checked but not stored", SCHEMES,
+           'object.__setattr__(self, "nworkers", require_int("nworkers", self.nworkers, 1))',
+           'require_int("nworkers", self.nworkers, 1)', (PYTHON_PARAMS,)),
+    Mutant("widening: a top run's scale 1/(m - q), not 1/(m - s1 - q)", SCHEMES,
+           "tops.append(1.0 / (m - s1 - np.arange(s2, dtype=float)))",
+           "tops.append(1.0 / (m - np.arange(s2, dtype=float)))", (WIDEN_LAW,)),
+    Mutant("widening: a bottom run's scale 1/(m + 1 - t), not 1/(m - t)", SCHEMES,
+           "bottoms.append(1.0 / (m - np.arange(s1, dtype=float)))",
+           "bottoms.append(1.0 / (m + 1 - np.arange(s1, dtype=float)))", (WIDEN_LAW,)),
+    Mutant("widening: the top run's (1 - u0) factor dropped", SCHEMES,
+           "w *= p * y[-1] if s1 else p", "w *= p", (WIDEN_LAW,)),
 ]
 
 

@@ -184,3 +184,10 @@ def test_age_that_overflows_a_double_raises():
         age_of(Uncoded(), SystemParams(1e-200, 1.0, 1.0, 10))
     with pytest.raises(OverflowError, match="overflows a double"):
         age_of(MDS(5), SystemParams(1.0, 1e200, 1.0, 10))
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, True, "1"])
+def test_age_from_moments_refuses_a_bad_arrival_rate(rate):
+    # 0.0 raised ZeroDivisionError
+    with pytest.raises(ValueError, match="arrival_rate"):
+        age_from_moments(rate, ServiceMoments(0.5, 0.5))

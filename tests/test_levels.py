@@ -379,3 +379,21 @@ def test_many_levels_take_few_level_sums(monkeypatch):
     assert abs(math.fsum(alphas) - 1000.0) <= 1e-10
     for r, bound in chain_residuals(alphas, 0.01):
         assert abs(r) <= bound
+
+
+def test_require_int_returns_a_python_int_at_least_its_bound():
+    # the caller computes with the returned int, which no product wraps
+    got = levels.require_int("n", np.int64(2**62), 1)
+    assert type(got) is int and got * 4 == 2**64
+    assert levels.require_int("n", 1, 1) == 1
+    assert levels.require_int("k", -5) == -5
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        levels.require_int("n", np.int64(0), 1)
+
+
+@pytest.mark.parametrize("alphas", [(math.nan,), (math.inf,), (0.5, -math.inf), (1.5,),
+                                    (True,), ("a",)])
+def test_level_counts_refuse_fractions_outside_zero_to_one(alphas):
+    # NaN failed inside round() and inf raised OverflowError
+    with pytest.raises(ValueError, match="level fraction"):
+        level_counts(alphas, 10, 5)

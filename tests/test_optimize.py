@@ -500,3 +500,19 @@ def test_mds_optimum_beats_all_k():
         best = r.delta_star
         for k in range(1, 100):
             assert best <= age_of(MDS(k), p).delta + 1e-15
+
+
+def test_refine_discrete_raises_on_a_nan_age():
+    # a NaN compares false as a tie does, so the walk stopped at its seed
+    with pytest.raises(ValueError, match="age at k=1 is NaN"):
+        refine_discrete(lambda k: math.nan, 2, 1, 5)
+    with pytest.raises(ValueError, match="age at k=3 is NaN"):
+        refine_discrete(lambda k: math.nan if k == 3 else 1.0 / k, 2, 1, 5)
+    k = refine_discrete(lambda k: (k - 3) ** 2, np.int64(1), np.int64(1), np.int64(5))
+    assert type(k) is int and k == 3
+
+
+@pytest.mark.parametrize("x", ["-0.2", None, True])
+def test_lambert_w_m1_refuses_a_non_number(x):
+    with pytest.raises(ValueError, match="x must be a real number"):
+        lambert_w_m1(x)

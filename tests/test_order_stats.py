@@ -377,3 +377,17 @@ def test_batch_empirical_moments_within_three_sigma():
     se = math.sqrt(os_var(d, n, k) / draws)
     assert abs(kth.mean() - os_mean(d, n, k)) < 3 * se
     assert abs(kth.var(ddof=1) - os_var(d, n, k)) / os_var(d, n, k) < 0.05
+
+
+@pytest.mark.parametrize("shift, rate", [(True, 1.0), (1.0, False), (1.0, "a"), (None, 1.0),
+                                         (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)])
+def test_shifted_exp_refuses_bool_non_numbers_and_an_infinite_shift(shift, rate):
+    # True ran as a shift of 1, and "a" raised TypeError
+    with pytest.raises(ValueError, match="shift|rate"):
+        ShiftedExp(shift, rate)
+
+
+def test_shifted_exp_keeps_python_floats():
+    d = ShiftedExp(np.float32(0.5), np.int64(2))
+    assert (type(d.shift), type(d.rate)) == (float, float) and d == ShiftedExp(0.5, 2.0)
+    assert ShiftedExp(0, math.inf).rate == math.inf

@@ -1039,3 +1039,32 @@ def test_mm_k1_where_k_over_n_load_rounds_to_one():
     assert (2 * n - 1) / (2 * n) == 1.0
     assert model_k1(p, 2 * n - 1, 2) == n
     assert math.isfinite(service_moments(MultiMDS(2 * n - 1, 2), p).es)
+
+
+def test_system_params_store_python_numbers():
+    # numpy scalars were kept, so n * load wrapped in int64 at n = 2**62 and
+    # MultiMDS(5, 4) was refused as k >= n*load
+    p = SystemParams(np.float64(1), np.float32(1), np.int64(1), np.int64(2**62))
+    fields = ("arrival_rate", "shift", "straggling", "nworkers")
+    assert [type(getattr(p, f)) for f in fields] == [float, float, float, int]
+    python = service_moments(MultiMDS(5, 4), params(n=2**62))
+    assert python.es == 0.2
+    assert service_moments(MultiMDS(5, 4), p) == python
+    assert service_moments(MultiMDS(np.int64(5), np.int64(4)), p) == python
+
+
+def test_system_params_take_an_int_past_the_double_range_as_infinite():
+    # math.isfinite raised OverflowError
+    with pytest.raises(ValueError, match="shift must be finite"):
+        SystemParams(1.0, 10**400, 1.0, 10)
+
+
+def test_validate_returns_the_scheme_with_python_int_counts():
+    # numpy counts met Python ints past int64 in the sampler's divmod
+    p = params(n=2**70)
+    scheme = validate(Repetition(np.int64(3)), p)
+    assert scheme == Repetition(3) and type(scheme.k) is int
+    got = sample_service_batch(Repetition(np.int64(3)), p, rng(1), 4)
+    assert got.tobytes() == sample_service_batch(Repetition(3), p, rng(1), 4).tobytes()
+    mds = MDS(7)
+    assert validate(mds, params(n=10)) is mds
